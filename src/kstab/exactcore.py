@@ -287,15 +287,6 @@ class Poly:
             out[ne] = c * k
         return Poly(out)
 
-    # -- serialization -------------------------------------------------
-
-    def to_triples(self) -> list[list]:
-        """Serialize as ``[coeff, exp_u, exp_v]`` triples, sorted."""
-        return [
-            [rat_str(c), i, j]
-            for (i, j), c in sorted(self.terms.items())
-        ]
-
     def __repr__(self):
         if not self.terms:
             return "0"

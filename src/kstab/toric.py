@@ -1,11 +1,13 @@
 """Toric models: fans with a Cox grading, exact intersection numbers of
-boundary divisors, cone membership tests, and polytope barycenters.
+boundary divisors, nef and effective-cone tests, and polytope barycenters.
 
 A model is a simplicial fan of dimension 2 or 3 given by its rays and
 maximal cones, together with an integer grading matrix whose columns are
-the divisor-class degrees of the boundary divisors.  Two divisors are
-linearly equivalent exactly when their degree vectors agree, which is what
-the self-intersection rewriting below exploits.
+the divisor-class degrees of the boundary divisors.  The grading is checked
+against the fan on construction, so two divisors are linearly equivalent
+exactly when their degree vectors agree.  A repeated divisor in a product
+is rewritten through a principal divisor div(chi^m) = sum_k <m, v_k> F_k
+(Fulton, Introduction to Toric Varieties, Ch. 5).
 
 Divisor classes are finite maps ``ray index -> Fraction``; curve classes
 are stored through their pairing vector against the boundary divisors.
@@ -32,8 +34,8 @@ class IndexOutOfRange(ToricError):
     pass
 
 
-class NoEquivalentRepresentative(ToricError):
-    """No linearly equivalent combination avoids the required rays."""
+class GradingMismatch(ToricError):
+    """The grading does not present the class group of the fan."""
 
 
 class SingularBasis(ToricError):
@@ -87,27 +89,43 @@ class ToricModel:
         if any(len(v) != self.dim for v in self.rays):
             raise ToricError("rays of mixed dimension")
         self.max_cones = tuple(frozenset(int(i) for i in c) for c in max_cones)
+        # Reciprocal multiplicity 1/|det| of each maximal cone.
+        self._inv_mult: dict[frozenset[int], Fraction] = {}
         for cone in self.max_cones:
             if len(cone) != self.dim:
                 raise ToricError(f"maximal cone {set(cone)} has wrong size")
-            mat = [self.rays[i] for i in sorted(cone)]
-            if _linalg.det(mat) == 0:
+            d = _linalg.det([self.rays[i] for i in sorted(cone)])
+            if d == 0:
                 raise ToricError(f"cone rays {set(cone)} are dependent")
+            self._inv_mult[cone] = 1 / abs(d)
         grading = [list(map(int, row)) for row in grading]
         if any(len(row) < len(self.rays) for row in grading):
             raise ToricError("grading narrower than the ray count")
         # Columns beyond the ray count (extra fixture coordinates) are
         # irrelevant for intersection numbers and dropped here.
         self.grading = tuple(tuple(row[:len(self.rays)]) for row in grading)
+        self._check_grading()
         self.curve_specs = {k: (int(i), int(j))
                             for k, (i, j) in (curves or {}).items()}
         self.mori_generators = tuple(mori_generators)
         self.effective_generators = tuple(effective_generators)
-        self._edges = frozenset(
-            frozenset(p) for cone in self.max_cones
-            for p in itertools.combinations(sorted(cone), 2))
         self._prod_cache: dict[tuple[int, ...], Fraction] = {}
+        self._rep_cache: dict[tuple[int, frozenset[int]], Divisor] = {}
         self._curve_cache: dict[str, CurveClass] = {}
+
+    def _check_grading(self):
+        """The grading's kernel must be exactly the span of the relations
+        sum_k v_k[a] F_k, one per lattice coordinate a."""
+        for row in self.grading:
+            for a in range(self.dim):
+                if sum(v[a] * g for v, g in zip(self.rays, row)):
+                    raise GradingMismatch(
+                        f"grading of {self.name} does not annihilate the"
+                        f" relation of lattice coordinate {a}")
+        rank, want = _linalg.rank(self.grading), len(self.rays) - self.dim
+        if rank != want:
+            raise GradingMismatch(
+                f"grading of {self.name} has rank {rank}, expected {want}")
 
     # -- basic queries --------------------------------------------------
 
@@ -143,12 +161,6 @@ class ToricModel:
             sum((c * row[i] for i, c in d.items()), Fraction(0))
             for row in self.grading)
 
-    def is_cone(self, indices) -> bool:
-        return frozenset(indices) in self.max_cones
-
-    def is_edge(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self._edges
-
     # -- intersection numbers --------------------------------------------
 
     def triple_intersection_distinct(self, i: int, j: int, k: int) -> Fraction:
@@ -163,33 +175,27 @@ class ToricModel:
             self._check_index(t)
         if len({i, j, k}) != 3:
             raise ToricError("indices must be pairwise distinct")
-        if not self.is_cone((i, j, k)):
-            return Fraction(0)
-        d = _linalg.det([self.rays[i], self.rays[j], self.rays[k]])
-        return Fraction(1) / abs(d)
+        return self._distinct_product((i, j, k))
 
     def _distinct_product(self, indices: tuple[int, ...]) -> Fraction:
-        if not self.is_cone(indices):
-            return Fraction(0)
-        d = _linalg.det([self.rays[i] for i in indices])
-        return Fraction(1) / abs(d)
+        return self._inv_mult.get(frozenset(indices), Fraction(0))
 
-    def _equivalent_rep(self, i: int, avoid: frozenset[int]) -> Divisor | None:
-        """Smallest-support combination of boundary divisors linearly
-        equivalent to F_i and supported away from ``avoid``.
-
-        Candidate supports are scanned by size then lexicographically, so
-        the rewriting is deterministic.
-        """
-        target = [Fraction(row[i]) for row in self.grading]
-        allowed = [k for k in range(len(self.rays)) if k not in avoid]
-        for size in range(1, len(allowed) + 1):
-            for sub in itertools.combinations(allowed, size):
-                rows = [[Fraction(row[k]) for k in sub] for row in self.grading]
-                sol = _linalg.solve(rows, target)
-                if sol is not None:
-                    return {k: c for k, c in zip(sub, sol) if c}
-        return None
+    def _relation_rep(self, i: int, cone: frozenset[int]) -> Divisor:
+        """F_i ~ -sum_{k not in cone} <m, v_k> F_k, for a maximal cone
+        containing ray i and m with <m, v_j> = [j == i] on its rays."""
+        key = (i, cone)
+        if key not in self._rep_cache:
+            basis = sorted(cone)
+            m = _linalg.solve([self.rays[j] for j in basis],
+                              [Fraction(j == i) for j in basis])
+            rep: Divisor = {}
+            for k, v in enumerate(self.rays):
+                if k not in cone:
+                    c = -sum(x * y for x, y in zip(m, v))
+                    if c:
+                        rep[k] = c
+            self._rep_cache[key] = rep
+        return self._rep_cache[key]
 
     def _monomial(self, multiset: tuple[int, ...]) -> Fraction:
         """Product of boundary divisors indexed by a sorted multiset."""
@@ -200,37 +206,30 @@ class ToricModel:
         return value
 
     def _monomial_uncached(self, multiset: tuple[int, ...]) -> Fraction:
-        distinct = sorted(set(multiset))
-        if len(distinct) == len(multiset):
+        support = frozenset(multiset)
+        if len(support) == len(multiset):
             return self._distinct_product(multiset)
-        # Disjoint boundary divisors kill the whole product.
-        for a, b in itertools.combinations(distinct, 2):
-            if not self.is_edge(a, b):
-                return Fraction(0)
-        counts = {i: multiset.count(i) for i in distinct}
+        cone = next((c for c in self.max_cones if support <= c), None)
+        if cone is None:
+            # Boundary divisors sharing no cone do not meet.
+            return Fraction(0)
+        counts = {i: multiset.count(i) for i in support}
         rep_idx = max(counts, key=lambda i: (counts[i], i))
         rest = list(multiset)
         rest.remove(rep_idx)
-        rep = self._equivalent_rep(rep_idx, frozenset(multiset))
-        if rep is None:
-            # Fall back to a representative avoiding only the repeated ray;
-            # recursion terminates because each step reduces repetition.
-            rep = self._equivalent_rep(rep_idx, frozenset((rep_idx,)))
-            if rep is None or any(k in multiset for k in rep):
-                raise NoEquivalentRepresentative(
-                    f"cannot rewrite F_{rep_idx} away from {set(multiset)}"
-                    f" on {self.name}")
+        # Each term swaps one copy of F_rep_idx for a ray outside the
+        # support, so the repetition falls and the recursion terminates.
         total = Fraction(0)
-        for k, c in rep.items():
+        for k, c in self._relation_rep(rep_idx, cone).items():
             total += c * self._monomial(tuple(sorted(rest + [k])))
         return total
 
     def intersection_product(self, *divisors: Divisor) -> Fraction:
         """Multilinear intersection number of ``dim`` divisor classes.
 
-        Repeated boundary divisors are resolved by replacing one copy with
-        an equal-degree combination supported away from the repeated ray,
-        found by an exact linear solve.
+        One copy of a repeated boundary divisor is replaced by a relation
+        representative supported off the first maximal cone containing the
+        product's support.
         """
         if len(divisors) != self.dim:
             raise ToricError(

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -126,6 +127,20 @@ class TestCli:
         assert cli.main(["suite", "--format", "json", "--jobs", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["fail"] == 0
+
+    def test_suite_matches_golden(self, capsys):
+        # The suite JSON stays byte-identical apart from its seed field.
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / \
+            "golden_suite.json"
+
+        def drop_seed(text):
+            text, n = re.subn(r'\n  "seed": \d+,\n', "\n", text)
+            assert n == 1
+            return text
+
+        assert cli.main(["suite", "--format", "json"]) == 0
+        assert drop_seed(capsys.readouterr().out) == \
+            drop_seed(golden.read_text())
 
     def test_formulas_eval(self, capsys):
         assert cli.main(["formulas", "eval", "k3", "--params",

@@ -6,12 +6,15 @@ import pytest
 
 from kstab import _linalg
 from kstab.runner import model
-from kstab.toric import (DegeneratePolytope, IndexOutOfRange, ToricModel,
-                         divisor, polytope_barycenter)
+from kstab.toric import (DegeneratePolytope, GradingMismatch, IndexOutOfRange,
+                         ToricModel, divisor, polytope_barycenter)
 
 VERTICES_42 = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
                (1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0),
                (0, 0, -1), (-1, 0, -1), (-1, -1, -1), (0, -1, -1)]
+
+ALL_MODELS = ("F0tilde-A2", "Y0-A1", "Y0-A2", "Y1-A1", "Y1-A2", "Y2-A2",
+              "Ytilde-A2")
 
 
 class TestTripleDistinct:
@@ -72,12 +75,13 @@ class TestIntersectionProduct:
     def test_linear_equivalence_rewriting(self):
         # Adding any degree-zero combination never changes the product.
         rng = random.Random(11)
-        for name in ("Y0-A1", "Y1-A1", "Y0-A2", "Y1-A2", "Y2-A2"):
+        for name in ALL_MODELS:
             m = model(name)
             kernel = _linalg.kernel([list(row) for row in m.grading])
             for _ in range(10):
-                ds = [divisor({i: Q(rng.randint(-2, 2)) for i in range(6)})
-                      for _ in range(3)]
+                ds = [divisor({i: Q(rng.randint(-2, 2))
+                               for i in range(len(m.rays))})
+                      for _ in range(m.dim)]
                 base = m.intersection_product(*ds)
                 combo = dict(ds[0])
                 for vec in kernel:
@@ -85,7 +89,27 @@ class TestIntersectionProduct:
                     for i, x in enumerate(vec):
                         combo[i] = combo.get(i, Q(0)) + c * x
                 assert m.degree(combo) == m.degree(ds[0])
-                assert m.intersection_product(combo, ds[1], ds[2]) == base
+                assert m.intersection_product(combo, *ds[1:]) == base
+
+    def test_rewrite_independent_of_cone(self):
+        # Products use the first maximal cone containing their support;
+        # rewriting any repeated ray through any such cone must agree.  In
+        # a complete fan every ray and edge lies in at least two cones.
+        for name in ALL_MODELS:
+            m = model(name)
+            for ms in itertools.combinations_with_replacement(
+                    range(len(m.rays)), m.dim):
+                cones = [c for c in m.max_cones if set(ms) <= c]
+                if len(set(ms)) == m.dim or not cones:
+                    continue
+                assert len(cones) > 1
+                for i in {i for i in ms if ms.count(i) > 1}:
+                    rest = list(ms)
+                    rest.remove(i)
+                    for cone in cones:
+                        via = sum(c * m._monomial(tuple(sorted(rest + [k])))
+                                  for k, c in m._relation_rep(i, cone).items())
+                        assert via == m._monomial(ms), (name, ms, set(cone))
 
 
 class TestCurvesAndCones:
@@ -146,14 +170,16 @@ class TestBarycenter:
 
 
 class TestErrors:
-    def test_no_equivalent_representative(self):
-        from kstab.toric import NoEquivalentRepresentative
-        # A fake grading in which no other divisor matches F0's degree.
-        m = ToricModel("fake", [[1, 0], [0, 1], [-1, -1]],
-                       [[0, 1], [1, 2], [2, 0]],
-                       [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        with pytest.raises(NoEquivalentRepresentative):
-            m.intersection_product(divisor({0: 1}), divisor({0: 1}))
+    def test_grading_mismatch(self):
+        # P^2 with its class-group grading, then a grading that breaks the
+        # fan's relations and one that keeps them but has rank 0, not 1.
+        p2 = ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
+        h = divisor({0: 1})
+        p2_model = ToricModel("P2", *p2, [[1, 1, 1]])
+        assert p2_model.intersection_product(h, h) == 1
+        for grading in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 0]]):
+            with pytest.raises(GradingMismatch):
+                ToricModel("fake", *p2, grading)
 
     def test_singular_effective_basis(self):
         from kstab.toric import SingularBasis
