@@ -7,3 +7,8 @@ exact rational values.
 """
 
 __version__ = "0.1.0"
+
+
+class KstabError(Exception):
+    """Base class of every error the library raises on bad input or an
+    unprovable claim; the CLI reports these as exit code 2."""

@@ -12,7 +12,7 @@ Subcommands::
     kstab inv check-invariance [--trials N] [--seed S]
 
 Exit codes: 0 on success, 1 when any case fails, 2 on usage or parse
-errors.
+errors and on any other ``KstabError``, printed as one line.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from . import githm, invariants, runner
+from . import KstabError, githm, invariants, runner
 
 
 def _print_json(value):
@@ -158,10 +158,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (runner.ParseError, runner.SchemaError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except runner.RunnerError as exc:
+    except (KstabError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

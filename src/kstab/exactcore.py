@@ -7,8 +7,14 @@ point is never used.  Polynomials are sparse maps from exponent pairs
 ``v`` -- to rational coefficients.  Zero coefficients are never stored, so
 structural equality of the term maps is exact polynomial equality.
 
-Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1);
-polynomials serialize as lists of ``[coeff, exp_u, exp_v]`` triples.
+Every stored term map is *clean*: its keys are pairs of ints, its values
+are ``Fraction`` instances, and none of them is zero.  The public
+``Poly(...)`` constructor establishes this from arbitrary input.  The ring
+operations, evaluation and calculus build their results from clean
+operands, drop each zero where it arises, and wrap the map through the
+private ``Poly._wrap`` without converting it again.
+
+Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1).
 """
 
 from __future__ import annotations
@@ -19,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import KstabError
+
 Rat = Fraction
 
 VARS = ("u", "v")
 
 
-class ExactCoreError(Exception):
+class ExactCoreError(KstabError):
     """Base class for errors raised by the exact-arithmetic layer."""
 
 
@@ -106,11 +114,19 @@ class Poly:
                     clean[(int(i), int(j))] = c
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, terms: dict[tuple[int, int], Fraction]) -> "Poly":
+        """A Poly owning ``terms``, which must already be clean."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, c: int | str | Fraction) -> "Poly":
-        return cls({(0, 0): rat(c)})
+        c = rat(c)
+        return cls._wrap({(0, 0): c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
@@ -146,15 +162,27 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         out = dict(self.terms)
         for e, c in o.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(out)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+            else:
+                s += c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Poly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return Poly._wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -169,6 +197,10 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Poly._wrap({})
+            return Poly._wrap({e: c * other for e, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -176,8 +208,9 @@ class Poly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in o.terms.items():
                 e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(out)
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return Poly._wrap({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -239,30 +272,43 @@ class Poly:
 
         Returns a Fraction when all remaining variables are substituted.
         """
+        if u is not None and v is not None:
+            u, v = rat(u), rat(v)
+            total = Fraction(0)
+            for (i, j), c in self.terms.items():
+                if i:
+                    if not u:
+                        continue
+                    c = c * u ** i
+                if j:
+                    if not v:
+                        continue
+                    c = c * v ** j
+                total += c
+            return total
+        if u is None and v is None:
+            return self
+        x = rat(u if v is None else v)
         out: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
-            fi = rat(u) ** i if u is not None else None
-            fj = rat(v) ** j if v is not None else None
-            coeff = c
-            ei, ej = i, j
-            if fi is not None:
-                coeff, ei = coeff * fi, 0
-            if fj is not None:
-                coeff, ej = coeff * fj, 0
-            e = (ei, ej)
-            out[e] = out.get(e, Fraction(0)) + coeff
-        p = Poly(out)
-        if u is not None and v is not None:
-            return p.terms.get((0, 0), Fraction(0))
-        return p
+            k, e = (i, (0, j)) if v is None else (j, (i, 0))
+            if k:
+                c = c * x ** k
+            s = out.get(e)
+            out[e] = c if s is None else s + c
+        return Poly._wrap({e: c for e, c in out.items() if c})
 
     def subs_v(self, repl: "Poly") -> "Poly":
         """Substitute ``v`` by a polynomial in ``u``."""
         if not repl.is_univariate("u"):
             raise ValueError("substitution target must be a polynomial in u")
-        out = Poly()
+        # Horner's scheme in v over the slices of equal v-degree.
+        slices: dict[int, dict[tuple[int, int], Fraction]] = {}
         for (i, j), c in self.terms.items():
-            out = out + Poly({(i, 0): c}) * repl ** j
+            slices.setdefault(j, {})[(i, 0)] = c
+        out = Poly()
+        for j in range(max(slices, default=0), -1, -1):
+            out = out * repl + Poly._wrap(slices.get(j, {}))
         return out
 
     # -- calculus ------------------------------------------------------
@@ -274,7 +320,7 @@ class Poly:
             k = e[idx] + 1
             ne = (k, e[1]) if idx == 0 else (e[0], k)
             out[ne] = c / k
-        return Poly(out)
+        return Poly._wrap(out)
 
     def derivative(self, var: str) -> "Poly":
         idx = _var_index(var)
@@ -285,7 +331,7 @@ class Poly:
                 continue
             ne = (k - 1, e[1]) if idx == 0 else (e[0], k - 1)
             out[ne] = c * k
-        return Poly(out)
+        return Poly._wrap(out)
 
     def __repr__(self):
         if not self.terms:
@@ -433,10 +479,21 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
         raise InvertedBounds(
             f"inner bounds cross on {outer}: widths "
             f"{rat_str(lo_val)} and {rat_str(hi_val)} at the endpoints")
-    if diff.degree("u") > 1:
-        # Nonaffine widths are legal as long as they stay nonnegative.
-        mid = diff.eval(u=outer.midpoint(), v=0)
-        if mid < 0:
+    # Nonaffine widths are legal as long as they stay nonnegative.  A
+    # quadratic width is smallest on the interval at an endpoint or at its
+    # vertex, so checking the vertex too is exact.
+    deg = diff.degree("u")
+    if deg == 2:
+        vertex = -diff.coefficient(1) / (2 * diff.coefficient(2))
+        if outer.lo < vertex < outer.hi:
+            w = diff.eval(u=vertex, v=0)
+            if w < 0:
+                raise InvertedBounds(
+                    f"inner bounds cross inside {outer}: width "
+                    f"{rat_str(w)} at u = {rat_str(vertex)}")
+    elif deg > 2:
+        # Only probed: certifying higher degrees needs a sign oracle.
+        if diff.eval(u=outer.midpoint(), v=0) < 0:
             raise InvertedBounds(f"inner bounds cross inside {outer}")
     anti = f.antiderivative("v")
     inner = anti.subs_v(inner_hi) - anti.subs_v(inner_lo)

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import KstabError
 from .exactcore import rat
 
 
-class FormulaError(Exception):
+class FormulaError(KstabError):
     pass
 
 

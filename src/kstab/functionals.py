@@ -16,12 +16,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import KstabError
 from .exactcore import Interval, PiecewisePolynomial, Poly, double_integral, \
     definite_integral, rat, rat_str
 from .zariski import Chamber2D, SurfaceLattice, parametric_surface_zariski
 
 
-class FunctionalError(Exception):
+class FunctionalError(KstabError):
     pass
 
 

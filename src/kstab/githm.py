@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import KstabError
+
 Support = frozenset[tuple[int, int]]
 
 
-class GitError(Exception):
+class GitError(KstabError):
     pass
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
+from . import KstabError, _linalg
 from .exactcore import interpolate, rat
 
 Coeffs = dict[tuple[int, int], Fraction]
@@ -22,7 +22,7 @@ Coeffs = dict[tuple[int, int], Fraction]
 ENUMERATION_BOUND = 12
 
 
-class InvariantError(Exception):
+class InvariantError(KstabError):
     pass
 
 

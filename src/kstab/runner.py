@@ -17,7 +17,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import formulas, functionals, githm, invariants, toric, zariski
+from . import (KstabError, formulas, functionals, githm, invariants, toric,
+               zariski)
 from .exactcore import (Interval, PiecewisePolynomial, Poly,
                         piecewise_integral, rat, rat_str)
 
@@ -25,7 +26,7 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 20230413
 
 
-class RunnerError(Exception):
+class RunnerError(KstabError):
     pass
 
 
@@ -51,6 +52,8 @@ def _load_json(path) -> dict:
             else path.read_text()
     except FileNotFoundError:
         raise FixtureMissing(f"no such file: {path}")
+    except OSError as exc:
+        raise RunnerError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -269,17 +272,20 @@ def _validate(case: dict, origin: str):
 
 
 def _compute_volume(inputs: dict, seed: int):
+    quantity = inputs.get("quantity", "s_value")
     if "volume" in inputs:
         fx = volume_fixture(inputs["volume"])
         vol = fx.volume()
         a, alog = fx.ample_cube, fx.flag_log_discrepancy
         printed = fx.printed_pieces
+    elif quantity == "threshold":
+        raise SchemaError("a volume threshold needs a volume fixture, "
+                          "not inline pieces")
     else:
         vol = _pieces(inputs["pieces"])
         a = rat(inputs["ample_cube"])
         alog = rat(inputs.get("log_discrepancy", 1))
         printed = None
-    quantity = inputs.get("quantity", "s_value")
     if quantity == "pieces":
         return vol, printed
     if quantity == "s_value":
@@ -289,7 +295,6 @@ def _compute_volume(inputs: dict, seed: int):
     if quantity == "ratio":
         return alog / functionals.s_from_volume(vol, a), None
     if quantity == "threshold":
-        fx = volume_fixture(inputs["volume"])
         m = fx.models[fx.chambers[0].model]
         return zariski.pseudoeffective_threshold(m, fx.family), None
     raise SchemaError(f"unknown volume quantity {quantity!r}")
@@ -306,9 +311,24 @@ def _compute_flag_point(inputs: dict):
     raise SchemaError(f"unknown flag_point quantity {quantity!r}")
 
 
+class _Params(dict):
+    """Formula parameters; a missing one is a FormulaError."""
+
+    def __init__(self, name: str, params: dict):
+        if not isinstance(params, dict):
+            raise formulas.FormulaError(
+                f"formula {name!r} takes an object of parameters")
+        super().__init__(params)
+        self.name = name
+
+    def __missing__(self, key):
+        raise formulas.FormulaError(
+            f"formula {self.name!r} needs the parameter {key!r}")
+
+
 def _compute_formula(inputs: dict):
     name = inputs["name"]
-    params = inputs.get("params", {})
+    params = _Params(name, inputs.get("params", {}))
 
     def fam():
         return formulas.FamilyParams(

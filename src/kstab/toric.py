@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 
-from . import _linalg
+from . import KstabError, _linalg
 from .exactcore import rat
 
 Divisor = dict[int, Fraction]
 
 
-class ToricError(Exception):
+class ToricError(KstabError):
     """Base class for toric-layer errors."""
 
 

@@ -24,13 +24,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
+from . import KstabError, _linalg
 from .exactcore import (Interval, PiecewisePolynomial, Poly, rat, rat_str,
                         sqrt_rat)
 from .toric import ToricModel
 
 
-class ZariskiError(Exception):
+class ZariskiError(KstabError):
     pass
 
 
@@ -104,15 +104,19 @@ class SurfaceLattice:
         j = self.index(name)
         total = Fraction(0)
         for k, c in d.items():
-            total = c * self.gram[self.index(k)][j] + total
+            g = self.gram[self.index(k)][j]
+            if g:
+                total = c * g + total
         return total
 
     def dot(self, d1: dict, d2: dict):
+        """Intersection of two divisors: sum of c1 * (d2 . k1) over d1,
+        one product per term of ``d1``."""
         total = Fraction(0)
         for k1, c1 in d1.items():
-            i = self.index(k1)
-            for k2, c2 in d2.items():
-                total = c1 * c2 * self.gram[i][self.index(k2)] + total
+            g = self.pairing(d2, k1)
+            if g:
+                total = c1 * g + total
         return total
 
     def square(self, d: dict):
@@ -392,6 +396,8 @@ def _symbolic_vanishing(v_cur: Fraction) -> tuple[Fraction, Poly]:
 
 def _quadratic_dips(c2, c1, c0, v_cur, limit) -> bool:
     """Does c2 v^2 + c1 v + c0 become <= 0 somewhere in (v_cur, limit]?"""
+    if limit is None and c2 < 0:
+        return True  # a concave quadratic falls without bound
     probes = []
     if limit is not None:
         probes.append(limit)
@@ -547,15 +553,14 @@ def _verify_chambers(lat: SurfaceLattice, family: dict[str, Poly],
             if w < 0:
                 root = _affine_root_between(width, u0, u1)
                 raise _SplitRequest(root)
+        pairings = {c: lat.pairing(ch.positive, c) for c in lat.curves}
         for s in ch.support:
-            orth = lat.pairing(ch.positive, s)
-            if not _is_zero(orth):
+            if not _is_zero(pairings[s]):
                 raise NoConvergence(f"orthogonality failed for {s}")
         for u in (u0, u1):
             for vp in (ch.v_lo, ch.v_hi):
                 v = vp.eval(u=u, v=0)
-                for c in lat.curves:
-                    g = lat.pairing(ch.positive, c)
+                for c, g in pairings.items():
                     gval = g.eval(u=u, v=v) if isinstance(g, Poly) else g
                     if gval < 0:
                         raise NoConvergence(

@@ -149,6 +149,19 @@ class TestDoubleIntegral:
         with pytest.raises(InvertedBounds):
             double_integral(Poly.const(1), U, Poly(), Interval(0, 1))
 
+    def test_inverted_bounds_at_interior_vertex(self):
+        # The width 16u^2 - 8u + 1/2 is positive at 0, 1/2 and 1 but
+        # dips to -1/2 at its vertex u = 1/4.
+        hi = Poly.from_coeffs([Q(1, 2), -8, 16])
+        with pytest.raises(InvertedBounds):
+            double_integral(Poly.const(1), Poly(), hi, Interval(0, 1))
+
+    def test_quadratic_width_touching_zero(self):
+        # (2u - 1)^2 vanishes at its vertex but never goes negative.
+        hi = Poly.from_coeffs([1, -4, 4])
+        assert double_integral(Poly.const(1), Poly(), hi,
+                               Interval(0, 1)) == Q(1, 3)
+
     def test_fubini_500(self):
         rng = random.Random(103)
         for _ in range(500):

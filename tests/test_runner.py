@@ -187,6 +187,34 @@ class TestCli:
         bad.write_text("{")
         assert cli.main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["git", "weight", "--support", "33", "--lambda", "1,0"],
+        ["git", "weight", "--support", "0", "--lambda", "2,1"],
+        ["formulas", "eval", "k3", "--params", "{}"],
+        ["formulas", "eval", "k3", "--params", "[1]"],
+        ["formulas", "eval", "vol_Da", "--params", '{"n":1,"a":1,"d":1}'],
+        ["inv", "dims", "--upto", "13"],
+        ["run", "TMP"],
+        ["run", "TMP/threshold.json"],
+    ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
+            "vol-Da-n1", "inv-dims-13", "run-directory",
+            "threshold-inline-pieces"])
+    def test_library_errors_exit_2(self, argv, tmp_path, capsys):
+        # A threshold needs a volume fixture; inline pieces are a schema
+        # error, not a failed row.
+        case = {
+            "schema_version": 1,
+            "kind": "volume",
+            "label": "adhoc/threshold",
+            "inputs": {"pieces": [{"interval": ["0", "1"], "coeffs": ["1"]}],
+                       "ample_cube": "1", "quantity": "threshold"},
+        }
+        (tmp_path / "threshold.json").write_text(json.dumps(case))
+        argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_discrepancy_rows_carry_both_values():
     report = runner.run_suite()

@@ -13,6 +13,7 @@ from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
 
 AFF = Poly.affine
 U = Poly.var("u")
+V = Poly.var("v")
 
 HIRZEBRUCH = SurfaceLattice(("e", "f"), [[-1, 1], [1, 0]])
 BASE_LATTICE = SurfaceLattice(
@@ -228,3 +229,38 @@ def test_volume_vanishes_at_threshold():
         for p in vol.pieces:
             for x in (p.interval.lo, p.interval.midpoint(), p.interval.hi):
                 assert p.poly.eval(u=x, v=0) >= 0
+
+
+def test_concave_volume_has_irrational_threshold():
+    # 2 - v^2 vanishes at v = sqrt(2); without a limit the scan must not
+    # take the concave volume for an unbounded one.
+    from kstab.zariski import IrrationalThreshold, _vol_threshold
+    with pytest.raises(IrrationalThreshold):
+        _vol_threshold(2 - V ** 2, Q(0), Q(0), None)
+
+
+def test_dot_and_pairing_match_naive_sums():
+    # Zero Gram entries are skipped; the result must not change.
+    lat = SurfaceLattice(("a", "b", "c", "d"),
+                         [[-2, 0, 1, 0], [0, 0, 0, 1], [1, 0, -1, 0],
+                          [0, 1, 0, 0]])
+    rng = random.Random(105)
+
+    def coeff():
+        if rng.random() < 0.5:
+            return Q(rng.randint(-4, 4), rng.randint(1, 3))
+        return AFF(Q(rng.randint(-4, 4), rng.randint(1, 3)),
+                   rng.randint(-2, 2), rng.randint(-2, 2))
+
+    for _ in range(100):
+        d1 = {k: coeff() for k in lat.curves if rng.random() < 0.7}
+        d2 = {k: coeff() for k in lat.curves if rng.random() < 0.7}
+        naive = sum((c1 * c2 * lat.gram[lat.index(k1)][lat.index(k2)]
+                     for k1, c1 in d1.items() for k2, c2 in d2.items()),
+                    Poly())
+        assert lat.dot(d1, d2) == naive
+        for name in lat.curves:
+            j = lat.index(name)
+            assert lat.pairing(d1, name) == sum(
+                (c * lat.gram[lat.index(k)][j] for k, c in d1.items()),
+                Poly())
