@@ -55,7 +55,11 @@ def _parse_support(text: str):
 
 def _cmd_git(args) -> int:
     if args.gitcmd == "weight":
-        r0, r1 = (int(x) for x in args.subgroup.split(","))
+        try:
+            r0, r1 = (int(x) for x in args.subgroup.split(","))
+        except ValueError:
+            raise githm.GitError(
+                f"--lambda needs two integers r0,r1, got {args.subgroup!r}")
         w = githm.hm_weight(_parse_support(args.support),
                             githm.OneParamSubgroup(r0, r1))
         print(w)

@@ -48,6 +48,10 @@ class InconsistentSamples(ExactCoreError):
     """Sample points do not lie on a single polynomial of the stated degree."""
 
 
+class NotARational(ExactCoreError):
+    """A value is neither an int, a Fraction nor a parsable rational string."""
+
+
 class ContinuityWarning(UserWarning):
     """Adjacent pieces disagree at a shared endpoint.
 
@@ -64,8 +68,11 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise NotARational(f"cannot interpret {value!r} as a rational")
 
 
 def rat_str(q: Fraction) -> str:

@@ -1,21 +1,25 @@
 """Invariant theory of SL2 x SL2 acting on bidegree-(2,2) forms.
 
 The nine coefficients a_ij carry torus weights (2-2i, 2-2j).  Invariant
-dimensions are extracted by exact weight counting; the closed-form Hilbert
-series 1/((1-t^2)(1-t^3)(1-t^4)) provides an independent oracle.  The three
-generating invariants J2, J3, J4 are the coefficients of the characteristic
-polynomial det(T I - M) of an explicit trace-free 4x4 matrix in the a_ij.
+dimensions are extracted by exact weight counting: a coin-change dynamic
+programme over the nine weights counts the degree-k monomials of each
+weight.  The closed-form Hilbert series 1/((1-t^2)(1-t^3)(1-t^4)) provides
+an independent oracle.  The three generating invariants J2, J3, J4 are the
+coefficients of the characteristic polynomial det(T I - M) of an explicit
+trace-free 4x4 matrix in the a_ij, obtained from the power traces
+tr(M^k) by Newton's identities.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from . import KstabError, _linalg
-from .exactcore import interpolate, rat
+from .exactcore import ExactCoreError, interpolate, rat
 
 Coeffs = dict[tuple[int, int], Fraction]
 
@@ -30,17 +34,30 @@ class BoundExceeded(InvariantError):
     pass
 
 
-def coeffs(data: dict) -> Coeffs:
+def _is_index_key(key) -> bool:
+    if isinstance(key, str):
+        return len(key) == 2 and key.isascii() and key.isdigit()
+    return (isinstance(key, tuple) and len(key) == 2
+            and all(type(x) is int for x in key))
+
+
+def coeffs(data: Mapping) -> Coeffs:
     """Normalize a coefficient map keyed by (i, j) pairs or 'ij' strings."""
+    if not isinstance(data, Mapping):
+        raise InvariantError(
+            f"coefficients must be a map, got {type(data).__name__}")
     out: Coeffs = {}
     for key, val in data.items():
-        if isinstance(key, str):
-            i, j = int(key[0]), int(key[1])
-        else:
-            i, j = int(key[0]), int(key[1])
+        if not _is_index_key(key):
+            raise InvariantError(
+                f"coefficient key {key!r} is neither 'ij' nor an (i, j) pair")
+        i, j = int(key[0]), int(key[1])
         if not (0 <= i <= 2 and 0 <= j <= 2):
             raise InvariantError(f"coefficient index ({i}, {j}) out of range")
-        v = rat(val)
+        try:
+            v = rat(val)
+        except ExactCoreError as exc:
+            raise InvariantError(f"coefficient {key!r}: {exc}") from None
         if v:
             out[(i, j)] = v
     return out
@@ -49,32 +66,41 @@ def coeffs(data: dict) -> Coeffs:
 _WEIGHTS = [(2 - 2 * i, 2 - 2 * j) for i in range(3) for j in range(3)]
 
 
-def _multiset_weight_count(k: int, target: tuple[int, int]) -> int:
-    """Number of degree-k multisets of basis weights with the given sum."""
-    count = 0
-    for combo in itertools.combinations_with_replacement(_WEIGHTS, k):
-        w1 = sum(w[0] for w in combo)
-        w2 = sum(w[1] for w in combo)
-        if (w1, w2) == target:
-            count += 1
-    return count
+def _weight_table(k: int) -> list[dict[tuple[int, int], int]]:
+    """table[d] maps a weight sum to the number of degree-d multisets of
+    basis weights with that sum, for d = 0..k.
+
+    Coin-change recursion: the weight types are added one at a time, each
+    with unlimited multiplicity, so after a type w is added
+    table[d] = table[d] (no copy of w) + table[d-1] shifted by w.
+    """
+    table: list[dict[tuple[int, int], int]] = [{(0, 0): 1}]
+    table += [{} for _ in range(k)]
+    for w1, w2 in _WEIGHTS:
+        for d in range(1, k + 1):
+            row = table[d]
+            for (s1, s2), n in table[d - 1].items():
+                key = (s1 + w1, s2 + w2)
+                row[key] = row.get(key, 0) + n
+    return table
 
 
 def invariant_dimension(k: int) -> int:
     """Dimension of the degree-k invariants by weight counting.
 
     The multiplicity of the trivial representation is
-    m(0,0) - m(2,0) - m(0,2) + m(2,2), where m counts weight multisets.
+    m(0,0) - m(2,0) - m(0,2) + m(2,2), where m(w) counts the degree-k
+    multisets of basis weights summing to w; all four are read from one
+    coin-change table (:func:`_weight_table`).
     """
     if k < 0:
         raise InvariantError("degree must be nonnegative")
     if k > ENUMERATION_BOUND:
         raise BoundExceeded(
             f"weight counting is capped at degree {ENUMERATION_BOUND}")
-    return (_multiset_weight_count(k, (0, 0))
-            - _multiset_weight_count(k, (2, 0))
-            - _multiset_weight_count(k, (0, 2))
-            + _multiset_weight_count(k, (2, 2)))
+    m = _weight_table(k)[k]
+    return (m.get((0, 0), 0) - m.get((2, 0), 0) - m.get((0, 2), 0)
+            + m.get((2, 2), 0))
 
 
 def hilbert_prefix(n: int) -> list[int]:
@@ -104,23 +130,37 @@ def _matrix(c: Coeffs):
 
 
 def char_poly(m) -> list[Fraction]:
-    """Coefficients [c1, c2, c3, c4] of det(T I - M) = T^4 + c1 T^3 + ...
+    """Coefficients [c1, ..., cn] of det(T I - M) = T^n + c1 T^(n-1) + ...
 
-    Computed by the Faddeev-LeVerrier recursion, exactly.
+    Computed exactly from the power traces p_k = tr(M^k) by Newton's
+    identities, k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).  Only
+    the powers up to h = ceil(n/2) are formed; p_k for k > h is
+    tr(M^h M^(k-h)) = sum_ij (M^h)_ij (M^(k-h))_ji, so an n = 4 matrix
+    costs one matrix product.  The work is done on the integer matrix
+    N = D M, with D the common denominator of the entries: N has integer
+    characteristic coefficients, so the division by k is exact, and
+    c_k(M) = c_k(N) / D^k.
     """
     n = len(m)
-    coeffs_out = []
-    mk = [row[:] for row in m]
+    den = lcm(*(x.denominator for row in m for x in row))
+    im = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    h = (n + 1) // 2
+    powers = [im]
+    for _ in range(h - 1):
+        last = powers[-1]
+        powers.append([[sum(last[i][t] * im[t][j] for t in range(n))
+                        for j in range(n)] for i in range(n)])
+    traces = [sum(p[i][i] for i in range(n)) for p in powers]
+    for k in range(h + 1, n + 1):
+        a, b = powers[h - 1], powers[k - h - 1]
+        traces.append(sum(a[i][j] * b[j][i]
+                          for i in range(n) for j in range(n)))
+    out: list[int] = []
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs_out.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ck
-        mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-    return coeffs_out
+        total = traces[k - 1] + sum(out[t] * traces[k - t - 2]
+                                    for t in range(k - 1))
+        out.append(-total // k)
+    return [Fraction(c, den ** k) for k, c in enumerate(out, 1)]
 
 
 def peano_invariants(c: Coeffs | dict) -> tuple[Fraction, Fraction, Fraction]:
@@ -134,14 +174,13 @@ def peano_invariants(c: Coeffs | dict) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _is_normalized(c) -> bool:
-    return all(isinstance(k, tuple) for k in c)
+    return isinstance(c, dict) and all(isinstance(k, tuple) for k in c)
 
 
 def _pair_pow_coeffs(pair, power: int) -> list[Fraction]:
     """(p x + q y)^power as coefficients of x^(power-k) y^k."""
     p, q = pair
     out = [Fraction(0)] * (power + 1)
-    from math import comb
     for k in range(power + 1):
         out[k] = comb(power, k) * p ** (power - k) * q ** k
     return out

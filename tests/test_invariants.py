@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 
 from kstab import _linalg
-from kstab.invariants import (BoundExceeded, GroupElement, act, char_poly,
+from kstab.invariants import (_WEIGHTS, BoundExceeded, GroupElement,
+                              InvariantError, _weight_table, act, char_poly,
                               coeffs, compose, hilbert_prefix,
                               independence_rank, invariance_trials,
                               invariant_dimension, peano_invariants,
@@ -34,6 +37,34 @@ class TestDimensions:
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             invariant_dimension(13)
+
+    @staticmethod
+    def _brute_force_count(k, target):
+        # Reference counter: enumerate every degree-k multiset of weights.
+        count = 0
+        for combo in itertools.combinations_with_replacement(_WEIGHTS, k):
+            if (sum(w[0] for w in combo), sum(w[1] for w in combo)) == target:
+                count += 1
+        return count
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_weight_table_matches_enumeration(self, k):
+        table = _weight_table(k)
+        assert len(table) == k + 1
+        for target in ((0, 0), (2, 0), (0, 2), (2, 2)):
+            assert table[k].get(target, 0) == \
+                self._brute_force_count(k, target)
+        # Every degree-d multiset of the 9 weight types is counted once.
+        for d, row in enumerate(table):
+            assert sum(row.values()) == comb(d + 8, 8)
+
+    def test_matches_series_up_to_bound(self):
+        assert [invariant_dimension(k) for k in range(13)] == \
+            hilbert_prefix(12)
+
+    def test_negative_degree(self):
+        with pytest.raises(InvariantError):
+            invariant_dimension(-1)
 
 
 class TestPeano:
@@ -134,3 +165,29 @@ class TestCharPoly:
         from kstab.invariants import _matrix
         c1 = char_poly(_matrix(GENERIC))[0]
         assert c1 == 0
+
+    def test_small_sizes(self):
+        assert char_poly([]) == []
+        assert char_poly([[Q(3, 2)]]) == [Q(-3, 2)]
+        assert char_poly([[1, 2], [3, 4]]) == [-5, -2]
+        for c in char_poly([[1, 2], [3, 4]]):
+            assert type(c) is Q
+
+
+class TestCoeffsValidation:
+    def test_accepts_strings_and_pairs(self):
+        assert coeffs({"12": "1/2", (2, 0): 3, "00": 0}) == \
+            {(1, 2): Q(1, 2), (2, 0): Q(3)}
+
+    @pytest.mark.parametrize("data", [
+        [1], "00", {"0": 1}, {"ab": 1}, {"000": 1}, {(0,): 1},
+        {(0, "1"): 1}, {"00": "x"}, {"00": 1.5}, {"00": "1/0"}, {"33": 1},
+    ])
+    def test_rejects(self, data):
+        with pytest.raises(InvariantError):
+            coeffs(data)
+
+    @pytest.mark.parametrize("data", [[1], [], {"0": 1}, {"00": "x"}])
+    def test_peano_rejects(self, data):
+        with pytest.raises(InvariantError):
+            peano_invariants(data)

@@ -196,9 +196,18 @@ class TestCli:
         ["inv", "dims", "--upto", "13"],
         ["run", "TMP"],
         ["run", "TMP/threshold.json"],
+        ["formulas", "eval", "k3", "--params", '{"a":"x","d":1,"mu":1}'],
+        ["git", "weight", "--support", "02", "--lambda", "x,1"],
+        ["git", "weight", "--support", "02", "--lambda", "1"],
+        ["inv", "peano", "--coeffs", '{"0":1}'],
+        ["inv", "peano", "--coeffs", '{"ab":1}'],
+        ["inv", "peano", "--coeffs", '{"00":"x"}'],
+        ["inv", "peano", "--coeffs", "[1]"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
-            "threshold-inline-pieces"])
+            "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
+            "lambda-one-int", "coeffs-short-key", "coeffs-letter-key",
+            "coeffs-bad-value", "coeffs-list"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
