@@ -42,6 +42,18 @@ class FixtureMissing(RunnerError):
     pass
 
 
+def _int(value, what: str, error: type[KstabError] = SchemaError) -> int:
+    """An integer input: an ``int`` other than a bool, or a string of one."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 def _fixture_root():
     return resources.files("kstab") / "fixtures"
 
@@ -150,7 +162,7 @@ def flag_case(name: str) -> functionals.FlagCase:
         label=data["label"],
         lattice=lattice,
         flag=data["flag"],
-        dim=int(data["dimension"]),
+        dim=_int(data["dimension"], "dimension"),
         ample_power=rat(data["ample_cube"]),
         flag_log_discrepancy=rat(data["flag_log_discrepancy"]),
         chambers=chambers,
@@ -325,6 +337,10 @@ class _Params(dict):
         raise formulas.FormulaError(
             f"formula {self.name!r} needs the parameter {key!r}")
 
+    def integer(self, key: str) -> int:
+        return _int(self[key], f"parameter {key!r} of {self.name!r}",
+                    formulas.FormulaError)
+
 
 def _compute_formula(inputs: dict):
     name = inputs["name"]
@@ -332,7 +348,7 @@ def _compute_formula(inputs: dict):
 
     def fam():
         return formulas.FamilyParams(
-            n=int(params["n"]), a=rat(params["a"]), d=rat(params["d"]),
+            n=params.integer("n"), a=rat(params["a"]), d=rat(params["d"]),
             mu=rat(params.get("mu", 1)),
             delta_v=rat(params.get("delta_v", 1)))
 
@@ -357,7 +373,7 @@ def _compute_formula(inputs: dict):
     if name == "double_cover_check":
         try:
             v = formulas.double_cover_check(
-                int(params["n"]), int(params["r"]))
+                params.integer("n"), params.integer("r"))
         except formulas.HypothesisViolated:
             return "HypothesisViolated"
         return {"gamma": v.gamma, "certified": v.polystable_certified}
@@ -366,7 +382,7 @@ def _compute_formula(inputs: dict):
         return {"is_fano": v.is_fano, "k_unstable": v.k_unstable}
     if name == "euler_char":
         return formulas.euler_char_tangent(
-            params["minus_k3"], int(params["b2"]), int(params["b3"]))
+            params["minus_k3"], params.integer("b2"), params.integer("b3"))
     if name == "delta_bound":
         report = functionals.delta_bound_report(params["entries"])
         return {"bound": report.value, "exceeds_one": report.exceeds_one}
@@ -376,11 +392,13 @@ def _compute_formula(inputs: dict):
 def _compute_git(inputs: dict):
     op = inputs["op"]
     if op == "weight":
-        lam = githm.OneParamSubgroup(*[int(x) for x in inputs["subgroup"]])
+        lam = githm.OneParamSubgroup(
+            *[_int(x, "subgroup entry") for x in inputs["subgroup"]])
         return githm.hm_weight(githm.support(inputs["support"]), lam)
     if op == "destabilize":
         cert = githm.find_destabilizer(
-            githm.support(inputs["support"]), int(inputs.get("bound", 5)))
+            githm.support(inputs["support"]),
+            _int(inputs.get("bound", 5), "bound"))
         if cert is None:
             return "none"
         return {"subgroup": [cert.subgroup.r0, cert.subgroup.r1],
@@ -395,18 +413,19 @@ def _compute_invariant(inputs: dict, seed: int):
     check = inputs["check"]
     if check == "dims":
         return [invariants.invariant_dimension(k)
-                for k in range(int(inputs["upto"]) + 1)]
+                for k in range(_int(inputs["upto"], "upto") + 1)]
     if check == "hilbert":
-        return invariants.hilbert_prefix(int(inputs["upto"]))
+        return invariants.hilbert_prefix(_int(inputs["upto"], "upto"))
     if check == "series_match":
-        upto = int(inputs["upto"])
+        upto = _int(inputs["upto"], "upto")
         series = invariants.hilbert_prefix(upto)
         return all(invariants.invariant_dimension(k) == series[k]
                    for k in range(upto + 1))
     if check == "peano":
         return list(invariants.peano_invariants(inputs["coeffs"]))
     if check == "invariance":
-        trials = invariants.invariance_trials(int(inputs["trials"]), seed)
+        trials = invariants.invariance_trials(
+            _int(inputs["trials"], "trials"), seed)
         return all(trials)
     if check == "independence":
         return invariants.independence_rank(inputs["coeffs"])

@@ -9,6 +9,10 @@ exactly when their degree vectors agree.  A repeated divisor in a product
 is rewritten through a principal divisor div(chi^m) = sum_k <m, v_k> F_k
 (Fulton, Introduction to Toric Varieties, Ch. 5).
 
+Lattice work is done in ``int``: one integer adjugate per maximal cone
+gives its multiplicity and the relations of all its rays, and the
+barycenter runs on vertices scaled to integer points.
+
 Divisor classes are finite maps ``ray index -> Fraction``; curve classes
 are stored through their pairing vector against the boundary divisors.
 """
@@ -16,9 +20,9 @@ are stored through their pairing vector against the boundary divisors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 
 from . import KstabError, _linalg
 from .exactcore import rat
@@ -67,6 +71,34 @@ class CurveClass:
         return sum((c * self.pairing[i] for i, c in d.items()), Fraction(0))
 
 
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _adjugate(rows):
+    """The determinant of a 2x2 or 3x3 integer matrix and the columns w_i
+    of its adjugate, so that <rows[j], w_i> = det * [i == j]."""
+    if len(rows) == 2:
+        (a0, a1), (b0, b1) = rows
+        cols = [(b1, -b0), (-a1, a0)]
+    else:
+        r0, r1, r2 = rows
+        cols = [_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)]
+    return _dot(rows[0], cols[0]), cols
+
+
 class ToricModel:
     """One birational model: rays, maximal cones, grading, cone data.
 
@@ -89,15 +121,18 @@ class ToricModel:
         if any(len(v) != self.dim for v in self.rays):
             raise ToricError("rays of mixed dimension")
         self.max_cones = tuple(frozenset(int(i) for i in c) for c in max_cones)
-        # Reciprocal multiplicity 1/|det| of each maximal cone.
+        # Per maximal cone: det and each ray's adjugate column, and 1/|det|.
+        self._cone_adj: dict[frozenset[int], tuple[int, dict[int, tuple]]] = {}
         self._inv_mult: dict[frozenset[int], Fraction] = {}
         for cone in self.max_cones:
             if len(cone) != self.dim:
                 raise ToricError(f"maximal cone {set(cone)} has wrong size")
-            d = _linalg.det([self.rays[i] for i in sorted(cone)])
+            basis = sorted(cone)
+            d, cols = _adjugate([self.rays[i] for i in basis])
             if d == 0:
                 raise ToricError(f"cone rays {set(cone)} are dependent")
-            self._inv_mult[cone] = 1 / abs(d)
+            self._cone_adj[cone] = (d, dict(zip(basis, cols)))
+            self._inv_mult[cone] = Fraction(1, abs(d))
         grading = [list(map(int, row)) for row in grading]
         if any(len(row) < len(self.rays) for row in grading):
             raise ToricError("grading narrower than the ray count")
@@ -182,18 +217,16 @@ class ToricModel:
 
     def _relation_rep(self, i: int, cone: frozenset[int]) -> Divisor:
         """F_i ~ -sum_{k not in cone} <m, v_k> F_k, for a maximal cone
-        containing ray i and m with <m, v_j> = [j == i] on its rays."""
+        containing ray i and m = w_i / det, w_i its adjugate column."""
         key = (i, cone)
         if key not in self._rep_cache:
-            basis = sorted(cone)
-            m = _linalg.solve([self.rays[j] for j in basis],
-                              [Fraction(j == i) for j in basis])
+            d, cols = self._cone_adj[cone]
             rep: Divisor = {}
             for k, v in enumerate(self.rays):
                 if k not in cone:
-                    c = -sum(x * y for x, y in zip(m, v))
-                    if c:
-                        rep[k] = c
+                    num = _dot(cols[i], v)
+                    if num:
+                        rep[k] = Fraction(-num, d)
             self._rep_cache[key] = rep
         return self._rep_cache[key]
 
@@ -333,125 +366,91 @@ def parse_model(data: dict) -> ToricModel:
 # -- polytope barycenter ---------------------------------------------------
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def polytope_barycenter(vertices) -> tuple[Fraction, Fraction, Fraction]:
     """Volume-weighted centroid of the convex hull of rational 3-points.
 
-    The hull facets are found by brute-force supporting-plane search (the
-    inputs are small vertex lists), each facet is fanned into triangles,
-    and the solid is decomposed into tetrahedra over the vertex centroid.
-    The result is independent of the triangulation.
+    The n distinct points are scaled by S = D * n, D the lcm of their
+    coordinate denominators, so they and their centroid are integral.  The
+    facets come from a brute-force supporting-plane search (inputs are
+    small), keyed by primitive normal and offset; each is ordered by a
+    monotone chain and fanned into tetrahedra over the centroid, all in
+    ``int``.  Coordinate k is W_k / (4 V S), W_k the 6-volume-weighted sum
+    of the tetrahedra's vertex sums and V their total 6-volume.  Points
+    inside the hull, on a facet or on an edge are allowed and ignored.
     """
     pts = []
     for v in vertices:
         p = tuple(rat(x) for x in v)
         if len(p) != 3:
             raise ToricError("barycenter requires 3-dimensional points")
-        if p not in pts:
-            pts.append(p)
+        pts.append(p)
+    pts = list(dict.fromkeys(pts))
     if len(pts) < 4:
         raise DegeneratePolytope("fewer than 4 distinct vertices")
     n = len(pts)
-    center = tuple(sum(p[k] for p in pts) / n for k in range(3))
+    scale = math.lcm(*(x.denominator for p in pts for x in p)) * n
+    pts = [tuple(x.numerator * (scale // x.denominator) for x in p)
+           for p in pts]
+    # Every scaled coordinate is a multiple of n, so the centroid is exact.
+    center = tuple(sum(p[k] for p in pts) // n for k in range(3))
 
-    planes: dict[tuple, list[int]] = {}
+    seen: set[tuple] = set()
+    facets: dict[tuple, list] = {}
     for i, j, k in itertools.combinations(range(n), 3):
         normal = _cross(_sub(pts[j], pts[i]), _sub(pts[k], pts[i]))
         if normal == (0, 0, 0):
             continue
-        side = _dot(normal, _sub(center, pts[i]))
+        g = math.gcd(*normal)
+        normal = tuple(x // g for x in normal)
+        off = _dot(normal, pts[i])
+        side = _dot(normal, center) - off
         if side == 0:
             continue  # plane through the centroid cannot support the hull
         if side > 0:
-            normal = tuple(-x for x in normal)
-        offsets = [_dot(normal, _sub(pts[m], pts[i])) for m in range(n)]
-        if any(o > 0 for o in offsets):
+            normal, off = tuple(-x for x in normal), -off
+        key = (normal, off)
+        if key in seen:
             continue
-        # Canonical key: primitive integer normal plus its offset.
-        denom_lcm = 1
-        for x in normal:
-            denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in normal]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
-        prim = tuple(x // g for x in ints)
-        off = _dot(tuple(map(Fraction, prim)), pts[i])
-        key = (prim, off)
-        planes[key] = [m for m, o in enumerate(offsets) if o == 0]
+        seen.add(key)
+        heights = [_dot(normal, p) - off for p in pts]
+        if all(h <= 0 for h in heights):
+            facets[key] = [p for p, h in zip(pts, heights) if h == 0]
 
-    if not planes:
-        raise DegeneratePolytope("vertices are coplanar")
-
-    volume = Fraction(0)
-    weighted = [Fraction(0)] * 3
-    for (normal, _), members in planes.items():
-        ordered = _order_facet([pts[m] for m in members], normal)
-        anchor = ordered[0]
-        for b, c in zip(ordered[1:], ordered[2:]):
-            vol6 = _dot(_sub(anchor, center),
-                        _cross(_sub(b, center), _sub(c, center)))
-            vol = abs(vol6) / 6
-            if vol == 0:
-                continue
-            volume += vol
-            centroid = tuple(
-                (center[k] + anchor[k] + b[k] + c[k]) / 4 for k in range(3))
+    vol6_sum = 0
+    weighted = [0, 0, 0]
+    for (normal, _), members in facets.items():
+        anchor, *ring = _facet_cycle(members, normal)
+        for b, c in zip(ring, ring[1:]):
+            vol6 = abs(_dot(_sub(anchor, center),
+                            _cross(_sub(b, center), _sub(c, center))))
+            vol6_sum += vol6
             for k in range(3):
-                weighted[k] += vol * centroid[k]
-    if volume == 0:
-        raise DegeneratePolytope("hull has zero volume")
-    return tuple(w / volume for w in weighted)
+                weighted[k] += vol6 * (center[k] + anchor[k] + b[k] + c[k])
+    if not vol6_sum:
+        raise DegeneratePolytope("vertices are coplanar")
+    return tuple(Fraction(w, 4 * vol6_sum * scale) for w in weighted)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _facet_cycle(points, normal):
+    """The vertices of a convex facet in boundary order.
 
-
-def _order_facet(points, normal):
-    """Order coplanar points around their centroid, exactly.
-
-    Projects out the largest normal component and sorts by angle with a
-    cross-product comparator; no floating point is involved.
+    An exact monotone chain on the projection along the largest normal
+    component; only strict turns are kept, so points inside the facet or
+    on its edges drop out.
     """
     axis = max(range(3), key=lambda k: abs(normal[k]))
-    keep = [k for k in range(3) if k != axis]
-    flat = [(p[keep[0]], p[keep[1]]) for p in points]
-    cx = sum(x for x, _ in flat) / len(flat)
-    cy = sum(y for _, y in flat) / len(flat)
-    rel = [(x - cx, y - cy) for x, y in flat]
+    a, b = (k for k in range(3) if k != axis)
 
-    def half(p):
-        return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
+    def turn(o, p, q):
+        return (p[a] - o[a]) * (q[b] - o[b]) - (p[b] - o[b]) * (q[a] - o[a])
 
-    def compare(a, b):
-        pa, pb = rel[a], rel[b]
-        ha, hb = half(pa), half(pb)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = pa[0] * pb[1] - pa[1] * pb[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    order = sorted(range(len(points)), key=cmp_to_key(compare))
-    return [points[i] for i in order]
+    ordered = sorted(points, key=lambda p: (p[a], p[b]))
+    cycle = []
+    for run in (ordered, ordered[::-1]):
+        chain: list = []
+        for p in run:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        cycle += chain[:-1]
+    return cycle

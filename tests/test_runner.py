@@ -203,11 +203,23 @@ class TestCli:
         ["inv", "peano", "--coeffs", '{"ab":1}'],
         ["inv", "peano", "--coeffs", '{"00":"x"}'],
         ["inv", "peano", "--coeffs", "[1]"],
+        ["formulas", "eval", "lambda_n", "--params", '{"n":4.9,"a":1,"d":2}'],
+        ["formulas", "eval", "vol_Da", "--params", '{"n":"x","a":1,"d":1}'],
+        ["formulas", "eval", "vol_Da", "--params", '{"n":"9/2","a":1,"d":1}'],
+        ["formulas", "eval", "double_cover_check", "--params",
+         '{"n":4,"r":"x"}'],
+        ["formulas", "eval", "euler_char", "--params",
+         '{"minus_k3":64,"b2":"q","b3":0}'],
+        ["formulas", "eval", "euler_char", "--params",
+         '{"minus_k3":64,"b2":true,"b3":0}'],
+        ["run", "TMP/upto.json"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
             "lambda-one-int", "coeffs-short-key", "coeffs-letter-key",
-            "coeffs-bad-value", "coeffs-list"])
+            "coeffs-bad-value", "coeffs-list", "n-float", "n-letter",
+            "n-fraction", "r-letter", "b2-letter", "b2-bool",
+            "upto-float-string"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
@@ -219,6 +231,10 @@ class TestCli:
                        "ample_cube": "1", "quantity": "threshold"},
         }
         (tmp_path / "threshold.json").write_text(json.dumps(case))
+        upto = {"schema_version": 1, "kind": "invariant",
+                "label": "adhoc/upto",
+                "inputs": {"check": "dims", "upto": "2.5"}}
+        (tmp_path / "upto.json").write_text(json.dumps(upto))
         argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

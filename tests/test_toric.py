@@ -112,6 +112,26 @@ class TestIntersectionProduct:
                         assert via == m._monomial(ms), (name, ms, set(cone))
 
 
+class TestConeData:
+    def test_adjugate_matches_linalg(self):
+        # Each cone's integer adjugate must give the relation representatives
+        # and multiplicities that a Fraction solve and determinant give.
+        for name in ALL_MODELS:
+            m = model(name)
+            for cone in m.max_cones:
+                basis = sorted(cone)
+                rows = [m.rays[j] for j in basis]
+                assert m._inv_mult[cone] == 1 / abs(_linalg.det(rows))
+                for i in basis:
+                    sol = _linalg.solve(rows, [Q(j == i) for j in basis])
+                    want = {k: -sum(x * y for x, y in zip(sol, v))
+                            for k, v in enumerate(m.rays) if k not in cone}
+                    want = {k: c for k, c in want.items() if c}
+                    rep = m._relation_rep(i, cone)
+                    assert rep == want, (name, i, set(cone))
+                    assert all(type(c) is Q for c in rep.values())
+
+
 class TestCurvesAndCones:
     def test_nodal_curve_pairings(self):
         m = model("Y0-A1")
@@ -163,6 +183,19 @@ class TestBarycenter:
             shuffled = list(VERTICES_42)
             rng.shuffle(shuffled)
             assert polytope_barycenter(shuffled) == (0, 0, 0)
+
+    def test_facet_normal_with_zero_leading_coordinate(self):
+        # The base lies in y = 0, so its normal (0, -1, 0) starts with a
+        # zero; every triple of it must key the same facet.  A pyramid's
+        # centroid is 3/4 of its base-area centroid plus 1/4 of its apex.
+        base = [(0, 0, 0), (2, 0, 0), (0, 0, 1), (3, 0, 3)]
+        assert polytope_barycenter(base + [(1, 1, 1)]) == \
+            (Q(4, 3), Q(1, 4), Q(13, 12))
+
+    def test_points_inside_a_facet_are_ignored(self):
+        cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        assert polytope_barycenter(cube + [(Q(1, 2), Q(1, 2), 1)]) == \
+            (Q(1, 2), Q(1, 2), Q(1, 2))
 
     def test_degenerate(self):
         with pytest.raises(DegeneratePolytope):
