@@ -1,8 +1,9 @@
 """Small exact linear-algebra helpers over the rationals.
 
-Everything here works on plain lists of Fractions.  The entry points are
-deliberately minimal: solve a linear system exactly, compute a rank or a
-determinant, and find a kernel basis.  Right-hand sides may contain any
+Everything here works on plain lists of Fractions and rests on one
+forward elimination, ``_echelon``: ``solve`` back-substitutes its echelon
+form, ``rank`` counts its pivots, ``det`` multiplies them, and ``kernel``
+back-substitutes once per free column.  Right-hand sides may contain any
 values from a commutative Q-algebra (e.g. polynomials), which is what the
 parametric chamber solver relies on.
 """
@@ -12,6 +13,55 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _echelon(rows, rhs=()):
+    """Forward elimination to row echelon form, carrying ``rhs`` along.
+
+    Returns ``(m, b, pivots, swaps)``: the echelon rows, the transformed
+    right-hand side, the pivot column of each leading row (rows from
+    ``len(pivots)`` on are zero), and the number of row swaps made.
+    """
+    m = [list(map(Fraction, row)) for row in rows]
+    b = list(rhs)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    swaps = 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            if b:
+                b[r], b[pivot] = b[pivot], b[r]
+            swaps += 1
+        top = m[r]
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                f = m[i][c] / top[c]
+                m[i] = [x - f * y for x, y in zip(m[i], top)]
+                if b:
+                    b[i] = b[i] - f * b[r]
+        pivots.append(c)
+    return m, b, pivots, swaps
+
+
+def _back_substitute(m, b, pivots, x):
+    """Fill the pivot entries of ``x`` so that the echelon rows give ``b``,
+    keeping its free entries."""
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        acc = b[i]
+        for j in range(c + 1, len(x)):
+            if m[i][j] and x[j]:
+                acc = acc - m[i][j] * x[j]
+        x[c] = acc * (1 / m[i][c])
+    return x
+
+
 def solve(rows, rhs):
     """One exact solution of ``A x = b``, or None if inconsistent.
 
@@ -19,109 +69,38 @@ def solve(rows, rhs):
     entries may be Fractions or any values supporting +, -, * by Fraction
     and truth testing (e.g. Poly); the matrix entries must be Fractions.
     """
-    m = [list(map(Fraction, row)) for row in rows]
-    b = list(rhs)
-    nrows = len(m)
+    m, b, pivots, _ = _echelon(rows, rhs)
+    if any(b[len(pivots):]):
+        return None
     ncols = len(m[0]) if m else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        b[r] = b[r] * inv
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                b[i] = b[i] - f * b[r]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if b[i]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in pivots:
-        x[c] = b[i]
-    return x
+    return _back_substitute(m, b, pivots, [Fraction(0)] * ncols)
 
 
 def rank(rows) -> int:
-    m = [list(map(Fraction, row)) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_echelon(rows)[2])
 
 
 def det(rows) -> Fraction:
-    m = [list(map(Fraction, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant requires a square matrix")
-    sign = Fraction(1)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+    # The diagonal of the echelon form holds the pivots, or a zero when
+    # the rank is short.
+    m, _, _, swaps = _echelon(rows)
+    result = Fraction(-1 if swaps % 2 else 1)
+    for i, row in enumerate(m):
+        result *= row[i]
+    return result
 
 
 def kernel(rows):
     """A basis (list of Fraction vectors) of the right kernel of A."""
-    m = [list(map(Fraction, row)) for row in rows]
-    nrows = len(m)
+    m, _, pivots, _ = _echelon(rows)
     ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    zeros = [Fraction(0)] * len(pivots)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            basis.append(_back_substitute(m, zeros, pivots, vec))
     return basis

@@ -27,8 +27,6 @@ from typing import Iterable, Sequence
 
 from . import KstabError
 
-Rat = Fraction
-
 VARS = ("u", "v")
 
 
@@ -62,10 +60,11 @@ class ContinuityWarning(UserWarning):
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a ``"p/q"`` string."""
+    """Parse a rational from an int (not a bool), a Fraction, or a
+    ``"p/q"`` string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -131,7 +130,10 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, c: int | str | Fraction) -> "Poly":
+    def const(cls, c: int | str | Fraction | Poly) -> "Poly":
+        """The constant ``c``; a Poly is returned unchanged."""
+        if isinstance(c, Poly):
+            return c
         c = rat(c)
         return cls._wrap({(0, 0): c} if c else {})
 
@@ -369,9 +371,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x) -> bool:
         return self.lo <= rat(x) <= self.hi
 
@@ -439,11 +438,6 @@ class PiecewisePolynomial:
                         ContinuityWarning,
                         stacklevel=3,
                     )
-
-    def domain(self) -> Interval:
-        if not self.pieces:
-            return Interval(Fraction(0), Fraction(0))
-        return Interval(self.pieces[0].interval.lo, self.pieces[-1].interval.hi)
 
     def eval(self, x) -> Fraction:
         x = rat(x)

@@ -35,7 +35,6 @@ class FamilyParams:
     d: Fraction
     mu: Fraction = Fraction(1)
     delta_v: Fraction = Fraction(1)
-    r: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a", rat(self.a))
@@ -138,7 +137,7 @@ def double_cover_check(n: int, r: int) -> GammaVerdict:
     if not (n > r and 2 * r > n and n > 2):
         raise HypothesisViolated(f"(n, r) = ({n}, {r}) fails n > r > n/2 > 1")
     p = FamilyParams(n=n, a=Fraction(n, r), d=Fraction(r) ** (n - 1),
-                     mu=Fraction(1, r), delta_v=Fraction(1), r=r)
+                     mu=Fraction(1, r), delta_v=Fraction(1))
     verdict = gamma_criterion(p)
     return verdict
 

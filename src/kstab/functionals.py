@@ -135,11 +135,6 @@ def beta_divisor(a_log: Fraction, vol: PiecewisePolynomial,
     return rat(a_log) - s_from_volume(vol, a_top)
 
 
-def _pairing_poly(lat: SurfaceLattice, d: dict, name: str) -> Poly:
-    g = lat.pairing(d, name)
-    return g if isinstance(g, Poly) else Poly.const(g)
-
-
 def s_flag_surface(case: FlagCase) -> Fraction:
     return s_flag_surface_report(case).value
 
@@ -152,13 +147,11 @@ def s_flag_surface_report(case: FlagCase) -> StabilityValue:
     for ch, inner in case.inner():
         d = case.flag_order(ch)
         if d:
-            sq = case.lattice.dot(ch.family, ch.family)
-            sq = sq if isinstance(sq, Poly) else Poly.const(sq)
+            sq = Poly.const(case.lattice.dot(ch.family, ch.family))
             term = scale * definite_integral(sq * d, ch.interval, "u")
             rows.append((f"order term on {ch.interval}", term))
         for sub in inner:
-            vol = case.lattice.dot(sub.positive, sub.positive)
-            vol = vol if isinstance(vol, Poly) else Poly.const(vol)
+            vol = Poly.const(case.lattice.dot(sub.positive, sub.positive))
             term = scale * double_integral(vol, sub.v_lo, sub.v_hi,
                                            sub.u_interval)
             rows.append(
@@ -196,7 +189,7 @@ def f_q_term(case: FlagCase, point_name: str) -> Fraction:
     total = Fraction(0)
     for ch, inner in case.inner():
         for sub in inner:
-            pdotc = _pairing_poly(case.lattice, sub.positive, case.flag)
+            pdotc = Poly.const(case.lattice.pairing(sub.positive, case.flag))
             order = _point_order(case, point, ch, sub)
             if not order:
                 continue
@@ -225,7 +218,7 @@ def s_flag_point(case: FlagCase, point_name: str) -> Fraction:
     quad = Fraction(0)
     for ch, inner in case.inner():
         for sub in inner:
-            pdotc = _pairing_poly(case.lattice, sub.positive, case.flag)
+            pdotc = Poly.const(case.lattice.pairing(sub.positive, case.flag))
             quad += scale * double_integral(pdotc * pdotc, sub.v_lo,
                                             sub.v_hi, sub.u_interval)
     return quad + f_q_term(case, point_name)
@@ -272,8 +265,15 @@ class DeltaBoundReport:
 
 def delta_bound_report(entries) -> DeltaBoundReport:
     """min over entries of A/S; entries are (label, A, S) or (A, S)."""
+    if not isinstance(entries, (list, tuple)):
+        raise FunctionalError(
+            f"delta bound entries must be a list, got {entries!r}")
     rows = []
     for e in entries:
+        if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
+            raise FunctionalError(
+                f"delta bound entry must be (A, S) or (label, A, S), "
+                f"got {e!r}")
         if len(e) == 3:
             label, a, s = e
         else:

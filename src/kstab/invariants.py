@@ -206,9 +206,6 @@ class GroupElement:
         return cls(*norm)
 
 
-IDENTITY = GroupElement.of(((1, 0), (0, 1)), ((1, 0), (0, 1)))
-
-
 def _factor_action(g) -> list[list[list[Fraction]]]:
     """Degree-2 substitution table: table[i][k] is the coefficient of the
     k-th basis monomial in the image of the i-th one."""

@@ -10,8 +10,8 @@ value: the suite stays green on those rows and always lists both values.
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -264,8 +264,6 @@ class CaseResult:
 
 
 _REQUIRED_FIELDS = ("schema_version", "kind", "label", "inputs")
-_KINDS = ("volume", "beta", "flag_surface", "flag_point", "formula", "git",
-          "toric", "invariant", "barycenter")
 
 
 def _validate(case: dict, origin: str):
@@ -275,7 +273,7 @@ def _validate(case: dict, origin: str):
     if case["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(
             f"{origin}: unsupported schema_version {case['schema_version']!r}")
-    if case["kind"] not in _KINDS:
+    if case["kind"] not in _HANDLERS:
         raise SchemaError(f"{origin}: unknown kind {case['kind']!r}")
     if "expected" in case and case["expected"] is not None:
         if not case.get("citation"):
@@ -283,7 +281,7 @@ def _validate(case: dict, origin: str):
                 f"{origin}: expected value without a citation string")
 
 
-def _compute_volume(inputs: dict, seed: int):
+def _compute_volume(inputs: dict):
     quantity = inputs.get("quantity", "s_value")
     if "volume" in inputs:
         fx = volume_fixture(inputs["volume"])
@@ -310,6 +308,12 @@ def _compute_volume(inputs: dict, seed: int):
         m = fx.models[fx.chambers[0].model]
         return zariski.pseudoeffective_threshold(m, fx.family), None
     raise SchemaError(f"unknown volume quantity {quantity!r}")
+
+
+def _compute_beta(inputs: dict):
+    vol = _pieces(inputs["pieces"])
+    return functionals.beta_divisor(
+        rat(inputs["log_discrepancy"]), vol, rat(inputs["ample_cube"]))
 
 
 def _compute_flag_point(inputs: dict):
@@ -342,6 +346,11 @@ class _Params(dict):
                     formulas.FormulaError)
 
 
+# Formulas of one FamilyParams argument, evaluated by their own names.
+_FAMILY_FORMULAS = ("vol_Da", "s_sminus", "s_vertical", "res_n", "lambda_n",
+                    "k_general")
+
+
 def _compute_formula(inputs: dict):
     name = inputs["name"]
     params = _Params(name, inputs.get("params", {}))
@@ -352,18 +361,8 @@ def _compute_formula(inputs: dict):
             mu=rat(params.get("mu", 1)),
             delta_v=rat(params.get("delta_v", 1)))
 
-    if name == "vol_Da":
-        return formulas.vol_Da(fam())
-    if name == "s_sminus":
-        return formulas.s_sminus(fam())
-    if name == "s_vertical":
-        return formulas.s_vertical(fam())
-    if name == "res_n":
-        return formulas.res_n(fam())
-    if name == "lambda_n":
-        return formulas.lambda_n(fam())
-    if name == "k_general":
-        return formulas.k_general(fam())
+    if name in _FAMILY_FORMULAS:
+        return getattr(formulas, name)(fam())
     if name == "k3":
         return formulas.k3(params["a"], params["d"], params["mu"])
     if name == "gamma":
@@ -439,20 +438,12 @@ def _compute_invariant(inputs: dict, seed: int):
 def _compute_toric(inputs: dict):
     m = model(inputs["model"])
     table = inputs["table"]
-    gens = inputs.get("generators")
-    if table == "triple":
-        names = gens or list(m.effective_generators)
+    if table in ("triple", "pair"):
+        size, names = ((3, m.effective_generators) if table == "triple"
+                       else (2, m.aliases))
         out = {}
-        import itertools as it
-        for combo in it.combinations_with_replacement(names, 3):
-            divs = [{m.divisor_index(n): Fraction(1)} for n in combo]
-            out[".".join(combo)] = m.intersection_product(*divs)
-        return out
-    if table == "pair":
-        names = gens or list(m.aliases)
-        out = {}
-        import itertools as it
-        for combo in it.combinations_with_replacement(names, 2):
+        for combo in itertools.combinations_with_replacement(
+                inputs.get("generators") or list(names), size):
             divs = [{m.divisor_index(n): Fraction(1)} for n in combo]
             out[".".join(combo)] = m.intersection_product(*divs)
         return out
@@ -468,38 +459,32 @@ def _compute_toric(inputs: dict):
     raise SchemaError(f"unknown toric table {table!r}")
 
 
+# kind -> handler(inputs, seed) returning (computed, printed_override).
+_HANDLERS = {
+    "volume": lambda inputs, seed: _compute_volume(inputs),
+    "beta": lambda inputs, seed: (_compute_beta(inputs), None),
+    "flag_surface": lambda inputs, seed: (
+        functionals.s_flag_surface(flag_case(inputs["flag_case"])), None),
+    "flag_point": lambda inputs, seed: (_compute_flag_point(inputs), None),
+    "formula": lambda inputs, seed: (_compute_formula(inputs), None),
+    "git": lambda inputs, seed: (_compute_git(inputs), None),
+    "invariant": lambda inputs, seed: (_compute_invariant(inputs, seed), None),
+    "toric": lambda inputs, seed: (_compute_toric(inputs), None),
+    "barycenter": lambda inputs, seed: (
+        list(toric.polytope_barycenter(inputs["vertices"])), None),
+}
+
+
 def compute_case(case: dict, seed: int = DEFAULT_SEED):
     """Dispatch one validated case to its owning module.
 
     Returns (computed, printed_override); printed_override comes from
     fixture-level printed data (volume pieces), else the case's own field.
     """
-    kind = case["kind"]
-    inputs = case["inputs"]
-    printed = None
-    if kind == "volume":
-        value, printed = _compute_volume(inputs, seed)
-    elif kind == "beta":
-        vol = _pieces(inputs["pieces"])
-        value = functionals.beta_divisor(
-            rat(inputs["log_discrepancy"]), vol, rat(inputs["ample_cube"]))
-    elif kind == "flag_surface":
-        value = functionals.s_flag_surface(flag_case(inputs["flag_case"]))
-    elif kind == "flag_point":
-        value = _compute_flag_point(inputs)
-    elif kind == "formula":
-        value = _compute_formula(inputs)
-    elif kind == "git":
-        value = _compute_git(inputs)
-    elif kind == "invariant":
-        value = _compute_invariant(inputs, seed)
-    elif kind == "toric":
-        value = _compute_toric(inputs)
-    elif kind == "barycenter":
-        value = list(toric.polytope_barycenter(inputs["vertices"]))
-    else:
-        raise SchemaError(f"unknown kind {kind!r}")
-    return value, printed
+    handler = _HANDLERS.get(case["kind"])
+    if handler is None:
+        raise SchemaError(f"unknown kind {case['kind']!r}")
+    return handler(case["inputs"], seed)
 
 
 def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
@@ -577,15 +562,12 @@ def bundled_case_paths(cases_dir=None) -> list:
 
 def run_suite(jobs: int = 1, seed: int = DEFAULT_SEED,
               cases_dir=None) -> StabilityReport:
-    """Run every bundled case; rows are sorted by label, independent of
-    worker scheduling."""
-    paths = [p for p in bundled_case_paths(cases_dir)
-             if p.name.endswith(".json")]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: run_case(p, seed), paths))
-    else:
-        results = [run_case(p, seed) for p in paths]
+    """Run every bundled case in order; rows are sorted by label.
+
+    ``jobs`` is accepted and ignored: cases run one after another.
+    """
+    results = [run_case(p, seed) for p in bundled_case_paths(cases_dir)
+               if p.name.endswith(".json")]
     results.sort(key=lambda r: r.label)
     return StabilityReport(seed=seed, results=results)
 

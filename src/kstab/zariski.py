@@ -132,6 +132,19 @@ def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
     return True
 
 
+def _support_solve(lat: SurfaceLattice, d: dict, support: list[str]) -> dict:
+    """The coefficients N on ``support`` with (d - N) . t = 0 for every
+    support curve t; ``d`` may have Fraction or Poly coefficients."""
+    if not support:
+        return {}
+    rows = [[lat.gram[lat.index(s)][lat.index(t)] for s in support]
+            for t in support]
+    if _linalg.det(rows) == 0:
+        raise NoConvergence(f"singular Gram submatrix for {support}")
+    rhs = [lat.pairing(d, t) for t in support]
+    return dict(zip(support, _linalg.solve(rows, rhs)))
+
+
 def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
     """Zariski decomposition ``d = P + N`` on a surface, exactly.
 
@@ -141,19 +154,8 @@ def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
     """
     d = {k: rat(v) for k, v in d.items()}
     support: list[str] = []
-    coeffs: dict[str, Fraction] = {}
     for _ in range(len(lat.curves) + 2):
-        if support:
-            rows = [[lat.gram[lat.index(s)][lat.index(t)] for s in support]
-                    for t in support]
-            rhs = [lat.pairing(d, t) for t in support]
-            sol = _linalg.solve(rows, rhs)
-            if sol is None or _linalg.det(rows) == 0:
-                raise NoConvergence(
-                    f"singular support system for {support}")
-            coeffs = dict(zip(support, sol))
-        else:
-            coeffs = {}
+        coeffs = _support_solve(lat, d, support)
         p = _subtract(d, coeffs)
         negatives = [c for c in lat.curves
                      if c not in support and lat.pairing(p, c) < 0]
@@ -186,6 +188,10 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
+def _as_poly_div(d: dict) -> dict[str, Poly]:
+    return {k: Poly.const(p) for k, p in d.items()}
+
+
 @dataclass
 class Chamber2D:
     """One chamber of a parametric surface decomposition.
@@ -214,22 +220,9 @@ def _family_at(family: dict[str, Poly], u: Fraction, v: Fraction) -> dict:
 def _symbolic_parts(lat: SurfaceLattice, family: dict[str, Poly],
                     support: list[str]) -> tuple[dict, dict]:
     """Solve the orthogonality system over Q[u, v] for a fixed support."""
-    if not support:
-        return ({k: p for k, p in family.items() if p}, {})
-    rows = [[lat.gram[lat.index(s)][lat.index(t)] for s in support]
-            for t in support]
-    rhs = [lat.pairing(family, t) for t in support]
-    if _linalg.det(rows) == 0:
-        raise NoConvergence(f"singular Gram submatrix for {support}")
-    sol = _linalg.solve(rows, rhs)
-    n = {s: (c if isinstance(c, Poly) else Poly.const(c))
-         for s, c in zip(support, sol)}
-    p = {}
-    for k in set(family) | set(n):
-        val = family.get(k, Poly()) - n.get(k, Poly())
-        if val:
-            p[k] = val
-    return p, {k: v for k, v in n.items() if v}
+    n = {s: Poly.const(c)
+         for s, c in _support_solve(lat, family, support).items() if c}
+    return _subtract(family, n), n
 
 
 def _affine_in_v(p: Poly, ustar: Fraction, v0: Fraction) -> tuple[Fraction, Fraction]:
@@ -241,13 +234,9 @@ def _affine_in_v(p: Poly, ustar: Fraction, v0: Fraction) -> tuple[Fraction, Frac
     return value, slope
 
 
-def _v_slope_poly(p: Poly) -> Poly:
-    return p.derivative("v")
-
-
 def _symbolic_wall(constraint: Poly, ustar: Fraction) -> Poly:
     """Solve an affine-in-v constraint for v as a polynomial in u."""
-    slope = _v_slope_poly(constraint)
+    slope = constraint.derivative("v")
     if slope.degree("u") > 0:
         # Slope varies with u; the wall is not polynomial in u.  The scan
         # splits at a degenerate sample instead of guessing.
@@ -335,12 +324,12 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
 
     if c2 == 0 and c1 == 0:
         if c0 == 0:
-            return _symbolic_vanishing(v_cur)
+            return v_cur, Poly.const(v_cur)
         return None
     if value(v_cur) == 0:
         slope = 2 * c2 * v_cur + c1
         if slope <= 0:
-            return _symbolic_vanishing(v_cur)
+            return v_cur, Poly.const(v_cur)
         raise NoConvergence("volume vanishes then grows; bad family")
     if value(v_cur) < 0:
         raise NoConvergence("negative volume inside a chamber")
@@ -390,10 +379,6 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     raise IrrationalThreshold("threshold root reconstruction failed")
 
 
-def _symbolic_vanishing(v_cur: Fraction) -> tuple[Fraction, Poly]:
-    return v_cur, Poly.const(v_cur)
-
-
 def _quadratic_dips(c2, c1, c0, v_cur, limit) -> bool:
     """Does c2 v^2 + c1 v + c0 become <= 0 somewhere in (v_cur, limit]?"""
     if limit is None and c2 < 0:
@@ -426,8 +411,7 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
     """
     if _depth > 12:
         raise NoConvergence("chamber recursion too deep")
-    family = {k: (p if isinstance(p, Poly) else Poly.const(p))
-              for k, p in family.items()}
+    family = _as_poly_div(family)
     try:
         chambers = _scan(lat, family, u_interval, v_max)
         _verify_chambers(lat, family, chambers)
@@ -460,8 +444,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
         for c in lat.curves:
             if c in support:
                 continue
-            g = lat.pairing(p_sym, c)
-            g = g if isinstance(g, Poly) else Poly.const(g)
+            g = Poly.const(lat.pairing(p_sym, c))
             if not g:
                 continue
             val, slope = _affine_in_v(g, ustar, v_cur)
@@ -487,8 +470,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
             limit_num = v_max.eval(u=ustar, v=0)
             events.append((limit_num, "stop", ""))
 
-        vol = lat.dot(p_sym, p_sym)
-        vol = vol if isinstance(vol, Poly) else Poly.const(vol)
+        vol = Poly.const(lat.dot(p_sym, p_sym))
         next_wall = min((e[0] for e in events), default=None)
         threshold = _vol_threshold(vol, ustar, v_cur,
                                    next_wall if next_wall is not None
@@ -604,11 +586,6 @@ def _degree_form(model: ToricModel, d: dict[str, Poly]):
         for row in model.grading)
 
 
-def _as_poly_div(d: dict) -> dict[str, Poly]:
-    return {k: (p if isinstance(p, Poly) else Poly.const(p))
-            for k, p in d.items()}
-
-
 def threefold_chamber_volume(models: dict[str, ToricModel],
                              chambers: list[ThreefoldChamber],
                              total: dict[str, Poly]) -> PiecewisePolynomial:
@@ -647,8 +624,7 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
             if not ok:
                 raise NefViolation(
                     f"{label}: P({rat_str(u)}) negative on {violated}")
-        vol = model.intersection_form(pos, pos, pos)
-        vol = vol if isinstance(vol, Poly) else Poly.const(vol)
+        vol = Poly.const(model.intersection_form(pos, pos, pos))
         pieces.append((ch.interval, vol))
     for (iv1, p1), (iv2, p2) in zip(pieces, pieces[1:]):
         if iv1.hi == iv2.lo:
@@ -676,7 +652,7 @@ def pseudoeffective_threshold(model: ToricModel, family: dict[str, Poly],
         raise DecompositionMismatch("family degree outside the generator span")
     bound = None
     for coord in coords:
-        coord = coord if isinstance(coord, Poly) else Poly.const(coord)
+        coord = Poly.const(coord)
         if coord.degree("u") > 1:
             raise ZariskiError("threshold needs affine degree coordinates")
         c1 = coord.coefficient(1, 0)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from kstab.exactcore import (ContinuityWarning, InconsistentSamples, Interval,
-                             InvertedBounds, OverlappingPieces,
+                             InvertedBounds, NotARational, OverlappingPieces,
                              PiecewisePolynomial, Poly, definite_integral,
                              double_integral, interpolate, piecewise_integral,
                              rat, rat_str, sqrt_rat)
@@ -28,6 +28,11 @@ class TestRationals:
         assert rat_str(Q(49, 26)) == "49/26"
         assert rat_str(Q(4, 2)) == "2"
         assert rat(3) == 3
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_a_rational(self, value):
+        with pytest.raises(NotARational):
+            rat(value)
 
     def test_sqrt(self):
         assert sqrt_rat(Q(9, 4)) == Q(3, 2)

@@ -213,13 +213,18 @@ class TestCli:
         ["formulas", "eval", "euler_char", "--params",
          '{"minus_k3":64,"b2":true,"b3":0}'],
         ["run", "TMP/upto.json"],
+        ["formulas", "eval", "k3", "--params", '{"a":true,"d":1,"mu":1}'],
+        ["formulas", "eval", "delta_bound", "--params", '{"entries":[[1]]}'],
+        ["formulas", "eval", "delta_bound", "--params", '{"entries":[1]}'],
+        ["formulas", "eval", "delta_bound", "--params", '{"entries":5}'],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
             "lambda-one-int", "coeffs-short-key", "coeffs-letter-key",
             "coeffs-bad-value", "coeffs-list", "n-float", "n-letter",
             "n-fraction", "r-letter", "b2-letter", "b2-bool",
-            "upto-float-string"])
+            "upto-float-string", "k3-bool", "delta-entry-short",
+            "delta-entry-scalar", "delta-entries-scalar"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
