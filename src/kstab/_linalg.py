@@ -2,8 +2,9 @@
 
 Everything here works on plain lists of Fractions and rests on one
 forward elimination, ``_echelon``: ``solve`` back-substitutes its echelon
-form, ``rank`` counts its pivots, ``det`` multiplies them, and ``kernel``
-back-substitutes once per free column.  Right-hand sides may contain any
+form, ``rank`` counts its pivots, ``det`` multiplies them, ``kernel``
+back-substitutes once per free column, and ``inverse`` once per column of
+the identity carried beside the matrix.  Right-hand sides may contain any
 values from a commutative Q-algebra (e.g. polynomials), which is what the
 parametric chamber solver relies on.
 """
@@ -104,3 +105,17 @@ def kernel(rows):
             vec[fc] = Fraction(1)
             basis.append(_back_substitute(m, zeros, pivots, vec))
     return basis
+
+
+def inverse(rows):
+    """The inverse of a square matrix (rows of rows), or None if it is
+    singular."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    m, _, pivots, _ = _echelon(aug)
+    if pivots != list(range(n)):
+        return None
+    cols = [_back_substitute(m, [row[n + j] for row in m], pivots,
+                             [Fraction(0)] * n) for j in range(n)]
+    return [[col[i] for col in cols] for i in range(n)]

@@ -46,6 +46,10 @@ class InconsistentSamples(ExactCoreError):
     """Sample points do not lie on a single polynomial of the stated degree."""
 
 
+class MalformedInput(ExactCoreError):
+    """Integration bounds or interpolation samples of the wrong shape."""
+
+
 class NotARational(ExactCoreError):
     """A value is neither an int, a Fraction nor a parsable rational string."""
 
@@ -288,11 +292,11 @@ class Poly:
                 if i:
                     if not u:
                         continue
-                    c = c * u ** i
+                    c = c * (u if i == 1 else u ** i)
                 if j:
                     if not v:
                         continue
-                    c = c * v ** j
+                    c = c * (v if j == 1 else v ** j)
                 total += c
             return total
         if u is None and v is None:
@@ -472,7 +476,7 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
     """
     for b in (inner_lo, inner_hi):
         if not b.is_univariate("u"):
-            raise ValueError("inner bounds must be polynomials in u")
+            raise MalformedInput("inner bounds must be polynomials in u")
     diff = inner_hi - inner_lo
     lo_val = diff.eval(u=outer.lo, v=0)
     hi_val = diff.eval(u=outer.hi, v=0)
@@ -512,9 +516,10 @@ def interpolate(points: Sequence[tuple], degree: int) -> Poly:
 
     pts = [(rat(x), rat(y)) for x, y in points]
     if len({x for x, _ in pts}) != len(pts):
-        raise ValueError("interpolation points must have distinct abscissae")
+        raise MalformedInput(
+            "interpolation points must have distinct abscissae")
     if len(pts) < degree + 1:
-        raise ValueError("need at least degree+1 samples")
+        raise MalformedInput("need at least degree+1 samples")
     rows = [[x ** k for k in range(degree + 1)] for x, _ in pts]
     rhs = [y for _, y in pts]
     sol = _linalg.solve(rows, rhs)

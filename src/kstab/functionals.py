@@ -151,8 +151,7 @@ def s_flag_surface_report(case: FlagCase) -> StabilityValue:
             term = scale * definite_integral(sq * d, ch.interval, "u")
             rows.append((f"order term on {ch.interval}", term))
         for sub in inner:
-            vol = Poly.const(case.lattice.dot(sub.positive, sub.positive))
-            term = scale * double_integral(vol, sub.v_lo, sub.v_hi,
+            term = scale * double_integral(sub.volume, sub.v_lo, sub.v_hi,
                                            sub.u_interval)
             rows.append(
                 (f"vol over {sub.u_interval} x [{sub.v_lo!r}, {sub.v_hi!r}]",
@@ -189,7 +188,7 @@ def f_q_term(case: FlagCase, point_name: str) -> Fraction:
     total = Fraction(0)
     for ch, inner in case.inner():
         for sub in inner:
-            pdotc = Poly.const(case.lattice.pairing(sub.positive, case.flag))
+            pdotc = Poly.const(sub.pairings[case.flag])
             order = _point_order(case, point, ch, sub)
             if not order:
                 continue
@@ -218,7 +217,7 @@ def s_flag_point(case: FlagCase, point_name: str) -> Fraction:
     quad = Fraction(0)
     for ch, inner in case.inner():
         for sub in inner:
-            pdotc = Poly.const(case.lattice.pairing(sub.positive, case.flag))
+            pdotc = Poly.const(sub.pairings[case.flag])
             quad += scale * double_integral(pdotc * pdotc, sub.v_lo,
                                             sub.v_hi, sub.u_interval)
     return quad + f_q_term(case, point_name)

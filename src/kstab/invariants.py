@@ -281,7 +281,13 @@ def random_coeffs(rng: random.Random) -> Coeffs:
 
 
 def invariance_trials(trials: int, seed: int) -> list[bool]:
-    """Seeded random invariance checks; all entries should be True."""
+    """Seeded random invariance checks; all entries should be True.
+
+    At least one trial is required: an empty run would certify invariance
+    vacuously.
+    """
+    if trials < 1:
+        raise InvariantError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     results = []
     for _ in range(trials):

@@ -16,12 +16,19 @@ Three layers:
 
 The inner scan terminates where the volume of the positive part vanishes;
 that point is the pseudoeffective threshold of the family.
+
+Each chamber is solved once.  The scan builds the pairing vector
+``{c: P . c}`` of the chamber's positive part in one pass and reads its
+events, walls and the volume P^2 from it; the returned ``Chamber2D``
+carries that vector and that volume down to the vertex checks and the flag
+integrals.  The inverse of each nonsingular support Gram block is cached on
+its ``SurfaceLattice`` instance, so it lives exactly as long as the lattice.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import KstabError, _linalg
@@ -62,6 +69,11 @@ class DiscontinuousVolume(ZariskiError):
     pass
 
 
+class MalformedLattice(ZariskiError):
+    """A Gram matrix that is not square over the curve list, or not
+    symmetric."""
+
+
 class NegativeDefiniteSupportWarning(UserWarning):
     """The support of the negative part has a Gram matrix that is not
     negative definite; the decomposition is reported anyway."""
@@ -74,26 +86,41 @@ class _SplitRequest(Exception):
 
 @dataclass(frozen=True)
 class SurfaceLattice:
-    """A surface intersection lattice: named curves plus their Gram matrix."""
+    """A surface intersection lattice: named curves plus their Gram matrix.
+
+    Construction also builds a name -> index map and, per curve, the sparse
+    row of its nonzero Gram entries.  ``_inverses`` caches the inverse of
+    each nonsingular support Gram block for ``_support_solve``; it lives and
+    dies with the instance.
+    """
 
     curves: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
+    _index: dict = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.curves)
         g = tuple(tuple(rat(x) for x in row) for row in self.gram)
         if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("Gram matrix shape does not match curve list")
+            raise MalformedLattice(
+                "Gram matrix shape does not match curve list")
         for i in range(n):
-            for j in range(n):
+            for j in range(i):
                 if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix is not symmetric")
+                    raise MalformedLattice("Gram matrix is not symmetric")
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "_index",
+                           {c: i for i, c in enumerate(self.curves)})
+        object.__setattr__(self, "_rows", tuple(
+            {t: x for t, x in zip(self.curves, row) if x} for row in g))
+        object.__setattr__(self, "_inverses", {})
 
     def index(self, name: str) -> int:
         try:
-            return self.curves.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ZariskiError(f"lattice has no curve named {name!r}")
 
     def pairing(self, d: dict, name: str):
@@ -101,26 +128,42 @@ class SurfaceLattice:
 
         Coefficients may be Fractions or parameter polynomials.
         """
-        j = self.index(name)
+        row = self._rows[self.index(name)]
         total = Fraction(0)
         for k, c in d.items():
-            g = self.gram[self.index(k)][j]
-            if g:
+            g = row.get(k)
+            if g is not None:
                 total = c * g + total
+            else:
+                self.index(k)  # an unknown curve raises
         return total
 
+    def pairings(self, d: dict) -> dict:
+        """``{c: d . c}`` for every curve c, in one pass over ``d``."""
+        out = dict.fromkeys(self.curves, Fraction(0))
+        for k, c in d.items():
+            for t, g in self._rows[self.index(k)].items():
+                out[t] = c * g + out[t]
+        return out
+
     def dot(self, d1: dict, d2: dict):
-        """Intersection of two divisors: sum of c1 * (d2 . k1) over d1,
-        one product per term of ``d1``."""
-        total = Fraction(0)
-        for k1, c1 in d1.items():
-            g = self.pairing(d2, k1)
-            if g:
-                total = c1 * g + total
-        return total
+        """Intersection of two divisors: sum of c1 * (d2 . k1) over d1."""
+        return _contract(d1, self.pairings(d2))
 
     def square(self, d: dict):
         return self.dot(d, d)
+
+
+def _contract(d: dict, pairings: dict):
+    """Sum of c * pairings[k] over the terms of ``d``, one product per
+    nonzero pairing; with ``pairings`` the pairing vector of P and ``d``
+    = P this is the volume P^2."""
+    total = Fraction(0)
+    for k, c in d.items():
+        g = pairings[k]
+        if g:
+            total = c * g + total
+    return total
 
 
 def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
@@ -132,17 +175,33 @@ def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
     return True
 
 
+def _support_inverse(lat: SurfaceLattice, support: list[str]):
+    """The rows of the inverse of the Gram block of ``support``, each as a
+    ``{t: entry}`` map, cached on ``lat``.
+
+    A singular block raises NoConvergence on every call and is never
+    stored.
+    """
+    key = tuple(support)
+    inv = lat._inverses.get(key)
+    if inv is None:
+        idx = [lat.index(s) for s in support]
+        rows = [[lat.gram[i][j] for i in idx] for j in idx]
+        if _linalg.det(rows) == 0:
+            raise NoConvergence(f"singular Gram submatrix for {support}")
+        inv = lat._inverses[key] = [dict(zip(support, row))
+                                    for row in _linalg.inverse(rows)]
+    return inv
+
+
 def _support_solve(lat: SurfaceLattice, d: dict, support: list[str]) -> dict:
     """The coefficients N on ``support`` with (d - N) . t = 0 for every
     support curve t; ``d`` may have Fraction or Poly coefficients."""
     if not support:
         return {}
-    rows = [[lat.gram[lat.index(s)][lat.index(t)] for s in support]
-            for t in support]
-    if _linalg.det(rows) == 0:
-        raise NoConvergence(f"singular Gram submatrix for {support}")
-    rhs = [lat.pairing(d, t) for t in support]
-    return dict(zip(support, _linalg.solve(rows, rhs)))
+    rhs = {t: lat.pairing(d, t) for t in support}
+    return {s: _contract(row, rhs)
+            for s, row in zip(support, _support_inverse(lat, support))}
 
 
 def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
@@ -157,8 +216,8 @@ def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
     for _ in range(len(lat.curves) + 2):
         coeffs = _support_solve(lat, d, support)
         p = _subtract(d, coeffs)
-        negatives = [c for c in lat.curves
-                     if c not in support and lat.pairing(p, c) < 0]
+        pv = lat.pairings(p)
+        negatives = [c for c in lat.curves if c not in support and pv[c] < 0]
         if not negatives:
             break
         support.extend(negatives)
@@ -198,6 +257,9 @@ class Chamber2D:
 
     The region is ``u in u_interval``, ``v_lo(u) <= v <= v_hi(u)`` with
     polynomial walls; P and N carry coefficients polynomial in (u, v).
+    The scan that found the chamber also hands down P's pairing vector
+    ``{c: P . c}`` over every lattice curve and its volume P^2, so the
+    checks and the flag integrals never pair P again.
     """
 
     u_interval: Interval
@@ -206,6 +268,8 @@ class Chamber2D:
     positive: dict[str, Poly]
     negative: dict[str, Poly]
     support: tuple[str, ...]
+    pairings: dict[str, Poly | Fraction]
+    volume: Poly
 
 
 def _family_at(family: dict[str, Poly], u: Fraction, v: Fraction) -> dict:
@@ -225,13 +289,25 @@ def _symbolic_parts(lat: SurfaceLattice, family: dict[str, Poly],
     return _subtract(family, n), n
 
 
+def _v_slices_at(p: Poly, ustar: Fraction, degree: int,
+                 error: str) -> list[Fraction]:
+    """The coefficients of v^0 .. v^degree of ``p`` at u = ustar, read
+    from its terms; a higher power of v raises ZariskiError(error)."""
+    out = [Fraction(0)] * (degree + 1)
+    for (i, j), c in p.terms.items():
+        if j > degree:
+            raise ZariskiError(error)
+        if i:
+            c = c * (ustar if i == 1 else ustar ** i)
+        out[j] += c
+    return out
+
+
 def _affine_in_v(p: Poly, ustar: Fraction, v0: Fraction) -> tuple[Fraction, Fraction]:
     """Value and v-slope of an affine-in-v polynomial at (ustar, v0)."""
-    if p.degree("v") > 1:
-        raise ZariskiError("constraint unexpectedly nonlinear in v")
-    slope = p.derivative("v").eval(u=ustar, v=0)
-    value = p.eval(u=ustar, v=v0)
-    return value, slope
+    c0, c1 = _v_slices_at(p, ustar, 1,
+                          "constraint unexpectedly nonlinear in v")
+    return c0 + c1 * v0, c1
 
 
 def _symbolic_wall(constraint: Poly, ustar: Fraction) -> Poly:
@@ -245,9 +321,7 @@ def _symbolic_wall(constraint: Poly, ustar: Fraction) -> Poly:
     if b == 0:
         raise _SplitRequest(ustar)
     a = constraint.eval(v=0)
-    if isinstance(a, Poly):
-        return Poly({(e[0], 0): -c / b for e, c in a.terms.items()})
-    return Poly.const(-a / b)
+    return Poly({(e[0], 0): -c / b for e, c in a.terms.items()})
 
 
 def _poly_divide(num: Poly, den: Poly) -> Poly | None:
@@ -310,14 +384,8 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     Returns None when the volume stays positive up to ``limit`` (or
     forever when limit is None and the quadratic never vanishes).
     """
-    c2p = Poly({(e[0], 0): c for e, c in vol.terms.items() if e[1] == 2})
-    c1p = Poly({(e[0], 0): c for e, c in vol.terms.items() if e[1] == 1})
-    c0p = Poly({(e[0], 0): c for e, c in vol.terms.items() if e[1] == 0})
-    if vol.degree("v") > 2:
-        raise ZariskiError("volume unexpectedly of degree > 2 in v")
-    c2 = c2p.eval(u=ustar, v=0)
-    c1 = c1p.eval(u=ustar, v=0)
-    c0 = c0p.eval(u=ustar, v=0)
+    c0, c1, c2 = _v_slices_at(vol, ustar, 2,
+                              "volume unexpectedly of degree > 2 in v")
 
     def value(v):
         return c2 * v * v + c1 * v + c0
@@ -360,6 +428,9 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
         return None
 
     # Reconstruct the root as a polynomial wall in u.
+    c0p, c1p, c2p = (
+        Poly({(e[0], 0): c for e, c in vol.terms.items() if e[1] == k})
+        for k in range(3))
     if c2p.degree("u") > 0:
         raise _SplitRequest(ustar)
     c2s = c2p.eval(u=0, v=0)
@@ -414,7 +485,7 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
     family = _as_poly_div(family)
     try:
         chambers = _scan(lat, family, u_interval, v_max)
-        _verify_chambers(lat, family, chambers)
+        _verify_chambers(chambers)
         return chambers
     except _SplitRequest as req:
         at = req.at
@@ -438,13 +509,14 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
     chambers: list[Chamber2D] = []
     for _ in range(6 * len(lat.curves) + 12):
         p_sym, n_sym = _symbolic_parts(lat, family, support)
+        pv = lat.pairings(p_sym)
         # Candidate walls: external curves entering, support coefficients
         # leaving, and the supplied outer bound.
         events: list[tuple[Fraction, str, str]] = []
         for c in lat.curves:
             if c in support:
                 continue
-            g = Poly.const(lat.pairing(p_sym, c))
+            g = Poly.const(pv[c])
             if not g:
                 continue
             val, slope = _affine_in_v(g, ustar, v_cur)
@@ -470,7 +542,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
             limit_num = v_max.eval(u=ustar, v=0)
             events.append((limit_num, "stop", ""))
 
-        vol = Poly.const(lat.dot(p_sym, p_sym))
+        vol = Poly.const(_contract(p_sym, pv))
         next_wall = min((e[0] for e in events), default=None)
         threshold = _vol_threshold(vol, ustar, v_cur,
                                    next_wall if next_wall is not None
@@ -480,7 +552,8 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
             r, wall_sym = threshold
             if r > v_cur:
                 chambers.append(Chamber2D(u_interval, wall_cur, wall_sym,
-                                          p_sym, n_sym, tuple(support)))
+                                          p_sym, n_sym, tuple(support),
+                                          pv, vol))
             return chambers
         if next_wall is None:
             raise Unbounded("family stays big: no wall and no threshold")
@@ -490,7 +563,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
         walls = []
         for _, kind, name in triggers:
             if kind == "enter":
-                walls.append(_symbolic_wall(lat.pairing(p_sym, name), ustar))
+                walls.append(_symbolic_wall(pv[name], ustar))
             elif kind == "leave":
                 walls.append(_symbolic_wall(n_sym.get(name, Poly()), ustar))
             else:
@@ -501,7 +574,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
                 raise _SplitRequest(ustar)
         if next_wall > v_cur:
             chambers.append(Chamber2D(u_interval, wall_cur, wall_sym,
-                                      p_sym, n_sym, tuple(support)))
+                                      p_sym, n_sym, tuple(support), pv, vol))
         elif wall_sym != wall_cur:
             raise _SplitRequest(ustar)
         if stoppers:
@@ -520,8 +593,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
     raise NoConvergence("wall scan did not terminate")
 
 
-def _verify_chambers(lat: SurfaceLattice, family: dict[str, Poly],
-                     chambers: list[Chamber2D]):
+def _verify_chambers(chambers: list[Chamber2D]):
     """Vertex checks: wall ordering, positivity, orthogonality.
 
     Affine data makes checks at chamber corners sufficient.  A wall
@@ -535,14 +607,13 @@ def _verify_chambers(lat: SurfaceLattice, family: dict[str, Poly],
             if w < 0:
                 root = _affine_root_between(width, u0, u1)
                 raise _SplitRequest(root)
-        pairings = {c: lat.pairing(ch.positive, c) for c in lat.curves}
         for s in ch.support:
-            if not _is_zero(pairings[s]):
+            if not _is_zero(ch.pairings[s]):
                 raise NoConvergence(f"orthogonality failed for {s}")
         for u in (u0, u1):
             for vp in (ch.v_lo, ch.v_hi):
                 v = vp.eval(u=u, v=0)
-                for c, g in pairings.items():
+                for c, g in ch.pairings.items():
                     gval = g.eval(u=u, v=v) if isinstance(g, Poly) else g
                     if gval < 0:
                         raise NoConvergence(

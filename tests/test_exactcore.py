@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from kstab.exactcore import (ContinuityWarning, InconsistentSamples, Interval,
-                             InvertedBounds, NotARational, OverlappingPieces,
+                             InvertedBounds, MalformedInput, NotARational,
+                             OverlappingPieces,
                              PiecewisePolynomial, Poly, definite_integral,
                              double_integral, interpolate, piecewise_integral,
                              rat, rat_str, sqrt_rat)
@@ -167,6 +168,10 @@ class TestDoubleIntegral:
         assert double_integral(Poly.const(1), Poly(), hi,
                                Interval(0, 1)) == Q(1, 3)
 
+    def test_bounds_not_univariate(self):
+        with pytest.raises(MalformedInput):
+            double_integral(Poly.const(1), Poly(), U + V, Interval(0, 1))
+
     def test_fubini_500(self):
         rng = random.Random(103)
         for _ in range(500):
@@ -197,6 +202,14 @@ class TestInterpolate:
     def test_inconsistent(self):
         with pytest.raises(InconsistentSamples):
             interpolate([(0, 1), (1, 2)], 0)
+
+    def test_repeated_abscissae(self):
+        with pytest.raises(MalformedInput):
+            interpolate([(0, 1), (0, 1), (1, 2)], 1)
+
+    def test_too_few_samples(self):
+        with pytest.raises(MalformedInput):
+            interpolate([(0, 1), (1, 2)], 2)
 
     def test_roundtrip_identity(self):
         rng = random.Random(104)

@@ -115,3 +115,18 @@ def test_solve_with_poly_rhs(rows, data):
         bad = list(rhs)
         bad[i] = bad[i] + u
         assert _linalg.solve(rows, bad) is None
+
+
+
+@SETTINGS
+@given(matrices())
+def test_inverse(rows):
+    if len(rows) != len(rows[0]):
+        return
+    inv = _linalg.inverse(rows)
+    a = to_sympy(rows)
+    if a.rank() < len(rows):
+        assert inv is None
+    else:
+        assert all(isinstance(x, Q) for row in inv for x in row)
+        assert to_sympy(inv) == a.inv()

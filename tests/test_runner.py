@@ -1,11 +1,12 @@
 import json
 import re
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from kstab import cli, runner
+from kstab import _linalg, cli, runner, zariski
 
 
 def test_suite_green():
@@ -217,6 +218,8 @@ class TestCli:
         ["formulas", "eval", "delta_bound", "--params", '{"entries":[[1]]}'],
         ["formulas", "eval", "delta_bound", "--params", '{"entries":[1]}'],
         ["formulas", "eval", "delta_bound", "--params", '{"entries":5}'],
+        ["inv", "check-invariance", "--trials", "0"],
+        ["inv", "check-invariance", "--trials", "-2"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
@@ -224,7 +227,8 @@ class TestCli:
             "coeffs-bad-value", "coeffs-list", "n-float", "n-letter",
             "n-fraction", "r-letter", "b2-letter", "b2-bool",
             "upto-float-string", "k3-bool", "delta-entry-short",
-            "delta-entry-scalar", "delta-entries-scalar"])
+            "delta-entry-scalar", "delta-entries-scalar", "inv-trials-0",
+            "inv-trials-negative"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
@@ -263,3 +267,37 @@ def test_all_beta_rows_positive():
     assert betas
     for r in betas:
         assert Fraction(r.computed) > 0
+
+
+def test_flag_work_does_not_outlive_cleared_caches(monkeypatch):
+    # A benchmark pass clears the model and flag caches; a cache that
+    # survived the clearing would make the second run cheaper than the
+    # first.
+    counts = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((_linalg, "det"), (_linalg, "solve"),
+                         (_linalg, "inverse"), (zariski, "_scan")):
+        counted(module, name)
+    paths = [p for p in runner.bundled_case_paths()
+             if p.name.startswith("flag--")]
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        for path in paths:
+            runner._MODEL_CACHE.clear()
+            runner._FLAG_CACHE.clear()
+            assert runner.run_case(path).status in ("pass",
+                                                    "discrepancy-noted")
+        runs.append(dict(counts))
+    assert runs[0] == runs[1]
+    # The flag path may make no general solve; it must make the others.
+    assert all(runs[0].get(name) for name in ("det", "inverse", "_scan"))

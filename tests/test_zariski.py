@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from kstab import _linalg
 from kstab.exactcore import Interval, Poly
-from kstab.runner import flag_case, model, volume_fixture
+from kstab.runner import _fixture_root, flag_case, model, volume_fixture
 from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
-                           NefViolation, SurfaceLattice, ThreefoldChamber,
-                           Unbounded, parametric_surface_zariski,
+                           MalformedLattice, NefViolation, NoConvergence,
+                           SurfaceLattice, ThreefoldChamber, Unbounded,
+                           _support_solve, parametric_surface_zariski,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
 
@@ -264,3 +267,68 @@ def test_dot_and_pairing_match_naive_sums():
             assert lat.pairing(d1, name) == sum(
                 (c * lat.gram[lat.index(k)][j] for k, c in d1.items()),
                 Poly())
+
+
+FLAG_FIXTURES = sorted(p.stem for p in (_fixture_root() / "flags").iterdir()
+                       if p.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", FLAG_FIXTURES)
+def test_chambers_carry_pairings_and_volume(name):
+    case = flag_case(name)
+    lat = case.lattice
+    subs = [sub for _, inner in case.inner() for sub in inner]
+    assert subs
+    for sub in subs:
+        assert sub.pairings == {c: lat.pairing(sub.positive, c)
+                                for c in lat.curves}
+        assert sub.volume == lat.dot(sub.positive, sub.positive)
+
+
+@pytest.mark.parametrize("gram", [[[2, 1], [0, 1]], [[1, 0]], [[1]],
+                                  [[1, 0, 0], [0, 1, 0]]],
+                         ids=["asymmetric", "one-row", "short", "wide"])
+def test_malformed_gram_is_a_zariski_error(gram):
+    with pytest.raises(MalformedLattice):
+        SurfaceLattice(("a", "b"), gram)
+
+
+def test_cached_support_solve_matches_linalg_solve():
+    rng = random.Random(7)
+    for name in FLAG_FIXTURES:
+        shared = flag_case(name).lattice
+        lat = SurfaceLattice(shared.curves, shared.gram)
+        for k in (1, 2, 3):
+            for support in itertools.combinations(lat.curves, k):
+                support = list(support)
+                rows = [[lat.gram[lat.index(s)][lat.index(t)]
+                         for s in support] for t in support]
+                if _linalg.det(rows) == 0:
+                    continue
+                d = {c: Poly.affine(rng.randint(-3, 3), rng.randint(-2, 2),
+                                    rng.randint(-2, 2))
+                     for c in lat.curves}
+                rhs = [lat.pairing(d, t) for t in support]
+                expected = dict(zip(support, _linalg.solve(rows, rhs)))
+                # The first call fills the cache, the second reads it.
+                for _ in range(2):
+                    got = _support_solve(lat, d, support)
+                    assert {s: Poly.const(c) for s, c in got.items()} == \
+                        {s: Poly.const(c) for s, c in expected.items()}
+
+
+def test_singular_support_raises_every_time(monkeypatch):
+    lat = SurfaceLattice(("a", "b"), [[0, 1], [1, -1]])
+    dets = []
+    det = _linalg.det
+
+    def counted_det(rows):
+        dets.append(rows)
+        return det(rows)
+
+    monkeypatch.setattr(_linalg, "det", counted_det)
+    for _ in range(2):
+        with pytest.raises(NoConvergence):
+            _support_solve(lat, {"a": Q(1), "b": Q(2)}, ["a"])
+    assert len(dets) == 2
+    assert ("a",) not in lat._inverses
