@@ -47,7 +47,10 @@ class InconsistentSamples(ExactCoreError):
 
 
 class MalformedInput(ExactCoreError):
-    """Integration bounds or interpolation samples of the wrong shape."""
+    """Input of the wrong shape: a reversed interval, an integrand, piece or
+    integration bound in the wrong variables, a width whose sign cannot be
+    certified exactly, a point outside a piecewise domain, or unusable
+    interpolation samples."""
 
 
 class NotARational(ExactCoreError):
@@ -370,7 +373,7 @@ class Interval:
         object.__setattr__(self, "lo", rat(self.lo))
         object.__setattr__(self, "hi", rat(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self}")
+            raise MalformedInput(f"interval endpoints out of order: {self}")
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -385,7 +388,8 @@ class Interval:
 def definite_integral(p: Poly, rng: Interval, var: str = "u") -> Fraction:
     """Exact definite integral of a univariate polynomial over ``rng``."""
     if not p.is_univariate(var):
-        raise ValueError("definite_integral requires a univariate polynomial")
+        raise MalformedInput(
+            "definite_integral requires a univariate polynomial")
     f = p.antiderivative(var)
     kw_hi = {var: rng.hi}
     kw_lo = {var: rng.lo}
@@ -417,7 +421,8 @@ class PiecewisePolynomial:
             if not isinstance(p, Piece):
                 p = Piece(*p)
             if not p.poly.is_univariate(var):
-                raise ValueError("piece polynomial is not univariate in " + var)
+                raise MalformedInput(
+                    "piece polynomial is not univariate in " + var)
             norm.append(p)
         norm.sort(key=lambda p: (p.interval.lo, p.interval.hi))
         for a, b in zip(norm, norm[1:]):
@@ -449,7 +454,7 @@ class PiecewisePolynomial:
         for p in self.pieces:
             if p.interval.contains(x):
                 return p.poly.eval(**{self.var: x, other: 0})
-        raise ValueError(f"{rat_str(x)} outside the piecewise domain")
+        raise MalformedInput(f"{rat_str(x)} outside the piecewise domain")
 
     def __iter__(self):
         return iter(self.pieces)
@@ -473,21 +478,26 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
     ``inner_lo`` and ``inner_hi`` are polynomials in ``u`` bounding the
     inner variable.  The bounds must satisfy lo <= hi on the outer
     interval; bounds that cross in the interior raise InvertedBounds.
+    Their width hi - lo may have degree at most 2 in ``u``, so that its
+    sign on the interval is decided exactly.
     """
     for b in (inner_lo, inner_hi):
         if not b.is_univariate("u"):
             raise MalformedInput("inner bounds must be polynomials in u")
     diff = inner_hi - inner_lo
+    deg = diff.degree("u")
+    if deg > 2:
+        raise MalformedInput(
+            f"inner bounds of width degree {deg} > 2: their order on "
+            f"{outer} cannot be certified exactly")
     lo_val = diff.eval(u=outer.lo, v=0)
     hi_val = diff.eval(u=outer.hi, v=0)
     if lo_val < 0 or hi_val < 0:
         raise InvertedBounds(
             f"inner bounds cross on {outer}: widths "
             f"{rat_str(lo_val)} and {rat_str(hi_val)} at the endpoints")
-    # Nonaffine widths are legal as long as they stay nonnegative.  A
-    # quadratic width is smallest on the interval at an endpoint or at its
-    # vertex, so checking the vertex too is exact.
-    deg = diff.degree("u")
+    # A quadratic width is smallest on the interval at an endpoint or at
+    # its vertex, so checking the vertex too is exact.
     if deg == 2:
         vertex = -diff.coefficient(1) / (2 * diff.coefficient(2))
         if outer.lo < vertex < outer.hi:
@@ -496,10 +506,6 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
                 raise InvertedBounds(
                     f"inner bounds cross inside {outer}: width "
                     f"{rat_str(w)} at u = {rat_str(vertex)}")
-    elif deg > 2:
-        # Only probed: certifying higher degrees needs a sign oracle.
-        if diff.eval(u=outer.midpoint(), v=0) < 0:
-            raise InvertedBounds(f"inner bounds cross inside {outer}")
     anti = f.antiderivative("v")
     inner = anti.subs_v(inner_hi) - anti.subs_v(inner_lo)
     return definite_integral(inner, outer, "u")

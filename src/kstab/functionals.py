@@ -19,7 +19,8 @@ from fractions import Fraction
 from . import KstabError
 from .exactcore import Interval, PiecewisePolynomial, Poly, double_integral, \
     definite_integral, rat, rat_str
-from .zariski import Chamber2D, SurfaceLattice, parametric_surface_zariski
+from .zariski import (Chamber2D, SurfaceLattice, _affine_family,
+                      parametric_surface_zariski)
 
 
 class FunctionalError(KstabError):
@@ -102,6 +103,9 @@ class FlagCase:
         if self._inner is None:
             out = []
             for ch in self.chambers:
+                # The local orders built from it are checked at corners.
+                _affine_family(ch.outer_negative,
+                               f"{self.label}: outer negative part")
                 fam = dict(ch.family)
                 fam[self.flag] = fam.get(self.flag, Poly()) - Poly.var("v")
                 out.append(
@@ -200,14 +204,13 @@ def f_q_term(case: FlagCase, point_name: str) -> Fraction:
 
 def _check_order_nonnegative(order: Poly, sub: Chamber2D, case: FlagCase,
                              point_name: str):
-    for u in (sub.u_interval.lo, sub.u_interval.hi):
-        for wall in (sub.v_lo, sub.v_hi):
-            v = wall.eval(u=u, v=0)
-            val = order.eval(u=u, v=v)
-            if val < 0:
-                raise FunctionalError(
-                    f"{case.label}: negative local order at {point_name} "
-                    f"(u={rat_str(u)}, v={rat_str(v)})")
+    """The local order is affine, so the corner lemma of
+    ``Chamber2D.corners`` makes this corner check a proof."""
+    for u, v in sub.corners():
+        if order.eval(u=u, v=v) < 0:
+            raise FunctionalError(
+                f"{case.label}: negative local order at {point_name} "
+                f"(u={rat_str(u)}, v={rat_str(v)})")
 
 
 def s_flag_point(case: FlagCase, point_name: str) -> Fraction:

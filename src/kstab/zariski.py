@@ -9,7 +9,7 @@ Three layers:
   ``v``.  The scan runs at an exact rational sample of ``u``, re-solves
   each chamber symbolically, and splits the ``u``-interval whenever walls
   cross, so every returned chamber carries exact affine data verified at
-  its vertices.
+  its corners.
 * ``threefold_chamber_volume`` -- verification (not discovery) of supplied
   chamber decompositions on threefold models, returning the exact
   piecewise-cubic volume function.
@@ -17,10 +17,19 @@ Three layers:
 The inner scan terminates where the volume of the positive part vanishes;
 that point is the pseudoeffective threshold of the family.
 
+Affinity is an invariant, checked once where a family enters the engine:
+``_affine_family`` lifts every coefficient to a Poly and raises
+``NonAffineFamily`` for a term u^i v^j with i + j > 1.  Solving the
+support system is linear, so positive parts, negative parts and pairings
+stay affine, every wall is a line v = a + b*u, and the volume P^2 has
+total degree 2.  A chamber {u0 <= u <= u1, v_lo(u) <= v <= v_hi(u)} is
+then a convex polygon, and the corner lemma (``Chamber2D.corners``) makes
+every sign check at its corners a proof.
+
 Each chamber is solved once.  The scan builds the pairing vector
 ``{c: P . c}`` of the chamber's positive part in one pass and reads its
 events, walls and the volume P^2 from it; the returned ``Chamber2D``
-carries that vector and that volume down to the vertex checks and the flag
+carries that vector and that volume down to the corner checks and the flag
 integrals.  The inverse of each nonsingular support Gram block is cached on
 its ``SurfaceLattice`` instance, so it lives exactly as long as the lattice.
 """
@@ -67,6 +76,10 @@ class DecompositionMismatch(ZariskiError):
 
 class DiscontinuousVolume(ZariskiError):
     pass
+
+
+class NonAffineFamily(ZariskiError):
+    """A family coefficient with a term of total degree > 1 in (u, v)."""
 
 
 class MalformedLattice(ZariskiError):
@@ -247,8 +260,15 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
-def _as_poly_div(d: dict) -> dict[str, Poly]:
-    return {k: Poly.const(p) for k, p in d.items()}
+def _affine_family(d: dict, what: str) -> dict[str, Poly]:
+    """``d`` with every coefficient lifted to a Poly and checked affine in
+    (u, v); a term u^i v^j with i + j > 1 raises NonAffineFamily."""
+    out = {k: Poly.const(c) for k, c in d.items()}
+    for k, p in out.items():
+        if any(i + j > 1 for i, j in p.terms):
+            raise NonAffineFamily(
+                f"{what}: coefficient {p!r} of {k} is not affine in (u, v)")
+    return out
 
 
 @dataclass
@@ -256,10 +276,10 @@ class Chamber2D:
     """One chamber of a parametric surface decomposition.
 
     The region is ``u in u_interval``, ``v_lo(u) <= v <= v_hi(u)`` with
-    polynomial walls; P and N carry coefficients polynomial in (u, v).
-    The scan that found the chamber also hands down P's pairing vector
-    ``{c: P . c}`` over every lattice curve and its volume P^2, so the
-    checks and the flag integrals never pair P again.
+    affine walls; P and N carry coefficients affine in (u, v).  The scan
+    that found the chamber also hands down P's pairing vector ``{c: P . c}``
+    over every lattice curve and its volume P^2, so the corner checks and
+    the flag integrals never pair P again.
     """
 
     u_interval: Interval
@@ -270,6 +290,19 @@ class Chamber2D:
     support: tuple[str, ...]
     pairings: dict[str, Poly | Fraction]
     volume: Poly
+
+    def corners(self) -> list[tuple[Fraction, Fraction]]:
+        """The corners (u, v): v_lo then v_hi at u0, then at u1.
+
+        Corner lemma: once v_lo <= v_hi at u0 and at u1, the chamber is
+        the convex hull of these four points, because its walls are
+        lines.  A function affine in (u, v) attains its minimum over a
+        convex polygon at a corner, so one that is nonnegative at the
+        four corners is nonnegative on the whole chamber.
+        """
+        return [(u, wall.eval(u=u, v=0))
+                for u in (self.u_interval.lo, self.u_interval.hi)
+                for wall in (self.v_lo, self.v_hi)]
 
 
 def _family_at(family: dict[str, Poly], u: Fraction, v: Fraction) -> dict:
@@ -289,92 +322,10 @@ def _symbolic_parts(lat: SurfaceLattice, family: dict[str, Poly],
     return _subtract(family, n), n
 
 
-def _v_slices_at(p: Poly, ustar: Fraction, degree: int,
-                 error: str) -> list[Fraction]:
-    """The coefficients of v^0 .. v^degree of ``p`` at u = ustar, read
-    from its terms; a higher power of v raises ZariskiError(error)."""
-    out = [Fraction(0)] * (degree + 1)
-    for (i, j), c in p.terms.items():
-        if j > degree:
-            raise ZariskiError(error)
-        if i:
-            c = c * (ustar if i == 1 else ustar ** i)
-        out[j] += c
-    return out
-
-
-def _affine_in_v(p: Poly, ustar: Fraction, v0: Fraction) -> tuple[Fraction, Fraction]:
-    """Value and v-slope of an affine-in-v polynomial at (ustar, v0)."""
-    c0, c1 = _v_slices_at(p, ustar, 1,
-                          "constraint unexpectedly nonlinear in v")
-    return c0 + c1 * v0, c1
-
-
-def _symbolic_wall(constraint: Poly, ustar: Fraction) -> Poly:
-    """Solve an affine-in-v constraint for v as a polynomial in u."""
-    slope = constraint.derivative("v")
-    if slope.degree("u") > 0:
-        # Slope varies with u; the wall is not polynomial in u.  The scan
-        # splits at a degenerate sample instead of guessing.
-        raise _SplitRequest(ustar)
-    b = slope.eval(u=0, v=0)
-    if b == 0:
-        raise _SplitRequest(ustar)
-    a = constraint.eval(v=0)
-    return Poly({(e[0], 0): -c / b for e, c in a.terms.items()})
-
-
-def _poly_divide(num: Poly, den: Poly) -> Poly | None:
-    """Exact division of univariate polynomials in u, or None."""
-    if not den:
-        return None
-    nc = num.coeffs("u")
-    dc = den.coeffs("u")
-    out = [Fraction(0)] * (max(len(nc) - len(dc) + 1, 1))
-    rem = list(nc)
-    for k in range(len(nc) - len(dc), -1, -1):
-        if len(rem) < len(dc) + k:
-            continue
-        lead = rem[len(dc) - 1 + k]
-        q = lead / dc[-1]
-        out[k] = q
-        for i, c in enumerate(dc):
-            rem[i + k] -= q * c
-    if any(rem[len(dc) - 1:]):
-        return None
-    if any(rem[:len(dc) - 1]):
-        return None
-    return Poly.from_coeffs(out, "u")
-
-
-def _poly_sqrt(p: Poly) -> Poly | None:
-    """Exact square root of a univariate polynomial in u, or None."""
-    if not p:
-        return Poly()
-    cs = p.coeffs("u")
-    deg = len(cs) - 1
-    if deg % 2:
-        return None
-    half = deg // 2
-    lead = sqrt_rat(cs[-1])
-    if lead is None:
-        return None
-    root = [Fraction(0)] * (half + 1)
-    root[half] = lead
-    # Match coefficients downward; verify at the end.
-    for k in range(half - 1, -1, -1):
-        acc = Fraction(0)
-        for i in range(k + 1, half):
-            j = k + half - i
-            if j <= half:
-                acc += root[i] * root[j]
-        root[k] = (cs[k + half] - acc) / (2 * lead)
-    cand = Poly.from_coeffs(root, "u")
-    if cand * cand == p:
-        return cand
-    if (-cand) * (-cand) == p:
-        return -cand
-    return None
+def _symbolic_wall(constraint: Poly) -> Poly:
+    """The line v = w(u) on which an affine constraint vanishes; callers
+    pass only constraints with a nonzero v-slope."""
+    return constraint.eval(v=0) * (-1 / constraint.coefficient(0, 1))
 
 
 def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
@@ -382,10 +333,15 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     """Smallest v >= v_cur with vol = 0, as (numeric, symbolic wall).
 
     Returns None when the volume stays positive up to ``limit`` (or
-    forever when limit is None and the quadratic never vanishes).
+    forever when limit is None and the quadratic never vanishes).  The
+    wall is the line through the root (ustar, r) with the slope
+    -d_u vol / d_v vol there, or, at a double root, the line d_v vol = 0.
+    It is accepted only if vol vanishes on it identically; a root that is
+    not affine in u (two root lines crossing at ustar among them) raises
+    IrrationalThreshold.
     """
-    c0, c1, c2 = _v_slices_at(vol, ustar, 2,
-                              "volume unexpectedly of degree > 2 in v")
+    at_ustar = vol.eval(u=ustar)
+    c0, c1, c2 = (at_ustar.coefficient(0, j) for j in range(3))
 
     def value(v):
         return c2 * v * v + c1 * v + c0
@@ -427,27 +383,16 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     if limit is not None and r > limit:
         return None
 
-    # Reconstruct the root as a polynomial wall in u.
-    c0p, c1p, c2p = (
-        Poly({(e[0], 0): c for e, c in vol.terms.items() if e[1] == k})
-        for k in range(3))
-    if c2p.degree("u") > 0:
-        raise _SplitRequest(ustar)
-    c2s = c2p.eval(u=0, v=0)
-    if c2s == 0:
-        quot = _poly_divide(-c0p, c1p)
-        if quot is None:
-            raise IrrationalThreshold("threshold is not polynomial in u")
-        return r, quot
-    disc_p = c1p * c1p - 4 * c2s * c0p
-    s_p = _poly_sqrt(disc_p)
-    if s_p is None:
-        raise IrrationalThreshold("threshold is not polynomial in u")
-    for sign in (1, -1):
-        wall = (-c1p + sign * s_p) * (Fraction(1) / (2 * c2s))
-        if wall.eval(u=ustar, v=0) == r:
-            return r, wall
-    raise IrrationalThreshold("threshold root reconstruction failed")
+    dv = vol.derivative("v")
+    b = dv.eval(u=ustar, v=r)
+    if b:
+        slope = -vol.derivative("u").eval(u=ustar, v=r) / b
+        wall = Poly.affine(r - slope * ustar, slope)
+    else:
+        wall = _symbolic_wall(dv)
+    if vol.subs_v(wall):
+        raise IrrationalThreshold("threshold is not affine in u")
+    return r, wall
 
 
 def _quadratic_dips(c2, c1, c0, v_cur, limit) -> bool:
@@ -473,16 +418,17 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
                                _depth: int = 0) -> list[Chamber2D]:
     """Chamber decomposition of ``family(u, v)`` over ``u_interval``.
 
-    ``family`` maps curve names to polynomials in (u, v), affine in v.
+    ``family`` maps curve names to polynomials affine in (u, v).
     Scanning starts at v = 0 and stops at the pseudoeffective threshold,
     i.e. where the volume of the positive part first vanishes (or at
-    ``v_max`` when supplied).  Walls are discovered at an exact rational
-    sample of u, re-solved symbolically, and the u-interval is split
-    whenever two walls cross inside it.
+    ``v_max``, a polynomial of degree at most 1 in u, when supplied).
+    Walls are discovered at an exact rational sample of u, re-solved
+    symbolically, and the u-interval is split whenever two walls cross
+    inside it.
     """
     if _depth > 12:
         raise NoConvergence("chamber recursion too deep")
-    family = _as_poly_div(family)
+    family = _affine_family(family, "family")
     try:
         chambers = _scan(lat, family, u_interval, v_max)
         _verify_chambers(chambers)
@@ -519,7 +465,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
             g = Poly.const(pv[c])
             if not g:
                 continue
-            val, slope = _affine_in_v(g, ustar, v_cur)
+            val, slope = g.eval(u=ustar, v=v_cur), g.coefficient(0, 1)
             if val < 0:
                 raise NoConvergence(
                     f"negative pairing with {c} inside a chamber")
@@ -529,7 +475,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
                 raise _SplitRequest(ustar)
         for s in support:
             n_c = n_sym.get(s, Poly())
-            val, slope = _affine_in_v(n_c, ustar, v_cur)
+            val, slope = n_c.eval(u=ustar, v=v_cur), n_c.coefficient(0, 1)
             if val < 0:
                 raise NoConvergence(
                     f"negative coefficient for {s} inside a chamber")
@@ -563,9 +509,9 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
         walls = []
         for _, kind, name in triggers:
             if kind == "enter":
-                walls.append(_symbolic_wall(pv[name], ustar))
+                walls.append(_symbolic_wall(pv[name]))
             elif kind == "leave":
-                walls.append(_symbolic_wall(n_sym.get(name, Poly()), ustar))
+                walls.append(_symbolic_wall(n_sym[name]))
             else:
                 walls.append(v_max)
         wall_sym = walls[0]
@@ -594,46 +540,37 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
 
 
 def _verify_chambers(chambers: list[Chamber2D]):
-    """Vertex checks: wall ordering, positivity, orthogonality.
+    """Corner checks: wall ordering, positivity, orthogonality.
 
-    Affine data makes checks at chamber corners sufficient.  A wall
-    crossing inside the u-interval triggers a split of the scan.
+    The width v_hi - v_lo, every pairing P . c and every coefficient of N
+    is affine, so by the corner lemma of ``Chamber2D.corners`` each check
+    at the four corners is a proof for the whole chamber.  A width that
+    is negative at one end only means the walls cross inside the
+    u-interval, and the scan splits where the affine width vanishes.
     """
     for ch in chambers:
-        u0, u1 = ch.u_interval.lo, ch.u_interval.hi
-        width = ch.v_hi - ch.v_lo
-        for u in (u0, u1):
-            w = width.eval(u=u, v=0)
-            if w < 0:
-                root = _affine_root_between(width, u0, u1)
-                raise _SplitRequest(root)
+        corners = ch.corners()
+        (u0, lo0), (_, hi0), (u1, lo1), (_, hi1) = corners
+        w0, w1 = hi0 - lo0, hi1 - lo1
+        if w0 < 0 or w1 < 0:
+            if w0 <= 0 and w1 <= 0:
+                raise WallDegeneracy("walls in the wrong order on "
+                                     f"the whole of {ch.u_interval}")
+            raise _SplitRequest(u0 + (u1 - u0) * w0 / (w0 - w1))
         for s in ch.support:
             if not _is_zero(ch.pairings[s]):
                 raise NoConvergence(f"orthogonality failed for {s}")
-        for u in (u0, u1):
-            for vp in (ch.v_lo, ch.v_hi):
-                v = vp.eval(u=u, v=0)
-                for c, g in ch.pairings.items():
-                    gval = g.eval(u=u, v=v) if isinstance(g, Poly) else g
-                    if gval < 0:
-                        raise NoConvergence(
-                            f"P negative against {c} at a chamber vertex")
-                for s, coeff in ch.negative.items():
-                    nval = coeff.eval(u=u, v=v)
-                    if nval < 0:
-                        raise NoConvergence(
-                            f"negative part coefficient of {s} at a vertex")
-
-
-def _affine_root_between(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    if p.degree("u") != 1:
-        raise WallDegeneracy("cannot locate a wall crossing exactly")
-    c1 = p.coefficient(1, 0)
-    c0 = p.coefficient(0, 0)
-    root = -c0 / c1
-    if not (lo < root < hi):
-        raise WallDegeneracy("wall crossing outside the sample interval")
-    return root
+        for u, v in corners:
+            for c, g in ch.pairings.items():
+                gval = g.eval(u=u, v=v) if isinstance(g, Poly) else g
+                if gval < 0:
+                    raise NoConvergence(
+                        f"P negative against {c} at a chamber corner")
+            for s, coeff in ch.negative.items():
+                nval = coeff.eval(u=u, v=v)
+                if nval < 0:
+                    raise NoConvergence(
+                        f"negative part coefficient of {s} at a corner")
 
 
 # -- threefold chamber verification ----------------------------------------
@@ -663,21 +600,22 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
     """Verify a supplied chamber decomposition and return vol(u) = P(u)^3.
 
     Per chamber the four defining conditions are proved exactly: P is nef
-    against the model's Mori generators at both endpoints, N is effective,
+    against the model's Mori generators at both endpoints, N is effective
+    there (both affine in u, so the endpoints decide the whole interval),
     P + N agrees with the total family in the degree lattice, and the
     resulting cubic pieces match at the walls (small modifications preserve
     the volume).
     """
-    total = _as_poly_div(total)
+    total = _affine_family(total, "decomposed family")
     pieces = []
     ordered = sorted(chambers, key=lambda c: (c.interval.lo, c.interval.hi))
     for ch in ordered:
         model = models.get(ch.model)
         if model is None:
             raise DecompositionMismatch(f"unknown model {ch.model!r}")
-        pos = _as_poly_div(ch.positive)
-        neg = _as_poly_div(ch.negative)
         label = f"chamber {ch.interval} on {ch.model}"
+        pos = _affine_family(ch.positive, f"{label}: positive part")
+        neg = _affine_family(ch.negative, f"{label}: negative part")
         combined = dict(pos)
         for k, c in neg.items():
             combined[k] = combined.get(k, Poly()) + c
@@ -712,7 +650,7 @@ def pseudoeffective_threshold(model: ToricModel, family: dict[str, Poly],
                               generators=None) -> Fraction:
     """Largest u with the family still effective, from exact affine
     coordinates in the effective-generator basis."""
-    family = _as_poly_div(family)
+    family = _affine_family(family, "family")
     names = generators if generators is not None else model.effective_generators
     gen_divs = [{model.divisor_index(n): Fraction(1)} for n in names]
     cols = [model.degree(g) for g in gen_divs]
@@ -724,8 +662,6 @@ def pseudoeffective_threshold(model: ToricModel, family: dict[str, Poly],
     bound = None
     for coord in coords:
         coord = Poly.const(coord)
-        if coord.degree("u") > 1:
-            raise ZariskiError("threshold needs affine degree coordinates")
         c1 = coord.coefficient(1, 0)
         c0 = coord.coefficient(0, 0)
         if c1 < 0:

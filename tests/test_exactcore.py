@@ -172,6 +172,14 @@ class TestDoubleIntegral:
         with pytest.raises(MalformedInput):
             double_integral(Poly.const(1), Poly(), U + V, Interval(0, 1))
 
+    def test_cubic_width_is_refused(self):
+        # u^3 + 1 is positive on [0, 1], but a width of degree 3 cannot
+        # be certified by endpoint and vertex checks, so it is refused
+        # rather than probed.
+        with pytest.raises(MalformedInput, match="degree 3"):
+            double_integral(Poly.const(1), Poly(), U ** 3 + 1,
+                            Interval(0, 1))
+
     def test_fubini_500(self):
         rng = random.Random(103)
         for _ in range(500):
@@ -223,3 +231,23 @@ class TestInterpolate:
                     xs.append(x)
             samples = [(x, p.eval(u=x, v=0)) for x in xs]
             assert interpolate(samples, deg) == p
+
+
+class TestMalformedInput:
+    def test_reversed_interval(self):
+        with pytest.raises(MalformedInput, match="out of order"):
+            Interval(1, 0)
+
+    def test_definite_integral_not_univariate(self):
+        with pytest.raises(MalformedInput):
+            definite_integral(U * V, Interval(0, 1))
+
+    def test_piece_not_univariate(self):
+        with pytest.raises(MalformedInput):
+            PiecewisePolynomial([(Interval(0, 1), U + V)])
+
+    def test_piecewise_eval_outside_domain(self):
+        pw = PiecewisePolynomial([(Interval(0, 1), U)])
+        assert pw.eval(1) == 1
+        with pytest.raises(MalformedInput, match="outside"):
+            pw.eval(2)

@@ -115,6 +115,24 @@ def test_fixture_missing():
     assert "FixtureMissing" in result.detail
 
 
+def test_reversed_interval_fails_its_row(tmp_path, capsys):
+    case = {
+        "schema_version": 1,
+        "kind": "volume",
+        "label": "adhoc/reversed",
+        "inputs": {"pieces": [{"interval": ["1", "0"], "coeffs": ["1"]}],
+                   "ample_cube": "1"},
+        "expected": "1",
+        "citation": "unused",
+    }
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(case))
+    assert cli.main(["run", str(path), "--format", "json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["cases"]
+    assert row["status"] == "fail"
+    assert row["detail"].startswith("MalformedInput: ")
+
+
 def test_text_report_shape():
     text = runner.emit_report(runner.run_suite(), "text")
     assert text.startswith("kstab regression suite")

@@ -1,0 +1,54 @@
+"""Property test of the threshold wall against sympy.
+
+The volume c2 * (v - w1(u)) * (v - w2(u)) has the affine roots w1 and w2.
+Starting below both roots (c2 > 0) or between them (c2 < 0), the scan's
+threshold is the first root it meets, and its wall must be one of the
+roots sympy solves for, through the numeric root at the sample.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sp = pytest.importorskip("sympy")
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from kstab.exactcore import Poly  # noqa: E402
+from kstab.zariski import IrrationalThreshold, _vol_threshold  # noqa: E402
+
+rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+nonzero = rationals.filter(bool)
+
+su, sv = sp.symbols("u v")
+
+
+def to_sympy(p: Poly):
+    return sum((sp.Rational(c.numerator, c.denominator) * su ** i * sv ** j
+                for (i, j), c in p.terms.items()), sp.Integer(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero, rationals, rationals, rationals, rationals, rationals)
+def test_wall_is_a_sympy_root(c2, a1, b1, a2, b2, ustar):
+    v = Poly.var("v")
+    w1, w2 = Poly.affine(a1, b1), Poly.affine(a2, b2)
+    vol = c2 * (v - w1) * (v - w2)
+    r1, r2 = w1.eval(u=ustar, v=0), w2.eval(u=ustar, v=0)
+    if c2 > 0:
+        v_cur, root = min(r1, r2) - 1, min(r1, r2)
+    else:
+        assume(r1 != r2)
+        v_cur, root = (r1 + r2) / 2, max(r1, r2)
+    if r1 == r2 and w1 != w2:
+        # Two root lines crossing at the sample: no single affine wall.
+        with pytest.raises(IrrationalThreshold):
+            _vol_threshold(vol, ustar, v_cur, None)
+        return
+    r, wall = _vol_threshold(vol, ustar, v_cur, None)
+    assert r == root
+    assert wall.is_univariate("u") and wall.degree("u") <= 1
+    assert wall.eval(u=ustar, v=0) == r
+    roots = sp.solve(to_sympy(vol), sv, simplify=False, check=False)
+    assert any(sp.expand(to_sympy(wall) - s) == 0 for s in roots)

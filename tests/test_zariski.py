@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
@@ -8,9 +9,11 @@ from kstab import _linalg
 from kstab.exactcore import Interval, Poly
 from kstab.runner import _fixture_root, flag_case, model, volume_fixture
 from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
-                           MalformedLattice, NefViolation, NoConvergence,
+                           IrrationalThreshold, MalformedLattice,
+                           NefViolation, NoConvergence, NonAffineFamily,
                            SurfaceLattice, ThreefoldChamber, Unbounded,
-                           _support_solve, parametric_surface_zariski,
+                           _support_solve, _vol_threshold,
+                           parametric_surface_zariski,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
 
@@ -237,9 +240,61 @@ def test_volume_vanishes_at_threshold():
 def test_concave_volume_has_irrational_threshold():
     # 2 - v^2 vanishes at v = sqrt(2); without a limit the scan must not
     # take the concave volume for an unbounded one.
-    from kstab.zariski import IrrationalThreshold, _vol_threshold
     with pytest.raises(IrrationalThreshold):
         _vol_threshold(2 - V ** 2, Q(0), Q(0), None)
+
+
+class TestThresholdWall:
+    """The threshold wall is the line through the root at the sample,
+    accepted only when the volume vanishes on it identically."""
+
+    @pytest.mark.parametrize("vol, v_cur, root, wall", [
+        ((1 + U) * (AFF(2, -1) - V), Q(0), Q(3, 2), AFF(2, -1)),
+        ((V - AFF(1, 1)) * (V - AFF(3, -1)), Q(0), Q(3, 2), AFF(1, 1)),
+        (-(V - AFF(1, 1)) * (V - AFF(3, -1)), Q(2), Q(5, 2), AFF(3, -1)),
+        (2 * (V - AFF(1, 1)) ** 2, Q(0), Q(3, 2), AFF(1, 1)),
+    ], ids=["linear-u-dependent-slope", "two-roots-lower",
+            "two-roots-above-v-cur", "double-root"])
+    def test_affine_wall(self, vol, v_cur, root, wall):
+        assert _vol_threshold(vol, Q(1, 2), v_cur, None) == (root, wall)
+
+    def test_rational_root_that_is_not_affine(self):
+        # v^2 - u vanishes at v = -1/2 when u = 1/4, on the curve
+        # v = -sqrt(u), which is no line.
+        with pytest.raises(IrrationalThreshold):
+            _vol_threshold(V ** 2 - U, Q(1, 4), Q(-1), None)
+
+    def test_root_lines_crossing_at_the_sample(self):
+        # The roots u and 1 - u meet at u = 1/2; the threshold min(u, 1-u)
+        # is not affine on an interval around the sample.
+        with pytest.raises(IrrationalThreshold):
+            _vol_threshold((V - U) * (V - AFF(1, -1)), Q(1, 2), Q(0), None)
+
+
+@pytest.mark.parametrize("entry", [U * U, U * V], ids=["u-squared", "uv"])
+def test_parametric_family_must_be_affine(entry):
+    fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1, -1) + entry}
+    with pytest.raises(NonAffineFamily, match="of E is not affine"):
+        parametric_surface_zariski(BASE_LATTICE, fam, Interval(0, 1))
+
+
+def test_threefold_positive_part_must_be_affine():
+    fx = volume_fixture("a1-volume")
+    ch = fx.chambers[0]
+    bad = [ThreefoldChamber(ch.interval, ch.model,
+                            {**ch.positive, "F0": AFF(3, -1) + U * U},
+                            ch.negative)]
+    with pytest.raises(NonAffineFamily, match="positive part"):
+        threefold_chamber_volume(fx.models, bad, fx.family)
+
+
+def test_flag_outer_negative_must_be_affine():
+    case = flag_case("a1-flag-e")
+    ch = case.chambers[0]
+    bad = dataclasses.replace(case, chambers=[dataclasses.replace(
+        ch, outer_negative={"f": U * U})], _inner=None)
+    with pytest.raises(NonAffineFamily, match="outer negative part"):
+        bad.inner()
 
 
 def test_dot_and_pairing_match_naive_sums():
