@@ -31,8 +31,7 @@ def _print_json(value):
 
 
 def _cmd_suite(args) -> int:
-    report = runner.run_suite(jobs=args.jobs, seed=args.seed,
-                              cases_dir=args.cases)
+    report = runner.run_suite(seed=args.seed, cases_dir=args.cases)
     sys.stdout.write(runner.emit_report(report, args.format))
     return 1 if report.failed else 0
 

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, two-parameter polynomials, and
-piecewise-polynomial integration.
+piecewise polynomials in ``u`` with their integrals.
 
 Every number in this package is a :class:`fractions.Fraction`; floating
 point is never used.  Polynomials are sparse maps from exponent pairs
@@ -47,8 +47,9 @@ class InconsistentSamples(ExactCoreError):
 
 
 class MalformedInput(ExactCoreError):
-    """Input of the wrong shape: a reversed interval, an integrand, piece or
-    integration bound in the wrong variables, a width whose sign cannot be
+    """Input of the wrong shape: a reversed interval, an integrand, piece,
+    integration bound or substitution target in the wrong variables, an
+    unknown variable name, a negative power, a width whose sign cannot be
     certified exactly, a point outside a piecewise domain, or unusable
     interpolation samples."""
 
@@ -104,7 +105,8 @@ def _var_index(var: str) -> int:
     try:
         return VARS.index(var)
     except ValueError:
-        raise ValueError(f"unknown variable {var!r}; expected one of {VARS}")
+        raise MalformedInput(
+            f"unknown variable {var!r}; expected one of {VARS}") from None
 
 
 class Poly:
@@ -232,7 +234,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not polynomials")
+            raise MalformedInput("negative powers are not polynomials")
         result = Poly.const(1)
         base = self
         while n:
@@ -274,7 +276,7 @@ class Poly:
     def coeffs(self, var: str = "u") -> list[Fraction]:
         """Dense coefficient list for a univariate polynomial."""
         if not self.is_univariate(var):
-            raise ValueError("polynomial is not univariate in " + var)
+            raise MalformedInput("polynomial is not univariate in " + var)
         idx = _var_index(var)
         out = [Fraction(0)] * (self.degree(var) + 1)
         for e, c in self.terms.items():
@@ -317,7 +319,8 @@ class Poly:
     def subs_v(self, repl: "Poly") -> "Poly":
         """Substitute ``v`` by a polynomial in ``u``."""
         if not repl.is_univariate("u"):
-            raise ValueError("substitution target must be a polynomial in u")
+            raise MalformedInput(
+                "substitution target must be a polynomial in u")
         # Horner's scheme in v over the slices of equal v-degree.
         slices: dict[int, dict[tuple[int, int], Fraction]] = {}
         for (i, j), c in self.terms.items():
@@ -385,18 +388,12 @@ class Interval:
         return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
 
 
-def definite_integral(p: Poly, rng: Interval, var: str = "u") -> Fraction:
-    """Exact definite integral of a univariate polynomial over ``rng``."""
-    if not p.is_univariate(var):
-        raise MalformedInput(
-            "definite_integral requires a univariate polynomial")
-    f = p.antiderivative(var)
-    kw_hi = {var: rng.hi}
-    kw_lo = {var: rng.lo}
-    other = VARS[1 - _var_index(var)]
-    kw_hi[other] = 0
-    kw_lo[other] = 0
-    return f.eval(**kw_hi) - f.eval(**kw_lo)
+def definite_integral(p: Poly, rng: Interval) -> Fraction:
+    """Exact definite integral of a polynomial in u over ``rng``."""
+    if not p.is_univariate("u"):
+        raise MalformedInput("definite_integral requires a polynomial in u")
+    f = p.antiderivative("u")
+    return f.eval(u=rng.hi, v=0) - f.eval(u=rng.lo, v=0)
 
 
 @dataclass(frozen=True)
@@ -406,54 +403,43 @@ class Piece:
 
 
 class PiecewisePolynomial:
-    """A univariate piecewise polynomial with pairwise disjoint interiors.
+    """A piecewise polynomial in u with pairwise disjoint interiors.
 
     Pieces are sorted by lower endpoint on construction.  Continuity at
     shared endpoints is checked and reported as a ContinuityWarning, never
     assumed: the bundled inputs include printed tables with typos that must
-    be caught rather than integrated silently.
+    be caught rather than integrated silently.  A caller for which a jump
+    is an error turns the warning into one.
     """
 
-    def __init__(self, pieces: Iterable[tuple[Interval, Poly] | Piece],
-                 var: str = "u", check_continuity: bool = True):
+    def __init__(self, pieces: Iterable[tuple[Interval, Poly] | Piece]):
         norm: list[Piece] = []
         for p in pieces:
             if not isinstance(p, Piece):
                 p = Piece(*p)
-            if not p.poly.is_univariate(var):
-                raise MalformedInput(
-                    "piece polynomial is not univariate in " + var)
+            if not p.poly.is_univariate("u"):
+                raise MalformedInput("piece is not a polynomial in u")
             norm.append(p)
         norm.sort(key=lambda p: (p.interval.lo, p.interval.hi))
         for a, b in zip(norm, norm[1:]):
             if b.interval.lo < a.interval.hi:
                 raise OverlappingPieces(
                     f"pieces {a.interval} and {b.interval} overlap")
-        self.pieces = norm
-        self.var = var
-        if check_continuity:
-            self._warn_discontinuities()
-
-    def _warn_discontinuities(self):
-        for a, b in zip(self.pieces, self.pieces[1:]):
             if a.interval.hi == b.interval.lo:
                 x = a.interval.hi
-                left = a.poly.eval(**{self.var: x, VARS[1 - _var_index(self.var)]: 0})
-                right = b.poly.eval(**{self.var: x, VARS[1 - _var_index(self.var)]: 0})
+                left, right = a.poly.eval(u=x, v=0), b.poly.eval(u=x, v=0)
                 if left != right:
                     warnings.warn(
-                        f"discontinuity at {rat_str(x)}: "
+                        f"discontinuity at u = {rat_str(x)}: "
                         f"{rat_str(left)} vs {rat_str(right)}",
-                        ContinuityWarning,
-                        stacklevel=3,
-                    )
+                        ContinuityWarning, stacklevel=2)
+        self.pieces = norm
 
     def eval(self, x) -> Fraction:
         x = rat(x)
-        other = VARS[1 - _var_index(self.var)]
         for p in self.pieces:
             if p.interval.contains(x):
-                return p.poly.eval(**{self.var: x, other: 0})
+                return p.poly.eval(u=x, v=0)
         raise MalformedInput(f"{rat_str(x)} outside the piecewise domain")
 
     def __iter__(self):
@@ -467,7 +453,7 @@ def piecewise_integral(f: PiecewisePolynomial) -> Fraction:
     """Sum of the exact integrals of all pieces."""
     total = Fraction(0)
     for p in f.pieces:
-        total += definite_integral(p.poly, p.interval, f.var)
+        total += definite_integral(p.poly, p.interval)
     return total
 
 
@@ -508,7 +494,7 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
                     f"{rat_str(w)} at u = {rat_str(vertex)}")
     anti = f.antiderivative("v")
     inner = anti.subs_v(inner_hi) - anti.subs_v(inner_lo)
-    return definite_integral(inner, outer, "u")
+    return definite_integral(inner, outer)
 
 
 def interpolate(points: Sequence[tuple], degree: int) -> Poly:

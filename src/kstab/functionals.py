@@ -127,7 +127,7 @@ def s_from_volume_report(vol: PiecewisePolynomial,
         raise FunctionalError("ample volume must be positive")
     rows = []
     for piece in vol:
-        contrib = definite_integral(piece.poly, piece.interval, vol.var) / a_top
+        contrib = definite_integral(piece.poly, piece.interval) / a_top
         rows.append((f"u in {piece.interval}", contrib))
     total = sum((c for _, c in rows), Fraction(0))
     return StabilityValue("S_divisor", total, tuple(rows)).check()
@@ -152,7 +152,7 @@ def s_flag_surface_report(case: FlagCase) -> StabilityValue:
         d = case.flag_order(ch)
         if d:
             sq = Poly.const(case.lattice.dot(ch.family, ch.family))
-            term = scale * definite_integral(sq * d, ch.interval, "u")
+            term = scale * definite_integral(sq * d, ch.interval)
             rows.append((f"order term on {ch.interval}", term))
         for sub in inner:
             term = scale * double_integral(sub.volume, sub.v_lo, sub.v_hi,

@@ -13,10 +13,9 @@ instability and strict-semistability arguments for such supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from . import KstabError
+from . import KstabError, invariants
 
 Support = frozenset[tuple[int, int]]
 
@@ -118,11 +117,7 @@ def find_destabilizer(s: Support, bound: int = 5) -> Destabilizer | None:
 
 def fixed_point_singularity(coeffs: dict) -> bool:
     """Singularity of the curve at ([1:0],[1:0]): the constant and both
-    first-order coefficients must vanish."""
-    def get(i, j):
-        for key in ((i, j), f"{i}{j}"):
-            if key in coeffs:
-                return Fraction(coeffs[key])
-        return Fraction(0)
-
-    return get(0, 0) == 0 and get(1, 0) == 0 and get(0, 1) == 0
+    first-order coefficients must vanish.  The coefficients are read by
+    :func:`kstab.invariants.coeffs`."""
+    c = invariants.coeffs(coeffs)
+    return not any(k in c for k in ((0, 0), (1, 0), (0, 1)))

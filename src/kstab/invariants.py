@@ -166,15 +166,11 @@ def char_poly(m) -> list[Fraction]:
 def peano_invariants(c: Coeffs | dict) -> tuple[Fraction, Fraction, Fraction]:
     """The invariants (J2, J3, J4): characteristic coefficients of the
     associated trace-free matrix, with char(T) = T^4 + J2 T^2 + J3 T + J4."""
-    c = coeffs(c) if not _is_normalized(c) else c
+    c = coeffs(c)
     c1, c2, c3, c4 = char_poly(_matrix(c))
     if c1 != 0:
         raise InvariantError("associated matrix is unexpectedly not trace-free")
     return c2, c3, c4
-
-
-def _is_normalized(c) -> bool:
-    return isinstance(c, dict) and all(isinstance(k, tuple) for k in c)
 
 
 def _pair_pow_coeffs(pair, power: int) -> list[Fraction]:
@@ -226,7 +222,7 @@ def _factor_action(g) -> list[list[list[Fraction]]]:
 
 def act(g: GroupElement, c: Coeffs | dict) -> Coeffs:
     """Coefficients of the form composed with the substitution action."""
-    c = coeffs(c) if not _is_normalized(c) else c
+    c = coeffs(c)
     t1 = _factor_action(g.g1)
     t2 = _factor_action(g.g2)
     out: Coeffs = {}
@@ -253,7 +249,7 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def verify_invariance(c: Coeffs | dict, g: GroupElement) -> bool:
     """Exact equality of the invariants before and after the action."""
-    c = coeffs(c) if not _is_normalized(c) else c
+    c = coeffs(c)
     return peano_invariants(act(g, c)) == peano_invariants(c)
 
 
@@ -299,7 +295,7 @@ def invariance_trials(trials: int, seed: int) -> list[bool]:
 
 def swap_transpose(c: Coeffs | dict) -> Coeffs:
     """The factor-swap involution combined with the index transpose."""
-    c = coeffs(c) if not _is_normalized(c) else c
+    c = coeffs(c)
     return {(j, i): v for (i, j), v in c.items()}
 
 
@@ -310,7 +306,7 @@ def independence_rank(c: Coeffs | dict) -> int:
     along coordinate directions (the invariants are polynomials of degree
     at most 4, so five samples determine each directional slice).
     """
-    c = coeffs(c) if not _is_normalized(c) else c
+    c = coeffs(c)
     rows = [[], [], []]
     for i in range(3):
         for j in range(3):

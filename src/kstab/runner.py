@@ -102,39 +102,37 @@ def _interval(pair) -> Interval:
 
 def _pieces(data) -> PiecewisePolynomial:
     return PiecewisePolynomial(
-        [(_interval(p["interval"]), _poly(p["coeffs"])) for p in data],
-        var="u")
+        [(_interval(p["interval"]), _poly(p["coeffs"])) for p in data])
 
 
 def build_lattice(data: dict) -> zariski.SurfaceLattice:
     """A surface lattice either given by an explicit Gram matrix or derived
     from a bundled toric surface model, optionally extended by classes
     expressed in the named curves."""
-    if "from_model" in data:
-        m = model(data["from_model"])
-        names = list(data["curves"])
-        idx = {n: m.divisor_index(data["curves"][n]) for n in names}
-        gram = {}
-        for a in names:
-            for b in names:
-                gram[(a, b)] = m.intersection_product(
-                    {idx[a]: Fraction(1)}, {idx[b]: Fraction(1)})
-        extra = {k: {n: rat(c) for n, c in v.items()}
-                 for k, v in data.get("extra_classes", {}).items()}
-        for t, combo in extra.items():
-            for a in names:
-                gram[(t, a)] = gram[(a, t)] = sum(
-                    (c * gram[(n, a)] for n, c in combo.items()), Fraction(0))
-            gram[(t, t)] = sum(
-                (c1 * c2 * gram[(n1, n2)]
-                 for n1, c1 in combo.items() for n2, c2 in combo.items()),
-                Fraction(0))
-        all_names = names + list(extra)
-        rows = [[gram[(a, b)] for b in all_names] for a in all_names]
-        return zariski.SurfaceLattice(tuple(all_names), rows)
-    return zariski.SurfaceLattice(
-        tuple(data["curves"]),
-        [[rat(x) for x in row] for row in data["gram"]])
+    if "from_model" not in data:
+        return zariski.SurfaceLattice(
+            tuple(data["curves"]),
+            [[rat(x) for x in row] for row in data["gram"]])
+    m = model(data["from_model"])
+    divs = {n: {d: Fraction(1)} for n, d in data["curves"].items()}
+    base = zariski.SurfaceLattice(tuple(divs), [
+        [m.intersection_product(a, b) for b in divs.values()]
+        for a in divs.values()])
+    extra = {k: {n: rat(c) for n, c in v.items()}
+             for k, v in data.get("extra_classes", {}).items()}
+    if not extra:
+        return base
+    # Each extra class pairs with the curves by its pairing vector, and
+    # with every extra class by contracting that vector with its own
+    # combination of curves.
+    vecs = [base.pairings(combo) for combo in extra.values()]
+    rows = [list(row) + [vec[a] for vec in vecs]
+            for a, row in zip(base.curves, base.gram)]
+    for combo, vec in zip(extra.values(), vecs):
+        rows.append([vec[a] for a in base.curves] + [
+            sum((c * other[n] for n, c in combo.items()), Fraction(0))
+            for other in vecs])
+    return zariski.SurfaceLattice(base.curves + tuple(extra), rows)
 
 
 _FLAG_CACHE: dict[str, functionals.FlagCase] = {}
@@ -444,7 +442,7 @@ def _compute_toric(inputs: dict):
         out = {}
         for combo in itertools.combinations_with_replacement(
                 inputs.get("generators") or list(names), size):
-            divs = [{m.divisor_index(n): Fraction(1)} for n in combo]
+            divs = [{n: Fraction(1)} for n in combo]
             out[".".join(combo)] = m.intersection_product(*divs)
         return out
     if table == "curves":
@@ -452,7 +450,7 @@ def _compute_toric(inputs: dict):
         out = {}
         for cname in inputs.get("curve_names") or list(m.curve_specs):
             out[cname] = {
-                d: m.pair_curve_divisor(cname, {m.divisor_index(d): Fraction(1)})
+                d: m.pair_curve_divisor(cname, {d: Fraction(1)})
                 for d in divisors
             }
         return out
@@ -481,10 +479,7 @@ def compute_case(case: dict, seed: int = DEFAULT_SEED):
     Returns (computed, printed_override); printed_override comes from
     fixture-level printed data (volume pieces), else the case's own field.
     """
-    handler = _HANDLERS.get(case["kind"])
-    if handler is None:
-        raise SchemaError(f"unknown kind {case['kind']!r}")
-    return handler(case["inputs"], seed)
+    return _HANDLERS[case["kind"]](case["inputs"], seed)
 
 
 def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
@@ -560,12 +555,8 @@ def bundled_case_paths(cases_dir=None) -> list:
     return sorted(root.iterdir(), key=lambda p: p.name)
 
 
-def run_suite(jobs: int = 1, seed: int = DEFAULT_SEED,
-              cases_dir=None) -> StabilityReport:
-    """Run every bundled case in order; rows are sorted by label.
-
-    ``jobs`` is accepted and ignored: cases run one after another.
-    """
+def run_suite(seed: int = DEFAULT_SEED, cases_dir=None) -> StabilityReport:
+    """Run every bundled case in order; rows are sorted by label."""
     results = [run_case(p, seed) for p in bundled_case_paths(cases_dir)
                if p.name.endswith(".json")]
     results.sort(key=lambda r: r.label)

@@ -13,15 +13,19 @@ Lattice work is done in ``int``: one integer adjugate per maximal cone
 gives its multiplicity and the relations of all its rays, and the
 barycenter runs on vertices scaled to integer points.
 
-Divisor classes are finite maps ``ray index -> Fraction``; curve classes
-are stored through their pairing vector against the boundary divisors.
+Divisor classes are finite maps from a ray index, an ``F<i>`` name or an
+alias to a coefficient; this module alone resolves the keys.  Degrees,
+effective coordinates and the intersection form also take coefficients
+in any Q-algebra (e.g. polynomials in the chamber parameter).  Curve
+classes are stored through their pairing vector against the boundary
+divisors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import KstabError, _linalg
@@ -264,39 +268,28 @@ class ToricModel:
         representative supported off the first maximal cone containing the
         product's support.
         """
-        if len(divisors) != self.dim:
-            raise ToricError(
-                f"{self.name} needs {self.dim} divisors, got {len(divisors)}")
-        divisors = tuple(self.normalize_divisor(d) for d in divisors)
-        total = Fraction(0)
-        for combo in itertools.product(*(d.items() for d in divisors)):
-            coeff = Fraction(1)
-            idxs = []
-            for i, c in combo:
-                self._check_index(i)
-                coeff *= c
-                idxs.append(i)
-            if coeff:
-                total += coeff * self._monomial(tuple(sorted(idxs)))
-        return total
+        return self._expand(divisors)
 
     def intersection_form(self, *divisors):
         """Like intersection_product but with coefficients in any Q-algebra
         (e.g. polynomials in the chamber parameter)."""
+        return self._expand(divisors)
+
+    def _expand(self, divisors):
+        """The multilinear expansion of a product of ``dim`` divisors: each
+        nonzero boundary monomial times its coefficients, summed."""
         if len(divisors) != self.dim:
-            raise ToricError("wrong number of divisor arguments")
-        divisors = tuple(self.normalize_divisor(d) for d in divisors)
-        total = None
-        for combo in itertools.product(*(d.items() for d in divisors)):
-            idxs = tuple(sorted(i for i, _ in combo))
-            base = self._monomial(idxs)
-            if not base:
-                continue
-            term = base
-            for _, c in combo:
-                term = c * term
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
+            raise ToricError(
+                f"{self.name} needs {self.dim} divisors, got {len(divisors)}")
+        total = Fraction(0)
+        for combo in itertools.product(
+                *(self.normalize_divisor(d).items() for d in divisors)):
+            term = self._monomial(tuple(sorted(i for i, _ in combo)))
+            if term:
+                for _, c in combo:
+                    term = c * term
+                total = term + total
+        return total
 
     # -- curves and cones -------------------------------------------------
 
@@ -314,10 +307,8 @@ class ToricModel:
         self._curve_cache[name] = c
         return c
 
-    def pair_curve_divisor(self, curve: CurveClass | str, d: Divisor) -> Fraction:
-        if isinstance(curve, str):
-            curve = self.curve(curve)
-        return curve.dot(self.normalize_divisor(d))
+    def pair_curve_divisor(self, curve: str, d: Divisor) -> Fraction:
+        return self.curve(curve).dot(self.normalize_divisor(d))
 
     def nef_check(self, d: Divisor,
                   generators=None) -> tuple[bool, list[str]]:
@@ -335,8 +326,7 @@ class ToricModel:
 
     def effective_coordinates(self, d: Divisor, generators=None):
         names = generators if generators is not None else self.effective_generators
-        gen_divs = [divisor({self.divisor_index(n): 1}) for n in names]
-        cols = [self.degree(g) for g in gen_divs]
+        cols = [self.degree({n: 1}) for n in names]
         rows = [[cols[j][r] for j in range(len(cols))]
                 for r in range(len(self.grading))]
         if _linalg.rank(rows) < len(cols):

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import KstabError, _linalg
-from .exactcore import (Interval, PiecewisePolynomial, Poly, rat, rat_str,
-                        sqrt_rat)
+from .exactcore import (ContinuityWarning, Interval, PiecewisePolynomial, Poly,
+                        rat, rat_str, sqrt_rat)
 from .toric import ToricModel
 
 
@@ -251,13 +251,7 @@ def _subtract(d: dict, n: dict) -> dict:
     out = dict(d)
     for k, c in n.items():
         out[k] = out.get(k, Fraction(0)) - c
-    return {k: v for k, v in out.items() if not _is_zero(v)}
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, Poly):
-        return not x.terms
-    return x == 0
+    return {k: v for k, v in out.items() if v}
 
 
 def _affine_family(d: dict, what: str) -> dict[str, Poly]:
@@ -558,7 +552,7 @@ def _verify_chambers(chambers: list[Chamber2D]):
                                      f"the whole of {ch.u_interval}")
             raise _SplitRequest(u0 + (u1 - u0) * w0 / (w0 - w1))
         for s in ch.support:
-            if not _is_zero(ch.pairings[s]):
+            if ch.pairings[s]:
                 raise NoConvergence(f"orthogonality failed for {s}")
         for u, v in corners:
             for c, g in ch.pairings.items():
@@ -587,13 +581,6 @@ class ThreefoldChamber:
     negative: dict[str, Poly]
 
 
-def _degree_form(model: ToricModel, d: dict[str, Poly]):
-    idx = {k: model.divisor_index(k) for k in d}
-    return tuple(
-        sum((c * row[idx[k]] for k, c in d.items()), Poly())
-        for row in model.grading)
-
-
 def threefold_chamber_volume(models: dict[str, ToricModel],
                              chambers: list[ThreefoldChamber],
                              total: dict[str, Poly]) -> PiecewisePolynomial:
@@ -619,7 +606,7 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
         combined = dict(pos)
         for k, c in neg.items():
             combined[k] = combined.get(k, Poly()) + c
-        if _degree_form(model, combined) != _degree_form(model, total):
+        if model.degree(combined) != model.degree(total):
             raise DecompositionMismatch(
                 f"{label}: P + N is not the decomposed family")
         for u in (ch.interval.lo, ch.interval.hi):
@@ -627,40 +614,30 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
                 if c.eval(u=u, v=0) < 0:
                     raise DecompositionMismatch(
                         f"{label}: negative part coefficient of {k} < 0")
-            pu = {model.divisor_index(k): c.eval(u=u, v=0)
-                  for k, c in pos.items()}
-            ok, violated = model.nef_check({i: c for i, c in pu.items() if c})
+            ok, violated = model.nef_check(
+                {k: c.eval(u=u, v=0) for k, c in pos.items()})
             if not ok:
                 raise NefViolation(
                     f"{label}: P({rat_str(u)}) negative on {violated}")
         vol = Poly.const(model.intersection_form(pos, pos, pos))
         pieces.append((ch.interval, vol))
-    for (iv1, p1), (iv2, p2) in zip(pieces, pieces[1:]):
-        if iv1.hi == iv2.lo:
-            left = p1.eval(u=iv1.hi, v=0)
-            right = p2.eval(u=iv2.lo, v=0)
-            if left != right:
-                raise DiscontinuousVolume(
-                    f"volume jumps at u = {rat_str(iv1.hi)}: "
-                    f"{rat_str(left)} vs {rat_str(right)}")
-    return PiecewisePolynomial(pieces, var="u", check_continuity=False)
+    # Small modifications preserve the volume, so a jump at a wall is an
+    # error here, not the warning that PiecewisePolynomial gives.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ContinuityWarning)
+        try:
+            return PiecewisePolynomial(pieces)
+        except ContinuityWarning as exc:
+            raise DiscontinuousVolume(f"volume {exc}") from None
 
 
-def pseudoeffective_threshold(model: ToricModel, family: dict[str, Poly],
-                              generators=None) -> Fraction:
+def pseudoeffective_threshold(model: ToricModel,
+                              family: dict[str, Poly]) -> Fraction:
     """Largest u with the family still effective, from exact affine
     coordinates in the effective-generator basis."""
     family = _affine_family(family, "family")
-    names = generators if generators is not None else model.effective_generators
-    gen_divs = [{model.divisor_index(n): Fraction(1)} for n in names]
-    cols = [model.degree(g) for g in gen_divs]
-    rows = [[cols[j][r] for j in range(len(cols))]
-            for r in range(len(model.grading))]
-    coords = _linalg.solve(rows, list(_degree_form(model, family)))
-    if coords is None:
-        raise DecompositionMismatch("family degree outside the generator span")
     bound = None
-    for coord in coords:
+    for coord in model.effective_coordinates(family):
         coord = Poly.const(coord)
         c1 = coord.coefficient(1, 0)
         c0 = coord.coefficient(0, 0)

@@ -246,6 +246,22 @@ class TestMalformedInput:
         with pytest.raises(MalformedInput):
             PiecewisePolynomial([(Interval(0, 1), U + V)])
 
+    def test_unknown_variable(self):
+        with pytest.raises(MalformedInput, match="unknown variable"):
+            Poly.var("w")
+
+    def test_negative_power(self):
+        with pytest.raises(MalformedInput, match="negative powers"):
+            U ** -1
+
+    def test_coeffs_not_univariate(self):
+        with pytest.raises(MalformedInput, match="not univariate"):
+            (U * V).coeffs("u")
+
+    def test_subs_v_target_not_in_u(self):
+        with pytest.raises(MalformedInput, match="substitution target"):
+            U.subs_v(V)
+
     def test_piecewise_eval_outside_domain(self):
         pw = PiecewisePolynomial([(Interval(0, 1), U)])
         assert pw.eval(1) == 1

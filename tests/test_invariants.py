@@ -187,7 +187,13 @@ class TestCoeffsValidation:
         with pytest.raises(InvariantError):
             coeffs(data)
 
-    @pytest.mark.parametrize("data", [[1], [], {"0": 1}, {"00": "x"}])
+    @pytest.mark.parametrize("data", [[1], [], {"0": 1}, {"00": "x"},
+                                      {(0, 0): 0.5}, {(5, 5): 1}])
     def test_peano_rejects(self, data):
         with pytest.raises(InvariantError):
             peano_invariants(data)
+
+    def test_act_rejects_index_out_of_range(self):
+        g = random_group_element(random.Random(0))
+        with pytest.raises(InvariantError):
+            act(g, {(5, 5): 1})

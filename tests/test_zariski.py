@@ -8,6 +8,7 @@ import pytest
 from kstab import _linalg
 from kstab.exactcore import Interval, Poly
 from kstab.runner import _fixture_root, flag_case, model, volume_fixture
+from kstab.toric import SingularBasis, ToricModel
 from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
                            IrrationalThreshold, MalformedLattice,
                            NefViolation, NoConvergence, NonAffineFamily,
@@ -20,6 +21,13 @@ from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
 AFF = Poly.affine
 U = Poly.var("u")
 V = Poly.var("v")
+
+# P^1 x P^1 x P^1: F_{2a} and F_{2a+1} are the two fibres over axis a.
+CUBE = dict(
+    rays=[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+          (0, 0, -1)],
+    max_cones=list(itertools.product((0, 1), (2, 3), (4, 5))),
+    grading=[[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
 
 HIRZEBRUCH = SurfaceLattice(("e", "f"), [[-1, 1], [1, 0]])
 BASE_LATTICE = SurfaceLattice(
@@ -215,6 +223,27 @@ class TestThreshold:
         with pytest.raises(Unbounded):
             pseudoeffective_threshold(model("Y0-A1"),
                                       {"F0": Poly.const(1)})
+
+    def test_family_outside_the_generator_span(self):
+        m = ToricModel("P1^3", **CUBE, effective_generators=("F0", "F2"))
+        with pytest.raises(SingularBasis, match="outside the generator span"):
+            pseudoeffective_threshold(m, {"F4": AFF(1, -1)})
+
+
+def test_volume_jump_between_chambers_is_an_error():
+    # No Mori generators, so both chambers are nef; vol O(a, b, c) = 6abc
+    # falls from 6 to 3 at u = 1.
+    m = ToricModel("P1^3", **CUBE)
+    one = {"F0": Poly.const(1), "F2": Poly.const(1), "F4": Poly.const(1)}
+    chambers = [
+        ThreefoldChamber(Interval(0, 1), "P1^3", one, {}),
+        ThreefoldChamber(Interval(1, 2), "P1^3",
+                         dict(one, F4=Poly.const(Q(1, 2))),
+                         {"F5": Poly.const(Q(1, 2))}),
+    ]
+    with pytest.raises(DiscontinuousVolume,
+                       match="at u = 1: 6 vs 3"):
+        threefold_chamber_volume({"P1^3": m}, chambers, one)
 
 
 def test_negative_definiteness_detector():
