@@ -103,6 +103,15 @@ def _adjugate(rows):
     return _dot(rows[0], cols[0]), cols
 
 
+def _orderings(part) -> int:
+    """k!/prod(count!): the orderings of a sorted multiset of k terms."""
+    n, run = math.factorial(len(part)), 1
+    for (a, _), (b, _) in zip(part, part[1:]):
+        run = run + 1 if a == b else 1
+        n //= run
+    return n
+
+
 class ToricModel:
     """One birational model: rays, maximal cones, grading, cone data.
 
@@ -272,22 +281,38 @@ class ToricModel:
 
     def intersection_form(self, *divisors):
         """Like intersection_product but with coefficients in any Q-algebra
-        (e.g. polynomials in the chamber parameter)."""
+        (e.g. polynomials in the chamber parameter).  A repeated argument,
+        such as P in the volume P^3, is expanded once per multiset of its
+        terms, weighted by the multiset's number of orderings."""
         return self._expand(divisors)
 
     def _expand(self, divisors):
         """The multilinear expansion of a product of ``dim`` divisors: each
-        nonzero boundary monomial times its coefficients, summed."""
+        nonzero boundary monomial times its coefficients, summed.
+
+        Arguments equal after normalization form one group.  A group of k
+        equal divisors runs over the multisets of k of its terms
+        (``combinations_with_replacement``), each weighted by its number of
+        orderings k!/prod(count!); the product runs over the groups, so
+        distinct arguments are groups of one with weight 1.
+        """
         if len(divisors) != self.dim:
             raise ToricError(
                 f"{self.name} needs {self.dim} divisors, got {len(divisors)}")
+        args = [self.normalize_divisor(d) for d in divisors]
+        groups = [d for i, d in enumerate(args) if d not in args[:i]]
         total = Fraction(0)
-        for combo in itertools.product(
-                *(self.normalize_divisor(d).items() for d in divisors)):
-            term = self._monomial(tuple(sorted(i for i, _ in combo)))
+        for combo in itertools.product(*(
+                itertools.combinations_with_replacement(
+                    sorted(d.items()), args.count(d))
+                for d in groups)):
+            term = self._monomial(
+                tuple(sorted(i for part in combo for i, _ in part)))
             if term:
-                for _, c in combo:
-                    term = c * term
+                term *= math.prod(map(_orderings, combo))
+                for part in combo:
+                    for _, c in part:
+                        term = c * term
                 total = term + total
         return total
 
@@ -310,12 +335,11 @@ class ToricModel:
     def pair_curve_divisor(self, curve: str, d: Divisor) -> Fraction:
         return self.curve(curve).dot(self.normalize_divisor(d))
 
-    def nef_check(self, d: Divisor,
-                  generators=None) -> tuple[bool, list[str]]:
+    def nef_check(self, d: Divisor) -> tuple[bool, list[str]]:
         """Pair against the Mori generators; list the violated ones."""
-        names = generators if generators is not None else self.mori_generators
         violated = [
-            n for n in names if self.pair_curve_divisor(n, d) < 0
+            n for n in self.mori_generators
+            if self.pair_curve_divisor(n, d) < 0
         ]
         return (not violated, violated)
 

@@ -330,8 +330,10 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     forever when limit is None and the quadratic never vanishes).  The
     wall is the line through the root (ustar, r) with the slope
     -d_u vol / d_v vol there, or, at a double root, the line d_v vol = 0.
-    It is accepted only if vol vanishes on it identically; a root that is
-    not affine in u (two root lines crossing at ustar among them) raises
+    It is accepted only if vol vanishes on it identically.  A double root
+    at ustar on which vol does not vanish means two root lines, rational
+    or not, cross there: it raises _SplitRequest(ustar), so the scan
+    samples each half.  Any other root not affine in u raises
     IrrationalThreshold.
     """
     at_ustar = vol.eval(u=ustar)
@@ -385,6 +387,10 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     else:
         wall = _symbolic_wall(dv)
     if vol.subs_v(wall):
+        if not b:
+            # A double root off the wall: two root lines cross at ustar,
+            # and the threshold may be affine on each side of it.
+            raise _SplitRequest(ustar)
         raise IrrationalThreshold("threshold is not affine in u")
     return r, wall
 

@@ -1,0 +1,109 @@
+"""Property test of the grouped intersection expansion.
+
+``ToricModel._expand`` expands a group of k equal arguments once per
+multiset of their terms, weighted by its k!/prod(count!) orderings.  On
+every bundled model it must agree with the plain expansion over every
+ordered choice of terms, written out below, for Fraction and affine Poly
+coefficients, for every pattern of repeated arguments, and for equal
+arguments passed as distinct dict objects or keyed by name.
+"""
+
+import itertools
+from fractions import Fraction as Q
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from kstab.exactcore import Poly  # noqa: E402
+from kstab.runner import _fixture_root, model  # noqa: E402
+
+MODELS = sorted(p.name[:-len(".json")]
+                for p in (_fixture_root() / "models").iterdir()
+                if p.name.endswith(".json"))
+
+# Which of the drawn divisors A, B, C fills each argument slot.
+PATTERNS = {3: [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 2)],
+            2: [(0, 0), (0, 1)]}
+
+rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+coefficients = st.one_of(
+    rationals, st.builds(Poly.affine, rationals, rationals, rationals))
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def ordered_expansion(m, divisors):
+    """The reference: every ordered choice of one term per argument."""
+    total = Q(0)
+    for combo in itertools.product(
+            *(m.normalize_divisor(d).items() for d in divisors)):
+        term = m._monomial(tuple(sorted(i for i, _ in combo)))
+        for _, c in combo:
+            term = c * term
+        total = term + total
+    return total
+
+
+@st.composite
+def arguments(draw, m):
+    """Arguments following one pattern of A, B, C.  With ``shared`` all
+    three have A's support, so only their coefficients tell them apart;
+    with ``copies`` every slot gets its own dict, and slots may key the
+    same divisor by ray index or by ``F<i>`` name."""
+    rays = range(len(m.rays))
+    shared, copies = draw(st.booleans()), draw(st.booleans())
+    keys = draw(st.lists(st.sampled_from(rays), min_size=1, unique=True))
+    divs = []
+    for _ in range(3):
+        if not shared:
+            keys = draw(st.lists(st.sampled_from(rays), min_size=1,
+                                 unique=True))
+        divs.append({k: draw(coefficients) for k in keys})
+    pattern = draw(st.sampled_from(PATTERNS[m.dim]))
+    args = []
+    for slot in pattern:
+        d = divs[slot]
+        if copies:
+            d = ({f"F{k}": c for k, c in d.items()} if draw(st.booleans())
+                 else dict(d))
+        args.append(d)
+    return args
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_grouped_expansion_matches_ordered_expansion(name):
+    m = model(name)
+
+    @SETTINGS
+    @given(arguments(m))
+    def check(args):
+        want = ordered_expansion(m, args)
+        assert m._expand(args) == want
+        assert m.intersection_form(*args) == want
+
+    check()
+
+
+def test_equal_arguments_expand_once_per_multiset():
+    # A 3-term P on a threefold has 27 ordered triples but 10 multisets;
+    # the cube multiplies 3 coefficients into each of at most 10 terms.
+    m = model("Ytilde-A2")
+    calls = 0
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    p = {1: Poly.affine(2, 1), 4: Poly.affine(5, 1), 7: Poly.affine(8, 1)}
+    Poly.__mul__ = Poly.__rmul__ = counting_mul
+    try:
+        got = m.intersection_form(p, p, p)
+    finally:
+        Poly.__mul__ = Poly.__rmul__ = mul
+    assert got == ordered_expansion(m, [p, p, p])
+    assert calls <= 3 * 10

@@ -1,10 +1,13 @@
-"""Differential tests of the exact integrals against sympy.
+"""Differential tests of the exact integrals and interpolation against
+sympy.
 
 ``definite_integral``, ``piecewise_integral`` and ``double_integral`` are
 checked on random polynomials against ``sympy.integrate``; the piecewise
 case goes through a sympy ``Piecewise``, and the double integral uses
 inner bounds whose width is affine or quadratic in u and nonnegative on
-the outer interval.
+the outer interval.  ``interpolate`` is checked against
+``sympy.interpolate`` on samples of a polynomial of degree at most 4 at
+distinct rational abscissae, and must refuse samples moved off it.
 """
 
 from fractions import Fraction as Q
@@ -16,9 +19,11 @@ sp = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kstab.exactcore import (ContinuityWarning, Interval,  # noqa: E402
+from kstab.exactcore import (ContinuityWarning,  # noqa: E402
+                             InconsistentSamples, Interval,
                              PiecewisePolynomial, Poly, definite_integral,
-                             double_integral, piecewise_integral)
+                             double_integral, interpolate,
+                             piecewise_integral)
 
 SU, SV = sp.symbols("u v")
 
@@ -94,3 +99,40 @@ def test_double_integral_quadratic_bounds(f, lo, w0, w2, m, iv):
     # w0 + w2 (u - m)^2 is nonnegative everywhere.
     width = Poly.from_coeffs([w0 + w2 * m * m, -2 * w2 * m, w2])
     _check_double(f, lo, width, iv)
+
+
+@st.composite
+def samples(draw):
+    """A polynomial of degree at most ``degree`` <= 4 sampled at
+    ``degree`` + 1 + ``extra`` distinct rational abscissae."""
+    degree = draw(st.integers(0, 4))
+    extra = draw(st.integers(0, 2))
+    p = draw(st.lists(rationals, max_size=degree + 1).map(Poly.from_coeffs))
+    xs = draw(st.lists(rationals, min_size=degree + 1 + extra,
+                       max_size=degree + 1 + extra, unique=True))
+    return degree, [(x, p.eval(u=x, v=0)) for x in xs]
+
+
+@SETTINGS
+@given(samples())
+def test_interpolate(case):
+    degree, pts = case
+    want = sp.interpolate([(sym(x), sym(y)) for x, y in pts], SU)
+    assert sp.expand(to_sympy(interpolate(pts, degree)) - want) == 0
+
+
+@SETTINGS
+@given(samples().filter(lambda case: len(case[1]) > case[0] + 1),
+       st.data())
+def test_interpolate_refuses_samples_off_the_polynomial(case, data):
+    # With more than degree + 1 samples, moving one of them leaves no
+    # polynomial of that degree through all; sympy's interpolant of the
+    # moved samples has a higher degree.
+    degree, pts = case
+    k = data.draw(st.integers(0, len(pts) - 1))
+    x, y = pts[k]
+    pts[k] = (x, y + data.draw(rationals.filter(bool)))
+    moved = sp.interpolate([(sym(x), sym(y)) for x, y in pts], SU)
+    assert sp.degree(moved, SU) > degree
+    with pytest.raises(InconsistentSamples):
+        interpolate(pts, degree)

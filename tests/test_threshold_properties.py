@@ -16,7 +16,7 @@ sp = pytest.importorskip("sympy")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from kstab.exactcore import Poly  # noqa: E402
-from kstab.zariski import IrrationalThreshold, _vol_threshold  # noqa: E402
+from kstab.zariski import _SplitRequest, _vol_threshold  # noqa: E402
 
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 nonzero = rationals.filter(bool)
@@ -42,9 +42,11 @@ def test_wall_is_a_sympy_root(c2, a1, b1, a2, b2, ustar):
         assume(r1 != r2)
         v_cur, root = (r1 + r2) / 2, max(r1, r2)
     if r1 == r2 and w1 != w2:
-        # Two root lines crossing at the sample: no single affine wall.
-        with pytest.raises(IrrationalThreshold):
+        # Two root lines crossing at the sample: no single affine wall,
+        # so the scan is asked to split there.
+        with pytest.raises(_SplitRequest) as exc:
             _vol_threshold(vol, ustar, v_cur, None)
+        assert exc.value.at == ustar
         return
     r, wall = _vol_threshold(vol, ustar, v_cur, None)
     assert r == root

@@ -13,7 +13,7 @@ from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
                            IrrationalThreshold, MalformedLattice,
                            NefViolation, NoConvergence, NonAffineFamily,
                            SurfaceLattice, ThreefoldChamber, Unbounded,
-                           _support_solve, _vol_threshold,
+                           _SplitRequest, _support_solve, _vol_threshold,
                            parametric_surface_zariski,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
@@ -273,6 +273,10 @@ def test_concave_volume_has_irrational_threshold():
         _vol_threshold(2 - V ** 2, Q(0), Q(0), None)
 
 
+# Volume with the root lines v = u and v = 1 - u, crossing at u = 1/2.
+CROSSING = (V - U) * (V - AFF(1, -1))
+
+
 class TestThresholdWall:
     """The threshold wall is the line through the root at the sample,
     accepted only when the volume vanishes on it identically."""
@@ -295,9 +299,38 @@ class TestThresholdWall:
 
     def test_root_lines_crossing_at_the_sample(self):
         # The roots u and 1 - u meet at u = 1/2; the threshold min(u, 1-u)
-        # is not affine on an interval around the sample.
-        with pytest.raises(IrrationalThreshold):
-            _vol_threshold((V - U) * (V - AFF(1, -1)), Q(1, 2), Q(0), None)
+        # is affine on each side of the sample, so the scan splits there.
+        with pytest.raises(_SplitRequest) as exc:
+            _vol_threshold(CROSSING, Q(1, 2), Q(0), None)
+        assert exc.value.at == Q(1, 2)
+
+    @pytest.mark.parametrize("ustar, root, wall", [
+        (Q(1, 4), Q(1, 4), U), (Q(3, 4), Q(1, 4), AFF(1, -1))])
+    def test_crossing_root_lines_beside_the_sample(self, ustar, root, wall):
+        assert _vol_threshold(CROSSING, ustar, Q(0), None) == (root, wall)
+
+    def test_irrational_pair_splits_then_fails(self):
+        # (v - 1)^2 - 2(u - 1/2)^2 has a double root at the sample u = 1/2
+        # but root lines 1 +- sqrt(2)(u - 1/2): the split is asked for,
+        # and both halves' samples (depth 1) meet irrational roots.
+        vol = (V - 1) ** 2 - 2 * (U - Q(1, 2)) ** 2
+        with pytest.raises(_SplitRequest):
+            _vol_threshold(vol, Q(1, 2), Q(0), None)
+        for ustar in (Q(1, 4), Q(3, 4)):
+            with pytest.raises(IrrationalThreshold):
+                _vol_threshold(vol, ustar, Q(0), None)
+
+    def test_scan_splits_where_root_lines_cross(self):
+        # On the hyperbolic plane P^2 = 2ab = (u - v)(1 - u - v): the scan
+        # samples u = 1/2, splits there, and finds the threshold walls
+        # v = u and v = 1 - u on the two halves.
+        lat = SurfaceLattice(("a", "b"), [[0, 1], [1, 0]])
+        fam = {"a": AFF(0, 1, -1), "b": AFF(Q(1, 2), Q(-1, 2), Q(-1, 2))}
+        chambers = parametric_surface_zariski(lat, fam, Interval(0, 1))
+        assert [(c.u_interval, c.v_lo, c.v_hi) for c in chambers] == [
+            (Interval(0, Q(1, 2)), Poly(), U),
+            (Interval(Q(1, 2), 1), Poly(), AFF(1, -1))]
+        assert all(c.volume == CROSSING for c in chambers)
 
 
 @pytest.mark.parametrize("entry", [U * U, U * V], ids=["u-squared", "uv"])
