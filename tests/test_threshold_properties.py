@@ -13,7 +13,8 @@ import pytest
 pytest.importorskip("hypothesis")
 sp = pytest.importorskip("sympy")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, example, given, settings,  # noqa: E402
+                        strategies as st)
 
 from kstab.exactcore import Poly  # noqa: E402
 from kstab.zariski import _SplitRequest, _vol_threshold  # noqa: E402
@@ -31,6 +32,7 @@ def to_sympy(p: Poly):
 
 @settings(max_examples=80, deadline=None)
 @given(nonzero, rationals, rationals, rationals, rationals, rationals)
+@example(Q(1), Q(0), Q(1), Q(1), Q(-1), Q(1, 2))  # u and 1 - u cross at 1/2
 def test_wall_is_a_sympy_root(c2, a1, b1, a2, b2, ustar):
     v = Poly.var("v")
     w1, w2 = Poly.affine(a1, b1), Poly.affine(a2, b2)
