@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    kstab suite [--format text|json] [--jobs N] [--seed S] [--cases DIR]
+    kstab suite [--format text|json] [--seed S] [--cases DIR]
     kstab run CASE.json [--seed S]
     kstab formulas eval NAME --params JSON
     kstab git weight --support 02,12,21,22 --lambda 1,2
@@ -10,8 +10,6 @@ Subcommands::
     kstab inv dims --upto N
     kstab inv peano --coeffs JSON
     kstab inv check-invariance [--trials N] [--seed S]
-
-``--jobs`` is accepted and ignored: cases run one after another, in order.
 
 Exit codes: 0 on success, 1 when any case fails, 2 on usage or parse
 errors and on any other ``KstabError``, printed as one line.
@@ -108,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run all bundled regression cases")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored; cases run in order")
     p.add_argument("--seed", type=int, default=runner.DEFAULT_SEED)
     p.add_argument("--cases", default=None,
                    help="override the bundled case directory")

@@ -158,14 +158,9 @@ class Poly:
         return cls({(0, 0): rat(c0), (1, 0): rat(cu), (0, 1): rat(cv)})
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence, var: str = "u") -> "Poly":
-        """Build ``sum(coeffs[k] * var**k)`` from a coefficient list."""
-        idx = _var_index(var)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            exp = (k, 0) if idx == 0 else (0, k)
-            terms[exp] = rat(c)
-        return cls(terms)
+    def from_coeffs(cls, coeffs: Sequence) -> "Poly":
+        """Build ``sum(rat(coeffs[k]) * u**k)`` from a coefficient list."""
+        return cls({(k, 0): rat(c) for k, c in enumerate(coeffs)})
 
     # -- ring operations ----------------------------------------------
 
@@ -273,14 +268,13 @@ class Poly:
     def coefficient(self, i: int, j: int = 0) -> Fraction:
         return self.terms.get((i, j), Fraction(0))
 
-    def coeffs(self, var: str = "u") -> list[Fraction]:
-        """Dense coefficient list for a univariate polynomial."""
-        if not self.is_univariate(var):
-            raise MalformedInput("polynomial is not univariate in " + var)
-        idx = _var_index(var)
-        out = [Fraction(0)] * (self.degree(var) + 1)
-        for e, c in self.terms.items():
-            out[e[idx]] = c
+    def coeffs(self) -> list[Fraction]:
+        """Dense coefficient list of a polynomial in u alone."""
+        if not self.is_univariate("u"):
+            raise MalformedInput("polynomial is not univariate in u")
+        out = [Fraction(0)] * (self.degree("u") + 1)
+        for (i, _), c in self.terms.items():
+            out[i] = c
         return out
 
     # -- evaluation and substitution ----------------------------------
@@ -518,4 +512,4 @@ def interpolate(points: Sequence[tuple], degree: int) -> Poly:
     if sol is None:
         raise InconsistentSamples(
             f"samples admit no degree-{degree} interpolant")
-    return Poly.from_coeffs(sol, "u")
+    return Poly.from_coeffs(sol)

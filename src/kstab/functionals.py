@@ -47,13 +47,6 @@ class StabilityValue:
     value: Fraction
     contributions: tuple[tuple[str, Fraction], ...] = ()
 
-    def check(self):
-        if self.contributions:
-            total = sum((c for _, c in self.contributions), Fraction(0))
-            if total != self.value:
-                raise FunctionalError("provenance does not sum to the value")
-        return self
-
 
 @dataclass(frozen=True)
 class FlagPoint:
@@ -130,7 +123,7 @@ def s_from_volume_report(vol: PiecewisePolynomial,
         contrib = definite_integral(piece.poly, piece.interval) / a_top
         rows.append((f"u in {piece.interval}", contrib))
     total = sum((c for _, c in rows), Fraction(0))
-    return StabilityValue("S_divisor", total, tuple(rows)).check()
+    return StabilityValue("S_divisor", total, tuple(rows))
 
 
 def beta_divisor(a_log: Fraction, vol: PiecewisePolynomial,
@@ -161,7 +154,7 @@ def s_flag_surface_report(case: FlagCase) -> StabilityValue:
                 (f"vol over {sub.u_interval} x [{sub.v_lo!r}, {sub.v_hi!r}]",
                  term))
     total = sum((c for _, c in rows), Fraction(0))
-    return StabilityValue("S_flag_surface", total, tuple(rows)).check()
+    return StabilityValue("S_flag_surface", total, tuple(rows))
 
 
 def _point_order(case: FlagCase, point: FlagPoint, ch: FlagChamber,

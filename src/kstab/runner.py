@@ -89,7 +89,7 @@ def model(name: str) -> toric.ToricModel:
 
 
 def _poly(coeffs) -> Poly:
-    return Poly.from_coeffs([rat(c) for c in coeffs], "u")
+    return Poly.from_coeffs(coeffs)
 
 
 def _family(data: dict) -> dict[str, Poly]:
@@ -179,7 +179,6 @@ class VolumeFixture:
     chambers: list[zariski.ThreefoldChamber]
     ample_cube: Fraction
     flag_log_discrepancy: Fraction
-    printed_pieces: list | None
 
     def volume(self) -> PiecewisePolynomial:
         return zariski.threefold_chamber_volume(
@@ -202,7 +201,6 @@ def volume_fixture(name: str) -> VolumeFixture:
         chambers=chambers,
         ample_cube=rat(data["ample_cube"]),
         flag_log_discrepancy=rat(data["flag_log_discrepancy"]),
-        printed_pieces=data.get("printed_pieces"),
     )
 
 
@@ -224,7 +222,7 @@ def encode(value):
     if isinstance(value, PiecewisePolynomial):
         return [
             {"interval": [rat_str(p.interval.lo), rat_str(p.interval.hi)],
-             "coeffs": [rat_str(c) for c in p.poly.coeffs("u")]}
+             "coeffs": [rat_str(c) for c in p.poly.coeffs()]}
             for p in value
         ]
     return value
@@ -285,7 +283,6 @@ def _compute_volume(inputs: dict):
         fx = volume_fixture(inputs["volume"])
         vol = fx.volume()
         a, alog = fx.ample_cube, fx.flag_log_discrepancy
-        printed = fx.printed_pieces
     elif quantity == "threshold":
         raise SchemaError("a volume threshold needs a volume fixture, "
                           "not inline pieces")
@@ -293,18 +290,17 @@ def _compute_volume(inputs: dict):
         vol = _pieces(inputs["pieces"])
         a = rat(inputs["ample_cube"])
         alog = rat(inputs.get("log_discrepancy", 1))
-        printed = None
     if quantity == "pieces":
-        return vol, printed
+        return vol
     if quantity == "s_value":
-        return functionals.s_from_volume(vol, a), None
+        return functionals.s_from_volume(vol, a)
     if quantity == "integral":
-        return piecewise_integral(vol), None
+        return piecewise_integral(vol)
     if quantity == "ratio":
-        return alog / functionals.s_from_volume(vol, a), None
+        return alog / functionals.s_from_volume(vol, a)
     if quantity == "threshold":
         m = fx.models[fx.chambers[0].model]
-        return zariski.pseudoeffective_threshold(m, fx.family), None
+        return zariski.pseudoeffective_threshold(m, fx.family)
     raise SchemaError(f"unknown volume quantity {quantity!r}")
 
 
@@ -389,8 +385,10 @@ def _compute_formula(inputs: dict):
 def _compute_git(inputs: dict):
     op = inputs["op"]
     if op == "weight":
-        lam = githm.OneParamSubgroup(
-            *[_int(x, "subgroup entry") for x in inputs["subgroup"]])
+        sub = inputs["subgroup"]
+        if not (isinstance(sub, list) and len(sub) == 2):
+            raise SchemaError(f"subgroup must be two integers, got {sub!r}")
+        lam = githm.OneParamSubgroup(*[_int(x, "subgroup entry") for x in sub])
         return githm.hm_weight(githm.support(inputs["support"]), lam)
     if op == "destabilize":
         cert = githm.find_destabilizer(
@@ -457,29 +455,20 @@ def _compute_toric(inputs: dict):
     raise SchemaError(f"unknown toric table {table!r}")
 
 
-# kind -> handler(inputs, seed) returning (computed, printed_override).
+# kind -> handler(inputs, seed) returning the computed value.
 _HANDLERS = {
     "volume": lambda inputs, seed: _compute_volume(inputs),
-    "beta": lambda inputs, seed: (_compute_beta(inputs), None),
-    "flag_surface": lambda inputs, seed: (
-        functionals.s_flag_surface(flag_case(inputs["flag_case"])), None),
-    "flag_point": lambda inputs, seed: (_compute_flag_point(inputs), None),
-    "formula": lambda inputs, seed: (_compute_formula(inputs), None),
-    "git": lambda inputs, seed: (_compute_git(inputs), None),
-    "invariant": lambda inputs, seed: (_compute_invariant(inputs, seed), None),
-    "toric": lambda inputs, seed: (_compute_toric(inputs), None),
-    "barycenter": lambda inputs, seed: (
-        list(toric.polytope_barycenter(inputs["vertices"])), None),
+    "beta": lambda inputs, seed: _compute_beta(inputs),
+    "flag_surface": lambda inputs, seed: functionals.s_flag_surface(
+        flag_case(inputs["flag_case"])),
+    "flag_point": lambda inputs, seed: _compute_flag_point(inputs),
+    "formula": lambda inputs, seed: _compute_formula(inputs),
+    "git": lambda inputs, seed: _compute_git(inputs),
+    "invariant": lambda inputs, seed: _compute_invariant(inputs, seed),
+    "toric": lambda inputs, seed: _compute_toric(inputs),
+    "barycenter": lambda inputs, seed: list(
+        toric.polytope_barycenter(inputs["vertices"])),
 }
-
-
-def compute_case(case: dict, seed: int = DEFAULT_SEED):
-    """Dispatch one validated case to its owning module.
-
-    Returns (computed, printed_override); printed_override comes from
-    fixture-level printed data (volume pieces), else the case's own field.
-    """
-    return _HANDLERS[case["kind"]](case["inputs"], seed)
 
 
 def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
@@ -497,7 +486,7 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
     expected = case.get("expected")
     printed = case.get("printed")
     try:
-        computed, printed_override = compute_case(case, seed)
+        computed = _HANDLERS[kind](case["inputs"], seed)
     except SchemaError:
         raise
     except Exception as exc:
@@ -505,8 +494,6 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
         # the suite keeps running.
         return CaseResult(label, kind, "fail", None, expected, printed,
                           citation, detail=f"{type(exc).__name__}: {exc}")
-    if printed_override is not None:
-        printed = printed_override
     if expected is None:
         status = "computed-only"
     elif _canon(computed) == _canon(_strip_citations(expected)):

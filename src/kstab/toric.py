@@ -343,14 +343,13 @@ class ToricModel:
         ]
         return (not violated, violated)
 
-    def effective_check(self, d: Divisor, generators=None) -> bool:
+    def effective_check(self, d: Divisor) -> bool:
         """True when the degree coordinates in the effective-generator
         basis are all nonnegative."""
-        return all(x >= 0 for x in self.effective_coordinates(d, generators))
+        return all(x >= 0 for x in self.effective_coordinates(d))
 
-    def effective_coordinates(self, d: Divisor, generators=None):
-        names = generators if generators is not None else self.effective_generators
-        cols = [self.degree({n: 1}) for n in names]
+    def effective_coordinates(self, d: Divisor):
+        cols = [self.degree({n: 1}) for n in self.effective_generators]
         rows = [[cols[j][r] for j in range(len(cols))]
                 for r in range(len(self.grading))]
         if _linalg.rank(rows) < len(cols):

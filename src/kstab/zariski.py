@@ -199,11 +199,10 @@ def _support_inverse(lat: SurfaceLattice, support: list[str]):
     inv = lat._inverses.get(key)
     if inv is None:
         idx = [lat.index(s) for s in support]
-        rows = [[lat.gram[i][j] for i in idx] for j in idx]
-        if _linalg.det(rows) == 0:
+        rows = _linalg.inverse([[lat.gram[i][j] for i in idx] for j in idx])
+        if rows is None:
             raise NoConvergence(f"singular Gram submatrix for {support}")
-        inv = lat._inverses[key] = [dict(zip(support, row))
-                                    for row in _linalg.inverse(rows)]
+        inv = lat._inverses[key] = [dict(zip(support, row)) for row in rows]
     return inv
 
 
@@ -414,14 +413,13 @@ def _quadratic_dips(c2, c1, c0, v_cur, limit) -> bool:
 
 def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
                                u_interval: Interval,
-                               v_max: Poly | None = None,
                                _depth: int = 0) -> list[Chamber2D]:
     """Chamber decomposition of ``family(u, v)`` over ``u_interval``.
 
     ``family`` maps curve names to polynomials affine in (u, v).
     Scanning starts at v = 0 and stops at the pseudoeffective threshold,
-    i.e. where the volume of the positive part first vanishes (or at
-    ``v_max``, a polynomial of degree at most 1 in u, when supplied).
+    i.e. where the volume of the positive part first vanishes; a family
+    that stays big raises Unbounded.
     Walls are discovered at an exact rational sample of u, re-solved
     symbolically, and the u-interval is split whenever two walls cross
     inside it.
@@ -430,7 +428,7 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
         raise NoConvergence("chamber recursion too deep")
     family = _affine_family(family, "family")
     try:
-        chambers = _scan(lat, family, u_interval, v_max)
+        chambers = _scan(lat, family, u_interval)
         _verify_chambers(chambers)
         return chambers
     except _SplitRequest as req:
@@ -439,14 +437,14 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
             raise WallDegeneracy(
                 f"cannot separate walls at u = {rat_str(at)}")
         left = parametric_surface_zariski(
-            lat, family, Interval(u_interval.lo, at), v_max, _depth + 1)
+            lat, family, Interval(u_interval.lo, at), _depth + 1)
         right = parametric_surface_zariski(
-            lat, family, Interval(at, u_interval.hi), v_max, _depth + 1)
+            lat, family, Interval(at, u_interval.hi), _depth + 1)
         return left + right
 
 
 def _scan(lat: SurfaceLattice, family: dict[str, Poly],
-          u_interval: Interval, v_max: Poly | None) -> list[Chamber2D]:
+          u_interval: Interval) -> list[Chamber2D]:
     ustar = u_interval.midpoint()
     _, n0 = surface_zariski(lat, _family_at(family, ustar, Fraction(0)))
     support = [c for c in lat.curves if c in n0]
@@ -456,8 +454,8 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
     for _ in range(6 * len(lat.curves) + 12):
         p_sym, n_sym = _symbolic_parts(lat, family, support)
         pv = lat.pairings(p_sym)
-        # Candidate walls: external curves entering, support coefficients
-        # leaving, and the supplied outer bound.
+        # Candidate walls: external curves entering and support
+        # coefficients leaving.
         events: list[tuple[Fraction, str, str]] = []
         for c in lat.curves:
             if c in support:
@@ -483,16 +481,9 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
                 events.append((v_cur + val / (-slope), "leave", s))
             elif val == 0 and slope < 0:
                 events.append((v_cur, "leave", s))
-        limit_num = None
-        if v_max is not None:
-            limit_num = v_max.eval(u=ustar, v=0)
-            events.append((limit_num, "stop", ""))
-
         vol = Poly.const(_contract(p_sym, pv))
         next_wall = min((e[0] for e in events), default=None)
-        threshold = _vol_threshold(vol, ustar, v_cur,
-                                   next_wall if next_wall is not None
-                                   else limit_num)
+        threshold = _vol_threshold(vol, ustar, v_cur, next_wall)
         if threshold is not None and (next_wall is None
                                       or threshold[0] <= next_wall):
             r, wall_sym = threshold
@@ -505,15 +496,12 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
             raise Unbounded("family stays big: no wall and no threshold")
 
         triggers = [e for e in events if e[0] == next_wall]
-        stoppers = [e for e in triggers if e[1] == "stop"]
         walls = []
         for _, kind, name in triggers:
             if kind == "enter":
                 walls.append(_symbolic_wall(pv[name]))
             elif kind == "leave":
                 walls.append(_symbolic_wall(n_sym[name]))
-            else:
-                walls.append(v_max)
         wall_sym = walls[0]
         for w in walls[1:]:
             if w != wall_sym:
@@ -523,8 +511,6 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
                                       p_sym, n_sym, tuple(support), pv, vol))
         elif wall_sym != wall_cur:
             raise _SplitRequest(ustar)
-        if stoppers:
-            return chambers
         new_support = list(support)
         for _, kind, name in triggers:
             if kind == "enter" and name not in new_support:

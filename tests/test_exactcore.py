@@ -14,9 +14,9 @@ U = Poly.var("u")
 V = Poly.var("v")
 
 
-def rand_poly(rng, deg=4, var="u"):
+def rand_poly(rng, deg=4):
     coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg + 1)]
-    return Poly.from_coeffs(coeffs, var)
+    return Poly.from_coeffs(coeffs)
 
 
 def rand_rat(rng, lo=-6, hi=6):
@@ -256,7 +256,7 @@ class TestMalformedInput:
 
     def test_coeffs_not_univariate(self):
         with pytest.raises(MalformedInput, match="not univariate"):
-            (U * V).coeffs("u")
+            (U * V).coeffs()
 
     def test_subs_v_target_not_in_u(self):
         with pytest.raises(MalformedInput, match="substitution target"):

@@ -90,7 +90,7 @@ class TestPeano:
                            for i in range(4)]
                 samples.append((t, _linalg.det(shifted)))
             poly = interpolate(samples, 4)
-            cs = poly.coeffs("u")
+            cs = poly.coeffs()
             j2, j3, j4 = peano_invariants(c)
             assert cs[0] == j4 and cs[1] == j3 and cs[2] == j2
             assert cs[3] == 0 and cs[4] == 1

@@ -99,5 +99,5 @@ def test_calculus(p):
 @SETTINGS
 @given(polys, st.dictionaries(st.integers(0, 3), rationals, max_size=3))
 def test_subs_v(p, repl):
-    r = Poly.from_coeffs([repl.get(k, 0) for k in range(4)], "u")
+    r = Poly.from_coeffs([repl.get(k, 0) for k in range(4)])
     assert_clean(p.subs_v(r), to_sympy(p).subs(SV, to_sympy(r)))

@@ -177,7 +177,7 @@ def test_text_report_shape():
 
 class TestCli:
     def test_suite_exit_code(self, capsys):
-        assert cli.main(["suite", "--format", "json", "--jobs", "2"]) == 0
+        assert cli.main(["suite", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["fail"] == 0
 
@@ -272,6 +272,7 @@ class TestCli:
         ["formulas", "eval", "delta_bound", "--params", '{"entries":5}'],
         ["inv", "check-invariance", "--trials", "0"],
         ["inv", "check-invariance", "--trials", "-2"],
+        ["run", "TMP/subgroup.json"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
@@ -280,7 +281,7 @@ class TestCli:
             "n-fraction", "r-letter", "b2-letter", "b2-bool",
             "upto-float-string", "k3-bool", "delta-entry-short",
             "delta-entry-scalar", "delta-entries-scalar", "inv-trials-0",
-            "inv-trials-negative"])
+            "inv-trials-negative", "git-subgroup-one-entry"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
@@ -296,6 +297,11 @@ class TestCli:
                 "label": "adhoc/upto",
                 "inputs": {"check": "dims", "upto": "2.5"}}
         (tmp_path / "upto.json").write_text(json.dumps(upto))
+        subgroup = {"schema_version": 1, "kind": "git",
+                    "label": "adhoc/subgroup",
+                    "inputs": {"op": "weight", "support": ["02", "12"],
+                               "subgroup": [1]}}
+        (tmp_path / "subgroup.json").write_text(json.dumps(subgroup))
         argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -336,8 +342,8 @@ def test_flag_work_does_not_outlive_cleared_caches(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((_linalg, "det"), (_linalg, "solve"),
-                         (_linalg, "inverse"), (zariski, "_scan")):
+    for module, name in ((_linalg, "solve"), (_linalg, "inverse"),
+                         (zariski, "_scan")):
         counted(module, name)
     paths = [p for p in runner.bundled_case_paths()
              if p.name.startswith("flag--")]
@@ -352,4 +358,14 @@ def test_flag_work_does_not_outlive_cleared_caches(monkeypatch):
         runs.append(dict(counts))
     assert runs[0] == runs[1]
     # The flag path may make no general solve; it must make the others.
-    assert all(runs[0].get(name) for name in ("det", "inverse", "_scan"))
+    assert all(runs[0].get(name) for name in ("inverse", "_scan"))
+
+
+def test_printed_comes_from_the_case_file():
+    # A row's printed value is its case file's own field, citations
+    # stripped; no fixture supplies it.
+    for path in runner.bundled_case_paths():
+        case = json.loads(path.read_text())
+        row = runner.run_case(path).row()
+        assert row["printed"] == runner._strip_citations(
+            case.get("printed")), path.name

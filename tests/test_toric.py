@@ -216,6 +216,8 @@ class TestErrors:
 
     def test_singular_effective_basis(self):
         from kstab.toric import SingularBasis
-        m = model("Y0-A1")
+        y0 = model("Y0-A1")
+        m = ToricModel("Y0-A1", y0.rays, y0.max_cones, y0.grading,
+                       effective_generators=("F1", "F2"))
         with pytest.raises(SingularBasis):
-            m.effective_check(divisor({0: 1}), generators=("F1", "F2"))
+            m.effective_check(divisor({0: 1}))
