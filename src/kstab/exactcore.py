@@ -1,18 +1,19 @@
 """Exact arithmetic substrate: rationals, two-parameter polynomials, and
 piecewise polynomials in ``u`` with their integrals.
 
-Every number in this package is a :class:`fractions.Fraction`; floating
-point is never used.  Polynomials are sparse maps from exponent pairs
-``(i, j)`` -- powers of the outer parameter ``u`` and the inner parameter
-``v`` -- to rational coefficients.  Zero coefficients are never stored, so
-structural equality of the term maps is exact polynomial equality.
+Every number in this package is exact: an int or a
+:class:`fractions.Fraction`; floating point is never used.  Polynomials
+are sparse maps from exponent pairs ``(i, j)`` -- powers of the outer
+parameter ``u`` and the inner parameter ``v`` -- to integer numerators,
+over one common denominator, as in FLINT's ``fmpq_poly``.
 
-Every stored term map is *clean*: its keys are pairs of ints, its values
-are ``Fraction`` instances, and none of them is zero.  The public
-``Poly(...)`` constructor establishes this from arbitrary input.  The ring
-operations, evaluation and calculus build their results from clean
-operands, drop each zero where it arises, and wrap the map through the
-private ``Poly._wrap`` without converting it again.
+Every Poly is in normal form: no numerator is zero, the denominator is a
+positive int, the gcd of the denominator and all numerators is 1, and the
+zero polynomial is the empty map over 1.  Structural equality is then
+exact polynomial equality.  The public ``Poly(...)`` constructor
+establishes the normal form from arbitrary rational input; the ring
+operations, evaluation and calculus work on the integers and reduce their
+result by one gcd.
 
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1).
 """
@@ -23,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from . import KstabError
@@ -113,28 +115,44 @@ class Poly:
     """A polynomial in the parameters ``u`` and ``v`` with rational
     coefficients.
 
-    The representation is a dict ``{(i, j): coeff}`` for the monomial
-    ``u**i * v**j``.  Instances behave as immutable values: all operators
-    return new polynomials and stored term maps are never mutated.
+    The coefficient of ``u**i * v**j`` is ``num[(i, j)] / den``, in the
+    normal form: every numerator is a nonzero int, ``den`` is a positive
+    int, gcd(den, all numerators) = 1, and the zero polynomial is
+    ``({}, 1)``.  Equality is structural.  Instances behave as immutable
+    values: all operators return new polynomials and ``num`` is never
+    mutated.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[(int(i), int(j))] = c
-        self.terms = clean
+        clean = {}
+        for (i, j), c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                clean[(int(i), int(j))] = c
+        # Over the lcm of reduced denominators the gcd is already 1.
+        self.den = math.lcm(*(c.denominator for c in clean.values()))
+        self.num = {e: c.numerator * (self.den // c.denominator)
+                    for e, c in clean.items()}
 
     @classmethod
-    def _wrap(cls, terms: dict[tuple[int, int], Fraction]) -> "Poly":
-        """A Poly owning ``terms``, which must already be clean."""
+    def _of(cls, num: dict[tuple[int, int], int], den: int) -> "Poly":
+        """The Poly ``num / den``, from nonzero ints and ``den`` > 0."""
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
         p = object.__new__(cls)
-        p.terms = terms
+        p.num, p.den = num, den
         return p
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only map ``{(i, j): Fraction}`` of the coefficients, built
+        on each access."""
+        return MappingProxyType(
+            {e: Fraction(c, self.den) for e, c in self.num.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -144,13 +162,12 @@ class Poly:
         if isinstance(c, Poly):
             return c
         c = rat(c)
-        return cls._wrap({(0, 0): c} if c else {})
+        return cls._of({(0, 0): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
         idx = _var_index(name)
-        exp = (1, 0) if idx == 0 else (0, 1)
-        return cls({exp: Fraction(1)})
+        return cls._of({(1, 0) if idx == 0 else (0, 1): 1}, 1)
 
     @classmethod
     def affine(cls, c0, cu=0, cv=0) -> "Poly":
@@ -175,27 +192,25 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.terms:
+        if not o.num:
             return self
-        if not self.terms:
+        if not self.num:
             return o
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
+        g = math.gcd(self.den, o.den)
+        fs, fo = o.den // g, self.den // g
+        out = {e: c * fs for e, c in self.num.items()}
+        for e, c in o.num.items():
+            s = out.get(e, 0) + c * fo
+            if s:
+                out[e] = s
             else:
-                s += c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly._wrap(out)
+                del out[e]
+        return Poly._of(out, self.den * fs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._wrap({e: -c for e, c in self.terms.items()})
+        return Poly._of({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -212,18 +227,20 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly._wrap({})
-            return Poly._wrap({e: c * other for e, c in self.terms.items()})
+                return Poly._of({}, 1)
+            k = other.numerator
+            return Poly._of({e: c * k for e, c in self.num.items()},
+                            self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in o.terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.num.items():
+            for (i2, j2), c2 in o.num.items():
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return Poly._wrap({e: c for e, c in out.items() if c})
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly._of({e: c for e, c in out.items() if c},
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -243,39 +260,37 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self.num.keys() <= {(0, 0)}:
+            # A constant compares equal to, so hashes like, its Fraction.
+            return hash(Fraction(self.num.get((0, 0), 0), self.den))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- queries ------------------------------------------------------
 
     def degree(self, var: str) -> int:
         """Degree in one variable; the zero polynomial has degree 0."""
         idx = _var_index(var)
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
+        return max((e[idx] for e in self.num), default=0)
 
     def is_univariate(self, var: str) -> bool:
         """True if the polynomial only involves ``var``."""
         other = 1 - _var_index(var)
-        return all(e[other] == 0 for e in self.terms)
+        return all(e[other] == 0 for e in self.num)
 
     def coefficient(self, i: int, j: int = 0) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self.num.get((i, j), 0), self.den)
 
     def coeffs(self) -> list[Fraction]:
         """Dense coefficient list of a polynomial in u alone."""
         if not self.is_univariate("u"):
             raise MalformedInput("polynomial is not univariate in u")
-        out = [Fraction(0)] * (self.degree("u") + 1)
-        for (i, _), c in self.terms.items():
-            out[i] = c
-        return out
+        return [self.coefficient(i) for i in range(self.degree("u") + 1)]
 
     # -- evaluation and substitution ----------------------------------
 
@@ -283,32 +298,31 @@ class Poly:
         """Evaluate; a partially evaluated polynomial stays a Poly.
 
         Returns a Fraction when all remaining variables are substituted.
+        At x = a/b, x**k is summed as the integer a**k * b**(n - k) over
+        the common denominator b**n, n the degree in that variable.
         """
         if u is not None and v is not None:
             u, v = rat(u), rat(v)
-            total = Fraction(0)
-            for (i, j), c in self.terms.items():
-                if i:
-                    if not u:
-                        continue
-                    c = c * (u if i == 1 else u ** i)
-                if j:
-                    if not v:
-                        continue
-                    c = c * (v if j == 1 else v ** j)
-                total += c
-            return total
+            a, b, p, q = u.numerator, u.denominator, v.numerator, v.denominator
+            ni = nj = 0
+            for i, j in self.num:
+                ni, nj = max(ni, i), max(nj, j)
+            total = 0
+            for (i, j), c in self.num.items():
+                total += c * a ** i * b ** (ni - i) * p ** j * q ** (nj - j)
+            return Fraction(total, self.den * b ** ni * q ** nj)
         if u is None and v is None:
             return self
+        idx = 0 if v is None else 1
         x = rat(u if v is None else v)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            k, e = (i, (0, j)) if v is None else (j, (i, 0))
-            if k:
-                c = c * x ** k
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return Poly._wrap({e: c for e, c in out.items() if c})
+        a, b = x.numerator, x.denominator
+        n = self.degree(VARS[idx])
+        out: dict[tuple[int, int], int] = {}
+        for e, c in self.num.items():
+            k = e[idx]
+            rest = (0, e[1]) if idx == 0 else (e[0], 0)
+            out[rest] = out.get(rest, 0) + c * a ** k * b ** (n - k)
+        return Poly._of({e: c for e, c in out.items() if c}, self.den * b ** n)
 
     def subs_v(self, repl: "Poly") -> "Poly":
         """Substitute ``v`` by a polynomial in ``u``."""
@@ -316,38 +330,36 @@ class Poly:
             raise MalformedInput(
                 "substitution target must be a polynomial in u")
         # Horner's scheme in v over the slices of equal v-degree.
-        slices: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for (i, j), c in self.terms.items():
+        slices: dict[int, dict[tuple[int, int], int]] = {}
+        for (i, j), c in self.num.items():
             slices.setdefault(j, {})[(i, 0)] = c
-        out = Poly()
+        out = Poly._of({}, 1)
         for j in range(max(slices, default=0), -1, -1):
-            out = out * repl + Poly._wrap(slices.get(j, {}))
+            out = out * repl + Poly._of(slices.get(j, {}), self.den)
         return out
 
     # -- calculus ------------------------------------------------------
 
     def antiderivative(self, var: str) -> "Poly":
         idx = _var_index(var)
+        m = math.lcm(*(e[idx] + 1 for e in self.num))
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             k = e[idx] + 1
-            ne = (k, e[1]) if idx == 0 else (e[0], k)
-            out[ne] = c / k
-        return Poly._wrap(out)
+            out[(k, e[1]) if idx == 0 else (e[0], k)] = c * (m // k)
+        return Poly._of(out, self.den * m)
 
     def derivative(self, var: str) -> "Poly":
         idx = _var_index(var)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             k = e[idx]
-            if k == 0:
-                continue
-            ne = (k - 1, e[1]) if idx == 0 else (e[0], k - 1)
-            out[ne] = c * k
-        return Poly._wrap(out)
+            if k:
+                out[(k - 1, e[1]) if idx == 0 else (e[0], k - 1)] = c * k
+        return Poly._of(out, self.den)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for (i, j), c in sorted(self.terms.items()):

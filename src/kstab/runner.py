@@ -483,8 +483,8 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
     label = case["label"]
     kind = case["kind"]
     citation = case.get("citation", "")
-    expected = case.get("expected")
-    printed = case.get("printed")
+    expected = _strip_citations(case.get("expected"))
+    printed = _strip_citations(case.get("printed"))
     try:
         computed = _HANDLERS[kind](case["inputs"], seed)
     except SchemaError:
@@ -496,16 +496,15 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
                           citation, detail=f"{type(exc).__name__}: {exc}")
     if expected is None:
         status = "computed-only"
-    elif _canon(computed) == _canon(_strip_citations(expected)):
-        if printed is not None and \
-                _canon(_strip_citations(printed)) != _canon(_strip_citations(expected)):
+    elif _canon(computed) == _canon(expected):
+        if printed is not None and _canon(printed) != _canon(expected):
             status = "discrepancy-noted"
         else:
             status = "pass"
     else:
         status = "fail"
-    return CaseResult(label, kind, status, computed, _strip_citations(expected),
-                      _strip_citations(printed), citation)
+    return CaseResult(label, kind, status, computed, expected, printed,
+                      citation)
 
 
 def _strip_citations(value):

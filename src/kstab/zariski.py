@@ -258,7 +258,7 @@ def _affine_family(d: dict, what: str) -> dict[str, Poly]:
     (u, v); a term u^i v^j with i + j > 1 raises NonAffineFamily."""
     out = {k: Poly.const(c) for k, c in d.items()}
     for k, p in out.items():
-        if any(i + j > 1 for i, j in p.terms):
+        if any(i + j > 1 for i, j in p.num):
             raise NonAffineFamily(
                 f"{what}: coefficient {p!r} of {k} is not affine in (u, v)")
     return out

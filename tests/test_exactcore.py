@@ -58,6 +58,13 @@ class TestPoly:
         assert not p.terms
         assert p == 0
 
+    @pytest.mark.parametrize("value", [0, 3, -2, Q(7, 3), Q(-1, 2)])
+    def test_constant_hashes_like_its_value(self, value):
+        c = Poly.const(value)
+        assert c == value and hash(c) == hash(value)
+        assert len({c, value, Q(value)}) == 1
+        assert len({c, value + 1}) == 2
+
 
 class TestDefiniteIntegral:
     def test_zero_integrand(self):

@@ -369,3 +369,17 @@ def test_printed_comes_from_the_case_file():
         row = runner.run_case(path).row()
         assert row["printed"] == runner._strip_citations(
             case.get("printed")), path.name
+
+
+def test_failed_row_strips_citations():
+    # A row that fails with an exception has the same shape as a computed
+    # row: the citation keys of expected and printed are stripped.
+    path = runner._fixture_root() / "cases" / "volume--a2-pieces.json"
+    case = json.loads(path.read_text())
+    assert "citation" in json.dumps(case["printed"])
+    case["inputs"]["volume"] = "no-such-volume"
+    row = runner.run_case(case).row()
+    assert row["status"] == "fail"
+    assert row["expected"] == runner._strip_citations(case["expected"])
+    assert row["printed"] == runner._strip_citations(case["printed"])
+    assert "citation" not in json.dumps(row["printed"])
