@@ -1,6 +1,6 @@
 """Stability functionals: S-invariants, beta invariants, nested flag
-functionals with their local correction terms, log discrepancies of
-weighted blowups, and min-aggregated delta lower bounds.
+functionals with their local correction terms, and min-aggregated delta
+lower bounds.
 
 A :class:`FlagCase` packages one nested computation: the ambient volume
 ``A^n``, the per-chamber restriction of the decomposed family to the flag
@@ -12,7 +12,6 @@ treated as advisory input only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,10 +32,6 @@ class MissingMultiplicity(FunctionalError):
 
 class ZeroS(FunctionalError):
     """A delta-bound entry has vanishing expected order S."""
-
-
-class NonPositiveDiscrepancyWarning(UserWarning):
-    """A log discrepancy came out <= 0 (non-klt input)."""
 
 
 @dataclass(frozen=True)
@@ -217,24 +212,6 @@ def s_flag_point(case: FlagCase, point_name: str) -> Fraction:
             quad += scale * double_integral(pdotc * pdotc, sub.v_lo,
                                             sub.v_hi, sub.u_interval)
     return quad + f_q_term(case, point_name)
-
-
-def log_discrepancy_weighted_blowup(w1: int, w2: int,
-                                    boundary=()) -> Fraction:
-    """Log discrepancy of a (w1, w2)-weighted blowup against a boundary.
-
-    ``boundary`` lists (coefficient, weighted order) pairs.
-    """
-    if w1 < 1 or w2 < 1:
-        raise FunctionalError("blowup weights must be >= 1")
-    total = Fraction(w1) + Fraction(w2)
-    for coeff, order in boundary:
-        total -= rat(coeff) * rat(order)
-    if total <= 0:
-        warnings.warn(
-            f"log discrepancy {rat_str(total)} is not positive",
-            NonPositiveDiscrepancyWarning, stacklevel=2)
-    return total
 
 
 @dataclass(frozen=True)

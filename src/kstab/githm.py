@@ -29,20 +29,12 @@ class EmptySupport(GitError):
 
 
 def support(pairs) -> Support:
-    """Normalize a support: iterable of (i, j) pairs or 'ij' strings."""
-    out = set()
-    for p in pairs:
-        if isinstance(p, str):
-            digits = [c for c in p if c.isdigit()]
-            if len(digits) != 2:
-                raise GitError(f"cannot parse support entry {p!r}")
-            i, j = int(digits[0]), int(digits[1])
-        else:
-            i, j = int(p[0]), int(p[1])
-        if not (0 <= i <= 2 and 0 <= j <= 2):
-            raise GitError(f"support index ({i}, {j}) out of range")
-        out.add((i, j))
-    return frozenset(out)
+    """Normalize a support: (i, j) pairs or 'ij' strings, each read by
+    ``invariants.index_pair``, the key rule of ``invariants.coeffs``."""
+    try:
+        return frozenset(invariants.index_pair(p) for p in pairs)
+    except invariants.InvariantError as exc:
+        raise GitError(f"support entry: {exc}") from None
 
 
 FULL_SUPPORT: Support = support((i, j) for i in range(3) for j in range(3))
@@ -66,13 +58,6 @@ def hm_weight(s: Support, lam: OneParamSubgroup) -> int:
     if not s:
         raise EmptySupport("weight of the zero form is undefined")
     return max(lam.weight(i, j) for i, j in s)
-
-
-def hm_weight_min(s: Support, lam: OneParamSubgroup) -> int:
-    """Minimal weight; the max/min pair swaps under support reflection."""
-    if not s:
-        raise EmptySupport("weight of the zero form is undefined")
-    return min(lam.weight(i, j) for i, j in s)
 
 
 @dataclass(frozen=True)

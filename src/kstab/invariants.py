@@ -34,26 +34,31 @@ class BoundExceeded(InvariantError):
     pass
 
 
-def _is_index_key(key) -> bool:
+def index_pair(key) -> tuple[int, int]:
+    """The (i, j) of a coefficient key: an 'ij' string of two ASCII digits
+    or a pair (tuple or list) of two non-bool ints, each in 0..2."""
     if isinstance(key, str):
-        return len(key) == 2 and key.isascii() and key.isdigit()
-    return (isinstance(key, tuple) and len(key) == 2
-            and all(type(x) is int for x in key))
+        ok = len(key) == 2 and key.isascii() and key.isdigit()
+    else:
+        ok = (isinstance(key, (tuple, list)) and len(key) == 2
+              and all(type(x) is int for x in key))
+    if not ok:
+        raise InvariantError(f"key {key!r} is neither 'ij' nor an (i, j) pair")
+    i, j = int(key[0]), int(key[1])
+    if not (0 <= i <= 2 and 0 <= j <= 2):
+        raise InvariantError(f"index ({i}, {j}) out of range")
+    return i, j
 
 
 def coeffs(data: Mapping) -> Coeffs:
-    """Normalize a coefficient map keyed by (i, j) pairs or 'ij' strings."""
+    """Normalize a coefficient map keyed by (i, j) pairs or 'ij' strings
+    (see :func:`index_pair`)."""
     if not isinstance(data, Mapping):
         raise InvariantError(
             f"coefficients must be a map, got {type(data).__name__}")
     out: Coeffs = {}
     for key, val in data.items():
-        if not _is_index_key(key):
-            raise InvariantError(
-                f"coefficient key {key!r} is neither 'ij' nor an (i, j) pair")
-        i, j = int(key[0]), int(key[1])
-        if not (0 <= i <= 2 and 0 <= j <= 2):
-            raise InvariantError(f"coefficient index ({i}, {j}) out of range")
+        i, j = index_pair(key)
         try:
             v = rat(val)
         except ExactCoreError as exc:

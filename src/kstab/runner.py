@@ -263,14 +263,19 @@ _REQUIRED_FIELDS = ("schema_version", "kind", "label", "inputs")
 
 
 def _validate(case: dict, origin: str):
+    if not isinstance(case, dict):
+        raise SchemaError(f"{origin}: a case is a JSON object, "
+                          f"not {type(case).__name__}")
     for f in _REQUIRED_FIELDS:
         if f not in case:
             raise SchemaError(f"{origin}: missing field {f!r}")
     if case["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(
             f"{origin}: unsupported schema_version {case['schema_version']!r}")
-    if case["kind"] not in _HANDLERS:
+    if not isinstance(case["kind"], str) or case["kind"] not in _HANDLERS:
         raise SchemaError(f"{origin}: unknown kind {case['kind']!r}")
+    if not isinstance(case["label"], str):
+        raise SchemaError(f"{origin}: label {case['label']!r} is not a string")
     if "expected" in case and case["expected"] is not None:
         if not case.get("citation"):
             raise SchemaError(

@@ -5,17 +5,13 @@ Three layers:
 * ``surface_zariski`` -- the classical iterative decomposition of a single
   divisor on a surface given by a named curve basis and its Gram matrix.
 * ``parametric_surface_zariski`` -- chamber discovery for a divisor family
-  that is affine in the outer parameter ``u`` and the inner parameter
-  ``v``.  The scan runs at an exact rational sample of ``u``, re-solves
-  each chamber symbolically, and splits the ``u``-interval whenever walls
-  cross, so every returned chamber carries exact affine data verified at
-  its corners.
+  affine in the outer parameter ``u`` and the inner parameter ``v``.  The
+  scan runs at an exact rational sample of ``u`` from v = 0 to the
+  pseudoeffective threshold, where the volume of P vanishes; it re-solves
+  each chamber symbolically and splits the ``u``-interval where walls cross.
 * ``threefold_chamber_volume`` -- verification (not discovery) of supplied
   chamber decompositions on threefold models, returning the exact
   piecewise-cubic volume function.
-
-The inner scan terminates where the volume of the positive part vanishes;
-that point is the pseudoeffective threshold of the family.
 
 Affinity is an invariant, checked once where a family enters the engine:
 ``_affine_family`` lifts every coefficient to a Poly and raises
@@ -26,12 +22,16 @@ total degree 2.  A chamber {u0 <= u <= u1, v_lo(u) <= v <= v_hi(u)} is
 then a convex polygon, and the corner lemma (``Chamber2D.corners``) makes
 every sign check at its corners a proof.
 
-Each chamber is solved once.  The scan builds the pairing vector
-``{c: P . c}`` of the chamber's positive part in one pass and reads its
-events, walls and the volume P^2 from it; the returned ``Chamber2D``
-carries that vector and that volume down to the corner checks and the flag
-integrals.  The inverse of each nonsingular support Gram block is cached on
-its ``SurfaceLattice`` instance, so it lives exactly as long as the lattice.
+Each lattice curve carries one affine constraint (``_constraints``): its
+coefficient in N if it is in the support, its pairing with P if not.  The
+scan raises v until a constraint falls to 0; that line is the next wall,
+and every curve whose constraint falls there toggles in or out of the
+support.  ``_verify_chambers`` proves the same constraints nonnegative.
+
+Each chamber is solved once: the scan reads its events, walls and volume
+from one pairing vector ``{c: P . c}``, which the returned ``Chamber2D``
+hands down to the corner checks and the flag integrals.  The inverse of
+each nonsingular support Gram block is cached on its ``SurfaceLattice``.
 """
 
 from __future__ import annotations
@@ -411,6 +411,14 @@ def _quadratic_dips(c2, c1, c0, v_cur, limit) -> bool:
     return False
 
 
+def _constraints(support, negative: dict, pairings: dict) -> dict[str, Poly]:
+    """One affine constraint per lattice curve, nonnegative exactly on the
+    chamber: the curve's coefficient in N if it is in ``support``, its
+    pairing with P if it is not.  ``pairings`` fixes the lattice order."""
+    return {c: Poly.const(negative.get(c, 0) if c in support else g)
+            for c, g in pairings.items()}
+
+
 def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
                                u_interval: Interval,
                                _depth: int = 0) -> list[Chamber2D]:
@@ -420,9 +428,7 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
     Scanning starts at v = 0 and stops at the pseudoeffective threshold,
     i.e. where the volume of the positive part first vanishes; a family
     that stays big raises Unbounded.
-    Walls are discovered at an exact rational sample of u, re-solved
-    symbolically, and the u-interval is split whenever two walls cross
-    inside it.
+    The u-interval is split wherever two walls cross inside it.
     """
     if _depth > 12:
         raise NoConvergence("chamber recursion too deep")
@@ -454,33 +460,18 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
     for _ in range(6 * len(lat.curves) + 12):
         p_sym, n_sym = _symbolic_parts(lat, family, support)
         pv = lat.pairings(p_sym)
-        # Candidate walls: external curves entering and support
-        # coefficients leaving.
-        events: list[tuple[Fraction, str, str]] = []
-        for c in lat.curves:
-            if c in support:
-                continue
-            g = Poly.const(pv[c])
-            if not g:
-                continue
+        # An event is a constraint falling to 0 at the sample; its curve
+        # enters or leaves the support there.
+        events: list[tuple[Fraction, str, Poly]] = []
+        for c, g in _constraints(support, n_sym, pv).items():
             val, slope = g.eval(u=ustar, v=v_cur), g.coefficient(0, 1)
             if val < 0:
                 raise NoConvergence(
-                    f"negative pairing with {c} inside a chamber")
-            if slope < 0 and not (val == 0 and slope == 0):
-                events.append((v_cur + val / (-slope), "enter", c))
-            elif val == 0 and slope == 0 and g.degree("u") > 0:
+                    f"constraint of {c} negative inside a chamber")
+            if slope < 0:
+                events.append((v_cur + val / (-slope), c, g))
+            elif val == slope == 0 and g.degree("u") > 0 and c not in support:
                 raise _SplitRequest(ustar)
-        for s in support:
-            n_c = n_sym.get(s, Poly())
-            val, slope = n_c.eval(u=ustar, v=v_cur), n_c.coefficient(0, 1)
-            if val < 0:
-                raise NoConvergence(
-                    f"negative coefficient for {s} inside a chamber")
-            if slope < 0 and val > 0:
-                events.append((v_cur + val / (-slope), "leave", s))
-            elif val == 0 and slope < 0:
-                events.append((v_cur, "leave", s))
         vol = Poly.const(_contract(p_sym, pv))
         next_wall = min((e[0] for e in events), default=None)
         threshold = _vol_threshold(vol, ustar, v_cur, next_wall)
@@ -495,68 +486,51 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
         if next_wall is None:
             raise Unbounded("family stays big: no wall and no threshold")
 
-        triggers = [e for e in events if e[0] == next_wall]
-        walls = []
-        for _, kind, name in triggers:
-            if kind == "enter":
-                walls.append(_symbolic_wall(pv[name]))
-            elif kind == "leave":
-                walls.append(_symbolic_wall(n_sym[name]))
-        wall_sym = walls[0]
-        for w in walls[1:]:
-            if w != wall_sym:
-                raise _SplitRequest(ustar)
+        triggers = {c: g for v, c, g in events if v == next_wall}
+        wall_sym, *others = {_symbolic_wall(g) for g in triggers.values()}
+        if others:
+            raise _SplitRequest(ustar)
         if next_wall > v_cur:
             chambers.append(Chamber2D(u_interval, wall_cur, wall_sym,
                                       p_sym, n_sym, tuple(support), pv, vol))
         elif wall_sym != wall_cur:
             raise _SplitRequest(ustar)
-        new_support = list(support)
-        for _, kind, name in triggers:
-            if kind == "enter" and name not in new_support:
-                new_support.append(name)
-            elif kind == "leave" and name in new_support:
-                new_support.remove(name)
-        if new_support == support and next_wall == v_cur:
-            raise NoConvergence("no progress at a wall")
-        support = [c for c in lat.curves if c in new_support]
+        # Each trigger toggles its own curve, so the support changes.
+        support = [c for c in lat.curves if (c in support) != (c in triggers)]
         v_cur = next_wall
         wall_cur = wall_sym
     raise NoConvergence("wall scan did not terminate")
 
 
 def _verify_chambers(chambers: list[Chamber2D]):
-    """Corner checks: wall ordering, positivity, orthogonality.
+    """Corner checks: wall order on every chamber, then orthogonality and
+    the sign of every constraint (``_constraints``).
 
-    The width v_hi - v_lo, every pairing P . c and every coefficient of N
-    is affine, so by the corner lemma of ``Chamber2D.corners`` each check
-    at the four corners is a proof for the whole chamber.  A width that
-    is negative at one end only means the walls cross inside the
-    u-interval, and the scan splits where the affine width vanishes.
+    The width v_hi - v_lo and every constraint is affine, so by the corner
+    lemma of ``Chamber2D.corners`` each check at the four corners is a
+    proof for the whole chamber.  A width negative at one end only means
+    the walls cross inside the u-interval, and the scan splits where it
+    vanishes.  Until every chamber's walls are in order, a corner may lie
+    off the true region, so no corner sign is read before that.
     """
-    for ch in chambers:
-        corners = ch.corners()
-        (u0, lo0), (_, hi0), (u1, lo1), (_, hi1) = corners
+    corners = [ch.corners() for ch in chambers]
+    for ch, ((u0, lo0), (_, hi0), (u1, lo1), (_, hi1)) in zip(chambers,
+                                                              corners):
         w0, w1 = hi0 - lo0, hi1 - lo1
         if w0 < 0 or w1 < 0:
             if w0 <= 0 and w1 <= 0:
                 raise WallDegeneracy("walls in the wrong order on "
                                      f"the whole of {ch.u_interval}")
             raise _SplitRequest(u0 + (u1 - u0) * w0 / (w0 - w1))
+    for ch, points in zip(chambers, corners):
         for s in ch.support:
             if ch.pairings[s]:
                 raise NoConvergence(f"orthogonality failed for {s}")
-        for u, v in corners:
-            for c, g in ch.pairings.items():
-                gval = g.eval(u=u, v=v) if isinstance(g, Poly) else g
-                if gval < 0:
-                    raise NoConvergence(
-                        f"P negative against {c} at a chamber corner")
-            for s, coeff in ch.negative.items():
-                nval = coeff.eval(u=u, v=v)
-                if nval < 0:
-                    raise NoConvergence(
-                        f"negative part coefficient of {s} at a corner")
+        for c, g in _constraints(ch.support, ch.negative,
+                                 ch.pairings).items():
+            if any(g.eval(u=u, v=v) < 0 for u, v in points):
+                raise NoConvergence(
+                    f"constraint of {c} negative at a chamber corner")
 
 
 # -- threefold chamber verification ----------------------------------------

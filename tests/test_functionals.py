@@ -6,12 +6,11 @@ import pytest
 from kstab.exactcore import Interval, PiecewisePolynomial, Poly
 from kstab.formulas import k3
 from kstab.functionals import (DeltaBoundReport, FlagCase, FlagChamber,
-                               FlagPoint, MissingMultiplicity,
-                               NonPositiveDiscrepancyWarning, ZeroS,
+                               FlagPoint, MissingMultiplicity, ZeroS,
                                beta_divisor, delta_bound_report, f_q_term,
-                               log_discrepancy_weighted_blowup, s_flag_point,
-                               s_flag_surface, s_flag_surface_report,
-                               s_from_volume, s_from_volume_report)
+                               s_flag_point, s_flag_surface,
+                               s_flag_surface_report, s_from_volume,
+                               s_from_volume_report)
 from kstab.runner import flag_case
 from kstab.zariski import SurfaceLattice
 
@@ -209,22 +208,6 @@ class TestClosedFormAgreement:
         fiber = g * (2 * a - 1) * (2 * a ** 2 - 2 * a + 1) / \
             (4 * (3 * a ** 2 - 3 * a + 1))
         assert s_flag_point(case, "Qf") == fiber
-
-
-class TestLogDiscrepancy:
-    def test_transversal(self):
-        assert log_discrepancy_weighted_blowup(1, 1, [(Q(1, 2), 1)]) == \
-            Q(3, 2)
-
-    def test_tangential(self):
-        assert log_discrepancy_weighted_blowup(1, 2, [(Q(1, 2), 2)]) == 2
-
-    def test_smooth_point(self):
-        assert log_discrepancy_weighted_blowup(1, 1) == 2
-
-    def test_non_klt_warns(self):
-        with pytest.warns(NonPositiveDiscrepancyWarning):
-            log_discrepancy_weighted_blowup(1, 1, [(2, 1)])
 
 
 class TestDeltaBounds:

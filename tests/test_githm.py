@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from kstab.githm import (FULL_SUPPORT, Destabilizer, EmptySupport,
+from kstab.githm import (FULL_SUPPORT, Destabilizer, EmptySupport, GitError,
                          OneParamSubgroup, candidate_subgroups,
                          find_destabilizer, fixed_point_singularity,
-                         hm_weight, hm_weight_min, support)
+                         hm_weight, support)
 
 UNSTABLE = support(["02", "12", "21", "22"])
 SINGULAR = frozenset(FULL_SUPPORT - support(["00", "10", "01"]))
@@ -20,6 +20,19 @@ def rand_support(rng):
 def rand_subgroup(rng):
     r1 = rng.randint(1, 6)
     return OneParamSubgroup(rng.randint(0, r1), r1)
+
+
+class TestSupport:
+    def test_keys_follow_the_coefficient_rule(self):
+        assert support(["02", (1, 2), [2, 0]]) == {(0, 2), (1, 2), (2, 0)}
+
+    @pytest.mark.parametrize("entry", [
+        "x0y2", "-12", "1/2", [0.9, 2], [True, 2], (0, 2, 7), (0, 3)],
+        ids=["letters", "sign", "slash", "float", "bool", "triple",
+             "out-of-range"])
+    def test_other_keys_are_git_errors(self, entry):
+        with pytest.raises(GitError):
+            support(["00", entry])
 
 
 class TestWeight:
@@ -77,13 +90,6 @@ class TestWeight:
             rhs = max(lam.r1 * (2 - 2 * i) + lam.r0 * (2 - 2 * j)
                       for (i, j) in transposed)
             assert lhs == rhs
-
-    def test_max_min_reflection(self):
-        rng = random.Random(73)
-        for _ in range(50):
-            lam = rand_subgroup(rng)
-            assert hm_weight(support([(0, 2)]), lam) == \
-                -hm_weight_min(support([(2, 0)]), lam)
 
 
 class TestDestabilizer:

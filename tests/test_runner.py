@@ -273,6 +273,11 @@ class TestCli:
         ["inv", "check-invariance", "--trials", "0"],
         ["inv", "check-invariance", "--trials", "-2"],
         ["run", "TMP/subgroup.json"],
+        ["git", "weight", "--support", "1/2", "--lambda", "1,2"],
+        ["run", "TMP/one.json"],
+        ["run", "TMP/null.json"],
+        ["run", "TMP/kind-list.json"],
+        ["run", "TMP/label-list.json"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
@@ -281,7 +286,9 @@ class TestCli:
             "n-fraction", "r-letter", "b2-letter", "b2-bool",
             "upto-float-string", "k3-bool", "delta-entry-short",
             "delta-entry-scalar", "delta-entries-scalar", "inv-trials-0",
-            "inv-trials-negative", "git-subgroup-one-entry"])
+            "inv-trials-negative", "git-subgroup-one-entry",
+            "support-slash", "case-number", "case-null", "case-kind-list",
+            "case-label-list"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
@@ -302,6 +309,12 @@ class TestCli:
                     "inputs": {"op": "weight", "support": ["02", "12"],
                                "subgroup": [1]}}
         (tmp_path / "subgroup.json").write_text(json.dumps(subgroup))
+        (tmp_path / "one.json").write_text("1")
+        (tmp_path / "null.json").write_text("null")
+        (tmp_path / "kind-list.json").write_text(json.dumps(
+            {**subgroup, "kind": []}))
+        (tmp_path / "label-list.json").write_text(json.dumps(
+            {**subgroup, "label": ["x"]}))
         argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

@@ -140,6 +140,62 @@ class TestParametricChambers:
                     assert val == Poly() or val == 0
 
 
+# H . H = 1 and A, B disjoint (-1)-curves: P . A and P . B are minus the
+# A and B coefficients of P, so A enters the support where its family
+# coefficient turns positive.
+DISJOINT = SurfaceLattice(("H", "A", "B"),
+                          [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+
+
+def _rows(chambers):
+    return [(c.u_interval, c.v_lo, c.v_hi, c.support, c.negative)
+            for c in chambers]
+
+
+class TestScanBranches:
+    """The scan's events: a support curve leaving, two curves entering on
+    one wall, and walls that cross inside the u-interval."""
+
+    def test_curve_leaves_the_support(self):
+        fam = {"e": AFF(2, Q(1, 4), -1), "f": AFF(Q(1, 2), 0, 1)}
+        chambers = parametric_surface_zariski(HIRZEBRUCH, fam, Interval(0, 1))
+        leave = AFF(Q(3, 4), Q(1, 8))
+        assert _rows(chambers) == [
+            (Interval(0, 1), Poly(), leave, ("e",),
+             {"e": AFF(Q(3, 2), Q(1, 4), -2)}),
+            (Interval(0, 1), leave, AFF(2, Q(1, 4)), (), {})]
+
+    def test_two_curves_enter_on_one_wall(self):
+        fam = {"H": AFF(3, 0, -1), "A": V - U, "B": V - U}
+        chambers = parametric_surface_zariski(DISJOINT, fam, Interval(0, 1))
+        assert _rows(chambers) == [
+            (Interval(0, 1), Poly(), U, (), {}),
+            (Interval(0, 1), U, Poly.const(3), ("A", "B"),
+             {"A": V - U, "B": V - U})]
+
+    @pytest.mark.parametrize("k, lo, hi, at", [
+        (1, 0, 1, Q(1, 2)), (Q(3, 2), 0, Q(1, 2), Q(1, 3))],
+        ids=["at-the-sample", "beside-the-sample"])
+    def test_crossing_walls_split_the_scan(self, k, lo, hi, at):
+        # A enters on v = k u and B on v = 1 - k u; they cross at u = at.
+        # At the sample, in the first case; away from it in the second,
+        # where the wall order is checked on every chamber before any
+        # sign, so the misordered chamber asks for the split first.
+        a, b = V - k * U, V - AFF(1, -k)
+        fam = {"H": AFF(3, 0, -1), "A": a, "B": b}
+        chambers = parametric_surface_zariski(DISJOINT, fam,
+                                              Interval(lo, hi))
+        left, right = Interval(lo, at), Interval(at, hi)
+        both = {"A": a, "B": b}
+        assert _rows(chambers) == [
+            (left, Poly(), k * U, (), {}),
+            (left, k * U, AFF(1, -k), ("A",), {"A": a}),
+            (left, AFF(1, -k), Poly.const(3), ("A", "B"), both),
+            (right, Poly(), AFF(1, -k), (), {}),
+            (right, AFF(1, -k), k * U, ("B",), {"B": b}),
+            (right, k * U, Poly.const(3), ("A", "B"), both)]
+
+
 class TestThreefoldVolume:
     def test_nodal_pieces_match_print(self):
         vol = volume_fixture("a1-volume").volume()
