@@ -15,6 +15,10 @@ establishes the normal form from arbitrary rational input; the ring
 operations, evaluation and calculus work on the integers and reduce their
 result by one gcd.
 
+``minimum`` is the one exact sign oracle: every claim that a polynomial
+in u keeps its sign on an interval, here and in ``zariski``, is read
+from the exact minimum it returns.
+
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1).
 """
 
@@ -51,9 +55,9 @@ class InconsistentSamples(ExactCoreError):
 class MalformedInput(ExactCoreError):
     """Input of the wrong shape: a reversed interval, an integrand, piece,
     integration bound or substitution target in the wrong variables, an
-    unknown variable name, a negative power, a width whose sign cannot be
-    certified exactly, a point outside a piecewise domain, or unusable
-    interpolation samples."""
+    unknown variable name, a negative power, a polynomial whose minimum
+    cannot be certified exactly, a point outside a piecewise domain, or
+    unusable interpolation samples."""
 
 
 class NotARational(ExactCoreError):
@@ -463,41 +467,41 @@ def piecewise_integral(f: PiecewisePolynomial) -> Fraction:
     return total
 
 
+def minimum(p: Poly, interval: Interval) -> Fraction:
+    """Exact minimum over ``interval`` of a polynomial in u of degree <= 2.
+
+    This is the sign oracle behind every sign claim on an interval: an
+    affine function is smallest at an endpoint, and a quadratic at an
+    endpoint or at its vertex, so the smallest of those values is the
+    minimum itself, not a probe.  Any other input raises MalformedInput.
+    """
+    if not p.is_univariate("u"):
+        raise MalformedInput(f"minimum needs a polynomial in u, got {p!r}")
+    deg = p.degree("u")
+    if deg > 2:
+        raise MalformedInput(
+            f"polynomial of degree {deg} > 2: its minimum on {interval} "
+            f"cannot be certified exactly")
+    values = [p.eval(u=interval.lo, v=0), p.eval(u=interval.hi, v=0)]
+    if deg == 2:
+        vertex = -p.coefficient(1) / (2 * p.coefficient(2))
+        if interval.lo < vertex < interval.hi:
+            values.append(p.eval(u=vertex, v=0))
+    return min(values)
+
+
 def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
                     outer: Interval) -> Fraction:
     """Exact iterated integral, inner variable ``v`` first.
 
     ``inner_lo`` and ``inner_hi`` are polynomials in ``u`` bounding the
     inner variable.  The bounds must satisfy lo <= hi on the outer
-    interval; bounds that cross in the interior raise InvertedBounds.
-    Their width hi - lo may have degree at most 2 in ``u``, so that its
-    sign on the interval is decided exactly.
+    interval, as ``minimum`` proves of their width hi - lo; bounds that
+    cross raise InvertedBounds.  The width may therefore have degree at
+    most 2 in ``u``.
     """
-    for b in (inner_lo, inner_hi):
-        if not b.is_univariate("u"):
-            raise MalformedInput("inner bounds must be polynomials in u")
-    diff = inner_hi - inner_lo
-    deg = diff.degree("u")
-    if deg > 2:
-        raise MalformedInput(
-            f"inner bounds of width degree {deg} > 2: their order on "
-            f"{outer} cannot be certified exactly")
-    lo_val = diff.eval(u=outer.lo, v=0)
-    hi_val = diff.eval(u=outer.hi, v=0)
-    if lo_val < 0 or hi_val < 0:
-        raise InvertedBounds(
-            f"inner bounds cross on {outer}: widths "
-            f"{rat_str(lo_val)} and {rat_str(hi_val)} at the endpoints")
-    # A quadratic width is smallest on the interval at an endpoint or at
-    # its vertex, so checking the vertex too is exact.
-    if deg == 2:
-        vertex = -diff.coefficient(1) / (2 * diff.coefficient(2))
-        if outer.lo < vertex < outer.hi:
-            w = diff.eval(u=vertex, v=0)
-            if w < 0:
-                raise InvertedBounds(
-                    f"inner bounds cross inside {outer}: width "
-                    f"{rat_str(w)} at u = {rat_str(vertex)}")
+    if minimum(inner_hi - inner_lo, outer) < 0:
+        raise InvertedBounds(f"inner bounds cross on {outer}")
     anti = f.antiderivative("v")
     inner = anti.subs_v(inner_hi) - anti.subs_v(inner_lo)
     return definite_integral(inner, outer)

@@ -184,21 +184,15 @@ def f_q_term(case: FlagCase, point_name: str) -> Fraction:
             order = _point_order(case, point, ch, sub)
             if not order:
                 continue
-            _check_order_nonnegative(order, sub, case, point_name)
+            # The local order is affine, so by the corner lemma of
+            # ``Chamber2D.corners`` its minimum is at a corner.
+            if min(order.eval(u=u, v=v) for u, v in sub.corners()) < 0:
+                raise FunctionalError(
+                    f"{case.label}: negative local order at {point_name} "
+                    f"for u in {sub.u_interval}")
             total += scale * double_integral(pdotc * order, sub.v_lo,
                                              sub.v_hi, sub.u_interval)
     return total
-
-
-def _check_order_nonnegative(order: Poly, sub: Chamber2D, case: FlagCase,
-                             point_name: str):
-    """The local order is affine, so the corner lemma of
-    ``Chamber2D.corners`` makes this corner check a proof."""
-    for u, v in sub.corners():
-        if order.eval(u=u, v=v) < 0:
-            raise FunctionalError(
-                f"{case.label}: negative local order at {point_name} "
-                f"(u={rat_str(u)}, v={rat_str(v)})")
 
 
 def s_flag_point(case: FlagCase, point_name: str) -> Fraction:

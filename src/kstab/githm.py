@@ -35,6 +35,8 @@ def support(pairs) -> Support:
         return frozenset(invariants.index_pair(p) for p in pairs)
     except invariants.InvariantError as exc:
         raise GitError(f"support entry: {exc}") from None
+    except TypeError:  # only iterating pairs can raise it
+        raise GitError(f"support {pairs!r} is not a list of entries") from None
 
 
 FULL_SUPPORT: Support = support((i, j) for i in range(3) for j in range(3))

@@ -114,25 +114,18 @@ def build_lattice(data: dict) -> zariski.SurfaceLattice:
             tuple(data["curves"]),
             [[rat(x) for x in row] for row in data["gram"]])
     m = model(data["from_model"])
-    divs = {n: {d: Fraction(1)} for n, d in data["curves"].items()}
-    base = zariski.SurfaceLattice(tuple(divs), [
+    names = data["curves"]
+    # Each extra class is the toric divisor of its combination of curves.
+    divs = {n: {d: Fraction(1)} for n, d in names.items()}
+    for k, combo in data.get("extra_classes", {}).items():
+        div = divs[k] = {}
+        for n, c in combo.items():
+            if n not in names:
+                raise zariski.ZariskiError(f"lattice has no curve named {n!r}")
+            div[names[n]] = div.get(names[n], 0) + rat(c)
+    return zariski.SurfaceLattice(tuple(divs), [
         [m.intersection_product(a, b) for b in divs.values()]
         for a in divs.values()])
-    extra = {k: {n: rat(c) for n, c in v.items()}
-             for k, v in data.get("extra_classes", {}).items()}
-    if not extra:
-        return base
-    # Each extra class pairs with the curves by its pairing vector, and
-    # with every extra class by contracting that vector with its own
-    # combination of curves.
-    vecs = [base.pairings(combo) for combo in extra.values()]
-    rows = [list(row) + [vec[a] for vec in vecs]
-            for a, row in zip(base.curves, base.gram)]
-    for combo, vec in zip(extra.values(), vecs):
-        rows.append([vec[a] for a in base.curves] + [
-            sum((c * other[n] for n, c in combo.items()), Fraction(0))
-            for other in vecs])
-    return zariski.SurfaceLattice(base.curves + tuple(extra), rows)
 
 
 _FLAG_CACHE: dict[str, functionals.FlagCase] = {}
@@ -276,6 +269,9 @@ def _validate(case: dict, origin: str):
         raise SchemaError(f"{origin}: unknown kind {case['kind']!r}")
     if not isinstance(case["label"], str):
         raise SchemaError(f"{origin}: label {case['label']!r} is not a string")
+    if not isinstance(case["inputs"], dict):
+        raise SchemaError(f"{origin}: inputs {case['inputs']!r} is not "
+                          f"an object")
     if "expected" in case and case["expected"] is not None:
         if not case.get("citation"):
             raise SchemaError(

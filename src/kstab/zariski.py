@@ -20,7 +20,10 @@ support system is linear, so positive parts, negative parts and pairings
 stay affine, every wall is a line v = a + b*u, and the volume P^2 has
 total degree 2.  A chamber {u0 <= u <= u1, v_lo(u) <= v <= v_hi(u)} is
 then a convex polygon, and the corner lemma (``Chamber2D.corners``) makes
-every sign check at its corners a proof.
+every sign check at its corners a proof.  So every sign claim on a chamber
+goes through ``Chamber2D.corners``, and every sign claim on an interval
+(a volume before the next wall, a threefold negative part) through the
+exact sign oracle ``exactcore.minimum``.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
@@ -42,7 +45,7 @@ from fractions import Fraction
 
 from . import KstabError, _linalg
 from .exactcore import (ContinuityWarning, Interval, PiecewisePolynomial, Poly,
-                        rat, rat_str, sqrt_rat)
+                        minimum, rat, rat_str, sqrt_rat)
 from .toric import ToricModel
 
 
@@ -353,30 +356,26 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     if value(v_cur) < 0:
         raise NoConvergence("negative volume inside a chamber")
 
-    roots: list[Fraction] = []
-    if c2 == 0:
-        r = -c0 / c1
-        if r > v_cur:
-            roots.append(r)
-    else:
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc >= 0:
-            s = sqrt_rat(disc)
-            if s is None:
-                # Irrational roots only matter if one lies before the limit.
-                if _quadratic_dips(c2, c1, c0, v_cur, limit):
-                    raise IrrationalThreshold(
-                        "volume vanishes at an irrational parameter")
-                return None
-            for sign in (1, -1):
-                r = (-c1 + sign * s) / (2 * c2)
-                if r > v_cur:
-                    roots.append(r)
-    if not roots:
+    s = sqrt_rat(c1 * c1 - 4 * c2 * c0)
+    if s is None:
+        # No rational root, so the volume is quadratic.  Positive at v_cur,
+        # it must stay positive up to the limit.  With no limit, a concave
+        # volume falls without bound, and a convex one is smallest at
+        # max(v_cur, vertex).
+        hi = limit
+        if hi is None and c2 > 0:
+            hi = max(v_cur, -c1 / (2 * c2))
+        if hi is None or minimum(Poly.from_coeffs([c0, c1, c2]),
+                                 Interval(v_cur, hi)) <= 0:
+            raise IrrationalThreshold(
+                "volume vanishes at an irrational parameter")
+        return None
+    roots = [x for x in ([-c0 / c1] if c2 == 0 else
+                         [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)])
+             if x > v_cur]
+    if not roots or (limit is not None and min(roots) > limit):
         return None
     r = min(roots)
-    if limit is not None and r > limit:
-        return None
 
     dv = vol.derivative("v")
     b = dv.eval(u=ustar, v=r)
@@ -392,23 +391,6 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
             raise _SplitRequest(ustar)
         raise IrrationalThreshold("threshold is not affine in u")
     return r, wall
-
-
-def _quadratic_dips(c2, c1, c0, v_cur, limit) -> bool:
-    """Does c2 v^2 + c1 v + c0 become <= 0 somewhere in (v_cur, limit]?"""
-    if limit is None and c2 < 0:
-        return True  # a concave quadratic falls without bound
-    probes = []
-    if limit is not None:
-        probes.append(limit)
-    if c2 != 0:
-        vertex = -c1 / (2 * c2)
-        if vertex > v_cur and (limit is None or vertex <= limit):
-            probes.append(vertex)
-    for v in probes:
-        if c2 * v * v + c1 * v + c0 <= 0:
-            return True
-    return False
 
 
 def _constraints(support, negative: dict, pairings: dict) -> dict[str, Poly]:
@@ -553,11 +535,11 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
     """Verify a supplied chamber decomposition and return vol(u) = P(u)^3.
 
     Per chamber the four defining conditions are proved exactly: P is nef
-    against the model's Mori generators at both endpoints, N is effective
-    there (both affine in u, so the endpoints decide the whole interval),
-    P + N agrees with the total family in the degree lattice, and the
-    resulting cubic pieces match at the walls (small modifications preserve
-    the volume).
+    against the model's Mori generators at both endpoints (P is affine in
+    u, so the endpoints decide the whole interval), every coefficient of N
+    has a nonnegative ``minimum`` on the interval, P + N agrees with the
+    total family in the degree lattice, and the resulting cubic pieces
+    match at the walls (small modifications preserve the volume).
     """
     total = _affine_family(total, "decomposed family")
     pieces = []
@@ -575,11 +557,11 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
         if model.degree(combined) != model.degree(total):
             raise DecompositionMismatch(
                 f"{label}: P + N is not the decomposed family")
+        for k, c in neg.items():
+            if minimum(c, ch.interval) < 0:
+                raise DecompositionMismatch(
+                    f"{label}: negative part coefficient of {k} < 0")
         for u in (ch.interval.lo, ch.interval.hi):
-            for k, c in neg.items():
-                if c.eval(u=u, v=0) < 0:
-                    raise DecompositionMismatch(
-                        f"{label}: negative part coefficient of {k} < 0")
             ok, violated = model.nef_check(
                 {k: c.eval(u=u, v=0) for k, c in pos.items()})
             if not ok:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -6,7 +7,8 @@ import pytest
 from kstab.exactcore import Interval, PiecewisePolynomial, Poly
 from kstab.formulas import k3
 from kstab.functionals import (DeltaBoundReport, FlagCase, FlagChamber,
-                               FlagPoint, MissingMultiplicity, ZeroS,
+                               FlagPoint, FunctionalError,
+                               MissingMultiplicity, ZeroS,
                                beta_divisor, delta_bound_report, f_q_term,
                                s_flag_point, s_flag_surface,
                                s_flag_surface_report, s_from_volume,
@@ -103,6 +105,15 @@ class TestFlagValues:
             generic = next(p.name for p in case.points if not p.mults)
             assert s_flag_point(case, pt) == \
                 s_flag_point(case, generic) + f_q_term(case, pt)
+
+    def test_negative_local_order_is_refused(self):
+        # A negative multiplicity along C5 makes the local order negative
+        # wherever C5 is in the inner negative part.
+        case = dataclasses.replace(
+            flag_case("a2-flag-C1"),
+            points=(FlagPoint("Qneg", {"C5": Q(-1)}),))
+        with pytest.raises(FunctionalError, match="negative local order"):
+            f_q_term(case, "Qneg")
 
     def test_missing_point(self):
         with pytest.raises(MissingMultiplicity):

@@ -8,6 +8,9 @@ inner bounds whose width is affine or quadratic in u and nonnegative on
 the outer interval.  ``interpolate`` is checked against
 ``sympy.interpolate`` on samples of a polynomial of degree at most 4 at
 distinct rational abscissae, and must refuse samples moved off it.
+``minimum`` is checked on random polynomials in u of degree at most 2
+against the smallest value of a sympy polynomial at the endpoints and at
+the real roots of its derivative inside the interval.
 """
 
 from fractions import Fraction as Q
@@ -17,12 +20,13 @@ import pytest
 pytest.importorskip("hypothesis")
 sp = pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (example, given, settings,  # noqa: E402
+                        strategies as st)
 
 from kstab.exactcore import (ContinuityWarning,  # noqa: E402
-                             InconsistentSamples, Interval,
+                             InconsistentSamples, Interval, MalformedInput,
                              PiecewisePolynomial, Poly, definite_integral,
-                             double_integral, interpolate,
+                             double_integral, interpolate, minimum,
                              piecewise_integral)
 
 SU, SV = sp.symbols("u v")
@@ -136,3 +140,25 @@ def test_interpolate_refuses_samples_off_the_polynomial(case, data):
     assert sp.degree(moved, SU) > degree
     with pytest.raises(InconsistentSamples):
         interpolate(pts, degree)
+
+
+@SETTINGS
+@given(st.lists(rationals, max_size=3).map(Poly.from_coeffs), intervals)
+@example(Poly.from_coeffs([Q(1, 2), -8, 16]), Interval(0, 1))  # vertex 1/4
+def test_minimum(p, iv):
+    poly = sp.Poly(to_sympy(p), SU, domain="QQ")
+    lo, hi = sym(iv.lo), sym(iv.hi)
+    points = [lo, hi]
+    slope = poly.diff(SU)
+    if not slope.is_zero:
+        points += [x for x in slope.real_roots() if lo <= x <= hi]
+    assert minimum(p, iv) == to_fraction(min(poly.eval(x) for x in points))
+
+
+@pytest.mark.parametrize("p, match", [
+    (Poly.from_coeffs([1, 0, 0, 1]), "degree 3"),
+    (Poly.var("v"), "polynomial in u"),
+], ids=["cubic", "in-v"])
+def test_minimum_refuses_what_it_cannot_certify(p, match):
+    with pytest.raises(MalformedInput, match=match):
+        minimum(p, Interval(0, 1))

@@ -132,6 +132,24 @@ def test_fixed_point_coefficients_follow_the_peano_rules(coeffs):
     assert result.detail.startswith("InvariantError: ")
 
 
+def test_support_that_is_not_a_list_fails_its_row_typed():
+    result = runner.run_case({
+        "schema_version": 1,
+        "kind": "git",
+        "label": "adhoc/support-number",
+        "inputs": {"op": "weight", "support": 5, "subgroup": [1, 2]},
+    })
+    assert result.status == "fail"
+    assert result.detail.startswith("GitError: ")
+
+
+def test_extra_class_over_an_unknown_curve():
+    with pytest.raises(zariski.ZariskiError, match="'C9'"):
+        runner.build_lattice({"from_model": "F0tilde-A2",
+                              "curves": {"C1": "C1", "C3": "C3"},
+                              "extra_classes": {"T": {"C1": "1", "C9": "1"}}})
+
+
 def test_lattice_with_two_extra_classes():
     curves = {"C1": "C1", "C3": "C3", "C4": "C4", "C5": "C5"}
     extra = {"T": {"C1": "1", "C4": "1", "C5": "1"},
@@ -278,6 +296,7 @@ class TestCli:
         ["run", "TMP/null.json"],
         ["run", "TMP/kind-list.json"],
         ["run", "TMP/label-list.json"],
+        ["run", "TMP/inputs-number.json"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
@@ -288,7 +307,7 @@ class TestCli:
             "delta-entry-scalar", "delta-entries-scalar", "inv-trials-0",
             "inv-trials-negative", "git-subgroup-one-entry",
             "support-slash", "case-number", "case-null", "case-kind-list",
-            "case-label-list"])
+            "case-label-list", "inputs-not-object"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
@@ -315,6 +334,8 @@ class TestCli:
             {**subgroup, "kind": []}))
         (tmp_path / "label-list.json").write_text(json.dumps(
             {**subgroup, "label": ["x"]}))
+        (tmp_path / "inputs-number.json").write_text(json.dumps(
+            {**subgroup, "inputs": 5}))
         argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

@@ -258,6 +258,17 @@ class TestThreefoldVolume:
         with pytest.raises((DiscontinuousVolume, NefViolation)):
             threefold_chamber_volume(fx.models, tweaked, fx.family)
 
+    def test_negative_part_negative_on_the_interval(self):
+        # The last chamber stretched to [1, 3]: P + N is unchanged, but
+        # N = u - 2 on F5 is -1 at u = 1.
+        fx = volume_fixture("a1-volume")
+        last = fx.chambers[-1]
+        bad = [ThreefoldChamber(Interval(1, 3), "Y1-A1", last.positive,
+                                last.negative)]
+        with pytest.raises(DecompositionMismatch,
+                           match="negative part coefficient"):
+            threefold_chamber_volume(fx.models, bad, fx.family)
+
 
 class TestThreshold:
     def test_nodal(self):
@@ -320,6 +331,27 @@ def test_concave_volume_has_irrational_threshold():
     # take the concave volume for an unbounded one.
     with pytest.raises(IrrationalThreshold):
         _vol_threshold(2 - V ** 2, Q(0), Q(0), None)
+
+
+@pytest.mark.parametrize("vol, limit, vanishes", [
+    (2 - V ** 2, Q(1), False),
+    (2 - V ** 2, Q(2), True),
+    (V ** 2 - 4 * V + 2, Q(1, 2), False),
+    (V ** 2 - 4 * V + 2, Q(1), True),
+    (V ** 2 - 4 * V + 2, None, True),
+    (V ** 2 + 4 * V + 2, None, False),
+    (V ** 2 - 2 * V + 2, Q(5), False),
+], ids=["concave-before-root", "concave-past-root", "convex-before-root",
+        "convex-past-root", "convex-dips-unbounded", "convex-roots-behind",
+        "no-real-root"])
+def test_irrational_threshold_against_the_limit(vol, limit, vanishes):
+    # No root here is rational: only whether the volume falls to 0 by the
+    # limit decides between None and IrrationalThreshold.
+    if vanishes:
+        with pytest.raises(IrrationalThreshold):
+            _vol_threshold(vol, Q(0), Q(0), limit)
+    else:
+        assert _vol_threshold(vol, Q(0), Q(0), limit) is None
 
 
 # Volume with the root lines v = u and v = 1 - u, crossing at u = 1/2.
