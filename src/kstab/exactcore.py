@@ -53,11 +53,12 @@ class InconsistentSamples(ExactCoreError):
 
 
 class MalformedInput(ExactCoreError):
-    """Input of the wrong shape: a reversed interval, an integrand, piece,
-    integration bound or substitution target in the wrong variables, an
-    unknown variable name, a negative power, a polynomial whose minimum
-    cannot be certified exactly, a point outside a piecewise domain, or
-    unusable interpolation samples."""
+    """Input of the wrong shape: a reversed interval, a coefficient list
+    that is not a list, an integrand, piece, integration bound or
+    substitution target in the wrong variables, an unknown variable name,
+    a negative power, a polynomial whose minimum cannot be certified
+    exactly, a point outside a piecewise domain, or unusable
+    interpolation samples."""
 
 
 class NotARational(ExactCoreError):
@@ -96,8 +97,9 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def sqrt_rat(q: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if it is not a square."""
+def sqrt_rat(q: int | Fraction) -> Fraction | None:
+    """Exact square root of an int or a Fraction, or None if it is not a
+    square."""
     if q < 0:
         return None
     num, den = q.numerator, q.denominator
@@ -179,8 +181,12 @@ class Poly:
         return cls({(0, 0): rat(c0), (1, 0): rat(cu), (0, 1): rat(cv)})
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence) -> "Poly":
-        """Build ``sum(rat(coeffs[k]) * u**k)`` from a coefficient list."""
+    def from_coeffs(cls, coeffs: list | tuple) -> "Poly":
+        """Build ``sum(rat(coeffs[k]) * u**k)`` from a coefficient list or
+        tuple; anything else (a string of digits, say) is MalformedInput."""
+        if not isinstance(coeffs, (list, tuple)):
+            raise MalformedInput(
+                f"coefficients must be a list, got {coeffs!r}")
         return cls({(k, 0): rat(c) for k, c in enumerate(coeffs)})
 
     # -- ring operations ----------------------------------------------
@@ -329,18 +335,33 @@ class Poly:
         return Poly._of({e: c for e, c in out.items() if c}, self.den * b ** n)
 
     def subs_v(self, repl: "Poly") -> "Poly":
-        """Substitute ``v`` by a polynomial in ``u``."""
+        """Substitute ``v`` by a polynomial in ``u``.
+
+        With the slices S_j of equal v-degree and ``repl`` = R / r, the
+        result is sum_j S_j * R^j * r^(m - j) over den * r^m, m the degree
+        in v: Horner's scheme on the integer slices, reduced by one gcd.
+        """
         if not repl.is_univariate("u"):
             raise MalformedInput(
                 "substitution target must be a polynomial in u")
-        # Horner's scheme in v over the slices of equal v-degree.
-        slices: dict[int, dict[tuple[int, int], int]] = {}
+        slices: dict[int, dict[int, int]] = {}
         for (i, j), c in self.num.items():
-            slices.setdefault(j, {})[(i, 0)] = c
-        out = Poly._of({}, 1)
-        for j in range(max(slices, default=0), -1, -1):
-            out = out * repl + Poly._of(slices.get(j, {}), self.den)
-        return out
+            slices.setdefault(j, {})[i] = c
+        m = max(slices, default=0)
+        r_num = {i: c for (i, _), c in repl.num.items()}
+        out = slices.get(m, {})
+        r_power = 1
+        for j in range(m - 1, -1, -1):
+            r_power *= repl.den
+            acc: dict[int, int] = {}
+            for i1, c1 in out.items():
+                for i2, c2 in r_num.items():
+                    acc[i1 + i2] = acc.get(i1 + i2, 0) + c1 * c2
+            for i, c in slices.get(j, {}).items():
+                acc[i] = acc.get(i, 0) + c * r_power
+            out = acc
+        return Poly._of({(i, 0): c for i, c in out.items() if c},
+                        self.den * repl.den ** m)
 
     # -- calculus ------------------------------------------------------
 

@@ -184,9 +184,9 @@ def f_q_term(case: FlagCase, point_name: str) -> Fraction:
             order = _point_order(case, point, ch, sub)
             if not order:
                 continue
-            # The local order is affine, so by the corner lemma of
-            # ``Chamber2D.corners`` its minimum is at a corner.
-            if min(order.eval(u=u, v=v) for u, v in sub.corners()) < 0:
+            # The local order is affine, so the corner lemma of
+            # ``Chamber2D.nonnegative`` proves its sign on the chamber.
+            if not sub.nonnegative(order):
                 raise FunctionalError(
                     f"{case.label}: negative local order at {point_name} "
                     f"for u in {sub.u_interval}")

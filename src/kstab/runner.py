@@ -73,6 +73,11 @@ def _load_json(path) -> dict:
 
 
 def load_fixture(kind: str, name: str) -> dict:
+    """The bundled fixture ``kind/name.json``; ``name`` must be a bare
+    file stem, not a path."""
+    if (not isinstance(name, str) or "/" in name or "\\" in name
+            or name.startswith(".")):
+        raise FixtureMissing(f"fixture name {name!r} is not a bare name")
     entry = _fixture_root() / kind / f"{name}.json"
     if not entry.is_file():
         raise FixtureMissing(f"fixture {kind}/{name}.json is not bundled")
@@ -322,6 +327,13 @@ def _compute_flag_point(inputs: dict):
     raise SchemaError(f"unknown flag_point quantity {quantity!r}")
 
 
+class _Inputs(dict):
+    """A case's inputs; a missing one is a SchemaError."""
+
+    def __missing__(self, key):
+        raise SchemaError(f"missing input {key!r}")
+
+
 class _Params(dict):
     """Formula parameters; a missing one is a FormulaError."""
 
@@ -487,7 +499,7 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
     expected = _strip_citations(case.get("expected"))
     printed = _strip_citations(case.get("printed"))
     try:
-        computed = _HANDLERS[kind](case["inputs"], seed)
+        computed = _HANDLERS[kind](_Inputs(case["inputs"]), seed)
     except SchemaError:
         raise
     except Exception as exc:

@@ -19,11 +19,16 @@ Affinity is an invariant, checked once where a family enters the engine:
 support system is linear, so positive parts, negative parts and pairings
 stay affine, every wall is a line v = a + b*u, and the volume P^2 has
 total degree 2.  A chamber {u0 <= u <= u1, v_lo(u) <= v <= v_hi(u)} is
-then a convex polygon, and the corner lemma (``Chamber2D.corners``) makes
-every sign check at its corners a proof.  So every sign claim on a chamber
-goes through ``Chamber2D.corners``, and every sign claim on an interval
-(a volume before the next wall, a threefold negative part) through the
-exact sign oracle ``exactcore.minimum``.
+then a convex polygon, and by the corner lemma a sign check at its four
+corners is a proof.  So every sign claim on a chamber goes through
+``Chamber2D.nonnegative``, and every sign claim on an interval (a volume
+before the next wall, a threefold negative part) through the exact sign
+oracle ``exactcore.minimum``.
+
+The scan decides in integers: ``_affine`` reads an affine form as the
+numerators (a, b, c) of (a + b*u + c*v) / den, den > 0, so at a point
+(x, y) / d its sign is that of a*d + b*x + c*y.  Fractions and Polys are
+built only for what the scan hands on: event positions, roots and walls.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
@@ -44,8 +49,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import KstabError, _linalg
-from .exactcore import (ContinuityWarning, Interval, PiecewisePolynomial, Poly,
-                        minimum, rat, rat_str, sqrt_rat)
+from .exactcore import (ContinuityWarning, Interval, MalformedInput,
+                        PiecewisePolynomial, Poly, minimum, rat, rat_str,
+                        sqrt_rat)
 from .toric import ToricModel
 
 
@@ -256,15 +262,27 @@ def _subtract(d: dict, n: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+_AFFINE_TERMS = frozenset({(0, 0), (1, 0), (0, 1)})
+
+
 def _affine_family(d: dict, what: str) -> dict[str, Poly]:
     """``d`` with every coefficient lifted to a Poly and checked affine in
     (u, v); a term u^i v^j with i + j > 1 raises NonAffineFamily."""
     out = {k: Poly.const(c) for k, c in d.items()}
     for k, p in out.items():
-        if any(i + j > 1 for i, j in p.num):
+        if not p.num.keys() <= _AFFINE_TERMS:
             raise NonAffineFamily(
                 f"{what}: coefficient {p!r} of {k} is not affine in (u, v)")
     return out
+
+
+def _affine(g: Poly) -> tuple[int, int, int]:
+    """The integers (a, b, c) with g = (a + b*u + c*v) / g.den, g.den > 0;
+    any other term raises NonAffineFamily, so no form is misread."""
+    num = g.num
+    if not num.keys() <= _AFFINE_TERMS:
+        raise NonAffineFamily(f"{g!r} is not affine in (u, v)")
+    return num.get((0, 0), 0), num.get((1, 0), 0), num.get((0, 1), 0)
 
 
 @dataclass
@@ -288,17 +306,30 @@ class Chamber2D:
     volume: Poly
 
     def corners(self) -> list[tuple[Fraction, Fraction]]:
-        """The corners (u, v): v_lo then v_hi at u0, then at u1.
-
-        Corner lemma: once v_lo <= v_hi at u0 and at u1, the chamber is
-        the convex hull of these four points, because its walls are
-        lines.  A function affine in (u, v) attains its minimum over a
-        convex polygon at a corner, so one that is nonnegative at the
-        four corners is nonnegative on the whole chamber.
-        """
+        """The corners (u, v): v_lo then v_hi at u0, then at u1."""
         return [(u, wall.eval(u=u, v=0))
                 for u in (self.u_interval.lo, self.u_interval.hi)
                 for wall in (self.v_lo, self.v_hi)]
+
+    def nonnegative(self, g: Poly) -> bool:
+        """Whether the affine form ``g`` is >= 0 on the whole chamber.
+
+        Corner lemma: once v_lo <= v_hi at u0 and at u1, the chamber is
+        the convex hull of its four corners, because its walls are lines.
+        A function affine in (u, v) attains its minimum over a convex
+        polygon at a corner.  At u = p/q on the wall (w0 + w1*u) / wd the
+        corner is (p*wd, w0*q + w1*p) / (q*wd), so g's sign there is an
+        integer's.
+        """
+        a, b, c = _affine(g)
+        walls = [(_affine(w), w.den) for w in (self.v_lo, self.v_hi)]
+        for u in (self.u_interval.lo, self.u_interval.hi):
+            p, q = u.numerator, u.denominator
+            at_u = a * q + b * p
+            for (w0, w1, _), wd in walls:
+                if at_u * wd + c * (w0 * q + w1 * p) < 0:
+                    return False
+        return True
 
 
 def _family_at(family: dict[str, Poly], u: Fraction, v: Fraction) -> dict:
@@ -319,9 +350,13 @@ def _symbolic_parts(lat: SurfaceLattice, family: dict[str, Poly],
 
 
 def _symbolic_wall(constraint: Poly) -> Poly:
-    """The line v = w(u) on which an affine constraint vanishes; callers
-    pass only constraints with a nonzero v-slope."""
-    return constraint.eval(v=0) * (-1 / constraint.coefficient(0, 1))
+    """The line v = -(a + b*u) / c on which the affine constraint
+    (a + b*u + c*v) / den vanishes; callers pass only constraints with
+    c != 0."""
+    a, b, c = _affine(constraint)
+    sign = -1 if c > 0 else 1
+    return Poly._of({e: sign * n for e, n in (((0, 0), a), ((1, 0), b))
+                     if n}, abs(c))
 
 
 def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
@@ -337,23 +372,27 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     or not, cross there: it raises _SplitRequest(ustar), so the scan
     samples each half.  Any other root not affine in u raises
     IrrationalThreshold.
-    """
-    at_ustar = vol.eval(u=ustar)
-    c0, c1, c2 = (at_ustar.coefficient(0, j) for j in range(3))
 
-    def value(v):
-        return c2 * v * v + c1 * v + c0
+    The decisions read c0, c1, c2, the integer numerators of vol at
+    ustar, over one positive denominator, so signs and roots are vol's.
+    A volume of degree > 2 in v raises MalformedInput.
+    """
+    at_ustar = vol.eval(u=ustar).num
+    if any(j > 2 for _, j in at_ustar):
+        raise MalformedInput(f"volume {vol!r} has degree > 2 in v")
+    c0, c1, c2 = (at_ustar.get((0, j), 0) for j in range(3))
+    p, q = v_cur.numerator, v_cur.denominator
 
     if c2 == 0 and c1 == 0:
         if c0 == 0:
             return v_cur, Poly.const(v_cur)
         return None
-    if value(v_cur) == 0:
-        slope = 2 * c2 * v_cur + c1
-        if slope <= 0:
+    value = c2 * p * p + c1 * p * q + c0 * q * q
+    if value == 0:
+        if 2 * c2 * p + c1 * q <= 0:
             return v_cur, Poly.const(v_cur)
         raise NoConvergence("volume vanishes then grows; bad family")
-    if value(v_cur) < 0:
+    if value < 0:
         raise NoConvergence("negative volume inside a chamber")
 
     s = sqrt_rat(c1 * c1 - 4 * c2 * c0)
@@ -364,14 +403,16 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
         # max(v_cur, vertex).
         hi = limit
         if hi is None and c2 > 0:
-            hi = max(v_cur, -c1 / (2 * c2))
+            hi = max(v_cur, Fraction(-c1, 2 * c2))
         if hi is None or minimum(Poly.from_coeffs([c0, c1, c2]),
                                  Interval(v_cur, hi)) <= 0:
             raise IrrationalThreshold(
                 "volume vanishes at an irrational parameter")
         return None
-    roots = [x for x in ([-c0 / c1] if c2 == 0 else
-                         [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)])
+    s = s.numerator
+    roots = [x for x in ([Fraction(-c0, c1)] if c2 == 0 else
+                         [Fraction(-c1 + s, 2 * c2),
+                          Fraction(-c1 - s, 2 * c2)])
              if x > v_cur]
     if not roots or (limit is not None and min(roots) > limit):
         return None
@@ -442,17 +483,22 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
     for _ in range(6 * len(lat.curves) + 12):
         p_sym, n_sym = _symbolic_parts(lat, family, support)
         pv = lat.pairings(p_sym)
-        # An event is a constraint falling to 0 at the sample; its curve
-        # enters or leaves the support there.
+        # The sample (ustar, v_cur) as integers (x, y) / d.
+        d = ustar.denominator * v_cur.denominator
+        x = ustar.numerator * v_cur.denominator
+        y = v_cur.numerator * ustar.denominator
+        # An event is a constraint (a + b*u + c*v) / den falling to 0 at
+        # the sample; its curve enters or leaves the support there.
         events: list[tuple[Fraction, str, Poly]] = []
-        for c, g in _constraints(support, n_sym, pv).items():
-            val, slope = g.eval(u=ustar, v=v_cur), g.coefficient(0, 1)
+        for curve, g in _constraints(support, n_sym, pv).items():
+            a, b, c = _affine(g)
+            val = a * d + b * x + c * y
             if val < 0:
                 raise NoConvergence(
-                    f"constraint of {c} negative inside a chamber")
-            if slope < 0:
-                events.append((v_cur + val / (-slope), c, g))
-            elif val == slope == 0 and g.degree("u") > 0 and c not in support:
+                    f"constraint of {curve} negative inside a chamber")
+            if c < 0:
+                events.append((Fraction(a * d + b * x, -c * d), curve, g))
+            elif val == 0 and c == 0 and b != 0 and curve not in support:
                 raise _SplitRequest(ustar)
         vol = Poly.const(_contract(p_sym, pv))
         next_wall = min((e[0] for e in events), default=None)
@@ -488,29 +534,29 @@ def _verify_chambers(chambers: list[Chamber2D]):
     """Corner checks: wall order on every chamber, then orthogonality and
     the sign of every constraint (``_constraints``).
 
-    The width v_hi - v_lo and every constraint is affine, so by the corner
-    lemma of ``Chamber2D.corners`` each check at the four corners is a
-    proof for the whole chamber.  A width negative at one end only means
-    the walls cross inside the u-interval, and the scan splits where it
-    vanishes.  Until every chamber's walls are in order, a corner may lie
-    off the true region, so no corner sign is read before that.
+    The width v_hi - v_lo is affine in u, so its signs at the two ends
+    decide it; a width negative at one end only means the walls cross
+    inside the u-interval, and the scan splits where it vanishes.  Every
+    constraint is affine, so ``Chamber2D.nonnegative`` proves its sign on
+    the whole chamber from the four corners.  Until every chamber's walls
+    are in order, a corner may lie off the true region, so no corner sign
+    is read before that.
     """
-    corners = [ch.corners() for ch in chambers]
-    for ch, ((u0, lo0), (_, hi0), (u1, lo1), (_, hi1)) in zip(chambers,
-                                                              corners):
+    for ch in chambers:
+        (u0, lo0), (_, hi0), (u1, lo1), (_, hi1) = ch.corners()
         w0, w1 = hi0 - lo0, hi1 - lo1
         if w0 < 0 or w1 < 0:
             if w0 <= 0 and w1 <= 0:
                 raise WallDegeneracy("walls in the wrong order on "
                                      f"the whole of {ch.u_interval}")
             raise _SplitRequest(u0 + (u1 - u0) * w0 / (w0 - w1))
-    for ch, points in zip(chambers, corners):
+    for ch in chambers:
         for s in ch.support:
             if ch.pairings[s]:
                 raise NoConvergence(f"orthogonality failed for {s}")
         for c, g in _constraints(ch.support, ch.negative,
                                  ch.pairings).items():
-            if any(g.eval(u=u, v=v) < 0 for u, v in points):
+            if not ch.nonnegative(g):
                 raise NoConvergence(
                     f"constraint of {c} negative at a chamber corner")
 
@@ -586,11 +632,9 @@ def pseudoeffective_threshold(model: ToricModel,
     family = _affine_family(family, "family")
     bound = None
     for coord in model.effective_coordinates(family):
-        coord = Poly.const(coord)
-        c1 = coord.coefficient(1, 0)
-        c0 = coord.coefficient(0, 0)
+        c0, c1, _ = _affine(Poly.const(coord))
         if c1 < 0:
-            b = -c0 / c1
+            b = Fraction(-c0, c1)
             bound = b if bound is None else min(bound, b)
     if bound is None:
         raise Unbounded("no degree coordinate decreases in u")

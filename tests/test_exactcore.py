@@ -265,6 +265,12 @@ class TestMalformedInput:
         with pytest.raises(MalformedInput, match="not univariate"):
             (U * V).coeffs()
 
+    def test_coefficient_string_is_not_a_list(self):
+        # A string is a sequence, but "12" is not the list [1, 2].
+        with pytest.raises(MalformedInput, match="must be a list"):
+            Poly.from_coeffs("12")
+        assert Poly.from_coeffs((1, 2)) == Poly.from_coeffs([1, 2])
+
     def test_subs_v_target_not_in_u(self):
         with pytest.raises(MalformedInput, match="substitution target"):
             U.subs_v(V)

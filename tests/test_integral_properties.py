@@ -1,11 +1,13 @@
 """Differential tests of the exact integrals and interpolation against
 sympy.
 
-``definite_integral``, ``piecewise_integral`` and ``double_integral`` are
-checked on random polynomials against ``sympy.integrate``; the piecewise
-case goes through a sympy ``Piecewise``, and the double integral uses
-inner bounds whose width is affine or quadratic in u and nonnegative on
-the outer interval.  ``interpolate`` is checked against
+``definite_integral`` is checked on random polynomials against
+``sympy.integrate``.  ``piecewise_integral`` and ``double_integral`` are
+checked against integrals in sympy's polynomial domain, ``sympy.Poly``
+over QQ: the piecewise case piece by piece, and the double integral
+through the composition of the v-antiderivative with the inner bounds,
+whose width is affine or quadratic in u and nonnegative on the outer
+interval.  ``interpolate`` is checked against
 ``sympy.interpolate`` on samples of a polynomial of degree at most 4 at
 distinct rational abscissae, and must refuse samples moved off it.
 ``minimum`` is checked on random polynomials in u of degree at most 2
@@ -52,6 +54,20 @@ def sym(q: Q):
     return sp.Rational(q.numerator, q.denominator)
 
 
+def to_qq(p: Poly):
+    """``p`` as a ``sympy.Poly`` over QQ in the generators (v, u)."""
+    return sp.Poly.from_dict(
+        {(j, i): sp.QQ(c.numerator, c.denominator)
+         for (i, j), c in p.terms.items()}, SV, SU, domain=sp.QQ)
+
+
+def qq_integral(p, iv: Interval) -> Q:
+    """The integral over ``iv`` of a ``sympy.Poly`` in (v, u) free of v."""
+    anti = p.integrate(SU)
+    return to_fraction(anti.eval({SV: 0, SU: sym(iv.hi)})
+                       - anti.eval({SV: 0, SU: sym(iv.lo)}))
+
+
 def to_fraction(expr) -> Q:
     assert expr.is_Rational
     return Q(int(expr.p), int(expr.q))
@@ -72,19 +88,17 @@ def test_piecewise_integral(breaks, polys):
     breaks.sort()
     pieces = [(Interval(lo, hi), p)
               for lo, hi, p in zip(breaks, breaks[1:], polys)]
-    f = sp.Piecewise(
-        *[(to_sympy(p), (SU >= sym(iv.lo)) & (SU <= sym(iv.hi)))
-          for iv, p in pieces], (0, True))
-    want = sp.integrate(f, (SU, sym(breaks[0]), sym(breaks[-1])))
-    assert piecewise_integral(PiecewisePolynomial(pieces)) == \
-        to_fraction(want)
+    # The pieces tile [breaks[0], breaks[-1]], so the integral over it is
+    # the sum of the integrals of the pieces.
+    want = sum((qq_integral(to_qq(p), iv) for iv, p in pieces), Q(0))
+    assert piecewise_integral(PiecewisePolynomial(pieces)) == want
 
 
 def _check_double(f, lo, width, iv):
     hi = lo + width
-    inner = sp.integrate(to_sympy(f), (SV, to_sympy(lo), to_sympy(hi)))
-    want = sp.integrate(inner, (SU, sym(iv.lo), sym(iv.hi)))
-    assert double_integral(f, lo, hi, iv) == to_fraction(want)
+    anti = to_qq(f).integrate(SV)
+    inner = anti.compose(to_qq(hi)) - anti.compose(to_qq(lo))
+    assert double_integral(f, lo, hi, iv) == qq_integral(inner, iv)
 
 
 @SETTINGS

@@ -143,6 +143,36 @@ def test_support_that_is_not_a_list_fails_its_row_typed():
     assert result.detail.startswith("GitError: ")
 
 
+def test_coefficient_string_fails_its_row_typed():
+    result = runner.run_case({
+        "schema_version": 1,
+        "kind": "volume",
+        "label": "adhoc/coeffs-string",
+        "inputs": {"pieces": [{"interval": ["0", "1"], "coeffs": "12"}],
+                   "ample_cube": "1", "quantity": "integral"},
+    })
+    assert result.status == "fail"
+    assert result.detail.startswith("MalformedInput: ")
+
+
+@pytest.mark.parametrize("inputs", [
+    {"flag_case": "../models/F0tilde-A2"},
+    {"volume": "../flags/a2-flag-C1"},
+    {"flag_case": ".hidden"},
+    {"flag_case": "..\\models\\F0tilde-A2"},
+], ids=["flag-up", "volume-up", "dot", "backslash"])
+def test_fixture_name_that_escapes_its_directory(inputs):
+    kind = "volume" if "volume" in inputs else "flag_surface"
+    result = runner.run_case({
+        "schema_version": 1,
+        "kind": kind,
+        "label": "adhoc/escape",
+        "inputs": inputs,
+    })
+    assert result.status == "fail"
+    assert result.detail.startswith("FixtureMissing: ")
+
+
 def test_extra_class_over_an_unknown_curve():
     with pytest.raises(zariski.ZariskiError, match="'C9'"):
         runner.build_lattice({"from_model": "F0tilde-A2",
@@ -297,6 +327,7 @@ class TestCli:
         ["run", "TMP/kind-list.json"],
         ["run", "TMP/label-list.json"],
         ["run", "TMP/inputs-number.json"],
+        ["run", "TMP/missing-input.json"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
@@ -307,7 +338,7 @@ class TestCli:
             "delta-entry-scalar", "delta-entries-scalar", "inv-trials-0",
             "inv-trials-negative", "git-subgroup-one-entry",
             "support-slash", "case-number", "case-null", "case-kind-list",
-            "case-label-list", "inputs-not-object"])
+            "case-label-list", "inputs-not-object", "missing-input"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
@@ -336,6 +367,8 @@ class TestCli:
             {**subgroup, "label": ["x"]}))
         (tmp_path / "inputs-number.json").write_text(json.dumps(
             {**subgroup, "inputs": 5}))
+        (tmp_path / "missing-input.json").write_text(json.dumps(
+            {**subgroup, "kind": "flag_surface", "inputs": {}}))
         argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
