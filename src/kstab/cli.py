@@ -6,7 +6,7 @@ Subcommands::
     kstab run CASE.json [--seed S]
     kstab formulas eval NAME --params JSON
     kstab git weight --support 02,12,21,22 --lambda 1,2
-    kstab git destabilize --support ... [--bound N]
+    kstab git destabilize --support ...
     kstab inv dims --upto N
     kstab inv peano --coeffs JSON
     kstab inv check-invariance [--trials N] [--seed S]
@@ -43,7 +43,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_formulas(args) -> int:
     params = json.loads(args.params) if args.params else {}
-    value = runner._compute_formula({"name": args.name, "params": params})
+    value = runner._compute_formula(runner._Fields(
+        {"name": args.name, "params": params}, f"formula {args.name}",
+        runner.SchemaError))
     _print_json(value)
     return 0
 
@@ -64,10 +66,9 @@ def _cmd_git(args) -> int:
         print(w)
         return 0
     if args.gitcmd == "destabilize":
-        cert = githm.find_destabilizer(_parse_support(args.support),
-                                       args.bound)
+        cert = githm.find_destabilizer(_parse_support(args.support))
         if cert is None:
-            print("no certificate up to the bound")
+            print("no certificate: the weight is positive on every subgroup")
         else:
             kind = ("strictly semistable direction"
                     if cert.strictly_semistable_direction else "unstable")
@@ -135,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.set_defaults(func=_cmd_git)
     pd = gsub.add_parser("destabilize")
     pd.add_argument("--support", required=True)
-    pd.add_argument("--bound", type=int, default=5)
     pd.set_defaults(func=_cmd_git)
 
     p = sub.add_parser("inv", help="invariant-ring computations")

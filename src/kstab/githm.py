@@ -7,13 +7,14 @@ weight r0 (2 - 2i) + r1 (2 - 2j) on the (i, j) coefficient.
 
 Coordinate changes are not searched: supports are assumed given in
 adapted coordinates, and the certificates below are exactly the explicit
-instability and strict-semistability arguments for such supports.
+instability and strict-semistability arguments for such supports.  Three
+subgroups, (0, 1), (1, 1) and (1, 2), decide the sign of the weight over
+the whole cone; ``find_destabilizer`` states the lemma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import KstabError, invariants
 
@@ -72,28 +73,34 @@ class Destabilizer:
         return self.weight == 0
 
 
-def candidate_subgroups(bound: int):
-    """Coprime admissible subgroups with entries up to the bound, ordered
-    by increasing r1 then r0 for deterministic certificates."""
-    for r1 in range(1, bound + 1):
-        for r0 in range(0, r1 + 1):
-            if gcd(r0, r1) == 1:
-                yield OneParamSubgroup(r0, r1)
+# The subgroups that decide the sign of the weight, in the order of
+# increasing r1, then r0, in which certificates are reported.
+_DECIDING = (OneParamSubgroup(0, 1), OneParamSubgroup(1, 1),
+             OneParamSubgroup(1, 2))
 
 
-def find_destabilizer(s: Support, bound: int = 5) -> Destabilizer | None:
-    """First coprime subgroup with nonpositive weight, negatives preferred.
+def find_destabilizer(s: Support) -> Destabilizer | None:
+    """First subgroup with nonpositive weight, negatives preferred.
 
     A negative weight certifies instability; when no negative exists a
     zero-weight certificate (strictly semistable direction) is returned,
-    and None means no certificate up to the bound.
+    and None means the weight is positive on every subgroup of the cone.
+
+    Lemma: (0, 1), (1, 1) and (1, 2) decide it.  For a fixed support,
+    lambda -> max_s <lambda, w_s> is convex and positively homogeneous on
+    the cone r1 >= r0 >= 0, so its sign on the cone is its sign on the
+    slice r1 = 1, 0 <= r0 <= 1.  There it is piecewise linear and convex,
+    so its minimum lies at an end or at a kink, where two weights tie:
+    r0 * di + r1 * dj = 0 with |di|, |dj| <= 2, which inside the slice
+    means r0 / r1 = 1/2.  So the least of the three weights has the sign
+    of the minimum over the cone.  They are the first coprime subgroups in
+    order of increasing r1, then r0, so the certificate is the first one
+    of that order.
     """
-    if bound < 1:
-        raise GitError("bound must be at least 1")
     if not s:
         raise EmptySupport("the zero form has no destabilizer certificate")
     zero_cert = None
-    for lam in candidate_subgroups(bound):
+    for lam in _DECIDING:
         w = hm_weight(s, lam)
         if w < 0:
             return Destabilizer(lam, w)

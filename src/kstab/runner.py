@@ -42,16 +42,74 @@ class FixtureMissing(RunnerError):
     pass
 
 
-def _int(value, what: str, error: type[KstabError] = SchemaError) -> int:
-    """An integer input: an ``int`` other than a bool, or a string of one."""
-    if isinstance(value, str):
+class _Fields(dict):
+    """One JSON object of a case or a fixture, read through typed getters.
+
+    A missing key or a nested field of the wrong shape raises ``error``
+    naming its path, as in ``inputs.pieces[0]: missing 'coeffs'``: a
+    SchemaError for case inputs, a FormulaError for formula parameters and
+    a ParseError for fixture files.  A wrong value in a well-shaped field
+    is left to the library's own typed error: ``rat``, ``Poly.from_coeffs``
+    and ``Interval`` check values.
+    """
+
+    __slots__ = ("where", "error")
+
+    def __init__(self, data, where: str, error: type[KstabError]):
+        if not isinstance(data, dict):
+            raise error(f"{where} must be a JSON object, got {data!r}")
+        super().__init__(data)
+        self.where, self.error = where, error
+
+    def __missing__(self, key):
+        raise self.error(f"{self.where}: missing {key!r}")
+
+    def _shaped(self, key, default, kind: type, what: str, size=None):
+        value = self[key] if default is None else self.get(key, default)
+        if isinstance(value, kind) and (size is None or len(value) == size):
+            return value
+        raise self.error(f"{self.where}.{key} must be {what}, got {value!r}")
+
+    def integer(self, key) -> int:
+        """An ``int`` other than a bool, or a string holding one."""
+        value = self._shaped(key, None, (int, str), "an integer")
         try:
-            return int(value)
+            if not isinstance(value, bool):
+                return int(value)
         except ValueError:
             pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise error(f"{what} must be an integer, got {value!r}")
+        raise self.error(f"{self.where}.{key} must be an integer, "
+                         f"got {value!r}")
+
+    def pair(self, key) -> list:
+        return self._shaped(key, None, list, "an array of two entries", 2)
+
+    def interval(self, key) -> Interval:
+        return Interval(*self.pair(key))
+
+    def fields(self, key, default=None, error=None) -> _Fields:
+        """A nested object, read with this reader's error or ``error``."""
+        return _Fields(self._shaped(key, default, dict, "a JSON object"),
+                       f"{self.where}.{key}", error or self.error)
+
+    def each(self, key, default=None) -> list[_Fields]:
+        """A JSON array of objects."""
+        return [_Fields(item, f"{self.where}.{key}[{i}]", self.error)
+                for i, item in enumerate(
+                    self._shaped(key, default, list, "an array"))]
+
+    def rationals(self, key, default=None) -> dict[str, Fraction]:
+        return {k: rat(v) for k, v in
+                self._shaped(key, default, dict, "a JSON object").items()}
+
+    def family(self, key, default=None) -> dict[str, Poly]:
+        return {k: Poly.from_coeffs(v) for k, v in
+                self._shaped(key, default, dict, "a JSON object").items()}
+
+    def pieces(self, key) -> PiecewisePolynomial:
+        return PiecewisePolynomial(
+            [(p.interval("interval"), Poly.from_coeffs(p["coeffs"]))
+             for p in self.each(key)])
 
 
 def _fixture_root():
@@ -72,16 +130,16 @@ def _load_json(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def load_fixture(kind: str, name: str) -> dict:
-    """The bundled fixture ``kind/name.json``; ``name`` must be a bare
-    file stem, not a path."""
+def load_fixture(kind: str, name: str) -> _Fields:
+    """The bundled fixture ``kind/name.json``, read with ParseError;
+    ``name`` must be a bare file stem, not a path."""
     if (not isinstance(name, str) or "/" in name or "\\" in name
             or name.startswith(".")):
         raise FixtureMissing(f"fixture name {name!r} is not a bare name")
     entry = _fixture_root() / kind / f"{name}.json"
     if not entry.is_file():
         raise FixtureMissing(f"fixture {kind}/{name}.json is not bundled")
-    return _load_json(entry)
+    return _Fields(_load_json(entry), f"{kind}/{name}", ParseError)
 
 
 _MODEL_CACHE: dict[str, toric.ToricModel] = {}
@@ -93,41 +151,25 @@ def model(name: str) -> toric.ToricModel:
     return _MODEL_CACHE[name]
 
 
-def _poly(coeffs) -> Poly:
-    return Poly.from_coeffs(coeffs)
-
-
-def _family(data: dict) -> dict[str, Poly]:
-    return {k: _poly(v) for k, v in data.items()}
-
-
-def _interval(pair) -> Interval:
-    return Interval(rat(pair[0]), rat(pair[1]))
-
-
-def _pieces(data) -> PiecewisePolynomial:
-    return PiecewisePolynomial(
-        [(_interval(p["interval"]), _poly(p["coeffs"])) for p in data])
-
-
 def build_lattice(data: dict) -> zariski.SurfaceLattice:
     """A surface lattice either given by an explicit Gram matrix or derived
     from a bundled toric surface model, optionally extended by classes
     expressed in the named curves."""
+    if not isinstance(data, _Fields):
+        data = _Fields(data, "lattice", ParseError)
     if "from_model" not in data:
-        return zariski.SurfaceLattice(
-            tuple(data["curves"]),
-            [[rat(x) for x in row] for row in data["gram"]])
+        return zariski.SurfaceLattice(tuple(data["curves"]), data["gram"])
     m = model(data["from_model"])
-    names = data["curves"]
+    names = data.fields("curves")
     # Each extra class is the toric divisor of its combination of curves.
     divs = {n: {d: Fraction(1)} for n, d in names.items()}
-    for k, combo in data.get("extra_classes", {}).items():
+    extra = data.fields("extra_classes", {})
+    for k in extra:
         div = divs[k] = {}
-        for n, c in combo.items():
+        for n, c in extra.rationals(k).items():
             if n not in names:
                 raise zariski.ZariskiError(f"lattice has no curve named {n!r}")
-            div[names[n]] = div.get(names[n], 0) + rat(c)
+            div[names[n]] = div.get(names[n], 0) + c
     return zariski.SurfaceLattice(tuple(divs), [
         [m.intersection_product(a, b) for b in divs.values()]
         for a in divs.values()])
@@ -137,36 +179,26 @@ _FLAG_CACHE: dict[str, functionals.FlagCase] = {}
 
 
 def flag_case(name: str) -> functionals.FlagCase:
-    if name in _FLAG_CACHE:
-        return _FLAG_CACHE[name]
-    data = load_fixture("flags", name)
-    lattice = build_lattice(data["lattice"])
-    chambers = [
-        functionals.FlagChamber(
-            _interval(ch["interval"]),
-            _family(ch["family"]),
-            _family(ch.get("outer_negative", {})))
-        for ch in data["chambers"]
-    ]
-    points = tuple(
-        functionals.FlagPoint(
-            p["name"],
-            {k: rat(v) for k, v in p.get("mults", {}).items()},
-            rat(p.get("log_discrepancy", 1)))
-        for p in data.get("points", ()))
-    case = functionals.FlagCase(
-        label=data["label"],
-        lattice=lattice,
-        flag=data["flag"],
-        dim=_int(data["dimension"], "dimension"),
-        ample_power=rat(data["ample_cube"]),
-        flag_log_discrepancy=rat(data["flag_log_discrepancy"]),
-        chambers=chambers,
-        sigma={k: rat(v) for k, v in data.get("sigma", {}).items()},
-        points=points,
-    )
-    _FLAG_CACHE[name] = case
-    return case
+    if name not in _FLAG_CACHE:
+        fx = load_fixture("flags", name)
+        _FLAG_CACHE[name] = functionals.FlagCase(
+            label=fx["label"],
+            lattice=build_lattice(fx.fields("lattice")),
+            flag=fx["flag"],
+            dim=fx.integer("dimension"),
+            ample_power=rat(fx["ample_cube"]),
+            flag_log_discrepancy=rat(fx["flag_log_discrepancy"]),
+            chambers=[functionals.FlagChamber(
+                ch.interval("interval"), ch.family("family"),
+                ch.family("outer_negative", {}))
+                for ch in fx.each("chambers")],
+            sigma=fx.rationals("sigma", {}),
+            points=tuple(functionals.FlagPoint(
+                p["name"], p.rationals("mults", {}),
+                rat(p.get("log_discrepancy", 1)))
+                for p in fx.each("points", [])),
+        )
+    return _FLAG_CACHE[name]
 
 
 @dataclass
@@ -184,21 +216,16 @@ class VolumeFixture:
 
 
 def volume_fixture(name: str) -> VolumeFixture:
-    data = load_fixture("volumes", name)
-    models = {m: model(m) for m in data["models"]}
-    chambers = [
-        zariski.ThreefoldChamber(
-            _interval(ch["interval"]), ch["model"],
-            _family(ch["positive"]), _family(ch.get("negative", {})))
-        for ch in data["chambers"]
-    ]
+    fx = load_fixture("volumes", name)
     return VolumeFixture(
-        label=data["label"],
-        models=models,
-        family=_family(data["family"]),
-        chambers=chambers,
-        ample_cube=rat(data["ample_cube"]),
-        flag_log_discrepancy=rat(data["flag_log_discrepancy"]),
+        label=fx["label"],
+        models={m: model(m) for m in fx["models"]},
+        family=fx.family("family"),
+        chambers=[zariski.ThreefoldChamber(
+            ch.interval("interval"), ch["model"], ch.family("positive"),
+            ch.family("negative", {})) for ch in fx.each("chambers")],
+        ample_cube=rat(fx["ample_cube"]),
+        flag_log_discrepancy=rat(fx["flag_log_discrepancy"]),
     )
 
 
@@ -257,16 +284,9 @@ class CaseResult:
         }
 
 
-_REQUIRED_FIELDS = ("schema_version", "kind", "label", "inputs")
-
-
-def _validate(case: dict, origin: str):
-    if not isinstance(case, dict):
-        raise SchemaError(f"{origin}: a case is a JSON object, "
-                          f"not {type(case).__name__}")
-    for f in _REQUIRED_FIELDS:
-        if f not in case:
-            raise SchemaError(f"{origin}: missing field {f!r}")
+def _validate(case: _Fields):
+    """Check a case's header; its ``inputs`` are read by the handler."""
+    origin = case.where
     if case["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(
             f"{origin}: unsupported schema_version {case['schema_version']!r}")
@@ -274,16 +294,13 @@ def _validate(case: dict, origin: str):
         raise SchemaError(f"{origin}: unknown kind {case['kind']!r}")
     if not isinstance(case["label"], str):
         raise SchemaError(f"{origin}: label {case['label']!r} is not a string")
-    if not isinstance(case["inputs"], dict):
-        raise SchemaError(f"{origin}: inputs {case['inputs']!r} is not "
-                          f"an object")
     if "expected" in case and case["expected"] is not None:
         if not case.get("citation"):
             raise SchemaError(
                 f"{origin}: expected value without a citation string")
 
 
-def _compute_volume(inputs: dict):
+def _compute_volume(inputs: _Fields):
     quantity = inputs.get("quantity", "s_value")
     if "volume" in inputs:
         fx = volume_fixture(inputs["volume"])
@@ -293,7 +310,7 @@ def _compute_volume(inputs: dict):
         raise SchemaError("a volume threshold needs a volume fixture, "
                           "not inline pieces")
     else:
-        vol = _pieces(inputs["pieces"])
+        vol = inputs.pieces("pieces")
         a = rat(inputs["ample_cube"])
         alog = rat(inputs.get("log_discrepancy", 1))
     if quantity == "pieces":
@@ -310,13 +327,13 @@ def _compute_volume(inputs: dict):
     raise SchemaError(f"unknown volume quantity {quantity!r}")
 
 
-def _compute_beta(inputs: dict):
-    vol = _pieces(inputs["pieces"])
+def _compute_beta(inputs: _Fields):
+    vol = inputs.pieces("pieces")
     return functionals.beta_divisor(
         rat(inputs["log_discrepancy"]), vol, rat(inputs["ample_cube"]))
 
 
-def _compute_flag_point(inputs: dict):
+def _compute_flag_point(inputs: _Fields):
     case = flag_case(inputs["flag_case"])
     point = inputs["point"]
     quantity = inputs.get("quantity", "s_point")
@@ -327,40 +344,14 @@ def _compute_flag_point(inputs: dict):
     raise SchemaError(f"unknown flag_point quantity {quantity!r}")
 
 
-class _Inputs(dict):
-    """A case's inputs; a missing one is a SchemaError."""
-
-    def __missing__(self, key):
-        raise SchemaError(f"missing input {key!r}")
-
-
-class _Params(dict):
-    """Formula parameters; a missing one is a FormulaError."""
-
-    def __init__(self, name: str, params: dict):
-        if not isinstance(params, dict):
-            raise formulas.FormulaError(
-                f"formula {name!r} takes an object of parameters")
-        super().__init__(params)
-        self.name = name
-
-    def __missing__(self, key):
-        raise formulas.FormulaError(
-            f"formula {self.name!r} needs the parameter {key!r}")
-
-    def integer(self, key: str) -> int:
-        return _int(self[key], f"parameter {key!r} of {self.name!r}",
-                    formulas.FormulaError)
-
-
 # Formulas of one FamilyParams argument, evaluated by their own names.
 _FAMILY_FORMULAS = ("vol_Da", "s_sminus", "s_vertical", "res_n", "lambda_n",
                     "k_general")
 
 
-def _compute_formula(inputs: dict):
+def _compute_formula(inputs: _Fields):
     name = inputs["name"]
-    params = _Params(name, inputs.get("params", {}))
+    params = inputs.fields("params", {}, formulas.FormulaError)
 
     def fam():
         return formulas.FamilyParams(
@@ -395,18 +386,15 @@ def _compute_formula(inputs: dict):
     raise SchemaError(f"unknown formula {name!r}")
 
 
-def _compute_git(inputs: dict):
+def _compute_git(inputs: _Fields):
     op = inputs["op"]
     if op == "weight":
-        sub = inputs["subgroup"]
-        if not (isinstance(sub, list) and len(sub) == 2):
-            raise SchemaError(f"subgroup must be two integers, got {sub!r}")
-        lam = githm.OneParamSubgroup(*[_int(x, "subgroup entry") for x in sub])
+        sub = _Fields(dict(zip(("r0", "r1"), inputs.pair("subgroup"))),
+                      "inputs.subgroup", SchemaError)
+        lam = githm.OneParamSubgroup(sub.integer("r0"), sub.integer("r1"))
         return githm.hm_weight(githm.support(inputs["support"]), lam)
     if op == "destabilize":
-        cert = githm.find_destabilizer(
-            githm.support(inputs["support"]),
-            _int(inputs.get("bound", 5), "bound"))
+        cert = githm.find_destabilizer(githm.support(inputs["support"]))
         if cert is None:
             return "none"
         return {"subgroup": [cert.subgroup.r0, cert.subgroup.r1],
@@ -417,15 +405,15 @@ def _compute_git(inputs: dict):
     raise SchemaError(f"unknown git op {op!r}")
 
 
-def _compute_invariant(inputs: dict, seed: int):
+def _compute_invariant(inputs: _Fields, seed: int):
     check = inputs["check"]
     if check == "dims":
         return [invariants.invariant_dimension(k)
-                for k in range(_int(inputs["upto"], "upto") + 1)]
+                for k in range(inputs.integer("upto") + 1)]
     if check == "hilbert":
-        return invariants.hilbert_prefix(_int(inputs["upto"], "upto"))
+        return invariants.hilbert_prefix(inputs.integer("upto"))
     if check == "series_match":
-        upto = _int(inputs["upto"], "upto")
+        upto = inputs.integer("upto")
         series = invariants.hilbert_prefix(upto)
         return all(invariants.invariant_dimension(k) == series[k]
                    for k in range(upto + 1))
@@ -433,7 +421,7 @@ def _compute_invariant(inputs: dict, seed: int):
         return list(invariants.peano_invariants(inputs["coeffs"]))
     if check == "invariance":
         trials = invariants.invariance_trials(
-            _int(inputs["trials"], "trials"), seed)
+            inputs.integer("trials"), seed)
         return all(trials)
     if check == "independence":
         return invariants.independence_rank(inputs["coeffs"])
@@ -444,7 +432,7 @@ def _compute_invariant(inputs: dict, seed: int):
     raise SchemaError(f"unknown invariant check {check!r}")
 
 
-def _compute_toric(inputs: dict):
+def _compute_toric(inputs: _Fields):
     m = model(inputs["model"])
     table = inputs["table"]
     if table in ("triple", "pair"):
@@ -487,21 +475,20 @@ _HANDLERS = {
 def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
     """Run one case file (path or already-parsed dict)."""
     if isinstance(source, dict):
-        case = source
-        origin = case.get("label", "<dict>")
+        case, origin = source, source.get("label", "<dict>")
     else:
-        case = _load_json(source)
-        origin = str(source)
-    _validate(case, origin)
-    label = case["label"]
-    kind = case["kind"]
+        case, origin = _load_json(source), str(source)
+    case = _Fields(case, origin, SchemaError)
+    _validate(case)
+    label, kind, inputs = case["label"], case["kind"], case["inputs"]
     citation = case.get("citation", "")
     expected = _strip_citations(case.get("expected"))
     printed = _strip_citations(case.get("printed"))
     try:
-        computed = _HANDLERS[kind](_Inputs(case["inputs"]), seed)
-    except SchemaError:
-        raise
+        computed = _HANDLERS[kind](_Fields(inputs, "inputs", SchemaError),
+                                   seed)
+    except SchemaError as exc:
+        raise SchemaError(f"{origin}: {exc}") from None
     except Exception as exc:
         # A broken or missing fixture fails exactly this row; the rest of
         # the suite keeps running.

@@ -212,7 +212,7 @@ def test_criterion_08_git_weights():
     assert hm_weight(singular, OneParamSubgroup(1, 1)) == 0
     unstable = support(["02", "12", "21", "22"])
     assert hm_weight(unstable, OneParamSubgroup(1, 2)) == -2
-    cert = find_destabilizer(unstable, 5)
+    cert = find_destabilizer(unstable)
     assert (cert.subgroup.r0, cert.subgroup.r1, cert.weight) == (1, 2, -2)
     rng = random.Random(20230413)
     pairs = [(i, j) for i in range(3) for j in range(3)]

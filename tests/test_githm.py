@@ -1,11 +1,12 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 
 from kstab.githm import (FULL_SUPPORT, Destabilizer, EmptySupport, GitError,
-                         OneParamSubgroup, candidate_subgroups,
-                         find_destabilizer, fixed_point_singularity,
-                         hm_weight, support)
+                         OneParamSubgroup, find_destabilizer,
+                         fixed_point_singularity, hm_weight, support)
 
 UNSTABLE = support(["02", "12", "21", "22"])
 SINGULAR = frozenset(FULL_SUPPORT - support(["00", "10", "01"]))
@@ -94,25 +95,39 @@ class TestWeight:
 
 class TestDestabilizer:
     def test_unstable_family(self):
-        cert = find_destabilizer(UNSTABLE, 5)
+        cert = find_destabilizer(UNSTABLE)
         assert cert == Destabilizer(OneParamSubgroup(1, 2), -2)
         assert not cert.strictly_semistable_direction
 
     def test_full_support(self):
-        assert find_destabilizer(FULL_SUPPORT, 5) is None
+        assert find_destabilizer(FULL_SUPPORT) is None
 
     def test_strictly_semistable(self):
-        cert = find_destabilizer(SINGULAR, 5)
+        cert = find_destabilizer(SINGULAR)
         assert cert == Destabilizer(OneParamSubgroup(1, 1), 0)
         assert cert.strictly_semistable_direction
 
-    def test_candidates_are_coprime_and_ordered(self):
-        cands = list(candidate_subgroups(4))
-        assert cands[0] == OneParamSubgroup(0, 1)
-        from math import gcd
-        assert all(gcd(c.r0, c.r1) == 1 for c in cands)
-        assert all(a.r1 <= b.r1 for a, b in zip(cands, cands[1:])
-                   if a.r1 != b.r1)
+    def test_three_subgroups_decide_every_support(self):
+        # Brute force over the coprime subgroups with r1 <= 20, in order
+        # of increasing r1, then r0: the first negative weight, else the
+        # first zero weight, else no certificate.
+        cone = [OneParamSubgroup(r0, r1) for r1 in range(1, 21)
+                for r0 in range(r1 + 1) if gcd(r0, r1) == 1]
+
+        def brute(s):
+            certs = [Destabilizer(lam, hm_weight(s, lam)) for lam in cone]
+            return (next((c for c in certs if c.weight < 0), None)
+                    or next((c for c in certs if c.weight == 0), None))
+
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        verdicts = {"none": 0, "zero": 0, "negative": 0}
+        for k in range(1, 10):
+            for s in itertools.combinations(pairs, k):
+                cert = find_destabilizer(frozenset(s))
+                assert cert == brute(frozenset(s)), s
+                verdicts["none" if cert is None else
+                         "zero" if cert.weight == 0 else "negative"] += 1
+        assert verdicts == {"none": 416, "zero": 80, "negative": 15}
 
     def test_verdict_scale_invariant(self):
         # Certificates are searched over coprime subgroups only, so the
@@ -120,7 +135,7 @@ class TestDestabilizer:
         rng = random.Random(79)
         for _ in range(100):
             s = rand_support(rng)
-            cert = find_destabilizer(s, 5)
+            cert = find_destabilizer(s)
             if cert is None:
                 continue
             lam = cert.subgroup

@@ -173,6 +173,27 @@ def test_fixture_name_that_escapes_its_directory(inputs):
     assert result.detail.startswith("FixtureMissing: ")
 
 
+def test_fixture_without_a_field_fails_its_row_typed(tmp_path, monkeypatch):
+    # A broken fixture fails only its own row, with a ParseError that
+    # names the fixture and the field.
+    flags = tmp_path / "flags"
+    flags.mkdir()
+    bundled = runner._fixture_root() / "flags" / "base-tangential.json"
+    fixture = json.loads(bundled.read_text())
+    del fixture["label"]
+    (flags / "no-label.json").write_text(json.dumps(fixture))
+    monkeypatch.setattr(runner, "_fixture_root", lambda: tmp_path)
+    result = runner.run_case({
+        "schema_version": 1,
+        "kind": "flag_surface",
+        "label": "adhoc/no-label",
+        "inputs": {"flag_case": "no-label"},
+    })
+    assert result.status == "fail"
+    assert result.detail.startswith("ParseError: ")
+    assert "flags/no-label" in result.detail and "'label'" in result.detail
+
+
 def test_extra_class_over_an_unknown_curve():
     with pytest.raises(zariski.ZariskiError, match="'C9'"):
         runner.build_lattice({"from_model": "F0tilde-A2",
@@ -328,6 +349,10 @@ class TestCli:
         ["run", "TMP/label-list.json"],
         ["run", "TMP/inputs-number.json"],
         ["run", "TMP/missing-input.json"],
+        ["run", "TMP/interval-string.json"],
+        ["run", "TMP/interval-three.json"],
+        ["run", "TMP/piece-no-coeffs.json"],
+        ["run", "TMP/pieces-object.json"],
     ], ids=["support-33", "support-0", "k3-no-params", "k3-params-list",
             "vol-Da-n1", "inv-dims-13", "run-directory",
             "threshold-inline-pieces", "k3-bad-rational", "lambda-not-int",
@@ -338,7 +363,9 @@ class TestCli:
             "delta-entry-scalar", "delta-entries-scalar", "inv-trials-0",
             "inv-trials-negative", "git-subgroup-one-entry",
             "support-slash", "case-number", "case-null", "case-kind-list",
-            "case-label-list", "inputs-not-object", "missing-input"])
+            "case-label-list", "inputs-not-object", "missing-input",
+            "interval-string", "interval-three", "piece-no-coeffs",
+            "pieces-object"])
     def test_library_errors_exit_2(self, argv, tmp_path, capsys):
         # A threshold needs a volume fixture; inline pieces are a schema
         # error, not a failed row.
@@ -369,6 +396,17 @@ class TestCli:
             {**subgroup, "inputs": 5}))
         (tmp_path / "missing-input.json").write_text(json.dumps(
             {**subgroup, "kind": "flag_surface", "inputs": {}}))
+        # Nested inputs of the wrong shape are schema errors too, never
+        # read character by character or left to a bare KeyError.
+        for name, pieces in (
+                ("interval-string", [{"interval": "01", "coeffs": ["1"]}]),
+                ("interval-three",
+                 [{"interval": ["0", "1", "7"], "coeffs": ["1"]}]),
+                ("piece-no-coeffs", [{"interval": ["0", "1"]}]),
+                ("pieces-object", {"a": 1})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {**case, "inputs": {"pieces": pieces, "ample_cube": "1",
+                                    "quantity": "integral"}}))
         argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
