@@ -16,7 +16,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from . import KstabError, _linalg
 from .exactcore import ExactCoreError, interpolate, rat
@@ -178,15 +178,6 @@ def peano_invariants(c: Coeffs | dict) -> tuple[Fraction, Fraction, Fraction]:
     return c2, c3, c4
 
 
-def _pair_pow_coeffs(pair, power: int) -> list[Fraction]:
-    """(p x + q y)^power as coefficients of x^(power-k) y^k."""
-    p, q = pair
-    out = [Fraction(0)] * (power + 1)
-    for k in range(power + 1):
-        out[k] = comb(power, k) * p ** (power - k) * q ** k
-    return out
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A pair of exact 2x2 determinant-one matrices."""
@@ -207,40 +198,28 @@ class GroupElement:
         return cls(*norm)
 
 
-def _factor_action(g) -> list[list[list[Fraction]]]:
-    """Degree-2 substitution table: table[i][k] is the coefficient of the
-    k-th basis monomial in the image of the i-th one."""
-    # Row-vector action: (x, y) . g = (g00 x + g10 y, g01 x + g11 y).
-    first = (g[0][0], g[1][0])
-    second = (g[0][1], g[1][1])
-    table = []
-    for i in range(3):
-        a = _pair_pow_coeffs(first, 2 - i)
-        b = _pair_pow_coeffs(second, i)
-        conv = [Fraction(0)] * 3
-        for s, ca in enumerate(a):
-            for t, cb in enumerate(b):
-                conv[s + t] += ca * cb
-        table.append(conv)
-    return table
+def _sym2(g) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix of Sym^2(g) on the basis x^2, xy, y^2 under the
+    row-vector action (x, y) . g = (a x + c y, b x + d y).
+
+    For g = ((a, b), (c, d)), row i holds the image of the i-th monomial:
+    [a^2, 2ac, c^2], [ab, ad + bc, cd] and [b^2, 2bd, d^2].
+    """
+    (a, b), (c, d) = g
+    return ((a * a, 2 * a * c, c * c),
+            (a * b, a * d + b * c, c * d),
+            (b * b, 2 * b * d, d * d))
 
 
 def act(g: GroupElement, c: Coeffs | dict) -> Coeffs:
-    """Coefficients of the form composed with the substitution action."""
+    """Coefficients of f((x, y) . g1, (u, v) . g2): the matrix
+    S(g1)^T C S(g2), with C = (a_ij) and S the :func:`_sym2` matrices."""
     c = coeffs(c)
-    t1 = _factor_action(g.g1)
-    t2 = _factor_action(g.g2)
-    out: Coeffs = {}
-    for (i, j), val in c.items():
-        for k in range(3):
-            if not t1[i][k]:
-                continue
-            for l in range(3):
-                w = val * t1[i][k] * t2[j][l]
-                if w:
-                    key = (k, l)
-                    out[key] = out.get(key, Fraction(0)) + w
-    return {k: v for k, v in out.items() if v}
+    s1, s2 = _sym2(g.g1), _sym2(g.g2)
+    cs = [[sum(c.get((i, j), 0) * s2[j][l] for j in range(3))
+           for l in range(3)] for i in range(3)]
+    return {(k, l): v for k in range(3) for l in range(3)
+            if (v := sum(s1[i][k] * cs[i][l] for i in range(3)))}
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -309,19 +288,20 @@ def independence_rank(c: Coeffs | dict) -> int:
 
     Partial derivatives are extracted exactly by univariate interpolation
     along coordinate directions (the invariants are polynomials of degree
-    at most 4, so five samples determine each directional slice).
+    at most 4, so five samples determine each directional slice).  The
+    t = 0 sample, the point itself, is shared by all nine directions.
     """
     c = coeffs(c)
+    base = peano_invariants(c)
     rows = [[], [], []]
     for i in range(3):
         for j in range(3):
-            samples = {0: peano_invariants(c)}
+            samples = [(0, base)]
             for t in (1, 2, 3, 4):
                 shifted = dict(c)
                 shifted[(i, j)] = shifted.get((i, j), Fraction(0)) + t
-                samples[t] = peano_invariants(shifted)
+                samples.append((t, peano_invariants(shifted)))
             for k in range(3):
-                poly = interpolate(
-                    [(t, samples[t][k]) for t in sorted(samples)], 4)
+                poly = interpolate([(t, v[k]) for t, v in samples], 4)
                 rows[k].append(poly.coefficient(1, 0))
     return _linalg.rank(rows)

@@ -64,9 +64,11 @@ class _Fields(dict):
     def __missing__(self, key):
         raise self.error(f"{self.where}: missing {key!r}")
 
-    def _shaped(self, key, default, kind: type, what: str, size=None):
+    def _shaped(self, key, default, kind: type, what: str, size=None,
+                item=None):
         value = self[key] if default is None else self.get(key, default)
-        if isinstance(value, kind) and (size is None or len(value) == size):
+        if (isinstance(value, kind) and (size is None or len(value) == size)
+                and (item is None or all(isinstance(x, item) for x in value))):
             return value
         raise self.error(f"{self.where}.{key} must be {what}, got {value!r}")
 
@@ -91,6 +93,10 @@ class _Fields(dict):
         """A nested object, read with this reader's error or ``error``."""
         return _Fields(self._shaped(key, default, dict, "a JSON object"),
                        f"{self.where}.{key}", error or self.error)
+
+    def array(self, key, item: type, what: str) -> list:
+        """A JSON array whose entries are all of type ``item``."""
+        return self._shaped(key, None, list, what, item=item)
 
     def each(self, key, default=None) -> list[_Fields]:
         """A JSON array of objects."""
@@ -158,7 +164,9 @@ def build_lattice(data: dict) -> zariski.SurfaceLattice:
     if not isinstance(data, _Fields):
         data = _Fields(data, "lattice", ParseError)
     if "from_model" not in data:
-        return zariski.SurfaceLattice(tuple(data["curves"]), data["gram"])
+        return zariski.SurfaceLattice(
+            tuple(data.array("curves", str, "an array of strings")),
+            data.array("gram", list, "an array of arrays"))
     m = model(data["from_model"])
     names = data.fields("curves")
     # Each extra class is the toric divisor of its combination of curves.

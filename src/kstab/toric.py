@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import KstabError, _linalg
@@ -64,15 +63,19 @@ def divisor(coeffs: dict) -> Divisor:
     return out
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """A curve known through its intersection numbers with the F_i."""
+def _int(x, what: str) -> int:
+    """A model integer: an exact ``int``.  A float, bool or string raises
+    ToricError naming ``what``."""
+    if type(x) is not int:
+        raise ToricError(f"{what} must be an integer, got {x!r}")
+    return x
 
-    name: str
-    pairing: tuple[Fraction, ...]
 
-    def dot(self, d: Divisor) -> Fraction:
-        return sum((c * self.pairing[i] for i, c in d.items()), Fraction(0))
+def _ints(values, what: str) -> tuple[int, ...]:
+    """A row of model integers (see :func:`_int`)."""
+    if not isinstance(values, (list, tuple, set, frozenset)):
+        raise ToricError(f"{what} must be an array, got {values!r}")
+    return tuple(_int(x, f"an entry of {what}") for x in values)
 
 
 def _cross(a, b):
@@ -126,14 +129,16 @@ class ToricModel:
                  effective_generators: tuple[str, ...] = (),
                  aliases: dict[str, int] | None = None):
         self.name = name
-        self.aliases = dict(aliases or {})
-        self.rays = tuple(tuple(int(x) for x in v) for v in rays)
+        self.aliases = {k: _int(i, f"alias {k!r}")
+                        for k, i in (aliases or {}).items()}
+        self.rays = tuple(_ints(v, "a ray") for v in rays)
         self.dim = len(self.rays[0])
         if self.dim not in (2, 3):
             raise ToricError("only surface and threefold fans are supported")
         if any(len(v) != self.dim for v in self.rays):
             raise ToricError("rays of mixed dimension")
-        self.max_cones = tuple(frozenset(int(i) for i in c) for c in max_cones)
+        self.max_cones = tuple(frozenset(_ints(c, "a maximal cone"))
+                               for c in max_cones)
         # Per maximal cone: det and each ray's adjugate column, and 1/|det|.
         self._cone_adj: dict[frozenset[int], tuple[int, dict[int, tuple]]] = {}
         self._inv_mult: dict[frozenset[int], Fraction] = {}
@@ -146,20 +151,23 @@ class ToricModel:
                 raise ToricError(f"cone rays {set(cone)} are dependent")
             self._cone_adj[cone] = (d, dict(zip(basis, cols)))
             self._inv_mult[cone] = Fraction(1, abs(d))
-        grading = [list(map(int, row)) for row in grading]
+        grading = [_ints(row, "a grading row") for row in grading]
         if any(len(row) < len(self.rays) for row in grading):
             raise ToricError("grading narrower than the ray count")
         # Columns beyond the ray count (extra fixture coordinates) are
         # irrelevant for intersection numbers and dropped here.
         self.grading = tuple(tuple(row[:len(self.rays)]) for row in grading)
         self._check_grading()
-        self.curve_specs = {k: (int(i), int(j))
-                            for k, (i, j) in (curves or {}).items()}
+        self.curve_specs = {k: _ints(v, f"curve {k!r}")
+                            for k, v in (curves or {}).items()}
+        for k, v in self.curve_specs.items():
+            if len(v) != 2:
+                raise ToricError(f"curve {k!r} must name two rays, got {v!r}")
         self.mori_generators = tuple(mori_generators)
         self.effective_generators = tuple(effective_generators)
         self._prod_cache: dict[tuple[int, ...], Fraction] = {}
         self._rep_cache: dict[tuple[int, frozenset[int]], Divisor] = {}
-        self._curve_cache: dict[str, CurveClass] = {}
+        self._curve_cache: dict[str, tuple[Fraction, ...]] = {}
 
     def _check_grading(self):
         """The grading's kernel must be exactly the span of the relations
@@ -318,22 +326,24 @@ class ToricModel:
 
     # -- curves and cones -------------------------------------------------
 
-    def curve(self, name: str) -> CurveClass:
-        """The named 1-stratum F_i . F_j with its derived pairing vector."""
-        if name in self._curve_cache:
-            return self._curve_cache[name]
-        if name not in self.curve_specs:
-            raise ToricError(f"model {self.name} defines no curve {name!r}")
-        i, j = self.curve_specs[name]
-        pairing = tuple(
-            self._monomial(tuple(sorted((i, j, k))))
-            for k in range(len(self.rays)))
-        c = CurveClass(name, pairing)
-        self._curve_cache[name] = c
-        return c
+    def curve(self, name: str) -> tuple[Fraction, ...]:
+        """The pairing vector (F_i . F_j . F_k for each ray k) of the named
+        1-stratum F_i . F_j."""
+        if name not in self._curve_cache:
+            if name not in self.curve_specs:
+                raise ToricError(
+                    f"model {self.name} defines no curve {name!r}")
+            i, j = self.curve_specs[name]
+            self._curve_cache[name] = tuple(
+                self._monomial(tuple(sorted((i, j, k))))
+                for k in range(len(self.rays)))
+        return self._curve_cache[name]
 
     def pair_curve_divisor(self, curve: str, d: Divisor) -> Fraction:
-        return self.curve(curve).dot(self.normalize_divisor(d))
+        pairing = self.curve(curve)
+        return sum((c * pairing[i]
+                    for i, c in self.normalize_divisor(d).items()),
+                   Fraction(0))
 
     def nef_check(self, d: Divisor) -> tuple[bool, list[str]]:
         """Pair against the Mori generators; list the violated ones."""
@@ -369,10 +379,10 @@ def parse_model(data: dict) -> ToricModel:
         rays=data["rays"],
         max_cones=data["max_cones"],
         grading=data["grading"],
-        curves={k: tuple(v) for k, v in data.get("curves", {}).items()},
+        curves=data.get("curves", {}),
         mori_generators=tuple(data.get("mori_generators", ())),
         effective_generators=tuple(data.get("effective_generators", ())),
-        aliases={k: int(v) for k, v in data.get("aliases", {}).items()},
+        aliases=data.get("aliases", {}),
     )
 
 

@@ -201,6 +201,17 @@ def test_extra_class_over_an_unknown_curve():
                               "extra_classes": {"T": {"C1": "1", "C9": "1"}}})
 
 
+@pytest.mark.parametrize("lattice, path", [
+    ({"curves": "AB", "gram": ["11", "11"]}, "lattice.curves"),
+    ({"curves": ["A", "B"], "gram": ["11", "11"]}, "lattice.gram"),
+    ({"curves": ["A", "B"], "gram": "11"}, "lattice.gram"),
+])
+def test_gram_form_lattice_is_read_by_type(lattice, path):
+    # A string is not read character by character as curve names or rows.
+    with pytest.raises(runner.ParseError, match=re.escape(path)):
+        runner.build_lattice(lattice)
+
+
 def test_lattice_with_two_extra_classes():
     curves = {"C1": "C1", "C3": "C3", "C4": "C4", "C5": "C5"}
     extra = {"T": {"C1": "1", "C4": "1", "C5": "1"},

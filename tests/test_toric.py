@@ -5,9 +5,10 @@ from fractions import Fraction as Q
 import pytest
 
 from kstab import _linalg
-from kstab.runner import model
+from kstab.runner import load_fixture, model
 from kstab.toric import (DegeneratePolytope, GradingMismatch, IndexOutOfRange,
-                         ToricModel, divisor, polytope_barycenter)
+                         ToricError, ToricModel, divisor, parse_model,
+                         polytope_barycenter)
 
 VERTICES_42 = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
                (1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0),
@@ -221,3 +222,16 @@ class TestErrors:
                        effective_generators=("F1", "F2"))
         with pytest.raises(SingularBasis):
             m.effective_check(divisor({0: 1}))
+
+    @pytest.mark.parametrize("name, field, entry, value", [
+        ("F0tilde-A2", "aliases", "C1", 2.7),
+        ("F0tilde-A2", "aliases", "C1", "x"),
+        ("Y0-A1", "curves", "C12", [1.9, 2]),
+        ("Y0-A1", "curves", "C12", [True, 2]),
+    ])
+    def test_model_integers_are_exact(self, name, field, entry, value):
+        # A float is not truncated, nor a bool or string read as an int.
+        data = dict(load_fixture("models", name))
+        data[field] = {**data[field], entry: value}
+        with pytest.raises(ToricError, match=repr(entry)):
+            parse_model(data)
