@@ -37,10 +37,8 @@ class FamilyParams:
     delta_v: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "d", rat(self.d))
-        object.__setattr__(self, "mu", rat(self.mu))
-        object.__setattr__(self, "delta_v", rat(self.delta_v))
+        for name in ("a", "d", "mu", "delta_v"):
+            object.__setattr__(self, name, rat(getattr(self, name)))
         if self.n < 2:
             raise FormulaError("dimension must be at least 2")
         if self.a < 1:
@@ -49,33 +47,33 @@ class FamilyParams:
             raise FormulaError("d and mu must be positive")
 
 
+def _power_gap(p: FamilyParams, k: int) -> Fraction:
+    """a^k - (a-1)^k."""
+    return p.a ** k - (p.a - 1) ** k
+
+
 def vol_Da(p: FamilyParams) -> Fraction:
     """Top self-intersection d (a^n - (a-1)^n) of the polarizing class."""
-    return p.d * (p.a ** p.n - (p.a - 1) ** p.n)
+    return p.d * _power_gap(p, p.n)
 
 
 def s_sminus(p: FamilyParams) -> Fraction:
     """Expected order of the negative section."""
     n, a = p.n, p.a
     num = (n + 1 - a) * a ** n + (a - 1) ** (n + 1)
-    den = (n + 1) * (a ** n - (a - 1) ** n)
-    return num / den
+    return num / ((n + 1) * _power_gap(p, n))
 
 
 def s_vertical(p: FamilyParams) -> Fraction:
     """Expected order of a very ample vertical divisor."""
-    n, a = p.n, p.a
-    num = a ** (n + 1) - (a - 1) ** (n + 1)
-    den = p.mu * (n + 1) * (a ** n - (a - 1) ** n)
-    return num / den
+    return _power_gap(p, p.n + 1) / (p.mu * (p.n + 1) * _power_gap(p, p.n))
 
 
 def res_n(p: FamilyParams) -> Fraction:
     """The residual constant of the inductive bound; positive for a > 1."""
     n, a = p.n, p.a
     num = a ** (n + 1) - (a + n) * (a - 1) ** n
-    den = 2 * (n + 1) * (a ** n - (a - 1) ** n)
-    return num / den
+    return num / (2 * (n + 1) * _power_gap(p, n))
 
 
 def lambda_n(p: FamilyParams) -> Fraction:
@@ -85,10 +83,7 @@ def lambda_n(p: FamilyParams) -> Fraction:
 
 def k_general(p: FamilyParams) -> Fraction:
     """The dimension-n bound: vertical term times d mu^(n-2) plus residual."""
-    n, a = p.n, p.a
-    first = (a ** (n + 1) - (a - 1) ** (n + 1)) / \
-        ((n + 1) * (a ** n - (a - 1) ** n))
-    return first * p.d * p.mu ** (n - 2) + res_n(p)
+    return p.mu * s_vertical(p) * p.d * p.mu ** (p.n - 2) + res_n(p)
 
 
 def k3(a, d, mu) -> Fraction:
@@ -101,14 +96,10 @@ def k3(a, d, mu) -> Fraction:
 
 
 def gamma_entries(p: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
-    """The three competing bounds entering the gamma criterion."""
-    n, a = p.n, p.a
-    pow_diff = a ** n - (a - 1) ** n
-    first = 1 / k_general(p)
-    second = (n + 1) * pow_diff / ((n + 1 - a) * a ** n + (a - 1) ** (n + 1))
-    third = a * p.delta_v * (n + 1) * pow_diff / \
-        (n * (a ** (n + 1) - (a - 1) ** (n + 1)))
-    return first, second, third
+    """The three competing bounds entering the gamma criterion:
+    1/k, 1/S(S_-) and a delta_v / (n mu S(vertical))."""
+    return (1 / k_general(p), 1 / s_sminus(p),
+            p.a * p.delta_v / (p.n * p.mu * s_vertical(p)))
 
 
 @dataclass(frozen=True)
@@ -138,8 +129,7 @@ def double_cover_check(n: int, r: int) -> GammaVerdict:
         raise HypothesisViolated(f"(n, r) = ({n}, {r}) fails n > r > n/2 > 1")
     p = FamilyParams(n=n, a=Fraction(n, r), d=Fraction(r) ** (n - 1),
                      mu=Fraction(1, r), delta_v=Fraction(1))
-    verdict = gamma_criterion(p)
-    return verdict
+    return gamma_criterion(p)
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,6 @@ class FlagCase:
     def flag_order(self, ch: FlagChamber) -> Poly:
         return ch.outer_negative.get(self.flag, Poly())
 
-    def residual_negative(self, ch: FlagChamber) -> dict[str, Poly]:
-        return {k: p for k, p in ch.outer_negative.items() if k != self.flag}
-
     def inner(self) -> list[tuple[FlagChamber, list[Chamber2D]]]:
         """Per outer chamber, the rediscovered inner decomposition of the
         family minus v times the flag curve."""
@@ -133,8 +130,7 @@ def s_flag_surface(case: FlagCase) -> Fraction:
 
 def s_flag_surface_report(case: FlagCase) -> StabilityValue:
     """S(W; flag): the flag-order term plus the integrated inner volumes."""
-    n = Fraction(case.dim)
-    scale = n / rat(case.ample_power)
+    scale = Fraction(case.dim) / rat(case.ample_power)
     rows = []
     for ch, inner in case.inner():
         d = case.flag_order(ch)
@@ -160,52 +156,47 @@ def _point_order(case: FlagCase, point: FlagPoint, ch: FlagChamber,
     and the correction for the pulled-back flag class (sigma), weighted by
     the local intersection multiplicities at the point.
     """
-    total = Poly()
-    residual = case.residual_negative(ch)
-    d = case.flag_order(ch)
+    total, sigma_mult = Poly(), Fraction(0)
+    residual = {k: q for k, q in ch.outer_negative.items() if k != case.flag}
     for curve, mult in point.mults.items():
         coeff = residual.get(curve, Poly()) + sub.negative.get(curve, Poly())
         total = total + mult * coeff
-    sigma_mult = sum((mult * case.sigma.get(curve, Fraction(0))
-                      for curve, mult in point.mults.items()), Fraction(0))
+        sigma_mult += mult * case.sigma.get(curve, Fraction(0))
     if sigma_mult:
-        total = total - sigma_mult * (Poly.var("v") + d)
+        total = total - sigma_mult * (Poly.var("v") + case.flag_order(ch))
     return total
 
 
-def f_q_term(case: FlagCase, point_name: str) -> Fraction:
-    """The local correction: (2n/A^n) integral of (P.C) ord_Q(N restricted)."""
+def _point_integral(case: FlagCase, point_name: str, square: bool) -> Fraction:
+    """(n/A^n) times the integral over each inner chamber, once, of
+    (P.C)(2 ord_Q + P.C) if ``square`` else 2 (P.C) ord_Q.  A nonzero
+    ord_Q is affine: ``Chamber2D.nonnegative`` proves its sign first."""
     point = case.point(point_name)
-    scale = 2 * Fraction(case.dim) / rat(case.ample_power)
+    scale = Fraction(case.dim) / rat(case.ample_power)
     total = Fraction(0)
     for ch, inner in case.inner():
         for sub in inner:
             pdotc = Poly.const(sub.pairings[case.flag])
             order = _point_order(case, point, ch, sub)
-            if not order:
-                continue
-            # The local order is affine, so the corner lemma of
-            # ``Chamber2D.nonnegative`` proves its sign on the chamber.
-            if not sub.nonnegative(order):
+            if order and not sub.nonnegative(order):
                 raise FunctionalError(
                     f"{case.label}: negative local order at {point_name} "
                     f"for u in {sub.u_interval}")
-            total += scale * double_integral(pdotc * order, sub.v_lo,
-                                             sub.v_hi, sub.u_interval)
+            if order or square:
+                weight = 2 * order + pdotc if square else 2 * order
+                total += scale * double_integral(pdotc * weight, sub.v_lo,
+                                                 sub.v_hi, sub.u_interval)
     return total
 
 
+def f_q_term(case: FlagCase, point_name: str) -> Fraction:
+    """The local correction: (2n/A^n) integral of (P.C) ord_Q(N restricted)."""
+    return _point_integral(case, point_name, square=False)
+
+
 def s_flag_point(case: FlagCase, point_name: str) -> Fraction:
-    """S(W; Q): the squared-pairing integral plus the local correction."""
-    n = Fraction(case.dim)
-    scale = n / rat(case.ample_power)
-    quad = Fraction(0)
-    for ch, inner in case.inner():
-        for sub in inner:
-            pdotc = Poly.const(sub.pairings[case.flag])
-            quad += scale * double_integral(pdotc * pdotc, sub.v_lo,
-                                            sub.v_hi, sub.u_interval)
-    return quad + f_q_term(case, point_name)
+    """S(W; Q) = (n/A^n) integral of (P.C)^2, plus the local correction."""
+    return _point_integral(case, point_name, square=True)
 
 
 @dataclass(frozen=True)

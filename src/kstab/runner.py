@@ -168,7 +168,7 @@ def build_lattice(data: dict) -> zariski.SurfaceLattice:
             tuple(data.array("curves", str, "an array of strings")),
             data.array("gram", list, "an array of arrays"))
     m = model(data["from_model"])
-    names = data.fields("curves")
+    names = {n: m.divisor_index(d) for n, d in data.fields("curves").items()}
     # Each extra class is the toric divisor of its combination of curves.
     divs = {n: {d: Fraction(1)} for n, d in names.items()}
     extra = data.fields("extra_classes", {})

@@ -78,6 +78,21 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return tuple(_int(x, f"an entry of {what}") for x in values)
 
 
+def _names(values, what: str) -> tuple[str, ...]:
+    """A list of model names: an array of strings, never a string."""
+    if not isinstance(values, (list, tuple)) or \
+            not all(isinstance(x, str) for x in values):
+        raise ToricError(f"{what} must be an array of strings, got {values!r}")
+    return tuple(values)
+
+
+def _object(value, what: str) -> dict:
+    """A map of model names; an omitted one (None) is empty."""
+    if not isinstance(value, (dict, type(None))):
+        raise ToricError(f"{what} must be an object, got {value!r}")
+    return value or {}
+
+
 def _cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -130,7 +145,7 @@ class ToricModel:
                  aliases: dict[str, int] | None = None):
         self.name = name
         self.aliases = {k: _int(i, f"alias {k!r}")
-                        for k, i in (aliases or {}).items()}
+                        for k, i in _object(aliases, "aliases").items()}
         self.rays = tuple(_ints(v, "a ray") for v in rays)
         self.dim = len(self.rays[0])
         if self.dim not in (2, 3):
@@ -159,12 +174,13 @@ class ToricModel:
         self.grading = tuple(tuple(row[:len(self.rays)]) for row in grading)
         self._check_grading()
         self.curve_specs = {k: _ints(v, f"curve {k!r}")
-                            for k, v in (curves or {}).items()}
+                            for k, v in _object(curves, "curves").items()}
         for k, v in self.curve_specs.items():
             if len(v) != 2:
                 raise ToricError(f"curve {k!r} must name two rays, got {v!r}")
-        self.mori_generators = tuple(mori_generators)
-        self.effective_generators = tuple(effective_generators)
+        self.mori_generators = _names(mori_generators, "mori_generators")
+        self.effective_generators = _names(effective_generators,
+                                           "effective_generators")
         self._prod_cache: dict[tuple[int, ...], Fraction] = {}
         self._rep_cache: dict[tuple[int, frozenset[int]], Divisor] = {}
         self._curve_cache: dict[str, tuple[Fraction, ...]] = {}
@@ -186,10 +202,13 @@ class ToricModel:
     # -- basic queries --------------------------------------------------
 
     def divisor_index(self, name) -> int:
-        if isinstance(name, int):
-            self._check_index(name)
-            return name
-        if name in self.aliases:
+        """The ray of an ``int``, alias or ``F<i>``; else ToricError."""
+        if type(name) is int:
+            idx = name
+        elif not isinstance(name, str):
+            raise ToricError(
+                f"divisor name {name!r} is not a string or an integer")
+        elif name in self.aliases:
             idx = self.aliases[name]
         elif name.startswith("F") and name[1:].isdigit():
             idx = int(name[1:])
@@ -231,10 +250,7 @@ class ToricModel:
             self._check_index(t)
         if len({i, j, k}) != 3:
             raise ToricError("indices must be pairwise distinct")
-        return self._distinct_product((i, j, k))
-
-    def _distinct_product(self, indices: tuple[int, ...]) -> Fraction:
-        return self._inv_mult.get(frozenset(indices), Fraction(0))
+        return self._inv_mult.get(frozenset((i, j, k)), Fraction(0))
 
     def _relation_rep(self, i: int, cone: frozenset[int]) -> Divisor:
         """F_i ~ -sum_{k not in cone} <m, v_k> F_k, for a maximal cone
@@ -253,16 +269,14 @@ class ToricModel:
 
     def _monomial(self, multiset: tuple[int, ...]) -> Fraction:
         """Product of boundary divisors indexed by a sorted multiset."""
-        if multiset in self._prod_cache:
-            return self._prod_cache[multiset]
-        value = self._monomial_uncached(multiset)
-        self._prod_cache[multiset] = value
-        return value
+        if multiset not in self._prod_cache:
+            self._prod_cache[multiset] = self._monomial_uncached(multiset)
+        return self._prod_cache[multiset]
 
     def _monomial_uncached(self, multiset: tuple[int, ...]) -> Fraction:
         support = frozenset(multiset)
         if len(support) == len(multiset):
-            return self._distinct_product(multiset)
+            return self._inv_mult.get(support, Fraction(0))
         cone = next((c for c in self.max_cones if support <= c), None)
         if cone is None:
             # Boundary divisors sharing no cone do not meet.
@@ -278,21 +292,14 @@ class ToricModel:
             total += c * self._monomial(tuple(sorted(rest + [k])))
         return total
 
-    def intersection_product(self, *divisors: Divisor) -> Fraction:
-        """Multilinear intersection number of ``dim`` divisor classes.
-
-        One copy of a repeated boundary divisor is replaced by a relation
-        representative supported off the first maximal cone containing the
-        product's support.
-        """
+    def intersection_product(self, *divisors):
+        """Multilinear intersection number of ``dim`` divisor classes, with
+        coefficients in Q or any Q-algebra (e.g. polynomials in the chamber
+        parameter); see :meth:`_expand`.  ``intersection_form`` is the same
+        method."""
         return self._expand(divisors)
 
-    def intersection_form(self, *divisors):
-        """Like intersection_product but with coefficients in any Q-algebra
-        (e.g. polynomials in the chamber parameter).  A repeated argument,
-        such as P in the volume P^3, is expanded once per multiset of its
-        terms, weighted by the multiset's number of orderings."""
-        return self._expand(divisors)
+    intersection_form = intersection_product
 
     def _expand(self, divisors):
         """The multilinear expansion of a product of ``dim`` divisors: each
@@ -379,10 +386,10 @@ def parse_model(data: dict) -> ToricModel:
         rays=data["rays"],
         max_cones=data["max_cones"],
         grading=data["grading"],
-        curves=data.get("curves", {}),
-        mori_generators=tuple(data.get("mori_generators", ())),
-        effective_generators=tuple(data.get("effective_generators", ())),
-        aliases=data.get("aliases", {}),
+        curves=data.get("curves"),
+        mori_generators=data.get("mori_generators", ()),
+        effective_generators=data.get("effective_generators", ()),
+        aliases=data.get("aliases"),
     )
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from kstab.formulas import (FamilyParams, FormulaError, HypothesisViolated,
                             UnsortedInput, euler_char_tangent, fano_signature,
-                            gamma_criterion, k3, k_general, lambda_n, res_n,
+                            gamma_criterion, gamma_entries, k3, k_general,
+                            lambda_n, res_n,
                             s_sminus, s_vertical, double_cover_check,
                             vol_Da)
 
@@ -97,6 +98,23 @@ class TestClosedForms:
             p = rand_params(rng)
             assert k_general(p) == \
                 s_vertical(p) * p.d * p.mu ** (p.n - 1) + res_n(p)
+
+    def test_gamma_entries_match_expanded_forms(self):
+        # The entries as closed forms of their own, written out in full.
+        rng = random.Random(61)
+        for _ in range(100):
+            p = rand_params(rng)
+            n, a, d, mu = p.n, p.a, p.d, p.mu
+            gap_n = a ** n - (a - 1) ** n
+            gap_n1 = a ** (n + 1) - (a - 1) ** (n + 1)
+            k = gap_n1 / ((n + 1) * gap_n) * d * mu ** (n - 2) + \
+                (a ** (n + 1) - (a + n) * (a - 1) ** n) / \
+                (2 * (n + 1) * gap_n)
+            assert gamma_entries(p) == (
+                1 / k,
+                (n + 1) * gap_n / ((n + 1 - a) * a ** n
+                                   + (a - 1) ** (n + 1)),
+                a * p.delta_v * (n + 1) * gap_n / (n * gap_n1))
 
     def test_tail_inequality_sampled(self):
         # The vertical bound strictly dominates the slope whenever a > 1.

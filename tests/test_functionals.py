@@ -18,6 +18,9 @@ from kstab.zariski import SurfaceLattice
 
 AFF = Poly.affine
 U = Poly.var("u")
+FLAG_FIXTURES = ("a1-flag-C-ordinary", "a1-flag-C-weighted", "a1-flag-e",
+                 "a2-flag-C1", "a2-flag-C3", "a2-flag-pencil",
+                 "base-tangential", "base-transversal", "mm39-flag-s")
 
 
 def box_volume(a_top):
@@ -99,12 +102,17 @@ class TestFlagValues:
         assert f_q_term(flag_case("a2-flag-C1"), "QB") == 0
 
     def test_point_decomposition(self):
-        # S(W; Q) is always the quadratic part plus the local correction.
-        for name, pt in (("a1-flag-C-weighted", "Qf"), ("a2-flag-C1", "Q13")):
+        # S(W; Q) is always the quadratic part plus the local correction,
+        # at every point of every bundled flag fixture.
+        pairs = [(name, p.name) for name in FLAG_FIXTURES
+                 for p in flag_case(name).points]
+        assert len(pairs) == 22
+        for name, pt in pairs:
             case = flag_case(name)
-            generic = next(p.name for p in case.points if not p.mults)
+            generic = FlagPoint("generic", {})
+            bare = dataclasses.replace(case, points=(generic,))
             assert s_flag_point(case, pt) == \
-                s_flag_point(case, generic) + f_q_term(case, pt)
+                s_flag_point(bare, "generic") + f_q_term(case, pt), (name, pt)
 
     def test_negative_local_order_is_refused(self):
         # A negative multiplicity along C5 makes the local order negative
@@ -114,6 +122,8 @@ class TestFlagValues:
             points=(FlagPoint("Qneg", {"C5": Q(-1)}),))
         with pytest.raises(FunctionalError, match="negative local order"):
             f_q_term(case, "Qneg")
+        with pytest.raises(FunctionalError, match="negative local order"):
+            s_flag_point(case, "Qneg")
 
     def test_missing_point(self):
         with pytest.raises(MissingMultiplicity):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kstab import _linalg, cli, runner, zariski
+from kstab import _linalg, cli, runner, toric, zariski
 
 
 def test_suite_green():
@@ -199,6 +199,15 @@ def test_extra_class_over_an_unknown_curve():
         runner.build_lattice({"from_model": "F0tilde-A2",
                               "curves": {"C1": "C1", "C3": "C3"},
                               "extra_classes": {"T": {"C1": "1", "C9": "1"}}})
+
+
+@pytest.mark.parametrize("value", [True, 1.5, ["C1"], None])
+def test_lattice_curve_value_is_a_divisor_name(value):
+    # A bool is not read as F1, nor another value passed on untyped.
+    lattice = dict(runner.load_fixture("flags", "a2-flag-C1")["lattice"])
+    lattice["curves"] = {**lattice["curves"], "C3": value}
+    with pytest.raises(toric.ToricError, match=re.escape(repr(value))):
+        runner.build_lattice(lattice)
 
 
 @pytest.mark.parametrize("lattice, path", [

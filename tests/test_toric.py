@@ -235,3 +235,17 @@ class TestErrors:
         data[field] = {**data[field], entry: value}
         with pytest.raises(ToricError, match=repr(entry)):
             parse_model(data)
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("Y0-A1", "mori_generators", "C12"),
+        ("Y0-A1", "mori_generators", ["C12", 15]),
+        ("Y0-A1", "effective_generators", "F0"),
+        ("Y0-A1", "curves", [[1, 2]]),
+        ("F0tilde-A2", "aliases", ["x"]),
+    ])
+    def test_model_fields_are_read_by_shape(self, name, field, value):
+        # A string is not read character by character as generator names,
+        # and curves and aliases must be objects.
+        data = {**load_fixture("models", name), field: value}
+        with pytest.raises(ToricError, match=field):
+            parse_model(data)
