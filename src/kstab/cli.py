@@ -11,6 +11,10 @@ Subcommands::
     kstab inv peano --coeffs JSON
     kstab inv check-invariance [--trials N] [--seed S]
 
+``formulas``, ``git`` and ``inv`` build a case's ``inputs`` and call
+``runner.compute`` as ``kstab run`` does, so a badly shaped argument is a
+SchemaError naming the subcommand and field (``git weight.subgroup.r0``).
+
 Exit codes: 0 on success, 1 when any case fails, 2 on usage or parse
 errors and on any other ``KstabError``, printed as one line.
 """
@@ -21,7 +25,7 @@ import argparse
 import json
 import sys
 
-from . import KstabError, githm, invariants, runner
+from . import runner
 
 
 def _print_json(value):
@@ -42,61 +46,47 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_formulas(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    value = runner._compute_formula(runner._Fields(
-        {"name": args.name, "params": params}, f"formula {args.name}",
-        runner.SchemaError))
-    _print_json(value)
+    inputs = {"name": args.name,
+              "params": json.loads(args.params) if args.params else {}}
+    _print_json(runner.compute("formula", inputs,
+                               where=f"formula {args.name}"))
     return 0
 
 
-def _parse_support(text: str):
-    return githm.support(t for t in text.split(",") if t)
-
-
 def _cmd_git(args) -> int:
+    inputs = {"op": args.gitcmd,
+              "support": [t for t in args.support.split(",") if t]}
     if args.gitcmd == "weight":
-        try:
-            r0, r1 = (int(x) for x in args.subgroup.split(","))
-        except ValueError:
-            raise githm.GitError(
-                f"--lambda needs two integers r0,r1, got {args.subgroup!r}")
-        w = githm.hm_weight(_parse_support(args.support),
-                            githm.OneParamSubgroup(r0, r1))
-        print(w)
-        return 0
-    if args.gitcmd == "destabilize":
-        cert = githm.find_destabilizer(_parse_support(args.support))
-        if cert is None:
-            print("no certificate: the weight is positive on every subgroup")
-        else:
-            kind = ("strictly semistable direction"
-                    if cert.strictly_semistable_direction else "unstable")
-            print(f"lambda = ({cert.subgroup.r0}, {cert.subgroup.r1}), "
-                  f"weight = {cert.weight} ({kind})")
-        return 0
-    raise AssertionError(args.gitcmd)
+        inputs["subgroup"] = args.subgroup.split(",")
+    value = runner.compute("git", inputs, where=f"git {args.gitcmd}")
+    if args.gitcmd == "weight":
+        print(value)
+    elif value == "none":
+        print("no certificate: the weight is positive on every subgroup")
+    else:
+        kind = ("strictly semistable direction"
+                if value["strictly_semistable"] else "unstable")
+        r0, r1 = value["subgroup"]
+        print(f"lambda = ({r0}, {r1}), weight = {value['weight']} ({kind})")
+    return 0
 
 
 def _cmd_inv(args) -> int:
+    def check(name, seed=runner.DEFAULT_SEED, **inputs):
+        return runner.compute("invariant", {"check": name, **inputs}, seed,
+                              f"inv {args.invcmd}")
+
     if args.invcmd == "dims":
-        dims = [invariants.invariant_dimension(k)
-                for k in range(args.upto + 1)]
-        series = invariants.hilbert_prefix(args.upto)
-        _print_json({"dims": dims, "series": series,
-                     "match": dims == series})
+        dims, series = (check(c, upto=args.upto) for c in ("dims", "hilbert"))
+        _print_json({"dims": dims, "series": series, "match": dims == series})
         return 0
     if args.invcmd == "peano":
-        c = json.loads(args.coeffs)
-        j2, j3, j4 = invariants.peano_invariants(c)
-        _print_json({"J2": j2, "J3": j3, "J4": j4})
+        j = check("peano", coeffs=json.loads(args.coeffs))
+        _print_json(dict(zip(("J2", "J3", "J4"), j)))
         return 0
-    if args.invcmd == "check-invariance":
-        results = invariants.invariance_trials(args.trials, args.seed)
-        _print_json({"trials": args.trials, "seed": args.seed,
-                     "all_invariant": all(results)})
-        return 0 if all(results) else 1
-    raise AssertionError(args.invcmd)
+    ok = check("invariance", args.seed, trials=args.trials)
+    _print_json(dict(trials=args.trials, seed=args.seed, all_invariant=ok))
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +150,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KstabError, json.JSONDecodeError) as exc:
+    except (runner.KstabError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

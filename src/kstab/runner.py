@@ -398,7 +398,7 @@ def _compute_git(inputs: _Fields):
     op = inputs["op"]
     if op == "weight":
         sub = _Fields(dict(zip(("r0", "r1"), inputs.pair("subgroup"))),
-                      "inputs.subgroup", SchemaError)
+                      f"{inputs.where}.subgroup", SchemaError)
         lam = githm.OneParamSubgroup(sub.integer("r0"), sub.integer("r1"))
         return githm.hm_weight(githm.support(inputs["support"]), lam)
     if op == "destabilize":
@@ -453,14 +453,8 @@ def _compute_toric(inputs: _Fields):
             out[".".join(combo)] = m.intersection_product(*divs)
         return out
     if table == "curves":
-        divisors = inputs.get("against") or list(m.effective_generators)
-        out = {}
-        for cname in inputs.get("curve_names") or list(m.curve_specs):
-            out[cname] = {
-                d: m.pair_curve_divisor(cname, {d: Fraction(1)})
-                for d in divisors
-            }
-        return out
+        return {c: {d: m.pair_curve_divisor(c, {d: Fraction(1)})
+                    for d in m.effective_generators} for c in m.curve_specs}
     raise SchemaError(f"unknown toric table {table!r}")
 
 
@@ -480,6 +474,13 @@ _HANDLERS = {
 }
 
 
+def compute(kind: str, inputs, seed: int = DEFAULT_SEED, where="inputs"):
+    """The value of one ``kind`` computation on ``inputs``, the object a
+    case file holds under "inputs"; a field of the wrong shape is a
+    SchemaError naming ``where``."""
+    return _HANDLERS[kind](_Fields(inputs, where, SchemaError), seed)
+
+
 def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
     """Run one case file (path or already-parsed dict)."""
     if isinstance(source, dict):
@@ -493,8 +494,7 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
     expected = _strip_citations(case.get("expected"))
     printed = _strip_citations(case.get("printed"))
     try:
-        computed = _HANDLERS[kind](_Fields(inputs, "inputs", SchemaError),
-                                   seed)
+        computed = compute(kind, inputs, seed)
     except SchemaError as exc:
         raise SchemaError(f"{origin}: {exc}") from None
     except Exception as exc:

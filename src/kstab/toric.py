@@ -71,11 +71,18 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _array(values, what: str, nonempty: bool = False):
+    """A model array, non-empty if asked; else ToricError naming ``what``."""
+    if not isinstance(values, (list, tuple, set, frozenset)) or \
+            (nonempty and not values):
+        raise ToricError(f"{what} must be a{' non-empty' if nonempty else 'n'}"
+                         f" array, got {values!r}")
+    return values
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """A row of model integers (see :func:`_int`)."""
-    if not isinstance(values, (list, tuple, set, frozenset)):
-        raise ToricError(f"{what} must be an array, got {values!r}")
-    return tuple(_int(x, f"an entry of {what}") for x in values)
+    return tuple(_int(x, f"an entry of {what}") for x in _array(values, what))
 
 
 def _names(values, what: str) -> tuple[str, ...]:
@@ -383,9 +390,9 @@ def parse_model(data: dict) -> ToricModel:
     """Build a ToricModel from its fixture dictionary."""
     return ToricModel(
         name=data["name"],
-        rays=data["rays"],
-        max_cones=data["max_cones"],
-        grading=data["grading"],
+        rays=_array(data["rays"], "rays", nonempty=True),
+        max_cones=_array(data["max_cones"], "max_cones"),
+        grading=_array(data["grading"], "grading"),
         curves=data.get("curves"),
         mori_generators=data.get("mori_generators", ()),
         effective_generators=data.get("effective_generators", ()),

@@ -300,6 +300,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "(1, 2)" in out and "-2" in out
 
+    @pytest.mark.parametrize("support, line", [
+        ("11,12,21,22", "lambda = (0, 1), weight = 0 "
+                        "(strictly semistable direction)"),
+        ("00,01,02,10,11,12,20,21,22",
+         "no certificate: the weight is positive on every subgroup"),
+    ])
+    def test_git_destabilize_other_outcomes(self, support, line, capsys):
+        assert cli.main(["git", "destabilize", "--support", support]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_git_weight_error_names_subcommand_and_field(self, capsys):
+        assert cli.main(["git", "weight", "--support", "02",
+                         "--lambda", "x,1"]) == 2
+        err = capsys.readouterr().err
+        assert "git weight" in err and "subgroup.r0" in err
+
     def test_inv_dims(self, capsys):
         assert cli.main(["inv", "dims", "--upto", "8"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -242,6 +242,10 @@ class TestErrors:
         ("Y0-A1", "effective_generators", "F0"),
         ("Y0-A1", "curves", [[1, 2]]),
         ("F0tilde-A2", "aliases", ["x"]),
+        ("Y0-A1", "rays", []),
+        ("Y0-A1", "rays", 5),
+        ("Y0-A1", "max_cones", 5),
+        ("Y0-A1", "grading", 5),
     ])
     def test_model_fields_are_read_by_shape(self, name, field, value):
         # A string is not read character by character as generator names,
