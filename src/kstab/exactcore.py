@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from . import KstabError
+from . import KstabError, _Record
 
 VARS = ("u", "v")
 
@@ -235,22 +234,25 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly._of({}, 1)
-            k = other.numerator
-            return Poly._of({e: c * k for e, c in self.num.items()},
-                            self.den * other.denominator)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        # A Poly operand first: a failing isinstance(x, Fraction) goes
+        # through the ABC machinery and costs seven times as much.
+        if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return Poly._of({}, 1)
+                k = other.numerator
+                return Poly._of({e: c * k for e, c in self.num.items()},
+                                self.den * other.denominator)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.num.items():
-            for (i2, j2), c2 in o.num.items():
+            for (i2, j2), c2 in other.num.items():
                 e = (i1 + i2, j1 + j2)
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly._of({e: c for e, c in out.items() if c},
-                        self.den * o.den)
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -396,16 +398,15 @@ class Poly:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record, frozen=True):
     """A closed rational interval ``[lo, hi]``."""
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
+    def __init__(self, lo, hi):
+        # The scans build many: set the fields without the generic matching.
+        self.__dict__.update(lo=rat(lo), hi=rat(hi))
         if self.lo > self.hi:
             raise MalformedInput(f"interval endpoints out of order: {self}")
 
@@ -427,8 +428,7 @@ def definite_integral(p: Poly, rng: Interval) -> Fraction:
     return f.eval(u=rng.hi, v=0) - f.eval(u=rng.lo, v=0)
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(_Record, frozen=True):
     interval: Interval
     poly: Poly
 

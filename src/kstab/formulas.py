@@ -9,10 +9,9 @@ total space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import KstabError
+from . import KstabError, _Record
 from .exactcore import rat
 
 
@@ -28,8 +27,7 @@ class UnsortedInput(FormulaError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Record, frozen=True):
     n: int
     a: Fraction
     d: Fraction
@@ -102,8 +100,7 @@ def gamma_entries(p: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
             p.a * p.delta_v / (p.n * p.mu * s_vertical(p)))
 
 
-@dataclass(frozen=True)
-class GammaVerdict:
+class GammaVerdict(_Record, frozen=True):
     gamma: Fraction
     entries: tuple[Fraction, Fraction, Fraction]
     polystable_certified: bool
@@ -132,8 +129,7 @@ def double_cover_check(n: int, r: int) -> GammaVerdict:
     return gamma_criterion(p)
 
 
-@dataclass(frozen=True)
-class FanoSignature:
+class FanoSignature(_Record, frozen=True):
     is_fano: bool
     k_unstable: bool
 

@@ -12,10 +12,9 @@ treated as advisory input only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import KstabError
+from . import KstabError, _Record
 from .exactcore import Interval, PiecewisePolynomial, Poly, double_integral, \
     definite_integral, rat, rat_str
 from .zariski import (Chamber2D, SurfaceLattice, _affine_family,
@@ -34,8 +33,7 @@ class ZeroS(FunctionalError):
     """A delta-bound entry has vanishing expected order S."""
 
 
-@dataclass(frozen=True)
-class StabilityValue:
+class StabilityValue(_Record, frozen=True):
     """An exact functional value with its chamber provenance."""
 
     kind: str
@@ -43,22 +41,19 @@ class StabilityValue:
     contributions: tuple[tuple[str, Fraction], ...] = ()
 
 
-@dataclass(frozen=True)
-class FlagPoint:
+class FlagPoint(_Record, frozen=True):
     name: str
     mults: dict[str, Fraction]
     log_discrepancy: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FlagChamber:
+class FlagChamber(_Record, frozen=True):
     interval: Interval
     family: dict[str, Poly]
     outer_negative: dict[str, Poly]
 
 
-@dataclass
-class FlagCase:
+class FlagCase(_Record):
     """One nested flag computation over a surface lattice."""
 
     label: str
@@ -68,7 +63,7 @@ class FlagCase:
     ample_power: Fraction
     flag_log_discrepancy: Fraction
     chambers: list[FlagChamber]
-    sigma: dict[str, Fraction] = field(default_factory=dict)
+    sigma: dict[str, Fraction] = {}
     points: tuple[FlagPoint, ...] = ()
     _inner: list | None = None
 
@@ -199,8 +194,7 @@ def s_flag_point(case: FlagCase, point_name: str) -> Fraction:
     return _point_integral(case, point_name, square=True)
 
 
-@dataclass(frozen=True)
-class DeltaBoundRow:
+class DeltaBoundRow(_Record, frozen=True):
     label: str
     log_discrepancy: Fraction
     expected_order: Fraction
@@ -210,8 +204,7 @@ class DeltaBoundRow:
         return self.log_discrepancy / self.expected_order
 
 
-@dataclass(frozen=True)
-class DeltaBoundReport:
+class DeltaBoundReport(_Record, frozen=True):
     value: Fraction
     rows: tuple[DeltaBoundRow, ...]
 

@@ -14,9 +14,7 @@ the whole cone; ``find_destabilizer`` states the lemma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import KstabError, invariants
+from . import KstabError, _Record, invariants
 
 Support = frozenset[tuple[int, int]]
 
@@ -43,8 +41,7 @@ def support(pairs) -> Support:
 FULL_SUPPORT: Support = support((i, j) for i in range(3) for j in range(3))
 
 
-@dataclass(frozen=True)
-class OneParamSubgroup:
+class OneParamSubgroup(_Record, frozen=True):
     r0: int
     r1: int
 
@@ -63,8 +60,7 @@ def hm_weight(s: Support, lam: OneParamSubgroup) -> int:
     return max(lam.weight(i, j) for i, j in s)
 
 
-@dataclass(frozen=True)
-class Destabilizer:
+class Destabilizer(_Record, frozen=True):
     subgroup: OneParamSubgroup
     weight: int
 

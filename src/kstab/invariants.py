@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import KstabError, _linalg
+from . import KstabError, _Record, _linalg
 from .exactcore import ExactCoreError, interpolate, rat
 
 Coeffs = dict[tuple[int, int], Fraction]
@@ -178,8 +177,7 @@ def peano_invariants(c: Coeffs | dict) -> tuple[Fraction, Fraction, Fraction]:
     return c2, c3, c4
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record, frozen=True):
     """A pair of exact 2x2 determinant-one matrices."""
 
     g1: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]

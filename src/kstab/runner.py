@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import (KstabError, formulas, functionals, githm, invariants, toric,
-               zariski)
+from . import (KstabError, _Record, formulas, functionals, githm, invariants,
+               toric, zariski)
 from .exactcore import (Interval, PiecewisePolynomial, Poly,
                         piecewise_integral, rat, rat_str)
 
@@ -118,8 +117,11 @@ class _Fields(dict):
              for p in self.each(key)])
 
 
+_FIXTURES = resources.files("kstab") / "fixtures"
+
+
 def _fixture_root():
-    return resources.files("kstab") / "fixtures"
+    return _FIXTURES
 
 
 def _load_json(path) -> dict:
@@ -209,8 +211,7 @@ def flag_case(name: str) -> functionals.FlagCase:
     return _FLAG_CACHE[name]
 
 
-@dataclass
-class VolumeFixture:
+class VolumeFixture(_Record):
     label: str
     models: dict[str, toric.ToricModel]
     family: dict[str, Poly]
@@ -268,8 +269,7 @@ def _canon(value) -> str:
 # -- case evaluation --------------------------------------------------------
 
 
-@dataclass
-class CaseResult:
+class CaseResult(_Record):
     label: str
     kind: str
     status: str
@@ -524,10 +524,9 @@ def _strip_citations(value):
     return value
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(_Record):
     seed: int
-    results: list[CaseResult] = field(default_factory=list)
+    results: list[CaseResult] = []
 
     def summary(self) -> dict[str, int]:
         counts = {"pass": 0, "fail": 0, "discrepancy-noted": 0,

@@ -45,10 +45,9 @@ each nonsingular support Gram block is cached on its ``SurfaceLattice``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import KstabError, _linalg
+from . import KstabError, _Record, _linalg
 from .exactcore import (ContinuityWarning, Interval, MalformedInput,
                         PiecewisePolynomial, Poly, minimum, rat, rat_str,
                         sqrt_rat)
@@ -106,8 +105,7 @@ class _SplitRequest(Exception):
         self.at = at
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
+class SurfaceLattice(_Record, frozen=True):
     """A surface intersection lattice: named curves plus their Gram matrix.
 
     Construction also builds a name -> index map and, per curve, the sparse
@@ -118,9 +116,6 @@ class SurfaceLattice:
 
     curves: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
-    _inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.curves)
@@ -285,8 +280,7 @@ def _affine(g: Poly) -> tuple[int, int, int]:
     return num.get((0, 0), 0), num.get((1, 0), 0), num.get((0, 1), 0)
 
 
-@dataclass
-class Chamber2D:
+class Chamber2D(_Record):
     """One chamber of a parametric surface decomposition.
 
     The region is ``u in u_interval``, ``v_lo(u) <= v <= v_hi(u)`` with
@@ -564,8 +558,7 @@ def _verify_chambers(chambers: list[Chamber2D]):
 # -- threefold chamber verification ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ThreefoldChamber:
+class ThreefoldChamber(_Record, frozen=True):
     """One supplied chamber of a threefold decomposition: a u-interval,
     the birational model it lives on, and affine positive/negative parts."""
 

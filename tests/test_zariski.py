@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
@@ -7,6 +6,7 @@ import pytest
 
 from kstab import _linalg
 from kstab.exactcore import Interval, Poly
+from kstab.functionals import FlagCase, FlagChamber
 from kstab.runner import _fixture_root, flag_case, model, volume_fixture
 from kstab.toric import SingularBasis, ToricModel
 from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
@@ -434,8 +434,10 @@ def test_threefold_positive_part_must_be_affine():
 def test_flag_outer_negative_must_be_affine():
     case = flag_case("a1-flag-e")
     ch = case.chambers[0]
-    bad = dataclasses.replace(case, chambers=[dataclasses.replace(
-        ch, outer_negative={"f": U * U})], _inner=None)
+    bad = FlagCase(case.label, case.lattice, case.flag, case.dim,
+                   case.ample_power, case.flag_log_discrepancy,
+                   [FlagChamber(ch.interval, ch.family, {"f": U * U})],
+                   case.sigma, case.points, None)
     with pytest.raises(NonAffineFamily, match="outer negative part"):
         bad.inner()
 
