@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from . import (KstabError, _Record, formulas, functionals, githm, invariants,
@@ -117,10 +116,15 @@ class _Fields(dict):
              for p in self.each(key)])
 
 
-_FIXTURES = resources.files("kstab") / "fixtures"
+_FIXTURES = None
 
 
 def _fixture_root():
+    global _FIXTURES
+    if _FIXTURES is None:
+        # Imported on first use: on Python 3.12+ it imports inspect.
+        from importlib import resources
+        _FIXTURES = resources.files("kstab") / "fixtures"
     return _FIXTURES
 
 
@@ -501,7 +505,7 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
         # A broken or missing fixture fails exactly this row; the rest of
         # the suite keeps running.
         return CaseResult(label, kind, "fail", None, expected, printed,
-                          citation, detail=f"{type(exc).__name__}: {exc}")
+                          citation, f"{type(exc).__name__}: {exc}")
     if expected is None:
         status = "computed-only"
     elif _canon(computed) == _canon(expected):
@@ -512,7 +516,7 @@ def run_case(source, seed: int = DEFAULT_SEED) -> CaseResult:
     else:
         status = "fail"
     return CaseResult(label, kind, status, computed, expected, printed,
-                      citation)
+                      citation, "")
 
 
 def _strip_citations(value):

@@ -125,14 +125,16 @@ def test_flag_case_sigma_and_report_results_are_fresh():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # Both cost a cold start; compare before and after so that what the
-    # interpreter's site set-up preloads does not matter.
+    # Both cost a cold start.  importlib.resources imports inspect on
+    # Python 3.12+, so it is checked on every version.  -S keeps site's
+    # .pth files from preloading any of them, and comparing before and
+    # after ignores what the interpreter itself loads first.
     code = ("import sys; before = set(sys.modules); import kstab.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & "
-            "(set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
+            " & (set(sys.modules) - before)))")
     src = str(pathlib.Path(kstab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
