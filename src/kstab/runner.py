@@ -122,8 +122,7 @@ _FIXTURES = None
 def _fixture_root():
     global _FIXTURES
     if _FIXTURES is None:
-        # Imported on first use: on Python 3.12+ it imports inspect.
-        from importlib import resources
+        from importlib import resources  # imports inspect on 3.12+
         _FIXTURES = resources.files("kstab") / "fixtures"
     return _FIXTURES
 
