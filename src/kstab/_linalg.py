@@ -2,11 +2,11 @@
 
 Everything here works on plain lists of Fractions and rests on one
 forward elimination, ``_echelon``: ``solve`` back-substitutes its echelon
-form, ``rank`` counts its pivots, ``det`` multiplies them, ``kernel``
-back-substitutes once per free column, and ``inverse`` once per column of
-the identity carried beside the matrix.  Right-hand sides may contain any
-values from a commutative Q-algebra (e.g. polynomials), which is what the
-parametric chamber solver relies on.
+form, ``rank`` counts its pivots, ``det`` multiplies them, and ``inverse``
+back-substitutes once per column of the identity carried beside the
+matrix.  Right-hand sides may contain any values from a commutative
+Q-algebra (e.g. polynomials), which is what the parametric chamber solver
+relies on.
 """
 
 from __future__ import annotations
@@ -91,20 +91,6 @@ def det(rows) -> Fraction:
     for i, row in enumerate(m):
         result *= row[i]
     return result
-
-
-def kernel(rows):
-    """A basis (list of Fraction vectors) of the right kernel of A."""
-    m, _, pivots, _ = _echelon(rows)
-    ncols = len(m[0]) if m else 0
-    zeros = [Fraction(0)] * len(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
-            basis.append(_back_substitute(m, zeros, pivots, vec))
-    return basis
 
 
 def inverse(rows):

@@ -28,7 +28,6 @@ import math
 import warnings
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 from . import KstabError, _Record
 
@@ -443,7 +442,7 @@ class PiecewisePolynomial:
     is an error turns the warning into one.
     """
 
-    def __init__(self, pieces: Iterable[tuple[Interval, Poly] | Piece]):
+    def __init__(self, pieces: list[tuple[Interval, Poly] | Piece]):
         norm: list[Piece] = []
         for p in pieces:
             if not isinstance(p, Piece):
@@ -528,7 +527,7 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
     return definite_integral(inner, outer)
 
 
-def interpolate(points: Sequence[tuple], degree: int) -> Poly:
+def interpolate(points: list[tuple], degree: int) -> Poly:
     """The unique degree-``degree`` polynomial in ``u`` through the samples.
 
     Raises InconsistentSamples when the (possibly overdetermined) system has

@@ -92,6 +92,9 @@ class _Fields(dict):
         return _Fields(self._shaped(key, default, dict, "a JSON object"),
                        f"{self.where}.{key}", error or self.error)
 
+    def string(self, key) -> str:
+        return self._shaped(key, None, str, "a string")
+
     def array(self, key, item: type, what: str) -> list:
         """A JSON array whose entries are all of type ``item``."""
         return self._shaped(key, None, list, what, item=item)
@@ -116,21 +119,16 @@ class _Fields(dict):
              for p in self.each(key)])
 
 
-_FIXTURES = None
+_FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _fixture_root():
-    global _FIXTURES
-    if _FIXTURES is None:
-        from importlib import resources  # imports inspect on 3.12+
-        _FIXTURES = resources.files("kstab") / "fixtures"
+def _fixture_root() -> Path:
     return _FIXTURES
 
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text() if not hasattr(path, "read_text") \
-            else path.read_text()
+        text = Path(path).read_text()
     except FileNotFoundError:
         raise FixtureMissing(f"no such file: {path}")
     except OSError as exc:
@@ -197,7 +195,7 @@ def flag_case(name: str) -> functionals.FlagCase:
         _FLAG_CACHE[name] = functionals.FlagCase(
             label=fx["label"],
             lattice=build_lattice(fx.fields("lattice")),
-            flag=fx["flag"],
+            flag=fx.string("flag"),
             dim=fx.integer("dimension"),
             ample_power=rat(fx["ample_cube"]),
             flag_log_discrepancy=rat(fx["flag_log_discrepancy"]),
@@ -207,7 +205,7 @@ def flag_case(name: str) -> functionals.FlagCase:
                 for ch in fx.each("chambers")],
             sigma=fx.rationals("sigma", {}),
             points=tuple(functionals.FlagPoint(
-                p["name"], p.rationals("mults", {}),
+                p.string("name"), p.rationals("mults", {}),
                 rat(p.get("log_discrepancy", 1)))
                 for p in fx.each("points", [])),
         )
@@ -231,10 +229,11 @@ def volume_fixture(name: str) -> VolumeFixture:
     fx = load_fixture("volumes", name)
     return VolumeFixture(
         label=fx["label"],
-        models={m: model(m) for m in fx["models"]},
+        models={m: model(m) for m in
+                fx.array("models", str, "an array of strings")},
         family=fx.family("family"),
         chambers=[zariski.ThreefoldChamber(
-            ch.interval("interval"), ch["model"], ch.family("positive"),
+            ch.interval("interval"), ch.string("model"), ch.family("positive"),
             ch.family("negative", {})) for ch in fx.each("chambers")],
         ample_cube=rat(fx["ample_cube"]),
         flag_log_discrepancy=rat(fx["flag_log_discrepancy"]),
@@ -298,9 +297,9 @@ class CaseResult(_Record):
 def _validate(case: _Fields):
     """Check a case's header; its ``inputs`` are read by the handler."""
     origin = case.where
-    if case["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{origin}: unsupported schema_version {case['schema_version']!r}")
+    version = case["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"{origin}: unsupported schema_version {version!r}")
     if not isinstance(case["kind"], str) or case["kind"] not in _HANDLERS:
         raise SchemaError(f"{origin}: unknown kind {case['kind']!r}")
     if not isinstance(case["label"], str):
@@ -473,7 +472,8 @@ _HANDLERS = {
     "invariant": lambda inputs, seed: _compute_invariant(inputs, seed),
     "toric": lambda inputs, seed: _compute_toric(inputs),
     "barycenter": lambda inputs, seed: list(
-        toric.polytope_barycenter(inputs["vertices"])),
+        toric.polytope_barycenter(
+            inputs.array("vertices", list, "an array of points"))),
 }
 
 

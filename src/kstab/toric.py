@@ -53,16 +53,6 @@ class DegeneratePolytope(ToricError):
     """The vertex set spans no 3-dimensional volume."""
 
 
-def divisor(coeffs: dict) -> Divisor:
-    """Normalize a divisor mapping, dropping zero coefficients."""
-    out: Divisor = {}
-    for k, c in coeffs.items():
-        c = rat(c)
-        if c:
-            out[int(k)] = c
-    return out
-
-
 def _int(x, what: str) -> int:
     """A model integer: an exact ``int``.  A float, bool or string raises
     ToricError naming ``what``."""

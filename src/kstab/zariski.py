@@ -167,9 +167,6 @@ class SurfaceLattice(_Record, frozen=True):
         """Intersection of two divisors: sum of c1 * (d2 . k1) over d1."""
         return _contract(d1, self.pairings(d2))
 
-    def square(self, d: dict):
-        return self.dot(d, d)
-
 
 def _contract(d: dict, pairings: dict):
     """Sum of c * pairings[k] over the terms of ``d``, one product per

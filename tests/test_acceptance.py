@@ -29,7 +29,7 @@ from kstab.githm import (FULL_SUPPORT, OneParamSubgroup, find_destabilizer,
 from kstab.invariants import (hilbert_prefix, independence_rank,
                               invariance_trials, invariant_dimension)
 from kstab.runner import flag_case, model, volume_fixture
-from kstab.toric import divisor, polytope_barycenter
+from kstab.toric import polytope_barycenter
 from kstab.zariski import surface_zariski
 
 
@@ -48,7 +48,7 @@ def _triple_table(name):
 
 def _curve_table(name, curves):
     m = model(name)
-    return {c: [m.pair_curve_divisor(c, divisor({m.divisor_index(f): 1}))
+    return {c: [m.pair_curve_divisor(c, {m.divisor_index(f): 1})
                 for f in ("F0", "F1", "F5")] for c in curves}
 
 
@@ -78,7 +78,7 @@ def test_criterion_01_toric_tables():
     y2 = _curve_table("Y2-A2", ("C05", "C03", "C01"))
     assert y2 == {"C05": [Q(1, 3), 0, -1], "C03": [-1, 1, 1],
                   "C01": [Q(1, 2), Q(-1, 2), 0]}
-    wall = divisor({0: 4, 1: 3, 5: 1})  # the family at u = 5
+    wall = {0: 4, 1: 3, 5: 1}  # the family at u = 5
     assert model("Y2-A2").pair_curve_divisor("C03", wall) == 0
     m = model("F0tilde-A2")
     pairs = {t: m.intersection_product(*({m.divisor_index(x): Q(1)}

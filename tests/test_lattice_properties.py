@@ -50,4 +50,4 @@ def test_dot_is_the_contracted_pairing_vector(data):
     lat, d = data
     naive = sum((c1 * c2 * lat.gram[lat.index(k1)][lat.index(k2)]
                  for k1, c1 in d.items() for k2, c2 in d.items()), Poly())
-    assert lat.square(d) == naive
+    assert lat.dot(d, d) == naive

@@ -84,19 +84,6 @@ def test_solve(rows, data):
 
 
 @SETTINGS
-@given(matrices())
-def test_kernel(rows):
-    basis = _linalg.kernel(rows)
-    ncols = len(rows[0])
-    assert len(basis) == ncols - to_sympy(rows).rank()
-    for vec in basis:
-        assert len(vec) == ncols
-        assert apply(rows, vec) == [0] * len(rows)
-    if basis:
-        assert to_sympy(basis).rank() == len(basis)
-
-
-@SETTINGS
 @given(matrices(), st.data())
 def test_solve_with_poly_rhs(rows, data):
     u, v = Poly.var("u"), Poly.var("v")

@@ -125,13 +125,15 @@ def test_flag_case_sigma_and_report_results_are_fresh():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # Both cost a cold start.  importlib.resources imports inspect on
-    # Python 3.12+, so it is checked on every version.  -S keeps site's
-    # .pth files from preloading any of them, and comparing before and
-    # after ignores what the interpreter itself loads first.
+    # Each of these costs a cold start; importlib.resources pulls in
+    # typing and zipfile, and inspect on Python 3.12+, so all are checked
+    # on every version, through the first fixture read too.  -S keeps
+    # site's .pth files from preloading any of them, and comparing before
+    # and after ignores what the interpreter itself loads first.
     code = ("import sys; before = set(sys.modules); import kstab.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
-            " & (set(sys.modules) - before)))")
+            "kstab.runner.load_fixture('models', 'Y0-A1'); "
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources',"
+            " 'typing', 'zipfile'} & (set(sys.modules) - before)))")
     src = str(pathlib.Path(kstab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,

@@ -194,6 +194,57 @@ def test_fixture_without_a_field_fails_its_row_typed(tmp_path, monkeypatch):
     assert "flags/no-label" in result.detail and "'label'" in result.detail
 
 
+@pytest.mark.parametrize("fixture, edit, message", [
+    ("volumes/a1-volume", lambda fx: fx.update(models="Y0-A1"),
+     "volumes/broken.models must be an array of strings, got 'Y0-A1'"),
+    ("volumes/a1-volume", lambda fx: fx["chambers"][0].update(model=["Y0-A1"]),
+     "volumes/broken.chambers[0].model must be a string, got ['Y0-A1']"),
+    ("flags/a2-flag-C1", lambda fx: fx.update(flag=["C1"]),
+     "flags/broken.flag must be a string, got ['C1']"),
+    ("flags/a2-flag-C1", lambda fx: fx["points"][0].update(name=7),
+     "flags/broken.points[0].name must be a string, got 7"),
+    (None, lambda inputs: inputs.update(vertices=5),
+     "inputs.vertices must be an array of points, got 5"),
+], ids=["volume-models-string", "chamber-model-list", "flag-list",
+        "point-name-int", "vertices-int"])
+def test_names_and_arrays_are_read_by_shape(fixture, edit, message,
+                                            tmp_path, monkeypatch):
+    # A fixture field of the wrong shape fails its row with a ParseError;
+    # a case input of the wrong shape is a SchemaError.  Both name the
+    # field, and neither is iterated character by character.
+    if fixture is None:
+        inputs = {}
+        edit(inputs)
+        with pytest.raises(runner.SchemaError, match=re.escape(message)):
+            runner.compute("barycenter", inputs)
+        return
+    kind, name = fixture.split("/")
+    data = json.loads((runner._fixture_root() / f"{fixture}.json")
+                      .read_text())
+    edit(data)
+    (tmp_path / kind).mkdir()
+    (tmp_path / kind / "broken.json").write_text(json.dumps(data))
+    (tmp_path / "models").symlink_to(runner._fixture_root() / "models")
+    monkeypatch.setattr(runner, "_fixture_root", lambda: tmp_path)
+    inputs = ({"volume": "broken", "quantity": "integral"}
+              if kind == "volumes" else {"flag_case": "broken"})
+    result = runner.run_case({
+        "schema_version": 1,
+        "kind": "volume" if kind == "volumes" else "flag_surface",
+        "label": "adhoc/broken",
+        "inputs": inputs,
+    })
+    assert result.status == "fail"
+    assert result.detail == f"ParseError: {message}"
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_is_the_integer_one(version):
+    with pytest.raises(runner.SchemaError, match="schema_version"):
+        runner.run_case({"schema_version": version, "kind": "formula",
+                         "label": "x", "inputs": {}})
+
+
 def test_extra_class_over_an_unknown_curve():
     with pytest.raises(zariski.ZariskiError, match="'C9'"):
         runner.build_lattice({"from_model": "F0tilde-A2",

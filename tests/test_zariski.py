@@ -44,7 +44,7 @@ class TestSurfaceZariski:
         p, n = surface_zariski(HIRZEBRUCH, {"e": 2, "f": 1})
         assert n == {"e": 1}
         assert p == {"e": 1, "f": 1}
-        assert HIRZEBRUCH.square(p) == 1
+        assert HIRZEBRUCH.dot(p, p) == 1
 
     def test_base_case_point(self):
         # dmu = 2 vertical-surface lattice at (u, v) = (0, 3/2).
