@@ -528,24 +528,28 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
 
 
 def interpolate(points: list[tuple], degree: int) -> Poly:
-    """The unique degree-``degree`` polynomial in ``u`` through the samples.
-
-    Raises InconsistentSamples when the (possibly overdetermined) system has
-    no solution, i.e. the sampled function is not a polynomial of the stated
-    degree on the sampled set.
-    """
-    from . import _linalg
-
+    """The polynomial in ``u`` of degree <= ``degree`` through samples with
+    distinct abscissae, in any order, built in Newton form: divided
+    differences through the first degree+1 samples, expanded to monomials
+    in O(degree^2) steps.  Every further sample must lie on the result,
+    or InconsistentSamples is raised: the data is no such polynomial."""
     pts = [(rat(x), rat(y)) for x, y in points]
     if len({x for x, _ in pts}) != len(pts):
         raise MalformedInput(
             "interpolation points must have distinct abscissae")
-    if len(pts) < degree + 1:
-        raise MalformedInput("need at least degree+1 samples")
-    rows = [[x ** k for k in range(degree + 1)] for x, _ in pts]
-    rhs = [y for _, y in pts]
-    sol = _linalg.solve(rows, rhs)
-    if sol is None:
+    if not 0 <= degree < len(pts):
+        raise MalformedInput("need a degree >= 0 and degree+1 samples")
+    xs, dd = map(list, zip(*pts[:degree + 1]))
+    for k in range(1, degree + 1):
+        for i in range(degree, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    coeffs = [dd[degree]]  # low degree first; p <- p (u - x_i) + dd[i]
+    for i in range(degree - 1, -1, -1):
+        coeffs = ([dd[i] - xs[i] * coeffs[0]]
+                  + [lo - xs[i] * hi for lo, hi in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    poly = Poly.from_coeffs(coeffs)
+    if any(poly.eval(u=x, v=0) != y for x, y in pts[degree + 1:]):
         raise InconsistentSamples(
             f"samples admit no degree-{degree} interpolant")
-    return Poly.from_coeffs(sol)
+    return poly

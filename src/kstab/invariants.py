@@ -1,13 +1,16 @@
 """Invariant theory of SL2 x SL2 acting on bidegree-(2,2) forms.
 
 The nine coefficients a_ij carry torus weights (2-2i, 2-2j).  Invariant
-dimensions are extracted by exact weight counting: a coin-change dynamic
-programme over the nine weights counts the degree-k monomials of each
-weight.  The closed-form Hilbert series 1/((1-t^2)(1-t^3)(1-t^4)) provides
-an independent oracle.  The three generating invariants J2, J3, J4 are the
+dimensions are extracted by exact weight counting: one coin-change table
+over the nine weights counts the monomials of each degree and weight.
+The closed-form Hilbert series 1/((1-t^2)(1-t^3)(1-t^4)) provides an
+independent oracle.  The three generating invariants J2, J3, J4 are the
 coefficients of the characteristic polynomial det(T I - M) of an explicit
 trace-free 4x4 matrix in the a_ij, obtained from the power traces
-tr(M^k) by Newton's identities.
+tr(M^k) by Newton's identities.  The hot paths run on integers: a form
+is an integer matrix A over a denominator d, the group acts on A, and
+J2, J3, J4 come from the integer matrix 2d M.  Only public functions
+call :func:`coeffs`.
 """
 
 from __future__ import annotations
@@ -89,22 +92,26 @@ def _weight_table(k: int) -> list[dict[tuple[int, int], int]]:
     return table
 
 
-def invariant_dimension(k: int) -> int:
-    """Dimension of the degree-k invariants by weight counting.
+def invariant_dimensions(upto: int) -> list[int]:
+    """Dimensions of the degree-0..upto invariants by weight counting.
 
-    The multiplicity of the trivial representation is
-    m(0,0) - m(2,0) - m(0,2) + m(2,2), where m(w) counts the degree-k
-    multisets of basis weights summing to w; all four are read from one
-    coin-change table (:func:`_weight_table`).
+    In degree d the multiplicity of the trivial representation is
+    m(0,0) - m(2,0) - m(0,2) + m(2,2), where m(w) counts the degree-d
+    multisets of basis weights summing to w; every degree is read from
+    row d of one coin-change table (:func:`_weight_table`).
     """
-    if k < 0:
+    if upto < 0:
         raise InvariantError("degree must be nonnegative")
-    if k > ENUMERATION_BOUND:
+    if upto > ENUMERATION_BOUND:
         raise BoundExceeded(
             f"weight counting is capped at degree {ENUMERATION_BOUND}")
-    m = _weight_table(k)[k]
-    return (m.get((0, 0), 0) - m.get((2, 0), 0) - m.get((0, 2), 0)
-            + m.get((2, 2), 0))
+    return [m.get((0, 0), 0) - m.get((2, 0), 0) - m.get((0, 2), 0)
+            + m.get((2, 2), 0) for m in _weight_table(upto)]
+
+
+def invariant_dimension(k: int) -> int:
+    """Dimension of the degree-k invariants: see invariant_dimensions."""
+    return invariant_dimensions(k)[-1]
 
 
 def hilbert_prefix(n: int) -> list[int]:
@@ -121,6 +128,7 @@ def hilbert_prefix(n: int) -> list[int]:
 
 
 def _matrix(c: Coeffs):
+    """The matrix M of the invariants; :func:`_peano` builds 2d M."""
     def a(i, j):
         return c.get((i, j), Fraction(0))
 
@@ -133,21 +141,37 @@ def _matrix(c: Coeffs):
     ]
 
 
-def char_poly(m) -> list[Fraction]:
-    """Coefficients [c1, ..., cn] of det(T I - M) = T^n + c1 T^(n-1) + ...
+def _integer_form(rows) -> tuple[list[list[int]], int]:
+    """(N, d) with rows = N / d: N integer, d the least denominator."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in rows], d
 
-    Computed exactly from the power traces p_k = tr(M^k) by Newton's
-    identities, k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).  Only
+
+def _coeff_matrix(c: Coeffs) -> tuple[list[list[int]], int]:
+    """The coefficients a_ij as an integer 3x3 matrix over a denominator."""
+    return _integer_form([[c.get((i, j), 0) for j in range(3)]
+                          for i in range(3)])
+
+
+def char_poly(m) -> list[Fraction]:
+    """Coefficients [c1, ..., cn] of det(T I - M) = T^n + c1 T^(n-1) + ...,
+    as c_k(N) / D^k from the integer matrix N = D M (:func:`_newton`)."""
+    im, den = _integer_form(m)
+    return [Fraction(c, den ** k) for k, c in enumerate(_newton(im), 1)]
+
+
+def _newton(im: list[list[int]]) -> list[int]:
+    """The characteristic coefficients of an integer matrix.
+
+    Computed exactly from the power traces p_k = tr(N^k) by Newton's
+    identities, k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); the
+    coefficients are integers, so the division by k is exact.  Only
     the powers up to h = ceil(n/2) are formed; p_k for k > h is
-    tr(M^h M^(k-h)) = sum_ij (M^h)_ij (M^(k-h))_ji, so an n = 4 matrix
-    costs one matrix product.  The work is done on the integer matrix
-    N = D M, with D the common denominator of the entries: N has integer
-    characteristic coefficients, so the division by k is exact, and
-    c_k(M) = c_k(N) / D^k.
+    tr(N^h N^(k-h)) = sum_ij (N^h)_ij (N^(k-h))_ji, so an n = 4 matrix
+    costs one matrix product.
     """
-    n = len(m)
-    den = lcm(*(x.denominator for row in m for x in row))
-    im = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    n = len(im)
     h = (n + 1) // 2
     powers = [im]
     for _ in range(h - 1):
@@ -164,17 +188,25 @@ def char_poly(m) -> list[Fraction]:
         total = traces[k - 1] + sum(out[t] * traces[k - t - 2]
                                     for t in range(k - 1))
         out.append(-total // k)
-    return [Fraction(c, den ** k) for k, c in enumerate(out, 1)]
+    return out
+
+
+def _peano(a: list[list[int]], d: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(J2, J3, J4) of the form with coefficients a_ij / d, from the
+    integer matrix N = 2d M (see :func:`_matrix`): J_k = c_k(N) / (2d)^k."""
+    n = [[a[1][1], -2 * a[1][0], -2 * a[0][1], 4 * a[0][0]],
+         [2 * a[1][2], -a[1][1], -4 * a[0][2], 2 * a[0][1]],
+         [2 * a[2][1], -4 * a[2][0], -a[1][1], 2 * a[1][0]],
+         [4 * a[2][2], -2 * a[2][1], -2 * a[1][2], a[1][1]]]
+    _, c2, c3, c4 = _newton(n)  # c1 = -tr(N) = 0
+    s = 2 * d
+    return Fraction(c2, s * s), Fraction(c3, s ** 3), Fraction(c4, s ** 4)
 
 
 def peano_invariants(c: Coeffs | dict) -> tuple[Fraction, Fraction, Fraction]:
     """The invariants (J2, J3, J4): characteristic coefficients of the
     associated trace-free matrix, with char(T) = T^4 + J2 T^2 + J3 T + J4."""
-    c = coeffs(c)
-    c1, c2, c3, c4 = char_poly(_matrix(c))
-    if c1 != 0:
-        raise InvariantError("associated matrix is unexpectedly not trace-free")
-    return c2, c3, c4
+    return _peano(*_coeff_matrix(coeffs(c)))
 
 
 class GroupElement(_Record, frozen=True):
@@ -209,15 +241,23 @@ def _sym2(g) -> tuple[tuple[Fraction, ...], ...]:
             (b * b, 2 * b * d, d * d))
 
 
+def _act(g: GroupElement, a: list[list[int]], d: int):
+    """The image of the form a_ij / d: S is quadratic, so for g_i = G_i/e_i
+    it is the integer matrix S(G1)^T A S(G2) over d e1^2 e2^2."""
+    (g1, e1), (g2, e2) = _integer_form(g.g1), _integer_form(g.g2)
+    s1, s2 = _sym2(g1), _sym2(g2)
+    cs = [[sum(a[i][j] * s2[j][l] for j in range(3)) for l in range(3)]
+          for i in range(3)]
+    return [[sum(s1[i][k] * cs[i][l] for i in range(3)) for l in range(3)]
+            for k in range(3)], d * (e1 * e2) ** 2
+
+
 def act(g: GroupElement, c: Coeffs | dict) -> Coeffs:
     """Coefficients of f((x, y) . g1, (u, v) . g2): the matrix
     S(g1)^T C S(g2), with C = (a_ij) and S the :func:`_sym2` matrices."""
-    c = coeffs(c)
-    s1, s2 = _sym2(g.g1), _sym2(g.g2)
-    cs = [[sum(c.get((i, j), 0) * s2[j][l] for j in range(3))
-           for l in range(3)] for i in range(3)]
-    return {(k, l): v for k in range(3) for l in range(3)
-            if (v := sum(s1[i][k] * cs[i][l] for i in range(3)))}
+    b, q = _act(g, *_coeff_matrix(coeffs(c)))
+    return {(k, l): Fraction(v, q) for k, row in enumerate(b)
+            for l, v in enumerate(row) if v}
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -231,8 +271,11 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def verify_invariance(c: Coeffs | dict, g: GroupElement) -> bool:
     """Exact equality of the invariants before and after the action."""
-    c = coeffs(c)
-    return peano_invariants(act(g, c)) == peano_invariants(c)
+    return _invariant_under(g, *_coeff_matrix(coeffs(c)))
+
+
+def _invariant_under(g: GroupElement, a: list[list[int]], d: int) -> bool:
+    return _peano(*_act(g, a, d)) == _peano(a, d)
 
 
 def random_sl2(rng: random.Random):
@@ -269,9 +312,8 @@ def invariance_trials(trials: int, seed: int) -> list[bool]:
     rng = random.Random(seed)
     results = []
     for _ in range(trials):
-        c = random_coeffs(rng)
-        g = random_group_element(rng)
-        results.append(verify_invariance(c, g))
+        a, d = _coeff_matrix(random_coeffs(rng))
+        results.append(_invariant_under(random_group_element(rng), a, d))
     return results
 
 
@@ -289,16 +331,16 @@ def independence_rank(c: Coeffs | dict) -> int:
     at most 4, so five samples determine each directional slice).  The
     t = 0 sample, the point itself, is shared by all nine directions.
     """
-    c = coeffs(c)
-    base = peano_invariants(c)
+    a, d = _coeff_matrix(coeffs(c))
+    base = _peano(a, d)
     rows = [[], [], []]
     for i in range(3):
         for j in range(3):
             samples = [(0, base)]
             for t in (1, 2, 3, 4):
-                shifted = dict(c)
-                shifted[(i, j)] = shifted.get((i, j), Fraction(0)) + t
-                samples.append((t, peano_invariants(shifted)))
+                shifted = [row[:] for row in a]
+                shifted[i][j] += t * d
+                samples.append((t, _peano(shifted, d)))
             for k in range(3):
                 poly = interpolate([(t, v[k]) for t, v in samples], 4)
                 rows[k].append(poly.coefficient(1, 0))

@@ -95,9 +95,9 @@ class _Fields(dict):
     def string(self, key) -> str:
         return self._shaped(key, None, str, "a string")
 
-    def array(self, key, item: type, what: str) -> list:
+    def array(self, key, item: type, what: str, default=None) -> list:
         """A JSON array whose entries are all of type ``item``."""
-        return self._shaped(key, None, list, what, item=item)
+        return self._shaped(key, default, list, what, item=item)
 
     def each(self, key, default=None) -> list[_Fields]:
         """A JSON array of objects."""
@@ -345,7 +345,7 @@ def _compute_beta(inputs: _Fields):
 
 def _compute_flag_point(inputs: _Fields):
     case = flag_case(inputs["flag_case"])
-    point = inputs["point"]
+    point = inputs.string("point")
     quantity = inputs.get("quantity", "s_point")
     if quantity == "s_point":
         return functionals.s_flag_point(case, point)
@@ -418,15 +418,13 @@ def _compute_git(inputs: _Fields):
 def _compute_invariant(inputs: _Fields, seed: int):
     check = inputs["check"]
     if check == "dims":
-        return [invariants.invariant_dimension(k)
-                for k in range(inputs.integer("upto") + 1)]
+        return invariants.invariant_dimensions(inputs.integer("upto"))
     if check == "hilbert":
         return invariants.hilbert_prefix(inputs.integer("upto"))
     if check == "series_match":
         upto = inputs.integer("upto")
         series = invariants.hilbert_prefix(upto)
-        return all(invariants.invariant_dimension(k) == series[k]
-                   for k in range(upto + 1))
+        return invariants.invariant_dimensions(upto) == series
     if check == "peano":
         return list(invariants.peano_invariants(inputs["coeffs"]))
     if check == "invariance":
@@ -443,14 +441,15 @@ def _compute_invariant(inputs: _Fields, seed: int):
 
 
 def _compute_toric(inputs: _Fields):
-    m = model(inputs["model"])
+    m = model(inputs.string("model"))
     table = inputs["table"]
     if table in ("triple", "pair"):
         size, names = ((3, m.effective_generators) if table == "triple"
                        else (2, m.aliases))
         out = {}
         for combo in itertools.combinations_with_replacement(
-                inputs.get("generators") or list(names), size):
+                inputs.array("generators", str, "an array of strings", [])
+                or list(names), size):
             divs = [{n: Fraction(1)} for n in combo]
             out[".".join(combo)] = m.intersection_product(*divs)
         return out

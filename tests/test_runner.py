@@ -194,6 +194,32 @@ def test_fixture_without_a_field_fails_its_row_typed(tmp_path, monkeypatch):
     assert "flags/no-label" in result.detail and "'label'" in result.detail
 
 
+@pytest.mark.parametrize("kind, inputs, message", [
+    ("toric", {"model": "Y0-A1", "table": "triple", "generators": "F0F5"},
+     "inputs.generators must be an array of strings, got 'F0F5'"),
+    ("toric", {"model": "Y0-A1", "table": "triple", "generators": [1, 2]},
+     "inputs.generators must be an array of strings, got [1, 2]"),
+    ("toric", {"model": ["Y0-A1"], "table": "triple"},
+     "inputs.model must be a string, got ['Y0-A1']"),
+    ("flag_point", {"flag_case": "a1-flag-e", "point": ["O"]},
+     "inputs.point must be a string, got ['O']"),
+], ids=["generators-string", "generators-ints", "model-list", "point-list"])
+def test_toric_and_point_inputs_are_read_by_shape(kind, inputs, message):
+    # Not iterated character by character, and not passed on to the
+    # engine: each raises a SchemaError naming its path.
+    with pytest.raises(runner.SchemaError, match=re.escape(message)):
+        runner.compute(kind, inputs)
+
+
+def test_toric_generators_default_to_the_effective_generators():
+    inputs = {"model": "Y0-A1", "table": "triple"}
+    listed = dict(inputs, generators=list(
+        runner.model("Y0-A1").effective_generators))
+    assert runner.compute("toric", inputs) == runner.compute("toric", listed)
+    assert runner.compute("toric", dict(inputs, generators=[])) == \
+        runner.compute("toric", inputs)
+
+
 @pytest.mark.parametrize("fixture, edit, message", [
     ("volumes/a1-volume", lambda fx: fx.update(models="Y0-A1"),
      "volumes/broken.models must be an array of strings, got 'Y0-A1'"),

@@ -2,8 +2,9 @@
 
 The volume c2 * (v - w1(u)) * (v - w2(u)) has the affine roots w1 and w2.
 Starting below both roots (c2 > 0) or between them (c2 < 0), the scan's
-threshold is the first root it meets, and its wall must be one of the
-roots sympy solves for, through the numeric root at the sample.
+threshold is the first root it meets, and its wall must be a root of
+the volume in v, through the numeric root at the sample: v - wall divides
+the volume exactly in sympy's polynomial ring QQ[u, v].
 """
 
 from fractions import Fraction as Q
@@ -54,5 +55,6 @@ def test_wall_is_a_sympy_root(c2, a1, b1, a2, b2, ustar):
     assert r == root
     assert wall.is_univariate("u") and wall.degree("u") <= 1
     assert wall.eval(u=ustar, v=0) == r
-    roots = sp.solve(to_sympy(vol), sv, simplify=False, check=False)
-    assert any(sp.expand(to_sympy(wall) - s) == 0 for s in roots)
+    _, rem = sp.div(sp.Poly(to_sympy(vol), sv, su),
+                    sp.Poly(sv - to_sympy(wall), sv, su))
+    assert rem.is_zero
