@@ -173,7 +173,7 @@ def build_lattice(data: dict) -> zariski.SurfaceLattice:
     m = model(data["from_model"])
     names = {n: m.divisor_index(d) for n, d in data.fields("curves").items()}
     # Each extra class is the toric divisor of its combination of curves.
-    divs = {n: {d: Fraction(1)} for n, d in names.items()}
+    divs = {n: {d: 1} for n, d in names.items()}
     extra = data.fields("extra_classes", {})
     for k in extra:
         div = divs[k] = {}
@@ -221,8 +221,16 @@ class VolumeFixture(_Record):
     flag_log_discrepancy: Fraction
 
     def volume(self) -> PiecewisePolynomial:
-        return zariski.threefold_chamber_volume(
+        """P^3 on the verified chambers, from the ample cube at u = 0 to 0."""
+        vol = zariski.threefold_chamber_volume(
             self.models, self.chambers, self.family)
+        ends = (vol.pieces[0].interval.lo, vol.pieces[-1].interval.hi)
+        if (ends[0], *map(vol.eval, ends)) != (0, self.ample_cube, 0):
+            raise zariski.DecompositionMismatch(
+                f"{self.label}: vol is not the ample cube at u = 0, 0 at the"
+                " end: " + ", ".join(f"{rat_str(vol.eval(x))} at u = "
+                                     f"{rat_str(x)}" for x in ends))
+        return vol
 
 
 def volume_fixture(name: str) -> VolumeFixture:
@@ -344,7 +352,7 @@ def _compute_beta(inputs: _Fields):
 
 
 def _compute_flag_point(inputs: _Fields):
-    case = flag_case(inputs["flag_case"])
+    case = flag_case(inputs.string("flag_case"))
     point = inputs.string("point")
     quantity = inputs.get("quantity", "s_point")
     if quantity == "s_point":
@@ -450,11 +458,11 @@ def _compute_toric(inputs: _Fields):
         for combo in itertools.combinations_with_replacement(
                 inputs.array("generators", str, "an array of strings", [])
                 or list(names), size):
-            divs = [{n: Fraction(1)} for n in combo]
+            divs = [{n: 1} for n in combo]
             out[".".join(combo)] = m.intersection_product(*divs)
         return out
     if table == "curves":
-        return {c: {d: m.pair_curve_divisor(c, {d: Fraction(1)})
+        return {c: {d: m.pair_curve_divisor(c, {d: 1})
                     for d in m.effective_generators} for c in m.curve_specs}
     raise SchemaError(f"unknown toric table {table!r}")
 
@@ -464,7 +472,7 @@ _HANDLERS = {
     "volume": lambda inputs, seed: _compute_volume(inputs),
     "beta": lambda inputs, seed: _compute_beta(inputs),
     "flag_surface": lambda inputs, seed: functionals.s_flag_surface(
-        flag_case(inputs["flag_case"])),
+        flag_case(inputs.string("flag_case"))),
     "flag_point": lambda inputs, seed: _compute_flag_point(inputs),
     "formula": lambda inputs, seed: _compute_formula(inputs),
     "git": lambda inputs, seed: _compute_git(inputs),

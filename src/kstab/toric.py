@@ -11,7 +11,12 @@ is rewritten through a principal divisor div(chi^m) = sum_k <m, v_k> F_k
 
 Lattice work is done in ``int``: one integer adjugate per maximal cone
 gives its multiplicity and the relations of all its rays, and the
-barycenter runs on vertices scaled to integer points.
+barycenter runs on vertices scaled to integer points.  The monomial table
+holds L^dim times each degree-dim boundary monomial, L the lcm of the
+|det sigma|: an integer, since one relation step rewrites a monomial of
+repetition excess e (length minus distinct rays) over ones of excess
+e - 1 with coefficients over det sigma, so by induction from 1/|det sigma|
+its denominator divides L^(1 + e), and e <= dim - 1.
 
 Divisor classes are finite maps from a ray index, an ``F<i>`` name or an
 alias to a coefficient; this module alone resolves the keys.  Degrees,
@@ -28,7 +33,7 @@ import math
 from fractions import Fraction
 
 from . import KstabError, _linalg
-from .exactcore import rat
+from .exactcore import Poly, rat
 
 Divisor = dict[int, Fraction]
 
@@ -99,7 +104,7 @@ def _cross(a, b):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum([x * y for x, y in zip(a, b)])
 
 
 def _sub(a, b):
@@ -151,9 +156,8 @@ class ToricModel:
             raise ToricError("rays of mixed dimension")
         self.max_cones = tuple(frozenset(_ints(c, "a maximal cone"))
                                for c in max_cones)
-        # Per maximal cone: det and each ray's adjugate column, and 1/|det|.
+        # Per maximal cone: det and each ray's adjugate column.
         self._cone_adj: dict[frozenset[int], tuple[int, dict[int, tuple]]] = {}
-        self._inv_mult: dict[frozenset[int], Fraction] = {}
         for cone in self.max_cones:
             if len(cone) != self.dim:
                 raise ToricError(f"maximal cone {set(cone)} has wrong size")
@@ -162,7 +166,8 @@ class ToricModel:
             if d == 0:
                 raise ToricError(f"cone rays {set(cone)} are dependent")
             self._cone_adj[cone] = (d, dict(zip(basis, cols)))
-            self._inv_mult[cone] = Fraction(1, abs(d))
+        self._scale = math.lcm(*(abs(d) for d, _ in
+                                 self._cone_adj.values())) ** self.dim
         grading = [_ints(row, "a grading row") for row in grading]
         if any(len(row) < len(self.rays) for row in grading):
             raise ToricError("grading narrower than the ray count")
@@ -178,9 +183,9 @@ class ToricModel:
         self.mori_generators = _names(mori_generators, "mori_generators")
         self.effective_generators = _names(effective_generators,
                                            "effective_generators")
-        self._prod_cache: dict[tuple[int, ...], Fraction] = {}
-        self._rep_cache: dict[tuple[int, frozenset[int]], Divisor] = {}
-        self._curve_cache: dict[str, tuple[Fraction, ...]] = {}
+        self._prod_cache: dict[tuple[int, ...], int] = {}
+        self._rep_cache: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
+        self._curve_cache: dict[str, tuple[int, ...]] = {}
 
     def _check_grading(self):
         """The grading's kernel must be exactly the span of the relations
@@ -247,47 +252,44 @@ class ToricModel:
             self._check_index(t)
         if len({i, j, k}) != 3:
             raise ToricError("indices must be pairwise distinct")
-        return self._inv_mult.get(frozenset((i, j, k)), Fraction(0))
+        return Fraction(self._monomial(tuple(sorted((i, j, k)))), self._scale)
 
-    def _relation_rep(self, i: int, cone: frozenset[int]) -> Divisor:
-        """F_i ~ -sum_{k not in cone} <m, v_k> F_k, for a maximal cone
-        containing ray i and m = w_i / det, w_i its adjugate column."""
-        key = (i, cone)
-        if key not in self._rep_cache:
-            d, cols = self._cone_adj[cone]
-            rep: Divisor = {}
-            for k, v in enumerate(self.rays):
-                if k not in cone:
-                    num = _dot(cols[i], v)
-                    if num:
-                        rep[k] = Fraction(-num, d)
-            self._rep_cache[key] = rep
-        return self._rep_cache[key]
+    def _relation_rep(self, i: int, cone: frozenset[int]) -> dict[int, int]:
+        """The numerators -<w_i, v_k> over det of F_i ~ -sum_{k not in cone}
+        <m, v_k> F_k, for a maximal cone containing ray i and m = w_i / det."""
+        if (i, cone) not in self._rep_cache:
+            w = self._cone_adj[cone][1][i]
+            self._rep_cache[i, cone] = {
+                k: -num for k, v in enumerate(self.rays)
+                if k not in cone and (num := _dot(w, v))}
+        return self._rep_cache[i, cone]
 
-    def _monomial(self, multiset: tuple[int, ...]) -> Fraction:
-        """Product of boundary divisors indexed by a sorted multiset."""
+    def _monomial(self, multiset: tuple[int, ...]) -> int:
+        """L^dim times the boundary monomial of a sorted multiset."""
         if multiset not in self._prod_cache:
             self._prod_cache[multiset] = self._monomial_uncached(multiset)
         return self._prod_cache[multiset]
 
-    def _monomial_uncached(self, multiset: tuple[int, ...]) -> Fraction:
+    def _monomial_uncached(self, multiset: tuple[int, ...]) -> int:
         support = frozenset(multiset)
         if len(support) == len(multiset):
-            return self._inv_mult.get(support, Fraction(0))
+            cone = self._cone_adj.get(support)
+            return self._scale // abs(cone[0]) if cone else 0
         cone = next((c for c in self.max_cones if support <= c), None)
         if cone is None:
             # Boundary divisors sharing no cone do not meet.
-            return Fraction(0)
-        counts = {i: multiset.count(i) for i in support}
-        rep_idx = max(counts, key=lambda i: (counts[i], i))
+            return 0
+        rep_idx = max(multiset, key=lambda i: (multiset.count(i), i))
         rest = list(multiset)
         rest.remove(rep_idx)
         # Each term swaps one copy of F_rep_idx for a ray outside the
         # support, so the repetition falls and the recursion terminates.
-        total = Fraction(0)
-        for k, c in self._relation_rep(rep_idx, cone).items():
-            total += c * self._monomial(tuple(sorted(rest + [k])))
-        return total
+        total = sum(c * self._monomial(tuple(sorted(rest + [k])))
+                    for k, c in self._relation_rep(rep_idx, cone).items())
+        q, r = divmod(total, self._cone_adj[cone][0])
+        if r:
+            raise ToricError(f"{self.name}: L^dim {multiset} is not integral")
+        return q
 
     def intersection_product(self, *divisors):
         """Multilinear intersection number of ``dim`` divisor classes, with
@@ -300,39 +302,52 @@ class ToricModel:
 
     def _expand(self, divisors):
         """The multilinear expansion of a product of ``dim`` divisors: each
-        nonzero boundary monomial times its coefficients, summed.
+        nonzero boundary monomial times its coefficients, summed over the
+        integer table and divided by L^dim once."""
+        return sum(math.prod(coeffs, start=term) for term, coeffs
+                   in self._terms(divisors)) * Fraction(1, self._scale)
 
-        Arguments equal after normalization form one group.  A group of k
-        equal divisors runs over the multisets of k of its terms
-        (``combinations_with_replacement``), each weighted by its number of
-        orderings k!/prod(count!); the product runs over the groups, so
-        distinct arguments are groups of one with weight 1.
-        """
+    def _terms(self, divisors):
+        """The nonzero terms of a product of ``dim`` divisors: (orderings
+        times the integer monomial, the coefficients).  Arguments equal after
+        normalization form one group; a group of k runs over the multisets
+        of k of its terms, each weighted by its k!/prod(count!) orderings,
+        and the product runs over the groups."""
         if len(divisors) != self.dim:
             raise ToricError(
                 f"{self.name} needs {self.dim} divisors, got {len(divisors)}")
         args = [self.normalize_divisor(d) for d in divisors]
         groups = [d for i, d in enumerate(args) if d not in args[:i]]
-        total = Fraction(0)
         for combo in itertools.product(*(
                 itertools.combinations_with_replacement(
                     sorted(d.items()), args.count(d))
                 for d in groups)):
             term = self._monomial(
-                tuple(sorted(i for part in combo for i, _ in part)))
+                tuple(sorted([i for part in combo for i, _ in part])))
             if term:
-                term *= math.prod(map(_orderings, combo))
-                for part in combo:
-                    for _, c in part:
-                        term = c * term
-                total = term + total
-        return total
+                yield (term * math.prod(map(_orderings, combo)),
+                       [c for part in combo for _, c in part])
+
+    def affine_product(self, den: int, *divisors) -> Poly:
+        """The intersection number, a Poly in u summed in ``int``, of ``dim``
+        divisors whose coefficients are pairs (a, b) for (a + b*u) / den."""
+        num = [0] * (self.dim + 1)
+        for term, coeffs in self._terms(divisors):
+            poly = [term]
+            for a, b in coeffs:
+                poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
+            num = [x + y for x, y in zip(num, poly)]
+        return Poly._of({(k, 0): x for k, x in enumerate(num) if x},
+                        den ** self.dim * self._scale)
 
     # -- curves and cones -------------------------------------------------
 
     def curve(self, name: str) -> tuple[Fraction, ...]:
         """The pairing vector (F_i . F_j . F_k for each ray k) of the named
-        1-stratum F_i . F_j."""
+        1-stratum F_i . F_j; ``_curve_row`` is it times L^dim."""
+        return tuple(Fraction(x, self._scale) for x in self._curve_row(name))
+
+    def _curve_row(self, name: str) -> tuple[int, ...]:
         if name not in self._curve_cache:
             if name not in self.curve_specs:
                 raise ToricError(
@@ -344,10 +359,9 @@ class ToricModel:
         return self._curve_cache[name]
 
     def pair_curve_divisor(self, curve: str, d: Divisor) -> Fraction:
-        pairing = self.curve(curve)
-        return sum((c * pairing[i]
-                    for i, c in self.normalize_divisor(d).items()),
-                   Fraction(0))
+        row = self._curve_row(curve)
+        return sum(c * row[i] for i, c in self.normalize_divisor(d).items()
+                   ) * Fraction(1, self._scale)
 
     def nef_check(self, d: Divisor) -> tuple[bool, list[str]]:
         """Pair against the Mori generators; list the violated ones."""

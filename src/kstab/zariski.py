@@ -9,9 +9,9 @@ Three layers:
   scan runs at an exact rational sample of ``u`` from v = 0 to the
   pseudoeffective threshold, where the volume of P vanishes; it re-solves
   each chamber symbolically and splits the ``u``-interval where walls cross.
-* ``threefold_chamber_volume`` -- verification (not discovery) of supplied
-  chamber decompositions on threefold models, returning the exact
-  piecewise-cubic volume function.
+* ``threefold_chamber_volume`` -- verification (not discovery), in ``int``,
+  of supplied chamber decompositions on threefold models, N proved the
+  negative part, returning the exact piecewise-cubic volume function.
 
 Affinity is an invariant, checked once where a family enters the engine:
 ``_affine_family`` lifts every coefficient to a Poly and raises
@@ -44,13 +44,13 @@ each nonsingular support Gram block is cached on its ``SurfaceLattice``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
 from . import KstabError, _Record, _linalg
-from .exactcore import (ContinuityWarning, Interval, MalformedInput,
-                        PiecewisePolynomial, Poly, minimum, rat, rat_str,
-                        sqrt_rat)
+from .exactcore import (Interval, MalformedInput, PiecewisePolynomial, Poly,
+                        minimum, rat, rat_str, sqrt_rat)
 from .toric import ToricModel
 
 
@@ -565,54 +565,77 @@ class ThreefoldChamber(_Record, frozen=True):
     negative: dict[str, Poly]
 
 
+def _ray_vectors(model: ToricModel, families, label: str):
+    """The named families as integer vectors {ray: (a, b)}, each coefficient
+    (a + b*u) / den over one common den > 0, and den."""
+    polys = [(w, model.normalize_divisor(_affine_family(f, f"{label}: {w}")))
+             for w, f in families]
+    if any((0, 1) in c.num for _, f in polys for c in f.values()):
+        raise MalformedInput(f"{label}: a coefficient depends on v")
+    den = math.lcm(*(c.den for _, f in polys for c in f.values()))
+    return [{k: (c.num.get((0, 0), 0) * (den // c.den),
+                 c.num.get((1, 0), 0) * (den // c.den)) for k, c in f.items()}
+            for _, f in polys], den
+
+
 def threefold_chamber_volume(models: dict[str, ToricModel],
                              chambers: list[ThreefoldChamber],
                              total: dict[str, Poly]) -> PiecewisePolynomial:
     """Verify a supplied chamber decomposition and return vol(u) = P(u)^3.
 
-    Per chamber the four defining conditions are proved exactly: P is nef
-    against the model's Mori generators at both endpoints (P is affine in
-    u, so the endpoints decide the whole interval), every coefficient of N
-    has a nonnegative ``minimum`` on the interval, P + N agrees with the
-    total family in the degree lattice, and the resulting cubic pieces
-    match at the walls (small modifications preserve the volume).
+    The sorted chambers must tile one interval.  Per chamber five
+    conditions are proved in ``int`` (``_ray_vectors``): P + N is the
+    family in the degree lattice; N has a nonnegative ``minimum``; P is
+    nef at both ends, read as q * den * P(p/q) (P is affine in u); the
+    cubics agree at the walls; and P^2 . F_k is identically 0 for each
+    ray k in the support of N.  For P nef and big, P^2 . F_k is twice the
+    normalized area of the face of the polytope P_P with normal v_k
+    (Fulton, Introduction to Toric Varieties, Sec. 5.3).  So no such face
+    is a facet, P_P is cut out by the rays where P is the family, and
+    vol = 6 vol(P_P) = P^3.
     """
-    total = _affine_family(total, "decomposed family")
-    pieces = []
-    ordered = sorted(chambers, key=lambda c: (c.interval.lo, c.interval.hi))
-    for ch in ordered:
+    pieces: list[tuple[Interval, Poly]] = []
+    for ch in sorted(chambers, key=lambda c: (c.interval.lo, c.interval.hi)):
+        label = f"chamber {ch.interval} on {ch.model}"
+        if pieces and ch.interval.lo != pieces[-1][0].hi:
+            raise DecompositionMismatch(
+                f"chambers leave a gap or overlap: {pieces[-1][0]}, {label}")
         model = models.get(ch.model)
         if model is None:
             raise DecompositionMismatch(f"unknown model {ch.model!r}")
-        label = f"chamber {ch.interval} on {ch.model}"
-        pos = _affine_family(ch.positive, f"{label}: positive part")
-        neg = _affine_family(ch.negative, f"{label}: negative part")
-        combined = dict(pos)
-        for k, c in neg.items():
-            combined[k] = combined.get(k, Poly()) + c
-        if model.degree(combined) != model.degree(total):
+        (pos, neg, fam), den = _ray_vectors(model, (
+            ("positive part", ch.positive), ("negative part", ch.negative),
+            ("decomposed family", total)), label)
+        if any(sum(g * (pos.get(i, (0, 0))[t] + neg.get(i, (0, 0))[t]
+                        - fam.get(i, (0, 0))[t]) for i, g in enumerate(row))
+               for row in model.grading for t in (0, 1)):
             raise DecompositionMismatch(
                 f"{label}: P + N is not the decomposed family")
-        for k, c in neg.items():
-            if minimum(c, ch.interval) < 0:
+        for k, c in ch.negative.items():
+            if minimum(Poly.const(c), ch.interval) < 0:
                 raise DecompositionMismatch(
                     f"{label}: negative part coefficient of {k} < 0")
         for u in (ch.interval.lo, ch.interval.hi):
+            p, q = u.numerator, u.denominator
             ok, violated = model.nef_check(
-                {k: c.eval(u=u, v=0) for k, c in pos.items()})
+                {i: a * q + b * p for i, (a, b) in pos.items()})
             if not ok:
                 raise NefViolation(
                     f"{label}: P({rat_str(u)}) negative on {violated}")
-        vol = Poly.const(model.intersection_form(pos, pos, pos))
+        vol, x = model.affine_product(den, pos, pos, pos), ch.interval.lo
+        if pieces and pieces[-1][1].eval(u=x, v=0) != vol.eval(u=x, v=0):
+            raise DiscontinuousVolume(
+                f"volume discontinuity at u = {rat_str(x)}: "
+                f"{rat_str(pieces[-1][1].eval(u=x, v=0))} vs "
+                f"{rat_str(vol.eval(u=x, v=0))}")
+        if any((a or b) and model.affine_product(den, pos, pos, {k: (den, 0)})
+               for k, (a, b) in neg.items()):
+            raise DecompositionMismatch(
+                f"{label}: P^2 . F_k is not 0 on the support of N")
         pieces.append((ch.interval, vol))
-    # Small modifications preserve the volume, so a jump at a wall is an
-    # error here, not the warning that PiecewisePolynomial gives.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ContinuityWarning)
-        try:
-            return PiecewisePolynomial(pieces)
-        except ContinuityWarning as exc:
-            raise DiscontinuousVolume(f"volume {exc}") from None
+    if not pieces:
+        raise DecompositionMismatch("no chambers to verify")
+    return PiecewisePolynomial(pieces)
 
 
 def pseudoeffective_threshold(model: ToricModel,

@@ -36,11 +36,12 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def ordered_expansion(m, divisors):
-    """The reference: every ordered choice of one term per argument."""
+    """The reference: every ordered choice of one term per argument, each
+    monomial read from the integer table over L^dim."""
     total = Q(0)
     for combo in itertools.product(
             *(m.normalize_divisor(d).items() for d in divisors)):
-        term = m._monomial(tuple(sorted(i for i, _ in combo)))
+        term = Q(m._monomial(tuple(sorted(i for i, _ in combo))), m._scale)
         for _, c in combo:
             term = c * term
         total = term + total
@@ -107,3 +108,22 @@ def test_equal_arguments_expand_once_per_multiset():
         Poly.__mul__ = Poly.__rmul__ = mul
     assert got == ordered_expansion(m, [p, p, p])
     assert calls <= 3 * 10
+
+
+@pytest.mark.parametrize("name", [n for n in MODELS if model(n).dim == 3])
+def test_integer_cube_matches_the_intersection_form(name):
+    # The threefold verifier's cube of an affine P, summed in int over one
+    # denominator, against the Poly-valued intersection form.
+    m = model(name)
+
+    @SETTINGS
+    @given(st.dictionaries(st.sampled_from(range(len(m.rays))),
+                           st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                           min_size=1),
+           st.integers(1, 6))
+    def check(vec, den):
+        p = {k: Poly.affine(Q(a, den), Q(b, den)) for k, (a, b) in vec.items()}
+        assert m.affine_product(den, vec, vec, vec) == \
+            Poly.const(m.intersection_form(p, p, p))
+
+    check()

@@ -211,6 +211,17 @@ def test_toric_and_point_inputs_are_read_by_shape(kind, inputs, message):
         runner.compute(kind, inputs)
 
 
+@pytest.mark.parametrize("kind, inputs", [
+    ("flag_surface", {"flag_case": ["a1-flag-e"]}),
+    ("flag_point", {"flag_case": ["a1-flag-e"], "point": "O"}),
+], ids=["surface", "point"])
+def test_flag_case_name_is_read_as_a_string(kind, inputs):
+    # A list is not looked up in the flag cache (an unhashable TypeError).
+    message = "inputs.flag_case must be a string, got ['a1-flag-e']"
+    with pytest.raises(runner.SchemaError, match=re.escape(message)):
+        runner.compute(kind, inputs)
+
+
 def test_toric_generators_default_to_the_effective_generators():
     inputs = {"model": "Y0-A1", "table": "triple"}
     listed = dict(inputs, generators=list(

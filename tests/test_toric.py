@@ -109,9 +109,12 @@ class TestIntersectionProduct:
                     rest = list(ms)
                     rest.remove(i)
                     for cone in cones:
+                        # The relation's numerators are over the cone's det.
                         via = sum(c * m._monomial(tuple(sorted(rest + [k])))
                                   for k, c in m._relation_rep(i, cone).items())
-                        assert via == m._monomial(ms), (name, ms, set(cone))
+                        det = m._cone_adj[cone][0]
+                        assert via == det * m._monomial(ms), (
+                            name, ms, set(cone))
 
 
 class TestConeData:
@@ -123,15 +126,18 @@ class TestConeData:
             for cone in m.max_cones:
                 basis = sorted(cone)
                 rows = [m.rays[j] for j in basis]
-                assert m._inv_mult[cone] == 1 / abs(_linalg.det(rows))
+                det = _linalg.det(rows)
+                # The integer table holds L^dim times each product.
+                assert Q(m._monomial(tuple(basis)), m._scale) == 1 / abs(det)
                 for i in basis:
                     sol = _linalg.solve(rows, [Q(j == i) for j in basis])
                     want = {k: -sum(x * y for x, y in zip(sol, v))
                             for k, v in enumerate(m.rays) if k not in cone}
                     want = {k: c for k, c in want.items() if c}
                     rep = m._relation_rep(i, cone)
-                    assert rep == want, (name, i, set(cone))
-                    assert all(type(c) is Q for c in rep.values())
+                    assert {k: Q(c, det) for k, c in rep.items()} == want, (
+                        name, i, set(cone))
+                    assert all(type(c) is int for c in rep.values())
 
 
 class TestCurvesAndCones:

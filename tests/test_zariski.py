@@ -7,7 +7,9 @@ import pytest
 from kstab import _linalg
 from kstab.exactcore import Interval, Poly
 from kstab.functionals import FlagCase, FlagChamber
-from kstab.runner import _fixture_root, flag_case, model, volume_fixture
+from kstab.exactcore import MalformedInput
+from kstab.runner import (VolumeFixture, _fixture_root, flag_case, model,
+                          volume_fixture)
 from kstab.toric import SingularBasis, ToricModel
 from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
                            IrrationalThreshold, MalformedLattice,
@@ -268,6 +270,74 @@ class TestThreefoldVolume:
         with pytest.raises(DecompositionMismatch,
                            match="negative part coefficient"):
             threefold_chamber_volume(fx.models, bad, fx.family)
+
+
+class TestVolumeIsAProof:
+    """Decompositions the verifier once accepted with a wrong volume."""
+
+    def test_negative_part_must_be_orthogonal_to_p_squared(self):
+        # (1 - u)/10 F3 moved from P to N on [0, 1]: P stays nef and N
+        # effective, but P^2 . F3 = 19/5 + u/5, so N is not P's negative
+        # part and P^3 is not the volume.
+        fx = volume_fixture("a1-volume")
+        ch = fx.chambers[0]
+        eps = Poly.from_coeffs([Q(1, 10), Q(-1, 10)])
+        pos = {**ch.positive, "F3": -eps}
+        m = fx.models[ch.model]
+        assert m.intersection_form(pos, pos, {"F3": 1}) == \
+            Poly.from_coeffs([Q(19, 5), Q(1, 5)])
+        moved = ThreefoldChamber(ch.interval, ch.model, pos, {"F3": eps})
+        with pytest.raises(DecompositionMismatch, match="support of N"):
+            threefold_chamber_volume(fx.models, [moved, *fx.chambers[1:]],
+                                     fx.family)
+
+    @staticmethod
+    def _edited(name, drop=None, ample_cube=None):
+        fx = volume_fixture(name)
+        return VolumeFixture(
+            fx.label, fx.models, fx.family,
+            [ch for ch in fx.chambers if ch.interval != drop],
+            fx.ample_cube if ample_cube is None else ample_cube,
+            fx.flag_log_discrepancy)
+
+    def test_chambers_must_leave_no_gap(self):
+        # Without [3, 5] the parent verified S = 269/78, not 127/26.
+        with pytest.raises(DecompositionMismatch, match="gap"):
+            self._edited("a2-volume", drop=Interval(3, 5)).volume()
+
+    def test_volume_must_start_at_zero(self):
+        # Without [0, 3] the parent verified S = 205/104.
+        with pytest.raises(DecompositionMismatch, match="at u = 0"):
+            self._edited("a2-volume", drop=Interval(0, 3)).volume()
+
+    def test_volume_must_start_at_the_ample_cube(self):
+        with pytest.raises(DecompositionMismatch, match="ample cube"):
+            self._edited("a1-volume", ample_cube=Q(12)).volume()
+
+    def test_volume_must_vanish_at_the_end(self):
+        # Without [6, 9] the volume stops at vol(6) = 3 > 0.
+        with pytest.raises(DecompositionMismatch, match="0 at the end"):
+            self._edited("a2-volume", drop=Interval(6, 9)).volume()
+
+    def test_bundled_fixtures_tile_from_the_ample_cube_to_zero(self):
+        for name, end in (("a1-volume", 3), ("a2-volume", 9),
+                          ("a2-volume-resolution", 9)):
+            fx = volume_fixture(name)
+            vol = fx.volume()
+            assert (vol.pieces[0].interval.lo, vol.pieces[-1].interval.hi) \
+                == (0, end)
+            assert (vol.eval(0), vol.eval(end)) == (fx.ample_cube, 0)
+
+    def test_no_chambers_is_an_error(self):
+        fx = volume_fixture("a1-volume")
+        with pytest.raises(DecompositionMismatch, match="no chambers"):
+            threefold_chamber_volume(fx.models, [], fx.family)
+
+    def test_family_coefficient_in_v_is_refused(self):
+        fx = volume_fixture("a1-volume")
+        with pytest.raises(MalformedInput, match="depends on v"):
+            threefold_chamber_volume(fx.models, fx.chambers,
+                                     {**fx.family, "F1": AFF(3, 0, 1)})
 
 
 class TestThreshold:
