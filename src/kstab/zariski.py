@@ -25,21 +25,24 @@ corners is a proof.  So every sign claim on a chamber goes through
 before the next wall, a threefold negative part) through the exact sign
 oracle ``exactcore.minimum``.
 
-The scan decides in integers: ``_affine`` reads an affine form as the
-numerators (a, b, c) of (a + b*u + c*v) / den, den > 0, so at a point
-(x, y) / d its sign is that of a*d + b*x + c*y.  Fractions and Polys are
-built only for what the scan hands on: event positions, roots and walls.
+Both surface layers run on integers.  An affine form is an integer triple
+(a, b, c), read as (a + b*u + c*v) / den over some den > 0, so at a point
+(x, y) / d its sign is that of a*d + b*x + c*y, and its zero line does
+not depend on den.  ``_triples`` reads a divisor once as triples over one
+common den.  ``SurfaceLattice`` holds its Gram matrix as integer rows G
+over their lcm g, and caches per support the inverse of G's support block
+as integer rows R over one denominator r.  From these ``_parts`` gives N
+and P over den*r and P's pairing vector over den*r*g as integer sums, for
+``surface_zariski``, the scan and the Fraction/Poly entry point
+``_support_solve`` alike.  Polys are built only for what the scan hands
+on: the emitted ``Chamber2D`` fields, the walls, and the volume read by
+``_vol_threshold``.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
 scan raises v until a constraint falls to 0; that line is the next wall,
 and every curve whose constraint falls there toggles in or out of the
 support.  ``_verify_chambers`` proves the same constraints nonnegative.
-
-Each chamber is solved once: the scan reads its events, walls and volume
-from one pairing vector ``{c: P . c}``, which the returned ``Chamber2D``
-hands down to the corner checks and the flag integrals.  The inverse of
-each nonsingular support Gram block is cached on its ``SurfaceLattice``.
 """
 
 from __future__ import annotations
@@ -108,10 +111,13 @@ class _SplitRequest(Exception):
 class SurfaceLattice(_Record, frozen=True):
     """A surface intersection lattice: named curves plus their Gram matrix.
 
-    Construction also builds a name -> index map and, per curve, the sparse
-    row of its nonzero Gram entries.  ``_inverses`` caches the inverse of
-    each nonsingular support Gram block for ``_support_solve``; it lives and
-    dies with the instance.
+    Construction also builds a name -> index map and, per curve, the
+    sparse row of its nonzero Gram entries twice: by name, as Fractions,
+    for ``pairing`` and ``pairings``; and by index, as the integers of
+    g * Gram with g the lcm of the entries' denominators, for the integer
+    solve.  ``_inverses`` caches, per support, the inverse of that
+    integer support block as integer rows over one denominator
+    (``_support_inverse``); it lives and dies with the instance.
     """
 
     curves: tuple[str, ...]
@@ -127,11 +133,16 @@ class SurfaceLattice(_Record, frozen=True):
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise MalformedLattice("Gram matrix is not symmetric")
+        gden = math.lcm(*(x.denominator for row in g for x in row))
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_index",
                            {c: i for i, c in enumerate(self.curves)})
         object.__setattr__(self, "_rows", tuple(
             {t: x for t, x in zip(self.curves, row) if x} for row in g))
+        object.__setattr__(self, "_gram_den", gden)
+        object.__setattr__(self, "_int_rows", tuple(
+            tuple((j, x.numerator * (gden // x.denominator))
+                  for j, x in enumerate(row) if x) for row in g))
         object.__setattr__(self, "_inverses", {})
 
     def index(self, name: str) -> int:
@@ -165,19 +176,15 @@ class SurfaceLattice(_Record, frozen=True):
 
     def dot(self, d1: dict, d2: dict):
         """Intersection of two divisors: sum of c1 * (d2 . k1) over d1."""
-        return _contract(d1, self.pairings(d2))
-
-
-def _contract(d: dict, pairings: dict):
-    """Sum of c * pairings[k] over the terms of ``d``, one product per
-    nonzero pairing; with ``pairings`` the pairing vector of P and ``d``
-    = P this is the volume P^2."""
-    total = Fraction(0)
-    for k, c in d.items():
-        g = pairings[k]
-        if g:
-            total = c * g + total
-    return total
+        pv = self.pairings(d2)
+        total = Fraction(0)
+        for k, c in d1.items():
+            g = pv.get(k)
+            if g is None:
+                self.index(k)  # an unknown curve raises
+            elif g:
+                total = c * g + total
+        return total
 
 
 def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
@@ -189,9 +196,53 @@ def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
     return True
 
 
+_ZERO = (0, 0, 0)
+_EXPONENTS = ((0, 0), (1, 0), (0, 1))
+_AFFINE_TERMS = frozenset(_EXPONENTS)
+
+
+def _affine(g: Poly) -> tuple[int, int, int]:
+    """The integers (a, b, c) with g = (a + b*u + c*v) / g.den, g.den > 0;
+    any other term raises NonAffineFamily, so no form is misread."""
+    num = g.num
+    if not num.keys() <= _AFFINE_TERMS:
+        raise NonAffineFamily(f"{g!r} is not affine in (u, v)")
+    return num.get((0, 0), 0), num.get((1, 0), 0), num.get((0, 1), 0)
+
+
+def _poly(t: tuple[int, int, int], den: int) -> Poly:
+    """The Poly (a + b*u + c*v) / den of the triple t = (a, b, c)."""
+    return Poly._of({e: x for e, x in zip(_EXPONENTS, t) if x}, den)
+
+
+def _triples(lat: SurfaceLattice, d: dict[str, Poly]):
+    """``d``'s affine coefficients as integer triples over one common
+    den > 0, listed in lattice order, and den; an unknown curve raises
+    ZariskiError."""
+    den = math.lcm(*(q.den for q in d.values()))
+    vec = [_ZERO] * len(lat.curves)
+    for k, q in d.items():
+        m = den // q.den
+        a, b, c = _affine(q)
+        vec[lat.index(k)] = (a * m, b * m, c * m)
+    return vec, den
+
+
+def _pair(row, vec) -> tuple[int, int, int]:
+    """The triple sum of x * vec[j] over a sparse row of (j, x)."""
+    a = b = c = 0
+    for j, x in row:
+        p, q, r = vec[j]
+        a += x * p
+        b += x * q
+        c += x * r
+    return a, b, c
+
+
 def _support_inverse(lat: SurfaceLattice, support: list[str]):
-    """The rows of the inverse of the Gram block of ``support``, each as a
-    ``{t: entry}`` map, cached on ``lat``.
+    """``(idx, rows, r)``: the lattice indices of ``support``, and the
+    inverse of the integer Gram block on it as R / r, each row of R a
+    sparse tuple of (position in support, entry), cached on ``lat``.
 
     A singular block raises NoConvergence on every call and is never
     stored.
@@ -200,21 +251,47 @@ def _support_inverse(lat: SurfaceLattice, support: list[str]):
     inv = lat._inverses.get(key)
     if inv is None:
         idx = [lat.index(s) for s in support]
-        rows = _linalg.inverse([[lat.gram[i][j] for i in idx] for j in idx])
+        g = lat._gram_den
+        rows = _linalg.inverse([[lat.gram[i][j] * g for i in idx]
+                                for j in idx])
         if rows is None:
             raise NoConvergence(f"singular Gram submatrix for {support}")
-        inv = lat._inverses[key] = [dict(zip(support, row)) for row in rows]
+        r = math.lcm(*(x.denominator for row in rows for x in row))
+        inv = lat._inverses[key] = (idx, [
+            tuple((k, x.numerator * (r // x.denominator))
+                  for k, x in enumerate(row) if x) for row in rows], r)
     return inv
+
+
+def _parts(lat: SurfaceLattice, vec: list, support: list[str]):
+    """``(p, n, pv, r)`` for the divisor vec / den with N on ``support``:
+    N as ``{s: n_s}`` and P = vec - N as a list, both integer triples over
+    den * r, and P's pairing vector pv over den * r * g.
+
+    With y_t = sum_i vec_i G_it, (vec / den) . t = y_t / (den g), and the
+    support block of the Gram matrix is G_S / g, so N = R y / (r den).
+    """
+    n, r = {}, 1
+    if support:
+        idx, rows, r = _support_inverse(lat, support)
+        ys = [_pair(lat._int_rows[t], vec) for t in idx]
+        n = {s: _pair(row, ys) for s, row in zip(support, rows)}
+    p = [(a * r, b * r, c * r) for a, b, c in vec] if r != 1 else list(vec)
+    index = lat._index
+    for s, (a, b, c) in n.items():
+        i = index[s]
+        x, y, z = p[i]
+        p[i] = (x - a, y - b, z - c)
+    return p, n, [_pair(row, p) for row in lat._int_rows], r
 
 
 def _support_solve(lat: SurfaceLattice, d: dict, support: list[str]) -> dict:
     """The coefficients N on ``support`` with (d - N) . t = 0 for every
-    support curve t; ``d`` may have Fraction or Poly coefficients."""
-    if not support:
-        return {}
-    rhs = {t: lat.pairing(d, t) for t in support}
-    return {s: _contract(row, rhs)
-            for s, row in zip(support, _support_inverse(lat, support))}
+    support curve t, as Polys; ``d`` may have Fraction or affine Poly
+    coefficients.  The Fraction/Poly face of ``_parts``."""
+    vec, den = _triples(lat, {k: Poly.const(c) for k, c in d.items()})
+    _, n, _, r = _parts(lat, vec, support)
+    return {s: _poly(t, den * r) for s, t in n.items()}
 
 
 def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
@@ -222,39 +299,33 @@ def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
 
     Curves pairing negatively with the running positive part are added to
     the support and the orthogonality system is re-solved, in lattice
-    order, until P pairs nonnegatively with every listed curve.
+    order, until P pairs nonnegatively with every listed curve.  Each
+    solve is ``_parts`` on the constant triples (a, 0, 0) of ``d``.
     """
-    d = {k: rat(v) for k, v in d.items()}
+    vec, den = _triples(lat, {k: Poly.const(rat(v)) for k, v in d.items()})
     support: list[str] = []
     for _ in range(len(lat.curves) + 2):
-        coeffs = _support_solve(lat, d, support)
-        p = _subtract(d, coeffs)
-        pv = lat.pairings(p)
-        negatives = [c for c in lat.curves if c not in support and pv[c] < 0]
+        p, n, pv, r = _parts(lat, vec, support)
+        negatives = [c for c, t in zip(lat.curves, pv)
+                     if c not in support and t[0] < 0]
         if not negatives:
             break
         support.extend(negatives)
     else:
         raise NoConvergence("support did not stabilise")
+    coeffs = {s: Fraction(t[0], den * r) for s, t in n.items()}
     if any(v < 0 for v in coeffs.values()):
         raise NoConvergence(
             f"negative part has a negative coefficient: {coeffs}")
+    index = lat._index
+    p = {k: Fraction(p[index[k]][0], den * r)
+         for k in dict.fromkeys([*d, *support]) if p[index[k]][0]}
     n = {k: v for k, v in coeffs.items() if v}
     if n and not _is_negative_definite(lat, list(n)):
         warnings.warn(
             f"support {sorted(n)} is not negative definite",
             NegativeDefiniteSupportWarning, stacklevel=2)
     return p, n
-
-
-def _subtract(d: dict, n: dict) -> dict:
-    out = dict(d)
-    for k, c in n.items():
-        out[k] = out.get(k, Fraction(0)) - c
-    return {k: v for k, v in out.items() if v}
-
-
-_AFFINE_TERMS = frozenset({(0, 0), (1, 0), (0, 1)})
 
 
 def _affine_family(d: dict, what: str) -> dict[str, Poly]:
@@ -266,15 +337,6 @@ def _affine_family(d: dict, what: str) -> dict[str, Poly]:
             raise NonAffineFamily(
                 f"{what}: coefficient {p!r} of {k} is not affine in (u, v)")
     return out
-
-
-def _affine(g: Poly) -> tuple[int, int, int]:
-    """The integers (a, b, c) with g = (a + b*u + c*v) / g.den, g.den > 0;
-    any other term raises NonAffineFamily, so no form is misread."""
-    num = g.num
-    if not num.keys() <= _AFFINE_TERMS:
-        raise NonAffineFamily(f"{g!r} is not affine in (u, v)")
-    return num.get((0, 0), 0), num.get((1, 0), 0), num.get((0, 1), 0)
 
 
 class Chamber2D(_Record):
@@ -308,46 +370,44 @@ class Chamber2D(_Record):
         Corner lemma: once v_lo <= v_hi at u0 and at u1, the chamber is
         the convex hull of its four corners, because its walls are lines.
         A function affine in (u, v) attains its minimum over a convex
-        polygon at a corner.  At u = p/q on the wall (w0 + w1*u) / wd the
-        corner is (p*wd, w0*q + w1*p) / (q*wd), so g's sign there is an
-        integer's.
+        polygon at a corner.
         """
-        a, b, c = _affine(g)
+        return _negative_corner(self._corner_points(), *_affine(g)) is None
+
+    def _corner_points(self) -> list:
+        """The corners, in ``corners`` order, as integer points (x, y, z),
+        x > 0, with (u, v) = (y/x, z/x), each with its wall (w0, w1, wd):
+        at u = p/q on the wall (w0 + w1*u) / wd the corner is
+        (q*wd, p*wd, w0*q + w1*p)."""
         walls = [(_affine(w), w.den) for w in (self.v_lo, self.v_hi)]
-        for u in (self.u_interval.lo, self.u_interval.hi):
-            p, q = u.numerator, u.denominator
-            at_u = a * q + b * p
-            for (w0, w1, _), wd in walls:
-                if at_u * wd + c * (w0 * q + w1 * p) < 0:
-                    return False
-        return True
+        return [((q * wd, p * wd, w0 * q + w1 * p), (w0, w1, wd))
+                for p, q in ((u.numerator, u.denominator)
+                             for u in (self.u_interval.lo, self.u_interval.hi))
+                for (w0, w1, _), wd in walls]
 
 
-def _family_at(family: dict[str, Poly], u: Fraction, v: Fraction) -> dict:
-    out = {}
-    for k, p in family.items():
-        val = p.eval(u=u, v=v)
-        if val:
-            out[k] = val
-    return out
+def _negative_corner(points: list, a: int, b: int, c: int):
+    """The wall of the first of ``Chamber2D._corner_points`` at which
+    (a + b*u + c*v) / den is negative, read as the sign of a*x + b*y + c*z,
+    or None."""
+    for (x, y, z), wall in points:
+        if a * x + b * y + c * z < 0:
+            return wall
+    return None
 
 
-def _symbolic_parts(lat: SurfaceLattice, family: dict[str, Poly],
-                    support: list[str]) -> tuple[dict, dict]:
-    """Solve the orthogonality system over Q[u, v] for a fixed support."""
-    n = {s: Poly.const(c)
-         for s, c in _support_solve(lat, family, support).items() if c}
-    return _subtract(family, n), n
-
-
-def _symbolic_wall(constraint: Poly) -> Poly:
-    """The line v = -(a + b*u) / c on which the affine constraint
-    (a + b*u + c*v) / den vanishes; callers pass only constraints with
-    c != 0."""
-    a, b, c = _affine(constraint)
+def _line(a: int, b: int, c: int) -> Poly:
+    """The line v = -(a + b*u) / c on which the affine form
+    (a + b*u + c*v) / den vanishes, whatever den > 0; c != 0."""
     sign = -1 if c > 0 else 1
     return Poly._of({e: sign * n for e, n in (((0, 0), a), ((1, 0), b))
                      if n}, abs(c))
+
+
+def _symbolic_wall(constraint: Poly) -> Poly:
+    """``_line`` of an affine Poly; callers pass only constraints with a
+    v-term."""
+    return _line(*_affine(constraint))
 
 
 def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
@@ -425,12 +485,29 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     return r, wall
 
 
-def _constraints(support, negative: dict, pairings: dict) -> dict[str, Poly]:
+def _constraints(support, negative: dict, pairings: dict, zero) -> dict:
     """One affine constraint per lattice curve, nonnegative exactly on the
-    chamber: the curve's coefficient in N if it is in ``support``, its
-    pairing with P if it is not.  ``pairings`` fixes the lattice order."""
-    return {c: Poly.const(negative.get(c, 0) if c in support else g)
+    chamber: the curve's coefficient in N if it is in ``support`` (``zero``
+    where N omits it), its pairing with P if it is not.  ``pairings``
+    fixes the lattice order."""
+    return {c: negative.get(c, zero) if c in support else g
             for c, g in pairings.items()}
+
+
+def _volume(p: list, pv: list, den: int) -> Poly:
+    """P^2 = sum_i P_i (P . C_i) from the triples of P and of its pairing
+    vector, as the six integer coefficients of a quadratic over den."""
+    k00 = k10 = k01 = k20 = k11 = k02 = 0
+    for (a, b, c), (x, y, z) in zip(p, pv):
+        k00 += a * x
+        k10 += a * y + b * x
+        k01 += a * z + c * x
+        k20 += b * y
+        k11 += b * z + c * y
+        k02 += c * z
+    return Poly._of({e: k for e, k in (
+        ((0, 0), k00), ((1, 0), k10), ((0, 1), k01), ((2, 0), k20),
+        ((1, 1), k11), ((0, 2), k02)) if k}, den)
 
 
 def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
@@ -442,7 +519,8 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
     Scanning starts at v = 0 and stops at the pseudoeffective threshold,
     i.e. where the volume of the positive part first vanishes; a family
     that stays big raises Unbounded.
-    The u-interval is split wherever two walls cross inside it.
+    The u-interval is split wherever two walls cross inside it, and
+    wherever a constraint changes sign along a wall (``_verify_chambers``).
     """
     if _depth > 12:
         raise NoConvergence("chamber recursion too deep")
@@ -465,91 +543,124 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
 
 def _scan(lat: SurfaceLattice, family: dict[str, Poly],
           u_interval: Interval) -> list[Chamber2D]:
+    vec, den = _triples(lat, family)
+    index, curves, gram_den = lat._index, lat.curves, lat._gram_den
     ustar = u_interval.midpoint()
-    _, n0 = surface_zariski(lat, _family_at(family, ustar, Fraction(0)))
-    support = [c for c in lat.curves if c in n0]
+    su, sq = ustar.numerator, ustar.denominator
+    _, n0 = surface_zariski(lat, {
+        c: Fraction(a * sq + b * su, den * sq)
+        for c, (a, b, _) in zip(curves, vec) if a * sq + b * su})
+    support = [c for c in curves if c in n0]
     v_cur = Fraction(0)
     wall_cur = Poly()
     chambers: list[Chamber2D] = []
-    for _ in range(6 * len(lat.curves) + 12):
-        p_sym, n_sym = _symbolic_parts(lat, family, support)
-        pv = lat.pairings(p_sym)
+    for _ in range(6 * len(curves) + 12):
+        p, n, pv, r = _parts(lat, vec, support)
         # The sample (ustar, v_cur) as integers (x, y) / d.
-        d = ustar.denominator * v_cur.denominator
-        x = ustar.numerator * v_cur.denominator
-        y = v_cur.numerator * ustar.denominator
+        d = sq * v_cur.denominator
+        x = su * v_cur.denominator
+        y = v_cur.numerator * sq
         # An event is a constraint (a + b*u + c*v) / den falling to 0 at
         # the sample; its curve enters or leaves the support there.
-        events: list[tuple[Fraction, str, Poly]] = []
-        for curve, g in _constraints(support, n_sym, pv).items():
-            a, b, c = _affine(g)
+        events: list[tuple[Fraction, str, tuple[int, int, int]]] = []
+        for curve, t in _constraints(support, n, dict(zip(curves, pv)),
+                                     _ZERO).items():
+            a, b, c = t
             val = a * d + b * x + c * y
             if val < 0:
                 raise NoConvergence(
                     f"constraint of {curve} negative inside a chamber")
             if c < 0:
-                events.append((Fraction(a * d + b * x, -c * d), curve, g))
+                events.append((Fraction(a * d + b * x, -c * d), curve, t))
             elif val == 0 and c == 0 and b != 0 and curve not in support:
                 raise _SplitRequest(ustar)
-        vol = Poly.const(_contract(p_sym, pv))
+        scale = den * r
+        vol = _volume(p, pv, gram_den * scale * scale)
         next_wall = min((e[0] for e in events), default=None)
         threshold = _vol_threshold(vol, ustar, v_cur, next_wall)
-        if threshold is not None and (next_wall is None
-                                      or threshold[0] <= next_wall):
-            r, wall_sym = threshold
-            if r > v_cur:
-                chambers.append(Chamber2D(u_interval, wall_cur, wall_sym,
-                                          p_sym, n_sym, tuple(support),
-                                          pv, vol))
-            return chambers
-        if next_wall is None:
+        last = threshold is not None and (next_wall is None
+                                          or threshold[0] <= next_wall)
+        if last:
+            end, wall_sym = threshold
+        elif next_wall is None:
             raise Unbounded("family stays big: no wall and no threshold")
-
-        triggers = {c: g for v, c, g in events if v == next_wall}
-        wall_sym, *others = {_symbolic_wall(g) for g in triggers.values()}
-        if others:
-            raise _SplitRequest(ustar)
-        if next_wall > v_cur:
-            chambers.append(Chamber2D(u_interval, wall_cur, wall_sym,
-                                      p_sym, n_sym, tuple(support), pv, vol))
-        elif wall_sym != wall_cur:
-            raise _SplitRequest(ustar)
+        else:
+            triggers = {c: t for v, c, t in events if v == next_wall}
+            wall_sym, *others = {_line(*t) for t in triggers.values()}
+            end = next_wall
+            if others or (end == v_cur and wall_sym != wall_cur):
+                raise _SplitRequest(ustar)
+        if end > v_cur:
+            # P lists the family's curves, then the support's.
+            positive = {k: _poly(p[index[k]], scale)
+                        for k in dict.fromkeys([*family, *support])}
+            chambers.append(Chamber2D(
+                u_interval, wall_cur, wall_sym,
+                {k: q for k, q in positive.items() if q},
+                {s: _poly(t, scale) for s, t in n.items() if t != _ZERO},
+                tuple(support),
+                {c: _poly(t, scale * gram_den) for c, t in zip(curves, pv)},
+                vol))
+        if last:
+            return chambers
         # Each trigger toggles its own curve, so the support changes.
-        support = [c for c in lat.curves if (c in support) != (c in triggers)]
-        v_cur = next_wall
+        support = [c for c in curves if (c in support) != (c in triggers)]
+        v_cur = end
         wall_cur = wall_sym
     raise NoConvergence("wall scan did not terminate")
 
 
 def _verify_chambers(chambers: list[Chamber2D]):
-    """Corner checks: wall order on every chamber, then orthogonality and
-    the sign of every constraint (``_constraints``).
+    """Corner checks, in integers: wall order on every chamber, then
+    orthogonality and the sign of every constraint (``_constraints``).
 
-    The width v_hi - v_lo is affine in u, so its signs at the two ends
-    decide it; a width negative at one end only means the walls cross
-    inside the u-interval, and the scan splits where it vanishes.  Every
-    constraint is affine, so ``Chamber2D.nonnegative`` proves its sign on
-    the whole chamber from the four corners.  Until every chamber's walls
-    are in order, a corner may lie off the true region, so no corner sign
-    is read before that.
+    The width v_hi - v_lo is (k0 + k1*u) / (lo.den * hi.den), so the
+    signs of k0*q + k1*p at the two ends u = p/q decide it; a width
+    negative at one end only means the walls cross inside the u-interval,
+    and the scan splits where it vanishes, u = -k0/k1.  Until every
+    chamber's walls are in order, a corner may lie off the true region,
+    so no corner sign is read before that.
+
+    Every constraint is affine, so ``Chamber2D.nonnegative`` proves its
+    sign on the whole chamber from the four corners.  A constraint
+    negative at a corner asks for a split instead of failing.  The scan
+    proved it nonnegative along the sample segment u = u* between the
+    walls, so along the wall through that corner, (w0 + w1*u) / wd, it
+    changes sign between the corner and u*: its integers (a, b, c) vanish
+    there at u = -(a*wd + c*w0) / (b*wd + c*w1), strictly inside the
+    u-interval, and each side is scanned afresh.  NoConvergence stays for
+    the case where no such u exists.
     """
     for ch in chambers:
-        (u0, lo0), (_, hi0), (u1, lo1), (_, hi1) = ch.corners()
-        w0, w1 = hi0 - lo0, hi1 - lo1
-        if w0 < 0 or w1 < 0:
-            if w0 <= 0 and w1 <= 0:
+        lo, hi = ch.v_lo, ch.v_hi
+        (l0, l1, _), (h0, h1, _) = _affine(lo), _affine(hi)
+        k0, k1 = h0 * lo.den - l0 * hi.den, h1 * lo.den - l1 * hi.den
+        s0, s1 = (k0 * u.denominator + k1 * u.numerator
+                  for u in (ch.u_interval.lo, ch.u_interval.hi))
+        if s0 < 0 or s1 < 0:
+            if s0 <= 0 and s1 <= 0:
                 raise WallDegeneracy("walls in the wrong order on "
                                      f"the whole of {ch.u_interval}")
-            raise _SplitRequest(u0 + (u1 - u0) * w0 / (w0 - w1))
+            raise _SplitRequest(Fraction(-k0, k1))
     for ch in chambers:
         for s in ch.support:
             if ch.pairings[s]:
                 raise NoConvergence(f"orthogonality failed for {s}")
-        for c, g in _constraints(ch.support, ch.negative,
-                                 ch.pairings).items():
-            if not ch.nonnegative(g):
-                raise NoConvergence(
-                    f"constraint of {c} negative at a chamber corner")
+        points = ch._corner_points()
+        for curve, g in _constraints(ch.support, ch.negative, ch.pairings,
+                                     Poly()).items():
+            a, b, c = _affine(g)
+            wall = _negative_corner(points, a, b, c)
+            if wall is None:
+                continue
+            w0, w1, wd = wall
+            slope = b * wd + c * w1
+            if slope:
+                at = Fraction(-(a * wd + c * w0), slope)
+                if ch.u_interval.lo < at < ch.u_interval.hi:
+                    raise _SplitRequest(at)
+            raise NoConvergence(
+                f"constraint of {curve} negative at a chamber corner")
 
 
 # -- threefold chamber verification ----------------------------------------

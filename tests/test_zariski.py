@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import toric_surfaces
 from kstab import _linalg
 from kstab.exactcore import Interval, Poly
 from kstab.functionals import FlagCase, FlagChamber
@@ -15,6 +16,7 @@ from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
                            IrrationalThreshold, MalformedLattice,
                            NefViolation, NoConvergence, NonAffineFamily,
                            SurfaceLattice, ThreefoldChamber, Unbounded,
+                           ZariskiError,
                            _SplitRequest, _support_solve, _vol_threshold,
                            parametric_surface_zariski,
                            pseudoeffective_threshold, surface_zariski,
@@ -197,6 +199,77 @@ class TestScanBranches:
             (right, AFF(1, -k), k * U, ("B",), {"B": b}),
             (right, k * U, Poly.const(3), ("A", "B"), both)]
 
+
+
+# Two toric families whose one chamber at the parent had a constraint
+# negative at a corner, so the scan refused it with NoConvergence.  In (a)
+# P . D1 = (1 + v - 2u) / 2 vanishes at the sample (1/2, 0) but has a
+# v-term, and is -1/2 at the corner (1, 0); in (b) D2's coefficient in N,
+# (-1 + 3u) / 2, has no v-term and vanishes at u = 1/3, away from the
+# sample u = 3/8.  Each zero line meets the wall v_lo inside the interval,
+# and the scan now splits there.
+SPLIT_GAPS = {
+    "a-zero-line-through-the-sample": (
+        [(1, 0), (1, 1), (0, 1), (-1, 1), (0, -1)],
+        [AFF(2, -1), AFF(4, 0, -1), 3, 1, 5], Interval(0, 1), Q(1, 2)),
+    "b-vertical-zero-off-the-sample": (
+        [(1, 0), (0, 1), (-1, 3), (-1, 2), (0, -1)],
+        [1, AFF(4, 0, -1), 6, AFF(4, -1), 2], Interval(Q(1, 4), Q(1, 2)),
+        Q(1, 3)),
+}
+
+
+@pytest.mark.parametrize("rays, a, interval, at", SPLIT_GAPS.values(),
+                         ids=SPLIT_GAPS)
+def test_constraint_negative_at_a_corner_splits_the_scan(rays, a, interval,
+                                                         at):
+    lat = toric_surfaces.lattice(rays)
+    a = [Poly.const(x) for x in a]
+    chambers = parametric_surface_zariski(
+        lat, dict(zip(toric_surfaces.curve_names(rays), a)), interval)
+    assert len(chambers) == 5
+    assert {ch.u_interval for ch in chambers} == {
+        Interval(interval.lo, at), Interval(at, interval.hi)}
+    for ch in chambers:
+        for u, v in toric_surfaces.interior_points(ch):
+            point = [x.eval(u=u, v=v) for x in a]
+            assert ch.volume.eval(u=u, v=v) == \
+                toric_surfaces.volume(rays, point)
+            assert {s: c.eval(u=u, v=v) for s, c in ch.negative.items()
+                    if c.eval(u=u, v=v)} == \
+                toric_surfaces.negative_part(rays, point)
+
+
+class TestTypedErrorsOfTheIntegerTables:
+    """The scan reads a family into integer rows indexed by curve; a bad
+    family must still raise the typed error it raised before."""
+
+    @pytest.mark.parametrize("coeff", [Poly.const(1), V],
+                             ids=["nonzero-at-the-sample", "zero-at-v-0"])
+    def test_unknown_curve_is_named(self, coeff):
+        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1, -1),
+               "C9": coeff}
+        with pytest.raises(ZariskiError,
+                           match="lattice has no curve named 'C9'"):
+            parametric_surface_zariski(BASE_LATTICE, fam, Interval(0, 1))
+
+    @pytest.mark.parametrize("curve", BASE_LATTICE.curves)
+    def test_uv_term_is_not_affine(self, curve):
+        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1, -1)}
+        fam[curve] = fam[curve] + U * V
+        with pytest.raises(NonAffineFamily, match=f"of {curve} is not"):
+            parametric_surface_zariski(BASE_LATTICE, fam, Interval(0, 1))
+
+    def test_unknown_curve_in_a_dot_product(self):
+        # Only the second divisor's curves were looked up: a KeyError.
+        with pytest.raises(ZariskiError,
+                           match="lattice has no curve named 'C9'"):
+            BASE_LATTICE.dot({"S": 1, "C9": 2}, {"S": 1})
+
+    def test_unknown_curve_in_a_pointwise_divisor(self):
+        with pytest.raises(ZariskiError,
+                           match="lattice has no curve named 'C9'"):
+            surface_zariski(BASE_LATTICE, {"S": 1, "C9": 2})
 
 class TestThreefoldVolume:
     def test_nodal_pieces_match_print(self):

@@ -1,0 +1,110 @@
+"""Smooth complete toric surfaces and their moment polygons, for tests.
+
+A surface is given by its rays v_0, ..., v_{n-1} in counterclockwise
+order.  Its torus-invariant curves D_i have D_i^2 = -b_i, where
+v_{i-1} + v_{i+1} = b_i v_i, and D_i . D_{i+1} = 1 (Fulton, Introduction
+to Toric Varieties, Sec. 2.5).  For a divisor D = sum a_i D_i the moment
+polygon is P_D = {m : <m, v_i> >= -a_i}.  For D big, vol(D) = 2 Area(P_D),
+and the negative part of its Zariski decomposition has coefficients
+N_i = a_i + min over P_D of <m, v_i> (Fulton, Sec. 5.3).
+
+The polygon is cut from a box by exact half-plane clipping, and its area
+is the shoelace sum; nothing here imports ``kstab.zariski`` beyond the
+lattice record that carries the Gram matrix.
+"""
+
+from fractions import Fraction as Q
+
+from kstab.zariski import SurfaceLattice
+
+BOX = 10 ** 4
+
+
+def curve_names(rays) -> tuple[str, ...]:
+    return tuple(f"D{i}" for i in range(len(rays)))
+
+
+def self_intersections(rays) -> list[int]:
+    """D_i^2 = -b_i with v_{i-1} + v_{i+1} = b_i v_i."""
+    n = len(rays)
+    out = []
+    for i, (x, y) in enumerate(rays):
+        (px, py), (qx, qy) = rays[i - 1], rays[(i + 1) % n]
+        sx, sy = px + qx, py + qy
+        # v_i is primitive, so b_i is the ratio of whichever entry is not 0.
+        b = sx // x if x else sy // y
+        assert (sx, sy) == (b * x, b * y), (rays, i)
+        out.append(-b)
+    return out
+
+
+def lattice(rays) -> SurfaceLattice:
+    n = len(rays)
+    squares = self_intersections(rays)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = squares[i]
+        j = (i + 1) % n
+        if j != i:
+            gram[i][j] = gram[j][i] = 1
+    return SurfaceLattice(curve_names(rays), gram)
+
+
+def polygon(rays, a) -> list[tuple[Q, Q]]:
+    """The vertices of P_D for D = sum a_i D_i, by clipping a box with
+    each half-plane <m, v_i> >= -a_i (Sutherland-Hodgman)."""
+    pts = [(Q(-BOX), Q(-BOX)), (Q(BOX), Q(-BOX)), (Q(BOX), Q(BOX)),
+           (Q(-BOX), Q(BOX))]
+    for (x, y), ai in zip(rays, a):
+        def side(p):
+            return p[0] * x + p[1] * y + ai
+        out = []
+        for k, p in enumerate(pts):
+            q = pts[(k + 1) % len(pts)]
+            sp, sq = side(p), side(q)
+            if sp >= 0:
+                out.append(p)
+            if (sp > 0 > sq) or (sp < 0 < sq):
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        pts = out
+        if not pts:
+            return []
+    assert all(abs(c) < BOX for p in pts for c in p), "box too small"
+    return pts
+
+
+def area(pts) -> Q:
+    """The shoelace area of a convex polygon listed in order."""
+    twice = sum((p[0] * q[1] - q[0] * p[1]
+                 for p, q in zip(pts, pts[1:] + pts[:1])), Q(0))
+    return abs(twice) / 2
+
+
+def volume(rays, a) -> Q:
+    """vol(D) = 2 Area(P_D)."""
+    return 2 * area(polygon(rays, a))
+
+
+def negative_part(rays, a) -> dict[str, Q]:
+    """N_i = a_i + min over P_D of <m, v_i>, its nonzero entries by name;
+    P_D must not be empty."""
+    pts = polygon(rays, a)
+    out = {}
+    for name, (x, y), ai in zip(curve_names(rays), rays, a):
+        n = ai + min(p[0] * x + p[1] * y for p in pts)
+        if n:
+            out[name] = n
+    return out
+
+
+def interior_points(chamber):
+    """Four points inside a chamber: u at 1/3 and 2/3 of its interval, v
+    at 1/4 and 3/4 of the way between its walls there."""
+    lo, hi = chamber.u_interval.lo, chamber.u_interval.hi
+    for s in (Q(1, 3), Q(2, 3)):
+        u = lo + s * (hi - lo)
+        v_lo = chamber.v_lo.eval(u=u, v=0)
+        v_hi = chamber.v_hi.eval(u=u, v=0)
+        for t in (Q(1, 4), Q(3, 4)):
+            yield u, v_lo + t * (v_hi - v_lo)
