@@ -5,8 +5,8 @@ forward elimination, ``_echelon``: ``solve`` back-substitutes its echelon
 form, ``rank`` counts its pivots, ``det`` multiplies them, and ``inverse``
 back-substitutes once per column of the identity carried beside the
 matrix.  Right-hand sides may contain any values from a commutative
-Q-algebra (e.g. polynomials), which is what the parametric chamber solver
-relies on.
+Q-algebra (e.g. polynomials), which ``ToricModel.effective_coordinates``
+passes for the family of ``zariski.pseudoeffective_threshold``.
 """
 
 from __future__ import annotations

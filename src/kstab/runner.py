@@ -290,16 +290,7 @@ class CaseResult(_Record):
     detail: str = ""
 
     def row(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "status": self.status,
-            "computed": encode(self.computed),
-            "expected": encode(self.expected),
-            "printed": encode(self.printed),
-            "citation": self.citation,
-            "detail": self.detail,
-        }
+        return {f: encode(getattr(self, f)) for f in self._fields}
 
 
 def _validate(case: _Fields):

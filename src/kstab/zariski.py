@@ -29,14 +29,15 @@ Both surface layers run on integers.  An affine form is an integer triple
 (a, b, c), read as (a + b*u + c*v) / den over some den > 0, so at a point
 (x, y) / d its sign is that of a*d + b*x + c*y, and its zero line does
 not depend on den.  ``_triples`` reads a divisor once as triples over one
-common den.  ``SurfaceLattice`` holds its Gram matrix as integer rows G
-over their lcm g, and caches per support the inverse of G's support block
-as integer rows R over one denominator r.  From these ``_parts`` gives N
-and P over den*r and P's pairing vector over den*r*g as integer sums, for
-``surface_zariski``, the scan and the Fraction/Poly entry point
-``_support_solve`` alike.  Polys are built only for what the scan hands
-on: the emitted ``Chamber2D`` fields, the walls, and the volume read by
-``_vol_threshold``.
+common den.  ``SurfaceLattice`` keeps one Fraction Gram table, which
+``pairing`` and ``dot`` sum over densely; the solve reads it as sparse
+integer rows G over their lcm g, and caches per support the inverse of
+G's support block as integer rows R over one denominator r.  From these
+``_parts`` gives N and P over den*r and P's pairing vector over den*r*g
+as integer sums, for ``surface_zariski``, the scan and the Fraction/Poly
+entry point ``_support_solve`` alike.  Polys are built only for what the
+scan hands on: the emitted ``Chamber2D`` fields, the walls, and the
+volume read by ``_vol_threshold``.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
@@ -111,12 +112,12 @@ class _SplitRequest(Exception):
 class SurfaceLattice(_Record, frozen=True):
     """A surface intersection lattice: named curves plus their Gram matrix.
 
-    Construction also builds a name -> index map and, per curve, the
-    sparse row of its nonzero Gram entries twice: by name, as Fractions,
-    for ``pairing`` and ``pairings``; and by index, as the integers of
-    g * Gram with g the lcm of the entries' denominators, for the integer
-    solve.  ``_inverses`` caches, per support, the inverse of that
-    integer support block as integer rows over one denominator
+    ``gram`` is the one Fraction table, which ``pairing`` and ``dot``
+    sum over densely.  Construction also builds a name -> index map and,
+    for the integer solve, per curve the sparse row of the nonzero
+    integers of g * Gram, with g the lcm of the entries' denominators.
+    ``_inverses`` caches, per support, the inverse of that integer
+    support block as integer rows over one denominator
     (``_support_inverse``); it lives and dies with the instance.
     """
 
@@ -137,8 +138,6 @@ class SurfaceLattice(_Record, frozen=True):
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_index",
                            {c: i for i, c in enumerate(self.curves)})
-        object.__setattr__(self, "_rows", tuple(
-            {t: x for t, x in zip(self.curves, row) if x} for row in g))
         object.__setattr__(self, "_gram_den", gden)
         object.__setattr__(self, "_int_rows", tuple(
             tuple((j, x.numerator * (gden // x.denominator))
@@ -152,39 +151,21 @@ class SurfaceLattice(_Record, frozen=True):
             raise ZariskiError(f"lattice has no curve named {name!r}")
 
     def pairing(self, d: dict, name: str):
-        """Intersection of a divisor (coefficient map) with a basis curve.
+        """Intersection of a divisor (coefficient map) with a basis curve,
+        the sum of c * (k . name) over ``d``.
 
         Coefficients may be Fractions or parameter polynomials.
         """
-        row = self._rows[self.index(name)]
-        total = Fraction(0)
-        for k, c in d.items():
-            g = row.get(k)
-            if g is not None:
-                total = c * g + total
-            else:
-                self.index(k)  # an unknown curve raises
-        return total
-
-    def pairings(self, d: dict) -> dict:
-        """``{c: d . c}`` for every curve c, in one pass over ``d``."""
-        out = dict.fromkeys(self.curves, Fraction(0))
-        for k, c in d.items():
-            for t, g in self._rows[self.index(k)].items():
-                out[t] = c * g + out[t]
-        return out
+        j = self.index(name)
+        return sum((c * self.gram[self.index(k)][j] for k, c in d.items()),
+                   Fraction(0))
 
     def dot(self, d1: dict, d2: dict):
         """Intersection of two divisors: sum of c1 * (d2 . k1) over d1."""
-        pv = self.pairings(d2)
-        total = Fraction(0)
-        for k, c in d1.items():
-            g = pv.get(k)
-            if g is None:
-                self.index(k)  # an unknown curve raises
-            elif g:
-                total = c * g + total
-        return total
+        for k in d2:
+            self.index(k)  # an unknown curve raises, even with d1 empty
+        return sum((c * self.pairing(d2, k) for k, c in d1.items()),
+                   Fraction(0))
 
 
 def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
@@ -400,14 +381,7 @@ def _line(a: int, b: int, c: int) -> Poly:
     """The line v = -(a + b*u) / c on which the affine form
     (a + b*u + c*v) / den vanishes, whatever den > 0; c != 0."""
     sign = -1 if c > 0 else 1
-    return Poly._of({e: sign * n for e, n in (((0, 0), a), ((1, 0), b))
-                     if n}, abs(c))
-
-
-def _symbolic_wall(constraint: Poly) -> Poly:
-    """``_line`` of an affine Poly; callers pass only constraints with a
-    v-term."""
-    return _line(*_affine(constraint))
+    return _poly((sign * a, sign * b, 0), abs(c))
 
 
 def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
@@ -475,7 +449,7 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
         slope = -vol.derivative("u").eval(u=ustar, v=r) / b
         wall = Poly.affine(r - slope * ustar, slope)
     else:
-        wall = _symbolic_wall(dv)
+        wall = _line(*_affine(dv))
     if vol.subs_v(wall):
         if not b:
             # A double root off the wall: two root lines cross at ustar,

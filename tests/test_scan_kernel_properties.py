@@ -8,7 +8,7 @@ u-interval:
 
 * ``Chamber2D.nonnegative(g)`` equals the smallest of g's values at
   ``Chamber2D.corners``, compared with 0;
-* ``_symbolic_wall(g)`` equals g(u, 0) / -c, and substituting it for v
+* ``_line(*_affine(g))`` equals g(u, 0) / -c, and substituting it for v
   makes g vanish;
 * a form with a u*v or u^2 term raises NonAffineFamily wherever it is read;
 * ``_vol_threshold`` refuses a volume of degree 3 in v.
@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from kstab.exactcore import Interval, MalformedInput, Poly  # noqa: E402
 from kstab.zariski import (Chamber2D, NonAffineFamily,  # noqa: E402
-                           _affine, _symbolic_wall, _vol_threshold)
+                           _affine, _line, _vol_threshold)
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
 nonzero = rationals.filter(bool)
@@ -61,7 +61,7 @@ def test_nonnegative_is_the_corner_minimum(ch, g):
 @given(rationals, rationals, nonzero)
 def test_symbolic_wall_is_the_root_line(a, b, c):
     g = Poly.affine(a, b, c)
-    wall = _symbolic_wall(g)
+    wall = _line(*_affine(g))
     assert wall == g.eval(v=0) * (-1 / g.coefficient(0, 1))
     assert g.subs_v(wall) == 0
 
@@ -76,7 +76,7 @@ def test_non_affine_forms_are_refused(g, k, term, ch):
     with pytest.raises(NonAffineFamily):
         ch.nonnegative(bent)
     with pytest.raises(NonAffineFamily):
-        _symbolic_wall(bent + Poly.var("v"))
+        _line(*_affine(bent + Poly.var("v")))
 
 
 @SETTINGS

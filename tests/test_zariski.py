@@ -12,12 +12,14 @@ from kstab.exactcore import MalformedInput
 from kstab.runner import (VolumeFixture, _fixture_root, flag_case, model,
                           volume_fixture)
 from kstab.toric import SingularBasis, ToricModel
-from kstab.zariski import (DiscontinuousVolume, DecompositionMismatch,
-                           IrrationalThreshold, MalformedLattice,
-                           NefViolation, NoConvergence, NonAffineFamily,
+from kstab.zariski import (Chamber2D, DiscontinuousVolume,
+                           DecompositionMismatch, IrrationalThreshold,
+                           MalformedLattice, NefViolation, NoConvergence,
+                           NegativeDefiniteSupportWarning, NonAffineFamily,
                            SurfaceLattice, ThreefoldChamber, Unbounded,
-                           ZariskiError,
-                           _SplitRequest, _support_solve, _vol_threshold,
+                           WallDegeneracy, ZariskiError,
+                           _SplitRequest, _support_solve, _verify_chambers,
+                           _vol_threshold,
                            parametric_surface_zariski,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
@@ -266,6 +268,12 @@ class TestTypedErrorsOfTheIntegerTables:
                            match="lattice has no curve named 'C9'"):
             BASE_LATTICE.dot({"S": 1, "C9": 2}, {"S": 1})
 
+    @pytest.mark.parametrize("d1", [{}, {"S": 1}], ids=["empty", "S"])
+    def test_unknown_curve_on_the_right_of_a_dot_product(self, d1):
+        with pytest.raises(ZariskiError,
+                           match="lattice has no curve named 'C9'"):
+            BASE_LATTICE.dot(d1, {"S": 1, "C9": 2})
+
     def test_unknown_curve_in_a_pointwise_divisor(self):
         with pytest.raises(ZariskiError,
                            match="lattice has no curve named 'C9'"):
@@ -458,6 +466,23 @@ def test_negative_definiteness_detector():
     assert _is_negative_definite(good, ["a", "b"])
 
 
+def test_support_that_is_not_negative_definite_warns():
+    lat = SurfaceLattice(("a", "b"), [[1, -2], [-2, 3]])
+    with pytest.warns(NegativeDefiniteSupportWarning,
+                      match=r"\['a', 'b'\] is not negative definite"):
+        p, n = surface_zariski(lat, {"a": 3, "b": 3})
+    assert p == {}
+    assert n == {"a": 3, "b": 3}
+
+
+def test_walls_in_the_wrong_order_everywhere_are_a_degeneracy():
+    ch = Chamber2D(Interval(0, 1), Poly.const(1), Poly(), {}, {}, (), {},
+                   Poly())
+    with pytest.raises(WallDegeneracy,
+                       match=r"wrong order on the whole of \[0, 1\]"):
+        _verify_chambers([ch])
+
+
 def test_volume_vanishes_at_threshold():
     for name, threshold in (("a1-volume", 3), ("a2-volume", 9)):
         vol = volume_fixture(name).volume()
@@ -586,7 +611,8 @@ def test_flag_outer_negative_must_be_affine():
 
 
 def test_dot_and_pairing_match_naive_sums():
-    # Zero Gram entries are skipped; the result must not change.
+    # The dense sums multiply by zero Gram entries too; for Fraction and
+    # Poly coefficients alike they must equal the double sum.
     lat = SurfaceLattice(("a", "b", "c", "d"),
                          [[-2, 0, 1, 0], [0, 0, 0, 1], [1, 0, -1, 0],
                           [0, 1, 0, 0]])
