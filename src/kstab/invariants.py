@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
 
 from . import KstabError, _Record, _linalg
+from ._linalg import _integer_form
 from .exactcore import ExactCoreError, interpolate, rat
 
 Coeffs = dict[tuple[int, int], Fraction]
@@ -139,13 +139,6 @@ def _matrix(c: Coeffs):
         [a(2, 1), -2 * a(2, 0), -half * a(1, 1), a(1, 0)],
         [2 * a(2, 2), -a(2, 1), -a(1, 2), half * a(1, 1)],
     ]
-
-
-def _integer_form(rows) -> tuple[list[list[int]], int]:
-    """(N, d) with rows = N / d: N integer, d the least denominator."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row]
-            for row in rows], d
 
 
 def _coeff_matrix(c: Coeffs) -> tuple[list[list[int]], int]:

@@ -253,10 +253,10 @@ def volume_fixture(name: str) -> VolumeFixture:
 
 def encode(value):
     """Canonical JSON-able encoding with rationals as 'p/q' strings."""
+    if value is None or isinstance(value, (str, bool)):
+        return value
     if isinstance(value, Fraction):
         return rat_str(value)
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, int):
         return rat_str(Fraction(value))
     if isinstance(value, (list, tuple)):

@@ -113,7 +113,9 @@ def _sub(a, b):
 
 def _adjugate(rows):
     """The determinant of a 2x2 or 3x3 integer matrix and the columns w_i
-    of its adjugate, so that <rows[j], w_i> = det * [i == j]."""
+    of its adjugate, so that <rows[j], w_i> = det * [i == j].  It stays
+    closed-form: ``_linalg.inverse`` is over ten times slower, and every
+    model build makes one call per maximal cone."""
     if len(rows) == 2:
         (a0, a1), (b0, b1) = rows
         cols = [(b1, -b0), (-a1, a0)]

@@ -31,8 +31,9 @@ Both surface layers run on integers.  An affine form is an integer triple
 not depend on den.  ``_triples`` reads a divisor once as triples over one
 common den.  ``SurfaceLattice`` keeps one Fraction Gram table, which
 ``pairing`` and ``dot`` sum over densely; the solve reads it as sparse
-integer rows G over their lcm g, and caches per support the inverse of
-G's support block as integer rows R over one denominator r.  From these
+integer rows G over one denominator g (``_linalg._integer_form``), and
+caches per support block G_S the pair (R, r) of ``_linalg.inverse``: R
+integer and r > 0 with G_S R = r I.  From these
 ``_parts`` gives N and P over den*r and P's pairing vector over den*r*g
 as integer sums, for ``surface_zariski``, the scan and the Fraction/Poly
 entry point ``_support_solve`` alike.  Polys are built only for what the
@@ -115,10 +116,9 @@ class SurfaceLattice(_Record, frozen=True):
     ``gram`` is the one Fraction table, which ``pairing`` and ``dot``
     sum over densely.  Construction also builds a name -> index map and,
     for the integer solve, per curve the sparse row of the nonzero
-    integers of g * Gram, with g the lcm of the entries' denominators.
-    ``_inverses`` caches, per support, the inverse of that integer
-    support block as integer rows over one denominator
-    (``_support_inverse``); it lives and dies with the instance.
+    integers of g * Gram, g the least common denominator.  ``_inverses``
+    caches, per support, ``_support_inverse``'s (R, r) of that integer
+    support block; it lives and dies with the instance.
     """
 
     curves: tuple[str, ...]
@@ -134,14 +134,13 @@ class SurfaceLattice(_Record, frozen=True):
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise MalformedLattice("Gram matrix is not symmetric")
-        gden = math.lcm(*(x.denominator for row in g for x in row))
+        rows, gden = _linalg._integer_form(g)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_index",
                            {c: i for i, c in enumerate(self.curves)})
         object.__setattr__(self, "_gram_den", gden)
         object.__setattr__(self, "_int_rows", tuple(
-            tuple((j, x.numerator * (gden // x.denominator))
-                  for j, x in enumerate(row) if x) for row in g))
+            tuple((j, x) for j, x in enumerate(row) if x) for row in rows))
         object.__setattr__(self, "_inverses", {})
 
     def index(self, name: str) -> int:
@@ -221,9 +220,9 @@ def _pair(row, vec) -> tuple[int, int, int]:
 
 
 def _support_inverse(lat: SurfaceLattice, support: list[str]):
-    """``(idx, rows, r)``: the lattice indices of ``support``, and the
-    inverse of the integer Gram block on it as R / r, each row of R a
-    sparse tuple of (position in support, entry), cached on ``lat``.
+    """``(R, r)`` from ``_linalg.inverse`` of the integer Gram block G_S
+    on ``support``: R integer and r > 0 with G_S R = r I, cached on
+    ``lat``.
 
     A singular block raises NoConvergence on every call and is never
     stored.
@@ -232,15 +231,11 @@ def _support_inverse(lat: SurfaceLattice, support: list[str]):
     inv = lat._inverses.get(key)
     if inv is None:
         idx = [lat.index(s) for s in support]
-        g = lat._gram_den
-        rows = _linalg.inverse([[lat.gram[i][j] * g for i in idx]
-                                for j in idx])
-        if rows is None:
+        rows = [dict(lat._int_rows[i]) for i in idx]
+        inv = _linalg.inverse([[row.get(j, 0) for j in idx] for row in rows])
+        if inv is None:
             raise NoConvergence(f"singular Gram submatrix for {support}")
-        r = math.lcm(*(x.denominator for row in rows for x in row))
-        inv = lat._inverses[key] = (idx, [
-            tuple((k, x.numerator * (r // x.denominator))
-                  for k, x in enumerate(row) if x) for row in rows], r)
+        lat._inverses[key] = inv
     return inv
 
 
@@ -253,12 +248,12 @@ def _parts(lat: SurfaceLattice, vec: list, support: list[str]):
     support block of the Gram matrix is G_S / g, so N = R y / (r den).
     """
     n, r = {}, 1
-    if support:
-        idx, rows, r = _support_inverse(lat, support)
-        ys = [_pair(lat._int_rows[t], vec) for t in idx]
-        n = {s: _pair(row, ys) for s, row in zip(support, rows)}
-    p = [(a * r, b * r, c * r) for a, b, c in vec] if r != 1 else list(vec)
     index = lat._index
+    if support:
+        rows, r = _support_inverse(lat, support)
+        ys = [_pair(lat._int_rows[index[s]], vec) for s in support]
+        n = {s: _pair(enumerate(row), ys) for s, row in zip(support, rows)}
+    p = [(a * r, b * r, c * r) for a, b, c in vec] if r != 1 else list(vec)
     for s, (a, b, c) in n.items():
         i = index[s]
         x, y, z = p[i]

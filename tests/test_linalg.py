@@ -1,0 +1,72 @@
+"""Hand-computed cases of the Bareiss kernel in ``kstab._linalg``.
+
+Plain pytest, so they run where sympy and hypothesis are absent and the
+property tests in ``test_linalg_properties.py`` skip.
+"""
+
+from fractions import Fraction as Q
+
+from kstab import _linalg
+from kstab.exactcore import Poly
+
+
+def inverse_over(rows):
+    """``_linalg.inverse(rows)`` as Fractions, after checking its form:
+    integer R and r > 0 with rows * R = r * I."""
+    num, r = _linalg.inverse(rows)
+    assert type(r) is int and r > 0
+    assert all(type(x) is int for row in num for x in row)
+    n = len(rows)
+    assert [[sum(rows[i][k] * num[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)] == \
+        [[r * (i == j) for j in range(n)] for i in range(n)]
+    return [[Q(x, r) for x in row] for row in num]
+
+
+def test_zero_leading_entry_swaps_rows():
+    rows = [[0, 2], [3, 1]]
+    m, _ = _linalg._integer_form(rows)
+    assert _linalg._echelon(m) == ([0, 1], -1)
+    assert m == [[3, 1], [0, 6]]
+    assert _linalg.det(rows) == -6
+    assert _linalg.solve(rows, [4, 5]) == [1, 2]
+    u = Poly.var("u")
+    assert _linalg.solve(rows, [2 * u, u + 3]) == [1, u]
+    assert inverse_over(rows) == [[Q(-1, 6), Q(1, 3)], [Q(1, 2), 0]]
+
+
+def test_wide_rank_deficient_skips_a_column():
+    rows = [[1, 2, 3, 4], [2, 4, 7, 9], [3, 6, 10, 13]]
+    m, _ = _linalg._integer_form(rows)
+    assert _linalg._echelon(m) == ([0, 2], 1)
+    assert m == [[1, 2, 3, 4], [0, 0, 1, 1], [0, 0, 0, 0]]
+    assert _linalg.rank(rows) == 2
+    # Free variables x1 and x3 are zero.
+    assert _linalg.solve(rows, [1, 3, 4]) == [-2, 0, 1, 0]
+    assert _linalg.solve(rows, [1, 3, 5]) is None
+
+
+def test_singular_square_block():
+    rows = [[2, 4], [1, 2]]
+    assert _linalg.rank(rows) == 1
+    assert _linalg.det(rows) == 0
+    assert _linalg.inverse(rows) is None
+    assert _linalg.solve(rows, [2, 1]) == [1, 0]
+    assert _linalg.solve(rows, [1, 1]) is None
+
+
+def test_negative_determinant():
+    rows = [[2, 0, 1], [1, 3, 2], [1, 1, 0]]
+    assert _linalg.det(rows) == -6
+    assert inverse_over(rows) == [[Q(1, 3), Q(-1, 6), Q(1, 2)],
+                                  [Q(-1, 3), Q(1, 6), Q(1, 2)],
+                                  [Q(1, 3), Q(1, 3), -1]]
+
+
+def test_fraction_matrix():
+    rows = [[Q(1, 2), Q(1, 3)], [Q(1, 4), 1]]
+    assert _linalg._integer_form(rows) == ([[6, 4], [3, 12]], 12)
+    assert _linalg.rank(rows) == 2
+    assert _linalg.det(rows) == Q(5, 12)
+    assert _linalg.solve(rows, [1, 1]) == [Q(8, 5), Q(3, 5)]
+    assert inverse_over(rows) == [[Q(12, 5), Q(-4, 5)], [Q(-3, 5), Q(6, 5)]]

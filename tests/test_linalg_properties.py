@@ -115,5 +115,18 @@ def test_inverse(rows):
     if a.rank() < len(rows):
         assert inv is None
     else:
-        assert all(isinstance(x, Q) for row in inv for x in row)
-        assert to_sympy(inv) == a.inv()
+        num, r = inv
+        assert type(r) is int and r > 0
+        assert all(type(x) is int for row in num for x in row)
+        assert to_sympy([[Q(x, r) for x in row] for row in num]) == a.inv()
+
+
+@SETTINGS
+@given(matrices())
+def test_echelon_keeps_integer_entries(rows):
+    # Every Bareiss division is exact, so integer rows stay integer; a
+    # true division written in place of // would leave floats here.
+    m, _ = _linalg._integer_form(rows)
+    pivots, _ = _linalg._echelon(m)
+    assert len(pivots) == to_sympy(rows).rank()
+    assert all(type(x) is int for row in m for x in row)
