@@ -16,7 +16,10 @@ from math import lcm
 
 
 def _integer_form(rows) -> tuple[list[list[int]], int]:
-    """(N, d) with rows = N / d: N integer, d the least denominator."""
+    """(N, d) with rows = N / d: N integer, d the least denominator.  Rows
+    of plain ints come back as a copy over d = 1."""
+    if all(type(x) is int for row in rows for x in row):
+        return [list(row) for row in rows], 1
     d = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row]
             for row in rows], d

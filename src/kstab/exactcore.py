@@ -17,7 +17,9 @@ result by one gcd.
 
 ``minimum`` is the one exact sign oracle: every claim that a polynomial
 in u keeps its sign on an interval, here and in ``zariski``, is read
-from the exact minimum it returns.
+from the exact minimum it returns.  It, ``definite_integral`` and
+``double_integral`` read a Poly's integer numerators directly and build
+one Fraction at the end.
 
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1).
 """
@@ -115,6 +117,26 @@ def _var_index(var: str) -> int:
             f"unknown variable {var!r}; expected one of {VARS}") from None
 
 
+def _rat_parts(c) -> tuple[int, int]:
+    """(n, d), d > 0, with n / d = rat(c): an int, a Fraction or a plain
+    ``"p"`` / ``"p/q"`` string of ASCII digits is read directly."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is str:
+        p, slash, q = c.partition("/")
+        digits = p[1:] if p[:1] == "-" else p
+        if (digits.isascii() and digits.isdigit() and (not slash or (
+                q.isascii() and q.isdigit() and q.strip("0")))):
+            try:
+                return int(p), int(q) if slash else 1
+            except ValueError:  # past the int-conversion digit limit
+                pass
+    elif isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    x = rat(c)
+    return x.numerator, x.denominator
+
+
 class Poly:
     """A polynomial in the parameters ``u`` and ``v`` with rational
     coefficients.
@@ -181,11 +203,19 @@ class Poly:
     @classmethod
     def from_coeffs(cls, coeffs: list | tuple) -> "Poly":
         """Build ``sum(rat(coeffs[k]) * u**k)`` from a coefficient list or
-        tuple; anything else (a string of digits, say) is MalformedInput."""
+        tuple; anything else (a string of digits, say) is MalformedInput.
+
+        The integer numerators are collected over one lcm: an int or a
+        Fraction is read as it is, a plain ``"p"`` or ``"p/q"`` string
+        directly, and any other entry through ``rat``, so the accepted
+        entries and NotARational are ``rat``'s."""
         if not isinstance(coeffs, (list, tuple)):
             raise MalformedInput(
                 f"coefficients must be a list, got {coeffs!r}")
-        return cls({(k, 0): rat(c) for k, c in enumerate(coeffs)})
+        parts = [_rat_parts(c) for c in coeffs]
+        den = math.lcm(*(d for _, d in parts))
+        return cls._of({(k, 0): n * (den // d)
+                        for k, (n, d) in enumerate(parts) if n}, den)
 
     # -- ring operations ----------------------------------------------
 
@@ -419,11 +449,26 @@ class Interval(_Record, frozen=True):
 
 
 def definite_integral(p: Poly, rng: Interval) -> Fraction:
-    """Exact definite integral of a polynomial in u over ``rng``."""
-    if not p.is_univariate("u"):
+    """Exact definite integral of a polynomial in u over ``rng``.
+
+    With p = sum c_k u^k / den, n = deg p + 1, m = lcm(1..n) and the ends
+    a/b and c/d, it is sum c_k (m / (k+1)) (c^(k+1) d^(n-k-1) b^n -
+    a^(k+1) b^(n-k-1) d^n) over den * m * b^n * d^n: one Fraction.
+    """
+    num = p.num
+    if any(j for _, j in num):
         raise MalformedInput("definite_integral requires a polynomial in u")
-    f = p.antiderivative("u")
-    return f.eval(u=rng.hi, v=0) - f.eval(u=rng.lo, v=0)
+    n = max(num)[0] + 1 if num else 1
+    m = math.lcm(*range(1, n + 1))
+    a, b = rng.lo.numerator, rng.lo.denominator
+    c, d = rng.hi.numerator, rng.hi.denominator
+    bn, dn = b ** n, d ** n
+    total = 0
+    for (k, _), x in num.items():
+        k += 1
+        total += x * (m // k) * (c ** k * d ** (n - k) * bn
+                                 - a ** k * b ** (n - k) * dn)
+    return Fraction(total, p.den * m * bn * dn)
 
 
 class Piece(_Record, frozen=True):
@@ -486,27 +531,60 @@ def piecewise_integral(f: PiecewisePolynomial) -> Fraction:
     return total
 
 
+_U_QUADRATIC = frozenset({(0, 0), (1, 0), (2, 0)})
+
+
 def minimum(p: Poly, interval: Interval) -> Fraction:
     """Exact minimum over ``interval`` of a polynomial in u of degree <= 2.
 
     This is the sign oracle behind every sign claim on an interval: an
-    affine function is smallest at an endpoint, and a quadratic at an
-    endpoint or at its vertex, so the smallest of those values is the
-    minimum itself, not a probe.  Any other input raises MalformedInput.
+    affine or concave function is smallest at an endpoint, and a convex
+    quadratic at its vertex when that lies inside, else at an endpoint,
+    so the value returned is the minimum itself, not a probe.  The values
+    are read from the integer numerators c0 + c1*u + c2*u^2 of ``p``: at
+    u = a/b, c0*b^2 + c1*a*b + c2*a^2 over den * b^2, and at the vertex
+    (4*c0*c2 - c1^2) / (4*c2*den).  Any other input raises MalformedInput.
     """
-    if not p.is_univariate("u"):
-        raise MalformedInput(f"minimum needs a polynomial in u, got {p!r}")
-    deg = p.degree("u")
-    if deg > 2:
+    num = p.num
+    if not num.keys() <= _U_QUADRATIC:
+        if not p.is_univariate("u"):
+            raise MalformedInput(f"minimum needs a polynomial in u, got {p!r}")
         raise MalformedInput(
-            f"polynomial of degree {deg} > 2: its minimum on {interval} "
-            f"cannot be certified exactly")
-    values = [p.eval(u=interval.lo, v=0), p.eval(u=interval.hi, v=0)]
-    if deg == 2:
-        vertex = -p.coefficient(1) / (2 * p.coefficient(2))
-        if interval.lo < vertex < interval.hi:
-            values.append(p.eval(u=vertex, v=0))
-    return min(values)
+            f"polynomial of degree {p.degree('u')} > 2: its minimum on "
+            f"{interval} cannot be certified exactly")
+    c0, c1, c2 = num.get((0, 0), 0), num.get((1, 0), 0), num.get((2, 0), 0)
+    a0, b0 = interval.lo.numerator, interval.lo.denominator
+    a1, b1 = interval.hi.numerator, interval.hi.denominator
+    # The vertex -c1 / (2*c2) lies inside when a0/b0 < it < a1/b1.
+    if c2 > 0 and 2 * c2 * a0 < -c1 * b0 and -c1 * b1 < 2 * c2 * a1:
+        return Fraction(4 * c0 * c2 - c1 * c1, 4 * c2 * p.den)
+    lo = c0 * b0 * b0 + c1 * a0 * b0 + c2 * a0 * a0
+    hi = c0 * b1 * b1 + c1 * a1 * b1 + c2 * a1 * a1
+    if lo * b1 * b1 <= hi * b0 * b0:
+        return Fraction(lo, p.den * b0 * b0)
+    return Fraction(hi, p.den * b1 * b1)
+
+
+def _dense(bound: Poly) -> list[int]:
+    """The integer numerators of an integration bound, lowest degree
+    first; a bound that involves v raises MalformedInput."""
+    num = bound.num
+    out = [0] * (max(num)[0] + 1 if num else 1)
+    for (k, j), c in num.items():
+        if j:
+            raise MalformedInput("integration bounds must be polynomials in u")
+        out[k] = c
+    return out
+
+
+def _convolve(x: list[int], y: list[int]) -> list[int]:
+    """The product of two dense integer polynomials."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
 
 
 def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
@@ -517,13 +595,43 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
     inner variable.  The bounds must satisfy lo <= hi on the outer
     interval, as ``minimum`` proves of their width hi - lo; bounds that
     cross raise InvertedBounds.  The width may therefore have degree at
-    most 2 in ``u``.
+    most 2 in ``u``; the bounds themselves may have any degree.
+
+    The inner integral of f = sum c_ij u^i v^j / den between L / ld and
+    H / hd is the closed sum of c_ij u^i (m / (j+1)) (H^(j+1) hd^(n-j-1)
+    ld^n - L^(j+1) ld^(n-j-1) hd^n) over den * m * (hd*ld)^n, with
+    n = deg_v f + 1 and m = lcm(1..n): integer convolutions of the
+    bounds' numerators.  ``definite_integral`` integrates it once in u.
     """
+    hi, hd = _dense(inner_hi), inner_hi.den
+    lo, ld = _dense(inner_lo), inner_lo.den
     if minimum(inner_hi - inner_lo, outer) < 0:
         raise InvertedBounds(f"inner bounds cross on {outer}")
-    anti = f.antiderivative("v")
-    inner = anti.subs_v(inner_hi) - anti.subs_v(inner_lo)
-    return definite_integral(inner, outer)
+    du = dv = 0
+    for i, j in f.num:
+        du, dv = max(du, i), max(dv, j)
+    n = dv + 1
+    m = math.lcm(*range(1, n + 1))
+    # span[j] / (m * (hd*ld)^n) is the integral of v^j between the bounds.
+    span, hp, lp = [], [1], [1]
+    for j in range(n):
+        hp, lp = _convolve(hp, hi), _convolve(lp, lo)
+        w = m // (j + 1)
+        hs = w * hd ** (n - j - 1) * ld ** n
+        ls = w * ld ** (n - j - 1) * hd ** n
+        diff = [0] * max(len(hp), len(lp))
+        for k, x in enumerate(hp):
+            diff[k] += hs * x
+        for k, y in enumerate(lp):
+            diff[k] -= ls * y
+        span.append(diff)
+    inner = [0] * (du + len(span[-1]))
+    for (i, j), c in f.num.items():
+        for k, x in enumerate(span[j]):
+            inner[i + k] += c * x
+    return definite_integral(
+        Poly._of({(k, 0): x for k, x in enumerate(inner) if x},
+                 f.den * m * (hd * ld) ** n), outer)
 
 
 def interpolate(points: list[tuple], degree: int) -> Poly:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import (KstabError, _Record, formulas, functionals, githm, invariants,
                toric, zariski)
-from .exactcore import (Interval, PiecewisePolynomial, Poly,
+from .exactcore import (Interval, NotARational, PiecewisePolynomial, Poly,
                         piecewise_integral, rat, rat_str)
 
 SCHEMA_VERSION = 1
@@ -46,9 +46,10 @@ class _Fields(dict):
     A missing key or a nested field of the wrong shape raises ``error``
     naming its path, as in ``inputs.pieces[0]: missing 'coeffs'``: a
     SchemaError for case inputs, a FormulaError for formula parameters and
-    a ParseError for fixture files.  A wrong value in a well-shaped field
-    is left to the library's own typed error: ``rat``, ``Poly.from_coeffs``
-    and ``Interval`` check values.
+    a ParseError for fixture files.  So does a coefficient list that is
+    not an array of rationals, naming the bad entry.  Any other wrong
+    value in a well-shaped field is left to the library's own typed
+    error: ``rat`` and ``Interval`` check values.
     """
 
     __slots__ = ("where", "error")
@@ -109,13 +110,31 @@ class _Fields(dict):
         return {k: rat(v) for k, v in
                 self._shaped(key, default, dict, "a JSON object").items()}
 
+    def _coeffs(self, path: str, value) -> Poly:
+        """The JSON array ``value`` of rationals as sum value[k] * u^k; a
+        value that is no array, or an entry that is no rational, raises
+        ``error`` naming ``path`` or the entry's path."""
+        if not isinstance(value, list):
+            raise self.error(
+                f"{path} must be an array of rationals, got {value!r}")
+        try:
+            return Poly.from_coeffs(value)
+        except NotARational:
+            for k, c in enumerate(value):
+                try:
+                    rat(c)
+                except NotARational as exc:
+                    raise self.error(f"{path}[{k}]: {exc}") from None
+            raise
+
     def family(self, key, default=None) -> dict[str, Poly]:
-        return {k: Poly.from_coeffs(v) for k, v in
+        return {k: self._coeffs(f"{self.where}.{key}.{k}", v) for k, v in
                 self._shaped(key, default, dict, "a JSON object").items()}
 
     def pieces(self, key) -> PiecewisePolynomial:
         return PiecewisePolynomial(
-            [(p.interval("interval"), Poly.from_coeffs(p["coeffs"]))
+            [(p.interval("interval"),
+              p._coeffs(f"{p.where}.coeffs", p["coeffs"]))
              for p in self.each(key)])
 
 

@@ -37,8 +37,10 @@ integer and r > 0 with G_S R = r I.  From these
 ``_parts`` gives N and P over den*r and P's pairing vector over den*r*g
 as integer sums, for ``surface_zariski``, the scan and the Fraction/Poly
 entry point ``_support_solve`` alike.  Polys are built only for what the
-scan hands on: the emitted ``Chamber2D`` fields, the walls, and the
-volume read by ``_vol_threshold``.
+scan hands on: the emitted ``Chamber2D`` fields and the walls.  The
+volume P^2 is one Poly whose six integer numerators (``_volume``)
+``_vol_threshold`` reads directly: the volume at the sample, the slope
+of the root line and the proof that P^2 vanishes on it are integer sums.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
@@ -179,6 +181,8 @@ def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
 _ZERO = (0, 0, 0)
 _EXPONENTS = ((0, 0), (1, 0), (0, 1))
 _AFFINE_TERMS = frozenset(_EXPONENTS)
+_QUADRATIC = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_QUADRATIC_TERMS = frozenset(_QUADRATIC)
 
 
 def _affine(g: Poly) -> tuple[int, int, int]:
@@ -393,14 +397,24 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     samples each half.  Any other root not affine in u raises
     IrrationalThreshold.
 
-    The decisions read c0, c1, c2, the integer numerators of vol at
-    ustar, over one positive denominator, so signs and roots are vol's.
-    A volume of degree > 2 in v raises MalformedInput.
+    Everything is read from the six integers k_ij of vol = sum k_ij u^i
+    v^j / den, as ``_volume`` builds them.  At ustar = su/sq, c0, c1, c2
+    are sq^2 den times vol's coefficients in v, so signs and roots are vol's;
+    the partials at the root come from the k_ij too.  vol vanishes on a
+    line (a + b*u + c*v) = 0 iff c^2 vol(u, -(a + b*u) / c) = 0, three
+    integer identities, one per power of u.  A term of degree > 2 in v,
+    or any other term of total degree > 2, raises MalformedInput.
     """
-    at_ustar = vol.eval(u=ustar).num
-    if any(j > 2 for _, j in at_ustar):
-        raise MalformedInput(f"volume {vol!r} has degree > 2 in v")
-    c0, c1, c2 = (at_ustar.get((0, j), 0) for j in range(3))
+    num = vol.num
+    if not num.keys() <= _QUADRATIC_TERMS:
+        what = ("degree > 2 in v" if any(j > 2 for _, j in num)
+                else "total degree > 2")
+        raise MalformedInput(f"volume {vol!r} has {what}")
+    k00, k10, k01, k20, k11, k02 = [num.get(e, 0) for e in _QUADRATIC]
+    su, sq = ustar.numerator, ustar.denominator
+    c0 = (k00 * sq + k10 * su) * sq + k20 * su * su
+    c1 = (k01 * sq + k11 * su) * sq
+    c2 = k02 * sq * sq
     p, q = v_cur.numerator, v_cur.denominator
 
     if c2 == 0 and c1 == 0:
@@ -438,20 +452,24 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
         return None
     r = min(roots)
 
-    dv = vol.derivative("v")
-    b = dv.eval(u=ustar, v=r)
-    if b:
-        slope = -vol.derivative("u").eval(u=ustar, v=r) / b
-        wall = Poly.affine(r - slope * ustar, slope)
+    # d_v vol and d_u vol at (ustar, r) = (su/sq, rp/rq), times sq rq den.
+    rp, rq = r.numerator, r.denominator
+    dv = (k01 * sq + k11 * su) * rq + 2 * k02 * rp * sq
+    du = (k10 * sq + 2 * k20 * su) * rq + k11 * rp * sq
+    if dv:
+        # The tangent du (u - su/sq) + dv (v - rp/rq) = 0, times sq rq.
+        a, b, c = -(du * su * rq + dv * rp * sq), du * sq * rq, dv * sq * rq
     else:
-        wall = _line(*_affine(dv))
-    if vol.subs_v(wall):
-        if not b:
+        a, b, c = k01, k11, 2 * k02
+    if (k00 * c * c - k01 * a * c + k02 * a * a
+            or k10 * c * c - (k01 * b + k11 * a) * c + 2 * k02 * a * b
+            or k20 * c * c - k11 * b * c + k02 * b * b):
+        if not dv:
             # A double root off the wall: two root lines cross at ustar,
             # and the threshold may be affine on each side of it.
             raise _SplitRequest(ustar)
         raise IrrationalThreshold("threshold is not affine in u")
-    return r, wall
+    return r, _line(a, b, c)
 
 
 def _constraints(support, negative: dict, pairings: dict, zero) -> dict:
@@ -474,9 +492,8 @@ def _volume(p: list, pv: list, den: int) -> Poly:
         k20 += b * y
         k11 += b * z + c * y
         k02 += c * z
-    return Poly._of({e: k for e, k in (
-        ((0, 0), k00), ((1, 0), k10), ((0, 1), k01), ((2, 0), k20),
-        ((1, 1), k11), ((0, 2), k02)) if k}, den)
+    return Poly._of({e: k for e, k in zip(
+        _QUADRATIC, (k00, k10, k01, k20, k11, k02)) if k}, den)
 
 
 def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],

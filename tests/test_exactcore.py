@@ -187,6 +187,32 @@ class TestDoubleIntegral:
             double_integral(Poly.const(1), Poly(), U ** 3 + 1,
                             Interval(0, 1))
 
+    def test_zero_width_chamber(self):
+        wall = Poly.affine(1, 1)
+        assert double_integral(1 + U * V, wall, wall, Interval(0, 1)) == 0
+
+    def test_point_outer_interval(self):
+        assert double_integral(1 + V * V, Poly(), U,
+                               Interval(Q(2, 3), Q(2, 3))) == 0
+
+    def test_v_squared_between_slanted_walls(self):
+        # int_0^1 ((1 - u/3)^3 - (u/2)^3) / 3 du
+        #   = (3/4 (1 - (2/3)^4) - 1/32) / 3 = (65/108 - 1/32) / 3.
+        lo, hi = Poly.affine(0, Q(1, 2)), Poly.affine(1, Q(-1, 3))
+        assert double_integral(V * V, lo, hi, Interval(0, 1)) == \
+            Q(493, 2592)
+
+    def test_walls_crossing_at_one_end_only(self):
+        # The width 1 - 2u is 1 at u = 0 and -1 at u = 1.
+        with pytest.raises(InvertedBounds):
+            double_integral(Poly.const(1), U, 1 - U, Interval(0, 1))
+
+    def test_quadratic_width(self):
+        # The width u^2 - u + 1 is at least 3/4; the integral of v is
+        # int_0^2 ((u^2 + 1)^2 - u^2) / 2 du = (32/5 + 8/3 + 2) / 2.
+        assert double_integral(V, U, U * U + 1, Interval(0, 2)) == \
+            Q(83, 15)
+
     def test_fubini_500(self):
         rng = random.Random(103)
         for _ in range(500):
@@ -270,6 +296,18 @@ class TestMalformedInput:
         with pytest.raises(MalformedInput, match="must be a list"):
             Poly.from_coeffs("12")
         assert Poly.from_coeffs((1, 2)) == Poly.from_coeffs([1, 2])
+
+    @pytest.mark.parametrize("entry", [
+        "+2", " 3 ", "0.5", "1e2", "1_0", "-0", "-3/6", "007/014", "1/-2",
+        "1/0", "1/00", "3/", "/3", "-", "", True, None, 2.5, Q(3, 4), 12])
+    def test_coefficient_entries_read_as_rat_reads_them(self, entry):
+        try:
+            want = rat(entry)
+        except NotARational:
+            with pytest.raises(NotARational):
+                Poly.from_coeffs([1, entry])
+        else:
+            assert Poly.from_coeffs([1, entry]) == Poly.const(1) + want * U
 
     def test_subs_v_target_not_in_u(self):
         with pytest.raises(MalformedInput, match="substitution target"):

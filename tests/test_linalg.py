@@ -6,6 +6,8 @@ property tests in ``test_linalg_properties.py`` skip.
 
 from fractions import Fraction as Q
 
+import pytest
+
 from kstab import _linalg
 from kstab.exactcore import Poly
 
@@ -70,3 +72,16 @@ def test_fraction_matrix():
     assert _linalg.det(rows) == Q(5, 12)
     assert _linalg.solve(rows, [1, 1]) == [Q(8, 5), Q(3, 5)]
     assert inverse_over(rows) == [[Q(12, 5), Q(-4, 5)], [Q(-3, 5), Q(6, 5)]]
+
+
+@pytest.mark.parametrize("rows, form", [
+    (((2, 0, -1), (1, 3, 2)), ([[2, 0, -1], [1, 3, 2]], 1)),
+    ([[1, Q(1, 2)], [Q(-2, 3), 3]], ([[6, 3], [-4, 18]], 6)),
+    ([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1)]], ([[6, 4], [3, 12]], 12)),
+], ids=["int", "mixed", "fraction"])
+def test_integer_form_is_a_fresh_integer_copy(rows, form):
+    m, d = _linalg._integer_form(rows)
+    assert (m, d) == form
+    assert all(type(x) is int for row in m for x in row)
+    m[0][0] += 1
+    assert rows[0][0] == form[0][0][0] / d  # the input is left as it was

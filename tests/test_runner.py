@@ -143,16 +143,36 @@ def test_support_that_is_not_a_list_fails_its_row_typed():
     assert result.detail.startswith("GitError: ")
 
 
-def test_coefficient_string_fails_its_row_typed():
-    result = runner.run_case({
-        "schema_version": 1,
-        "kind": "volume",
-        "label": "adhoc/coeffs-string",
-        "inputs": {"pieces": [{"interval": ["0", "1"], "coeffs": "12"}],
-                   "ample_cube": "1", "quantity": "integral"},
-    })
-    assert result.status == "fail"
-    assert result.detail.startswith("MalformedInput: ")
+@pytest.mark.parametrize("coeffs, message", [
+    ("12", "inputs.pieces[0].coeffs must be an array of rationals, "
+           "got '12'"),
+    ("5", "inputs.pieces[0].coeffs must be an array of rationals, got '5'"),
+    (["1", "x"], "inputs.pieces[0].coeffs[1]: cannot interpret 'x'"),
+    (["1/0"], "inputs.pieces[0].coeffs[0]: cannot interpret '1/0'"),
+], ids=["string", "number-string", "letter-entry", "zero-denominator"])
+def test_coefficient_errors_name_their_path(coeffs, message):
+    with pytest.raises(runner.SchemaError) as exc:
+        runner.run_case({
+            "schema_version": 1,
+            "kind": "volume",
+            "label": "adhoc/coeffs",
+            "inputs": {"pieces": [{"interval": ["0", "1"], "coeffs": coeffs}],
+                       "ample_cube": "1", "quantity": "integral"},
+        })
+    assert str(exc.value).startswith(f"adhoc/coeffs: {message}")
+
+
+@pytest.mark.parametrize("family, message", [
+    ({"C1": "5"}, "chambers[0].family.C1 must be an array of rationals"),
+    ({"C1": ["0", "1"], "C2": ["1", True]},
+     "chambers[0].family.C2[1]: cannot interpret True"),
+], ids=["string", "bool-entry"])
+def test_fixture_family_errors_name_their_path(family, message):
+    fields = runner._Fields({"family": family}, "flags/x.chambers[0]",
+                            runner.ParseError)
+    with pytest.raises(runner.ParseError) as exc:
+        fields.family("family")
+    assert str(exc.value).startswith(f"flags/x.{message}")
 
 
 @pytest.mark.parametrize("inputs", [

@@ -522,6 +522,13 @@ def test_irrational_threshold_against_the_limit(vol, limit, vanishes):
         assert _vol_threshold(vol, Q(0), Q(0), limit) is None
 
 
+@pytest.mark.parametrize("vol", [U ** 3 + V, U * U * V - V],
+                         ids=["u-cubed", "u-squared-v"])
+def test_threshold_refuses_a_volume_of_total_degree_3(vol):
+    with pytest.raises(MalformedInput, match="total degree > 2"):
+        _vol_threshold(vol, Q(1, 2), Q(0), None)
+
+
 # Volume with the root lines v = u and v = 1 - u, crossing at u = 1/2.
 CROSSING = (V - U) * (V - AFF(1, -1))
 
