@@ -12,8 +12,11 @@ positive int, the gcd of the denominator and all numerators is 1, and the
 zero polynomial is the empty map over 1.  Structural equality is then
 exact polynomial equality.  The public ``Poly(...)`` constructor
 establishes the normal form from arbitrary rational input; the ring
-operations, evaluation and calculus work on the integers and reduce their
-result by one gcd.
+operations work on the integers and reduce their result by one gcd, and
+``eval`` returns the exact value at a point as one Fraction.
+
+``_dense`` is the one reader of "a polynomial in u": a term in v raises
+MalformedInput naming the entry point that needed one.
 
 ``minimum`` is the one exact sign oracle: every claim that a polynomial
 in u keeps its sign on an interval, here and in ``zariski``, is read
@@ -32,8 +35,6 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import KstabError, _Record
-
-VARS = ("u", "v")
 
 
 class ExactCoreError(KstabError):
@@ -54,11 +55,10 @@ class InconsistentSamples(ExactCoreError):
 
 class MalformedInput(ExactCoreError):
     """Input of the wrong shape: a reversed interval, a coefficient list
-    that is not a list, an integrand, piece, integration bound or
-    substitution target in the wrong variables, an unknown variable name,
-    a negative power, a polynomial whose minimum cannot be certified
-    exactly, a point outside a piecewise domain, or unusable
-    interpolation samples."""
+    that is not a list, a term in v where a polynomial in u is needed, a
+    variable other than u and v, a negative power, a polynomial whose
+    minimum cannot be certified exactly, a point outside a piecewise
+    domain, or unusable interpolation samples."""
 
 
 class NotARational(ExactCoreError):
@@ -74,19 +74,40 @@ class ContinuityWarning(UserWarning):
     """
 
 
-def rat(value: int | str | Fraction) -> Fraction:
-    """Parse a rational from an int (not a bool), a Fraction, or a
-    ``"p/q"`` string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+def _rat_parts(value) -> tuple[int, int]:
+    """(n, d), d > 0, with n / d = ``rat(value)``: a plain ``"p"`` or
+    ``"p/q"`` string of ASCII digits is read by ``int`` directly, any other
+    string by ``Fraction``'s parser."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, str):
+        p, slash, q = value.partition("/")
+        digits = p[1:] if p[:1] == "-" else p
+        if (digits.isascii() and digits.isdigit() and (not slash or (
+                q.isascii() and q.isdigit() and q.strip("0")))):
+            try:
+                return int(p), int(q) if slash else 1
+            except ValueError:  # past the int-conversion digit limit
+                pass
         try:
-            return Fraction(value.strip())
+            x = Fraction(value.strip())
+            return x.numerator, x.denominator
         except (ValueError, ZeroDivisionError):
             pass
+    elif isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return int(value), 1
     raise NotARational(f"cannot interpret {value!r} as a rational")
+
+
+def rat(value: int | str | Fraction) -> Fraction:
+    """Parse a rational from an int (not a bool), a Fraction, or a
+    ``"p/q"`` string, as ``_rat_parts`` reads it."""
+    if isinstance(value, Fraction):
+        return value
+    n, d = _rat_parts(value)
+    return Fraction(n, d) if d != 1 else Fraction(n)
 
 
 def rat_str(q: Fraction) -> str:
@@ -107,34 +128,6 @@ def sqrt_rat(q: int | Fraction) -> Fraction | None:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
-
-
-def _var_index(var: str) -> int:
-    try:
-        return VARS.index(var)
-    except ValueError:
-        raise MalformedInput(
-            f"unknown variable {var!r}; expected one of {VARS}") from None
-
-
-def _rat_parts(c) -> tuple[int, int]:
-    """(n, d), d > 0, with n / d = rat(c): an int, a Fraction or a plain
-    ``"p"`` / ``"p/q"`` string of ASCII digits is read directly."""
-    if type(c) is int:
-        return c, 1
-    if type(c) is str:
-        p, slash, q = c.partition("/")
-        digits = p[1:] if p[:1] == "-" else p
-        if (digits.isascii() and digits.isdigit() and (not slash or (
-                q.isascii() and q.isdigit() and q.strip("0")))):
-            try:
-                return int(p), int(q) if slash else 1
-            except ValueError:  # past the int-conversion digit limit
-                pass
-    elif isinstance(c, Fraction):
-        return c.numerator, c.denominator
-    x = rat(c)
-    return x.numerator, x.denominator
 
 
 class Poly:
@@ -192,8 +185,9 @@ class Poly:
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        idx = _var_index(name)
-        return cls._of({(1, 0) if idx == 0 else (0, 1): 1}, 1)
+        if name not in ("u", "v"):
+            raise MalformedInput(f"unknown variable {name!r}; expected u or v")
+        return cls._of({(1, 0) if name == "u" else (0, 1): 1}, 1)
 
     @classmethod
     def affine(cls, c0, cu=0, cv=0) -> "Poly":
@@ -204,11 +198,8 @@ class Poly:
     def from_coeffs(cls, coeffs: list | tuple) -> "Poly":
         """Build ``sum(rat(coeffs[k]) * u**k)`` from a coefficient list or
         tuple; anything else (a string of digits, say) is MalformedInput.
-
-        The integer numerators are collected over one lcm: an int or a
-        Fraction is read as it is, a plain ``"p"`` or ``"p/q"`` string
-        directly, and any other entry through ``rat``, so the accepted
-        entries and NotARational are ``rat``'s."""
+        Each entry is read by ``rat``'s reader ``_rat_parts``, and the
+        integer numerators are collected over one lcm."""
         if not isinstance(coeffs, (list, tuple)):
             raise MalformedInput(
                 f"coefficients must be a list, got {coeffs!r}")
@@ -298,6 +289,8 @@ class Poly:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, str):  # a str hashes apart, so never equal
+            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -314,105 +307,30 @@ class Poly:
 
     # -- queries ------------------------------------------------------
 
-    def degree(self, var: str) -> int:
-        """Degree in one variable; the zero polynomial has degree 0."""
-        idx = _var_index(var)
-        return max((e[idx] for e in self.num), default=0)
-
-    def is_univariate(self, var: str) -> bool:
-        """True if the polynomial only involves ``var``."""
-        other = 1 - _var_index(var)
-        return all(e[other] == 0 for e in self.num)
-
     def coefficient(self, i: int, j: int = 0) -> Fraction:
         return Fraction(self.num.get((i, j), 0), self.den)
 
     def coeffs(self) -> list[Fraction]:
         """Dense coefficient list of a polynomial in u alone."""
-        if not self.is_univariate("u"):
-            raise MalformedInput("polynomial is not univariate in u")
-        return [self.coefficient(i) for i in range(self.degree("u") + 1)]
+        return [Fraction(c, self.den) for c in _dense(self, "coeffs")]
 
-    # -- evaluation and substitution ----------------------------------
-
-    def eval(self, u=None, v=None):
-        """Evaluate; a partially evaluated polynomial stays a Poly.
-
-        Returns a Fraction when all remaining variables are substituted.
-        At x = a/b, x**k is summed as the integer a**k * b**(n - k) over
-        the common denominator b**n, n the degree in that variable.
-        """
-        if u is not None and v is not None:
-            u, v = rat(u), rat(v)
-            a, b, p, q = u.numerator, u.denominator, v.numerator, v.denominator
-            ni = nj = 0
-            for i, j in self.num:
-                ni, nj = max(ni, i), max(nj, j)
-            total = 0
-            for (i, j), c in self.num.items():
-                total += c * a ** i * b ** (ni - i) * p ** j * q ** (nj - j)
-            return Fraction(total, self.den * b ** ni * q ** nj)
-        if u is None and v is None:
-            return self
-        idx = 0 if v is None else 1
-        x = rat(u if v is None else v)
-        a, b = x.numerator, x.denominator
-        n = self.degree(VARS[idx])
-        out: dict[tuple[int, int], int] = {}
-        for e, c in self.num.items():
-            k = e[idx]
-            rest = (0, e[1]) if idx == 0 else (e[0], 0)
-            out[rest] = out.get(rest, 0) + c * a ** k * b ** (n - k)
-        return Poly._of({e: c for e, c in out.items() if c}, self.den * b ** n)
-
-    def subs_v(self, repl: "Poly") -> "Poly":
-        """Substitute ``v`` by a polynomial in ``u``.
-
-        With the slices S_j of equal v-degree and ``repl`` = R / r, the
-        result is sum_j S_j * R^j * r^(m - j) over den * r^m, m the degree
-        in v: Horner's scheme on the integer slices, reduced by one gcd.
-        """
-        if not repl.is_univariate("u"):
-            raise MalformedInput(
-                "substitution target must be a polynomial in u")
-        slices: dict[int, dict[int, int]] = {}
+    def eval(self, u, v=0) -> Fraction:
+        """The exact value at ``(u, v)``, v = 0 by default.  At u = a/b
+        and v = p/q, u**i * v**j is summed as the integer a**i * b**(ni - i)
+        * p**j * q**(nj - j) over den * b**ni * q**nj, ni and nj the
+        degrees in u and v; an int argument is read without a Fraction."""
+        if type(u) is not int:
+            u = rat(u)
+        if type(v) is not int:
+            v = rat(v)
+        a, b, p, q = u.numerator, u.denominator, v.numerator, v.denominator
+        ni = nj = 0
+        for i, j in self.num:
+            ni, nj = max(ni, i), max(nj, j)
+        total = 0
         for (i, j), c in self.num.items():
-            slices.setdefault(j, {})[i] = c
-        m = max(slices, default=0)
-        r_num = {i: c for (i, _), c in repl.num.items()}
-        out = slices.get(m, {})
-        r_power = 1
-        for j in range(m - 1, -1, -1):
-            r_power *= repl.den
-            acc: dict[int, int] = {}
-            for i1, c1 in out.items():
-                for i2, c2 in r_num.items():
-                    acc[i1 + i2] = acc.get(i1 + i2, 0) + c1 * c2
-            for i, c in slices.get(j, {}).items():
-                acc[i] = acc.get(i, 0) + c * r_power
-            out = acc
-        return Poly._of({(i, 0): c for i, c in out.items() if c},
-                        self.den * repl.den ** m)
-
-    # -- calculus ------------------------------------------------------
-
-    def antiderivative(self, var: str) -> "Poly":
-        idx = _var_index(var)
-        m = math.lcm(*(e[idx] + 1 for e in self.num))
-        out = {}
-        for e, c in self.num.items():
-            k = e[idx] + 1
-            out[(k, e[1]) if idx == 0 else (e[0], k)] = c * (m // k)
-        return Poly._of(out, self.den * m)
-
-    def derivative(self, var: str) -> "Poly":
-        idx = _var_index(var)
-        out = {}
-        for e, c in self.num.items():
-            k = e[idx]
-            if k:
-                out[(k - 1, e[1]) if idx == 0 else (e[0], k - 1)] = c * k
-        return Poly._of(out, self.den)
+            total += c * a ** i * b ** (ni - i) * p ** j * q ** (nj - j)
+        return Fraction(total, self.den * b ** ni * q ** nj)
 
     def __repr__(self):
         if not self.num:
@@ -425,6 +343,20 @@ class Poly:
             )
             parts.append(f"{rat_str(c)}{'*' + mono if mono else ''}")
         return " + ".join(parts)
+
+
+def _dense(p: Poly, what: str) -> list[int]:
+    """The integer numerators of a polynomial in u, lowest degree first;
+    a term in v raises MalformedInput naming ``what``, the entry point
+    that needs a polynomial in u."""
+    num = p.num
+    out = [0] * (max(num)[0] + 1 if num else 1)
+    for (k, j), c in num.items():
+        if j:
+            raise MalformedInput(
+                f"{what} needs a polynomial in u; {p!r} is not univariate")
+        out[k] = c
+    return out
 
 
 class Interval(_Record, frozen=True):
@@ -455,19 +387,17 @@ def definite_integral(p: Poly, rng: Interval) -> Fraction:
     a/b and c/d, it is sum c_k (m / (k+1)) (c^(k+1) d^(n-k-1) b^n -
     a^(k+1) b^(n-k-1) d^n) over den * m * b^n * d^n: one Fraction.
     """
-    num = p.num
-    if any(j for _, j in num):
-        raise MalformedInput("definite_integral requires a polynomial in u")
-    n = max(num)[0] + 1 if num else 1
+    dense = _dense(p, "definite_integral")
+    n = len(dense)
     m = math.lcm(*range(1, n + 1))
     a, b = rng.lo.numerator, rng.lo.denominator
     c, d = rng.hi.numerator, rng.hi.denominator
     bn, dn = b ** n, d ** n
     total = 0
-    for (k, _), x in num.items():
-        k += 1
-        total += x * (m // k) * (c ** k * d ** (n - k) * bn
-                                 - a ** k * b ** (n - k) * dn)
+    for k, x in enumerate(dense, 1):
+        if x:
+            total += x * (m // k) * (c ** k * d ** (n - k) * bn
+                                     - a ** k * b ** (n - k) * dn)
     return Fraction(total, p.den * m * bn * dn)
 
 
@@ -491,8 +421,7 @@ class PiecewisePolynomial:
         for p in pieces:
             if not isinstance(p, Piece):
                 p = Piece(*p)
-            if not p.poly.is_univariate("u"):
-                raise MalformedInput("piece is not a polynomial in u")
+            _dense(p.poly, "PiecewisePolynomial")
             norm.append(p)
         norm.sort(key=lambda p: (p.interval.lo, p.interval.hi))
         for a, b in zip(norm, norm[1:]):
@@ -501,7 +430,7 @@ class PiecewisePolynomial:
                     f"pieces {a.interval} and {b.interval} overlap")
             if a.interval.hi == b.interval.lo:
                 x = a.interval.hi
-                left, right = a.poly.eval(u=x, v=0), b.poly.eval(u=x, v=0)
+                left, right = a.poly.eval(x), b.poly.eval(x)
                 if left != right:
                     warnings.warn(
                         f"discontinuity at u = {rat_str(x)}: "
@@ -513,7 +442,7 @@ class PiecewisePolynomial:
         x = rat(x)
         for p in self.pieces:
             if p.interval.contains(x):
-                return p.poly.eval(u=x, v=0)
+                return p.poly.eval(x)
         raise MalformedInput(f"{rat_str(x)} outside the piecewise domain")
 
     def __iter__(self):
@@ -547,10 +476,9 @@ def minimum(p: Poly, interval: Interval) -> Fraction:
     """
     num = p.num
     if not num.keys() <= _U_QUADRATIC:
-        if not p.is_univariate("u"):
-            raise MalformedInput(f"minimum needs a polynomial in u, got {p!r}")
+        degree = len(_dense(p, "minimum")) - 1
         raise MalformedInput(
-            f"polynomial of degree {p.degree('u')} > 2: its minimum on "
+            f"polynomial of degree {degree} > 2: its minimum on "
             f"{interval} cannot be certified exactly")
     c0, c1, c2 = num.get((0, 0), 0), num.get((1, 0), 0), num.get((2, 0), 0)
     a0, b0 = interval.lo.numerator, interval.lo.denominator
@@ -563,18 +491,6 @@ def minimum(p: Poly, interval: Interval) -> Fraction:
     if lo * b1 * b1 <= hi * b0 * b0:
         return Fraction(lo, p.den * b0 * b0)
     return Fraction(hi, p.den * b1 * b1)
-
-
-def _dense(bound: Poly) -> list[int]:
-    """The integer numerators of an integration bound, lowest degree
-    first; a bound that involves v raises MalformedInput."""
-    num = bound.num
-    out = [0] * (max(num)[0] + 1 if num else 1)
-    for (k, j), c in num.items():
-        if j:
-            raise MalformedInput("integration bounds must be polynomials in u")
-        out[k] = c
-    return out
 
 
 def _convolve(x: list[int], y: list[int]) -> list[int]:
@@ -603,8 +519,8 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
     n = deg_v f + 1 and m = lcm(1..n): integer convolutions of the
     bounds' numerators.  ``definite_integral`` integrates it once in u.
     """
-    hi, hd = _dense(inner_hi), inner_hi.den
-    lo, ld = _dense(inner_lo), inner_lo.den
+    hi, hd = _dense(inner_hi, "double_integral"), inner_hi.den
+    lo, ld = _dense(inner_lo, "double_integral"), inner_lo.den
     if minimum(inner_hi - inner_lo, outer) < 0:
         raise InvertedBounds(f"inner bounds cross on {outer}")
     du = dv = 0
@@ -656,7 +572,7 @@ def interpolate(points: list[tuple], degree: int) -> Poly:
                   + [lo - xs[i] * hi for lo, hi in zip(coeffs, coeffs[1:])]
                   + [coeffs[-1]])
     poly = Poly.from_coeffs(coeffs)
-    if any(poly.eval(u=x, v=0) != y for x, y in pts[degree + 1:]):
+    if any(poly.eval(x) != y for x, y in pts[degree + 1:]):
         raise InconsistentSamples(
             f"samples admit no degree-{degree} interpolant")
     return poly

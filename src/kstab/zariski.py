@@ -340,7 +340,7 @@ class Chamber2D(_Record):
 
     def corners(self) -> list[tuple[Fraction, Fraction]]:
         """The corners (u, v): v_lo then v_hi at u0, then at u1."""
-        return [(u, wall.eval(u=u, v=0))
+        return [(u, wall.eval(u))
                 for u in (self.u_interval.lo, self.u_interval.hi)
                 for wall in (self.v_lo, self.v_hi)]
 
@@ -720,11 +720,10 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
                 raise NefViolation(
                     f"{label}: P({rat_str(u)}) negative on {violated}")
         vol, x = model.affine_product(den, pos, pos, pos), ch.interval.lo
-        if pieces and pieces[-1][1].eval(u=x, v=0) != vol.eval(u=x, v=0):
+        if pieces and pieces[-1][1].eval(x) != vol.eval(x):
             raise DiscontinuousVolume(
                 f"volume discontinuity at u = {rat_str(x)}: "
-                f"{rat_str(pieces[-1][1].eval(u=x, v=0))} vs "
-                f"{rat_str(vol.eval(u=x, v=0))}")
+                f"{rat_str(pieces[-1][1].eval(x))} vs {rat_str(vol.eval(x))}")
         if any((a or b) and model.affine_product(den, pos, pos, {k: (den, 0)})
                for k, (a, b) in neg.items()):
             raise DecompositionMismatch(

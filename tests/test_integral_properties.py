@@ -176,3 +176,22 @@ def test_minimum(p, iv):
 def test_minimum_refuses_what_it_cannot_certify(p, match):
     with pytest.raises(MalformedInput, match=match):
         minimum(p, Interval(0, 1))
+
+
+IN_V, UNIT = Poly.var("u") * Poly.var("v"), Interval(0, 1)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("minimum", lambda: minimum(IN_V, UNIT)),
+    ("definite_integral", lambda: definite_integral(IN_V, UNIT)),
+    ("coeffs", IN_V.coeffs),
+    ("PiecewisePolynomial", lambda: PiecewisePolynomial([(UNIT, IN_V)])),
+    ("double_integral", lambda: double_integral(Poly(), Poly(), IN_V, UNIT)),
+    ("double_integral", lambda: double_integral(Poly(), IN_V, Poly(), UNIT)),
+], ids=["minimum", "definite_integral", "coeffs", "piece", "upper-bound",
+        "lower-bound"])
+def test_every_reader_of_a_polynomial_in_u_refuses_one_in_v(what, call):
+    # One reader decides "polynomial in u"; its error names the caller.
+    with pytest.raises(MalformedInput, match=(
+            f"^{what} needs a polynomial in u; .* is not univariate$")):
+        call()

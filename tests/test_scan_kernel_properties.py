@@ -8,8 +8,8 @@ u-interval:
 
 * ``Chamber2D.nonnegative(g)`` equals the smallest of g's values at
   ``Chamber2D.corners``, compared with 0;
-* ``_line(*_affine(g))`` equals g(u, 0) / -c, and substituting it for v
-  makes g vanish;
+* ``_line(*_affine(g))`` equals g(u, 0) / -c, and g(u, wall(u)) vanishes
+  at two distinct u, so everywhere, g being affine;
 * a form with a u*v or u^2 term raises NonAffineFamily wherever it is read;
 * ``_vol_threshold`` refuses a volume of degree 3 in v.
 """
@@ -62,8 +62,9 @@ def test_nonnegative_is_the_corner_minimum(ch, g):
 def test_symbolic_wall_is_the_root_line(a, b, c):
     g = Poly.affine(a, b, c)
     wall = _line(*_affine(g))
-    assert wall == g.eval(v=0) * (-1 / g.coefficient(0, 1))
-    assert g.subs_v(wall) == 0
+    assert wall == Poly.affine(a, b) * (-1 / g.coefficient(0, 1))
+    for u in (0, 1):
+        assert g.eval(u, wall.eval(u)) == 0
 
 
 @SETTINGS
