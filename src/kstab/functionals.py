@@ -119,28 +119,32 @@ def beta_divisor(a_log: Fraction, vol: PiecewisePolynomial,
     return rat(a_log) - s_from_volume(vol, a_top)
 
 
-def s_flag_surface(case: FlagCase) -> Fraction:
-    return s_flag_surface_report(case).value
-
-
-def s_flag_surface_report(case: FlagCase) -> StabilityValue:
-    """S(W; flag): the flag-order term plus the integrated inner volumes."""
+def _flag_surface_terms(case: FlagCase):
+    """S(W; flag)'s terms with their chambers: an outer chamber's flag
+    order term, if any, then each inner chamber's integrated volume."""
     scale = Fraction(case.dim) / rat(case.ample_power)
-    rows = []
     for ch, inner in case.inner():
         d = case.flag_order(ch)
         if d:
             sq = Poly.const(case.lattice.dot(ch.family, ch.family))
-            term = scale * definite_integral(sq * d, ch.interval)
-            rows.append((f"order term on {ch.interval}", term))
+            yield ch, scale * definite_integral(sq * d, ch.interval)
         for sub in inner:
-            term = scale * double_integral(sub.volume, sub.v_lo, sub.v_hi,
-                                           sub.u_interval)
-            rows.append(
-                (f"vol over {sub.u_interval} x [{sub.v_lo!r}, {sub.v_hi!r}]",
-                 term))
-    total = sum((c for _, c in rows), Fraction(0))
-    return StabilityValue("S_flag_surface", total, tuple(rows))
+            yield sub, scale * double_integral(sub.volume, sub.v_lo, sub.v_hi,
+                                               sub.u_interval)
+
+
+def s_flag_surface(case: FlagCase) -> Fraction:
+    return sum((term for _, term in _flag_surface_terms(case)), Fraction(0))
+
+
+def s_flag_surface_report(case: FlagCase) -> StabilityValue:
+    """S(W; flag) with one row per term, labelled by its chamber."""
+    rows = tuple(
+        (f"order term on {ch.interval}" if isinstance(ch, FlagChamber) else
+         f"vol over {ch.u_interval} x [{ch.v_lo!r}, {ch.v_hi!r}]", term)
+        for ch, term in _flag_surface_terms(case))
+    return StabilityValue("S_flag_surface",
+                          sum((c for _, c in rows), Fraction(0)), rows)
 
 
 def _point_order(case: FlagCase, point: FlagPoint, ch: FlagChamber,
@@ -171,7 +175,7 @@ def _point_integral(case: FlagCase, point_name: str, square: bool) -> Fraction:
     total = Fraction(0)
     for ch, inner in case.inner():
         for sub in inner:
-            pdotc = Poly.const(sub.pairings[case.flag])
+            pdotc = sub.pairings[case.flag]
             order = _point_order(case, point, ch, sub)
             if order and not sub.nonnegative(order):
                 raise FunctionalError(

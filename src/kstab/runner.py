@@ -200,9 +200,7 @@ def build_lattice(data: dict) -> zariski.SurfaceLattice:
             if n not in names:
                 raise zariski.ZariskiError(f"lattice has no curve named {n!r}")
             div[names[n]] = div.get(names[n], 0) + c
-    return zariski.SurfaceLattice(tuple(divs), [
-        [m.intersection_product(a, b) for b in divs.values()]
-        for a in divs.values()])
+    return zariski.SurfaceLattice(tuple(divs), m.gram(list(divs.values())))
 
 
 _FLAG_CACHE: dict[str, functionals.FlagCase] = {}

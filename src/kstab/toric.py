@@ -302,6 +302,19 @@ class ToricModel:
 
     intersection_form = intersection_product
 
+    def gram(self, classes: list[dict]) -> list[list[Fraction]]:
+        """``intersection_product`` of each pair of classes on a surface fan,
+        read once per pair of rays from the integer table, over L^2."""
+        if self.dim != 2:
+            raise ToricError(f"{self.name} needs {self.dim} divisors, got 2")
+        classes = [self.normalize_divisor(d) for d in classes]
+        rays = set().union(*classes)
+        table = {(i, j): self._monomial((min(i, j), max(i, j)))
+                 for i in rays for j in rays}
+        return [[sum(x * y * table[i, j] for i, x in a.items()
+                     for j, y in b.items()) * Fraction(1, self._scale)
+                 for b in classes] for a in classes]
+
     def _expand(self, divisors):
         """The multilinear expansion of a product of ``dim`` divisors: each
         nonzero boundary monomial times its coefficients, summed over the

@@ -35,12 +35,13 @@ integer rows G over one denominator g (``_linalg._integer_form``), and
 caches per support block G_S the pair (R, r) of ``_linalg.inverse``: R
 integer and r > 0 with G_S R = r I.  From these
 ``_parts`` gives N and P over den*r and P's pairing vector over den*r*g
-as integer sums, for ``surface_zariski``, the scan and the Fraction/Poly
-entry point ``_support_solve`` alike.  Polys are built only for what the
-scan hands on: the emitted ``Chamber2D`` fields and the walls.  The
-volume P^2 is one Poly whose six integer numerators (``_volume``)
-``_vol_threshold`` reads directly: the volume at the sample, the slope
-of the root line and the proof that P^2 vanishes on it are integer sums.
+as integer sums, for the pointwise kernel ``_decompose``, the scan and
+the Fraction/Poly entry point ``_support_solve`` alike.  A ``Chamber2D``
+keeps these triples, and the verifier reads them; Polys are built for
+the walls and the volume, and for P, N and the pairings only when read.
+``_vol_threshold`` reads the volume's six integer numerators
+(``_volume``) directly: the volume at the sample, the slope of the root
+line and the proof that P^2 vanishes on it are integer sums.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from functools import cached_property
 
 from . import KstabError, _Record, _linalg
 from .exactcore import (Interval, MalformedInput, PiecewisePolynomial, Poly,
@@ -274,15 +276,10 @@ def _support_solve(lat: SurfaceLattice, d: dict, support: list[str]) -> dict:
     return {s: _poly(t, den * r) for s, t in n.items()}
 
 
-def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
-    """Zariski decomposition ``d = P + N`` on a surface, exactly.
-
-    Curves pairing negatively with the running positive part are added to
-    the support and the orthogonality system is re-solved, in lattice
-    order, until P pairs nonnegatively with every listed curve.  Each
-    solve is ``_parts`` on the constant triples (a, 0, 0) of ``d``.
-    """
-    vec, den = _triples(lat, {k: Poly.const(rat(v)) for k, v in d.items()})
+def _decompose(lat: SurfaceLattice, vec: list, den: int):
+    """``(p, n, r)``: P's triples and N's nonzero numerators {s: n_s}
+    over den * r for vec / den, vec constant triples (a, 0, 0).  Curves
+    pairing negatively with P join the support until none does."""
     support: list[str] = []
     for _ in range(len(lat.curves) + 2):
         p, n, pv, r = _parts(lat, vec, support)
@@ -293,19 +290,24 @@ def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
         support.extend(negatives)
     else:
         raise NoConvergence("support did not stabilise")
-    coeffs = {s: Fraction(t[0], den * r) for s, t in n.items()}
-    if any(v < 0 for v in coeffs.values()):
+    if any(t[0] < 0 for t in n.values()):
+        coeffs = {s: Fraction(t[0], den * r) for s, t in n.items()}
         raise NoConvergence(
             f"negative part has a negative coefficient: {coeffs}")
-    index = lat._index
-    p = {k: Fraction(p[index[k]][0], den * r)
-         for k in dict.fromkeys([*d, *support]) if p[index[k]][0]}
-    n = {k: v for k, v in coeffs.items() if v}
+    n = {s: t[0] for s, t in n.items() if t[0]}
     if n and not _is_negative_definite(lat, list(n)):
         warnings.warn(
             f"support {sorted(n)} is not negative definite",
-            NegativeDefiniteSupportWarning, stacklevel=2)
-    return p, n
+            NegativeDefiniteSupportWarning, stacklevel=3)
+    return p, n, r
+
+
+def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
+    """Zariski decomposition d = P + N on a surface, by ``_decompose``."""
+    vec, den = _triples(lat, {k: Poly.const(rat(v)) for k, v in d.items()})
+    p, n, r = _decompose(lat, vec, den)
+    p = {c: Fraction(t[0], den * r) for c, t in zip(lat.curves, p) if t[0]}
+    return p, {s: Fraction(x, den * r) for s, x in n.items()}
 
 
 def _affine_family(d: dict, what: str) -> dict[str, Poly]:
@@ -320,23 +322,42 @@ def _affine_family(d: dict, what: str) -> dict[str, Poly]:
 
 
 class Chamber2D(_Record):
-    """One chamber of a parametric surface decomposition.
-
-    The region is ``u in u_interval``, ``v_lo(u) <= v <= v_hi(u)`` with
-    affine walls; P and N carry coefficients affine in (u, v).  The scan
-    that found the chamber also hands down P's pairing vector ``{c: P . c}``
-    over every lattice curve and its volume P^2, so the corner checks and
-    the flag integrals never pair P again.
-    """
+    """One chamber of a parametric surface decomposition: the region
+    ``u in u_interval``, ``v_lo(u) <= v <= v_hi(u)`` between affine walls,
+    its volume P^2, and the scan's integer triples: P over ``scale`` in
+    the lattice order ``curves``, N as {s: n_s} over ``scale`` keyed by
+    the support, and P's pairing vector ``pv`` over ``scale * gram_den``.
+    The corner checks read the triples; ``positive``, ``negative`` and
+    ``pairings`` are Poly views of them, built on first read and kept."""
 
     u_interval: Interval
     v_lo: Poly
     v_hi: Poly
-    positive: dict[str, Poly]
-    negative: dict[str, Poly]
-    support: tuple[str, ...]
-    pairings: dict[str, Poly | Fraction]
-    volume: Poly
+    volume: Poly = Poly()
+    curves: tuple[str, ...] = ()
+    scale: int = 1
+    gram_den: int = 1
+    p: list = []
+    n: dict = {}
+    pv: list = []
+
+    @property
+    def support(self) -> tuple[str, ...]:
+        return tuple(self.n)
+
+    @cached_property
+    def positive(self) -> dict[str, Poly]:
+        return {c: _poly(t, self.scale)
+                for c, t in zip(self.curves, self.p) if any(t)}
+
+    @cached_property
+    def negative(self) -> dict[str, Poly]:
+        return {s: _poly(t, self.scale) for s, t in self.n.items() if any(t)}
+
+    @cached_property
+    def pairings(self) -> dict[str, Poly]:
+        return {c: _poly(t, self.scale * self.gram_den)
+                for c, t in zip(self.curves, self.pv)}
 
     def corners(self) -> list[tuple[Fraction, Fraction]]:
         """The corners (u, v): v_lo then v_hi at u0, then at u1."""
@@ -352,8 +373,9 @@ class Chamber2D(_Record):
         A function affine in (u, v) attains its minimum over a convex
         polygon at a corner.
         """
-        return _negative_corner(self._corner_points(), *_affine(g)) is None
+        return _negative_corner(self._corner_points, *_affine(g)) is None
 
+    @cached_property
     def _corner_points(self) -> list:
         """The corners, in ``corners`` order, as integer points (x, y, z),
         x > 0, with (u, v) = (y/x, z/x), each with its wall (w0, w1, wd):
@@ -472,13 +494,10 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     return r, _line(a, b, c)
 
 
-def _constraints(support, negative: dict, pairings: dict, zero) -> dict:
-    """One affine constraint per lattice curve, nonnegative exactly on the
-    chamber: the curve's coefficient in N if it is in ``support`` (``zero``
-    where N omits it), its pairing with P if it is not.  ``pairings``
-    fixes the lattice order."""
-    return {c: negative.get(c, zero) if c in support else g
-            for c, g in pairings.items()}
+def _constraints(curves, n: dict, pv) -> list:
+    """Per lattice curve (curve, triple), nonnegative exactly on the chamber:
+    its coefficient in N if it is in the support, ``n``'s keys, else P . c."""
+    return [(c, n.get(c, t)) for c, t in zip(curves, pv)]
 
 
 def _volume(p: list, pv: list, den: int) -> Poly:
@@ -530,12 +549,11 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
 def _scan(lat: SurfaceLattice, family: dict[str, Poly],
           u_interval: Interval) -> list[Chamber2D]:
     vec, den = _triples(lat, family)
-    index, curves, gram_den = lat._index, lat.curves, lat._gram_den
+    curves, gram_den = lat.curves, lat._gram_den
     ustar = u_interval.midpoint()
     su, sq = ustar.numerator, ustar.denominator
-    _, n0 = surface_zariski(lat, {
-        c: Fraction(a * sq + b * su, den * sq)
-        for c, (a, b, _) in zip(curves, vec) if a * sq + b * su})
+    _, n0, _ = _decompose(
+        lat, [(a * sq + b * su, 0, 0) for a, b, _ in vec], den * sq)
     support = [c for c in curves if c in n0]
     v_cur = Fraction(0)
     wall_cur = Poly()
@@ -549,8 +567,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
         # An event is a constraint (a + b*u + c*v) / den falling to 0 at
         # the sample; its curve enters or leaves the support there.
         events: list[tuple[Fraction, str, tuple[int, int, int]]] = []
-        for curve, t in _constraints(support, n, dict(zip(curves, pv)),
-                                     _ZERO).items():
+        for curve, t in _constraints(curves, n, pv):
             a, b, c = t
             val = a * d + b * x + c * y
             if val < 0:
@@ -577,16 +594,8 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
             if others or (end == v_cur and wall_sym != wall_cur):
                 raise _SplitRequest(ustar)
         if end > v_cur:
-            # P lists the family's curves, then the support's.
-            positive = {k: _poly(p[index[k]], scale)
-                        for k in dict.fromkeys([*family, *support])}
-            chambers.append(Chamber2D(
-                u_interval, wall_cur, wall_sym,
-                {k: q for k, q in positive.items() if q},
-                {s: _poly(t, scale) for s, t in n.items() if t != _ZERO},
-                tuple(support),
-                {c: _poly(t, scale * gram_den) for c, t in zip(curves, pv)},
-                vol))
+            chambers.append(Chamber2D(u_interval, wall_cur, wall_sym, vol,
+                                      curves, scale, gram_den, p, n, pv))
         if last:
             return chambers
         # Each trigger toggles its own curve, so the support changes.
@@ -618,9 +627,8 @@ def _verify_chambers(chambers: list[Chamber2D]):
     the case where no such u exists.
     """
     for ch in chambers:
-        lo, hi = ch.v_lo, ch.v_hi
-        (l0, l1, _), (h0, h1, _) = _affine(lo), _affine(hi)
-        k0, k1 = h0 * lo.den - l0 * hi.den, h1 * lo.den - l1 * hi.den
+        (_, (l0, l1, ld)), (_, (h0, h1, hd)) = ch._corner_points[:2]
+        k0, k1 = h0 * ld - l0 * hd, h1 * ld - l1 * hd
         s0, s1 = (k0 * u.denominator + k1 * u.numerator
                   for u in (ch.u_interval.lo, ch.u_interval.hi))
         if s0 < 0 or s1 < 0:
@@ -629,14 +637,11 @@ def _verify_chambers(chambers: list[Chamber2D]):
                                      f"the whole of {ch.u_interval}")
             raise _SplitRequest(Fraction(-k0, k1))
     for ch in chambers:
-        for s in ch.support:
-            if ch.pairings[s]:
-                raise NoConvergence(f"orthogonality failed for {s}")
-        points = ch._corner_points()
-        for curve, g in _constraints(ch.support, ch.negative, ch.pairings,
-                                     Poly()).items():
-            a, b, c = _affine(g)
-            wall = _negative_corner(points, a, b, c)
+        for curve, t in zip(ch.curves, ch.pv):
+            if curve in ch.n and any(t):
+                raise NoConvergence(f"orthogonality failed for {curve}")
+        for curve, (a, b, c) in _constraints(ch.curves, ch.n, ch.pv):
+            wall = _negative_corner(ch._corner_points, a, b, c)
             if wall is None:
                 continue
             w0, w1, wd = wall

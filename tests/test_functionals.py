@@ -264,3 +264,11 @@ class TestDeltaBounds:
     def test_zero_s(self):
         with pytest.raises(ZeroS):
             delta_bound_report([("bad", 1, 0)])
+
+
+@pytest.mark.parametrize("name", FLAG_FIXTURES)
+def test_s_flag_surface_is_its_report_value(name):
+    case = flag_case(name)
+    report = s_flag_surface_report(case)
+    assert s_flag_surface(case) == report.value
+    assert sum(c for _, c in report.contributions) == report.value

@@ -329,6 +329,30 @@ def test_gram_form_lattice_is_read_by_type(lattice, path):
         runner.build_lattice(lattice)
 
 
+@pytest.mark.parametrize("extra", [False, True], ids=["curves", "pencil"])
+def test_lattice_gram_is_the_intersection_product(extra):
+    lattice = dict(runner.load_fixture("flags", "a2-flag-pencil")["lattice"])
+    if not extra:
+        del lattice["extra_classes"]
+    lat = runner.build_lattice(lattice)
+    m = runner.model("F0tilde-A2")
+    classes = {n: {m.divisor_index(d): 1}
+               for n, d in lattice["curves"].items()}
+    for t, combo in lattice.get("extra_classes", {}).items():
+        classes[t] = {m.divisor_index(lattice["curves"][n]): Fraction(c)
+                      for n, c in combo.items()}
+    assert lat.curves == tuple(classes)
+    for a, row in zip(lat.curves, lat.gram):
+        for b, entry in zip(lat.curves, row):
+            assert entry == m.intersection_product(classes[a], classes[b])
+
+
+def test_lattice_from_a_threefold_model_is_refused():
+    with pytest.raises(toric.ToricError, match="Y0-A1 needs 3 divisors"):
+        runner.build_lattice({"from_model": "Y0-A1",
+                              "curves": {"F0": "F0", "F1": "F1"}})
+
+
 def test_lattice_with_two_extra_classes():
     curves = {"C1": "C1", "C3": "C3", "C4": "C4", "C5": "C5"}
     extra = {"T": {"C1": "1", "C4": "1", "C5": "1"},

@@ -44,13 +44,12 @@ def chambers(draw):
     lo = draw(u_lines)
     alpha, beta = draw(nonnegative), draw(nonnegative)
     hi = lo + Poly.affine(beta * u1 - alpha * u0, alpha - beta)
-    return Chamber2D(Interval(u0, u1), lo, hi, {}, {}, (), {}, Poly())
+    return Chamber2D(Interval(u0, u1), lo, hi)
 
 
 @SETTINGS
 @given(chambers(), affine_forms)
-@example(Chamber2D(Interval(0, 1), Poly(), Poly.var("u"), {}, {}, (), {},
-                   Poly()),
+@example(Chamber2D(Interval(0, 1), Poly(), Poly.var("u")),
          Poly.var("u") - Poly.var("v"))  # zero on the upper wall
 def test_nonnegative_is_the_corner_minimum(ch, g):
     want = min(g.eval(u=u, v=v) for u, v in ch.corners()) >= 0

@@ -476,8 +476,7 @@ def test_support_that_is_not_negative_definite_warns():
 
 
 def test_walls_in_the_wrong_order_everywhere_are_a_degeneracy():
-    ch = Chamber2D(Interval(0, 1), Poly.const(1), Poly(), {}, {}, (), {},
-                   Poly())
+    ch = Chamber2D(Interval(0, 1), Poly.const(1), Poly())
     with pytest.raises(WallDegeneracy,
                        match=r"wrong order on the whole of \[0, 1\]"):
         _verify_chambers([ch])
@@ -659,6 +658,44 @@ def test_chambers_carry_pairings_and_volume(name):
         assert sub.pairings == {c: lat.pairing(sub.positive, c)
                                 for c in lat.curves}
         assert sub.volume == lat.dot(sub.positive, sub.positive)
+
+
+def _with_pairing(ch, curve, t):
+    """``ch`` with the pairing triple of ``curve`` replaced by ``t``."""
+    pv = list(ch.pv)
+    pv[ch.curves.index(curve)] = t
+    return Chamber2D(ch.u_interval, ch.v_lo, ch.v_hi, ch.volume, ch.curves,
+                     ch.scale, ch.gram_den, ch.p, ch.n, pv)
+
+
+def _emitted_chamber():
+    """An emitted chamber with a nonempty support and a curve outside it."""
+    for name in FLAG_FIXTURES:
+        for _, inner in flag_case(name).inner():
+            for sub in inner:
+                if sub.support and len(sub.support) < len(sub.curves):
+                    return sub
+    raise AssertionError("no flag fixture has such a chamber")
+
+
+def test_verification_reads_the_chambers_pairings():
+    ch = _emitted_chamber()
+    _verify_chambers([ch])
+    s = ch.support[0]
+    with pytest.raises(NoConvergence, match=f"orthogonality failed for {s}"):
+        _verify_chambers([_with_pairing(ch, s, (1, 0, 0))])
+
+
+def test_constraint_negative_at_a_corner_asks_for_a_split():
+    # P . c = u - m over any scale: negative at the corners at u0, zero at
+    # the midpoint m, positive at u1, so the scan must split at m.
+    ch = _emitted_chamber()
+    m = ch.u_interval.midpoint()
+    c = next(c for c in ch.curves if c not in ch.support)
+    with pytest.raises(_SplitRequest) as req:
+        _verify_chambers([_with_pairing(ch, c, (-m.numerator,
+                                                m.denominator, 0))])
+    assert req.value.at == m
 
 
 @pytest.mark.parametrize("gram", [[[2, 1], [0, 1]], [[1, 0]], [[1]],
