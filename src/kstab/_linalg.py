@@ -3,10 +3,9 @@
 A matrix is read once as integer rows over one denominator
 (``_integer_form``) and reduced by Bareiss's fraction-free elimination
 (``_echelon``; Math. Comp. 22, 1968): each row update divides exactly by
-the previous pivot, so every entry stays an ``int``.  Below the k-th
-pivot a row is that pivot times its plain Gaussian row, so a right-hand
-side is carried at the plain scale and may hold values of any commutative
-Q-algebra, such as the Polys of ``ToricModel.effective_coordinates``.
+the previous pivot, so every entry stays an ``int``.  ``solve`` and
+``inverse`` eliminate the augmented rows [A | B] and share one integer
+back substitution (``_solve``).
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ def _integer_form(rows) -> tuple[list[list[int]], int]:
             for row in rows], d
 
 
-def _echelon(m, b=None):
-    """Bareiss elimination of the integer rows ``m`` in place, carrying
-    ``b`` at the plain scale.  Returns ``(pivots, sign)``: the pivot
-    column of each leading row (rows from ``len(pivots)`` on are zero)
-    and the sign of the row swaps."""
+def _echelon(m):
+    """Bareiss elimination of the integer rows ``m`` in place.  Returns
+    ``(pivots, sign)``: the pivot column of each leading row (rows from
+    ``len(pivots)`` on are zero) and the sign of the row swaps."""
     pivots: list[int] = []
     sign = prev = 1
     for c in range(len(m[0]) if m else 0):
@@ -39,43 +37,45 @@ def _echelon(m, b=None):
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            if b is not None:
-                b[r], b[pivot] = b[pivot], b[r]
             sign = -sign
         top, p = m[r], m[r][c]
         for i in range(r + 1, len(m)):
             f = m[i][c]
             m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-            if f and b is not None:
-                b[i] = b[i] - b[r] * Fraction(f, p)
         pivots.append(c)
         prev = p
     return pivots, sign
 
 
-def solve(rows, rhs):
-    """One exact solution of ``A x = b``, or None if inconsistent.
-
-    Free variables (underdetermined systems) are set to zero.  ``rhs``
-    entries may be Fractions or any values supporting +, -, * by Fraction
-    and truth testing (e.g. Poly); the matrix entries must be rationals.
-    """
-    m, d = _integer_form(rows)
-    b = list(rhs)
-    pivots, _ = _echelon(m, b)
-    if any(b[len(pivots):]):
+def _solve(m, n: int):
+    """``(X, r)`` for the integer rows ``m`` = [A | B], A their first ``n``
+    columns: X integer, one row per unknown, r > 0, A X = r B and the free
+    unknowns zero; None if a pivot lands in B's columns.  r is the size of
+    the last pivot, |det P| for the pivot block P, so X is +-adj(P) times
+    B's pivot rows: integer, and each back-substitution division exact."""
+    pivots, _ = _echelon(m)
+    if pivots and pivots[-1] >= n:
         return None
-    x = [Fraction(0)] * (len(m[0]) if m else 0)
+    r = abs(m[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    x = [[0] * (len(m[0]) - n) for _ in range(n)]
     for i in reversed(range(len(pivots))):
-        # Row i is s times its row in plain Gaussian elimination of rows.
         c, row = pivots[i], m[i]
-        s = (m[i - 1][pivots[i - 1]] if i else 1) * d
-        acc = b[i]
-        for j in range(c + 1, len(x)):
-            if row[j] and x[j]:
-                acc = acc - x[j] * Fraction(row[j], s)
-        x[c] = acc * Fraction(s, row[c])
-    return x
+        acc = [r * b for b in row[n:]]
+        for j in pivots[i + 1:]:
+            if row[j]:
+                acc = [a - row[j] * t for a, t in zip(acc, x[j])]
+        x[c] = [a // row[c] for a in acc]
+    return x, r
+
+
+def solve(rows, rhs):
+    """One exact solution of ``A x = b`` as Fractions, the free variables
+    zero, or None if the system is inconsistent."""
+    if len(rhs) != len(rows):
+        raise ValueError("solve requires one right-hand side entry per row")
+    m, _ = _integer_form([[*row, b] for row, b in zip(rows, rhs)])
+    sol = _solve(m, len(m[0]) - 1 if m else 0)
+    return None if sol is None else [Fraction(t, sol[1]) for t, in sol[0]]
 
 
 def rank(rows) -> int:
@@ -94,23 +94,10 @@ def det(rows) -> Fraction:
 
 def inverse(rows):
     """``(R, r)`` with R integer, r > 0 and ``rows`` * R = r * I, or None
-    if ``rows`` = N / d is singular.  Eliminating [N | I] leaves [U | B]
-    with U N^-1 = B; r = |det N| is the last pivot's size, so R = r d N^-1
-    is integer and back substitution divides exactly."""
+    if ``rows`` = N / d is singular: ``_solve`` on [N | d I], so r = |det N|
+    and R = r d N^-1."""
     n = len(rows)
     m, d = _integer_form(rows)
     for i, row in enumerate(m):
-        row.extend(int(i == j) for j in range(n))
-    _echelon(m)
-    r = abs(m[-1][n - 1]) if n else 1
-    if not r:
-        return None
-    num = [None] * n
-    for i in reversed(range(n)):
-        row = m[i]
-        acc = [r * d * x for x in row[n:]]
-        for j in range(i + 1, n):
-            if row[j]:
-                acc = [a - row[j] * t for a, t in zip(acc, num[j])]
-        num[i] = [a // row[i] for a in acc]
-    return num, r
+        row.extend(d * (i == j) for j in range(n))
+    return _solve(m, n)

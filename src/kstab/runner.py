@@ -439,8 +439,9 @@ def _compute_invariant(inputs: _Fields, seed: int):
         return invariants.hilbert_prefix(inputs.integer("upto"))
     if check == "series_match":
         upto = inputs.integer("upto")
-        series = invariants.hilbert_prefix(upto)
-        return invariants.invariant_dimensions(upto) == series
+        # Dimensions first: they refuse an upto above the bound.
+        dims = invariants.invariant_dimensions(upto)
+        return dims == invariants.hilbert_prefix(upto)
     if check == "peano":
         return list(invariants.peano_invariants(inputs["coeffs"]))
     if check == "invariance":

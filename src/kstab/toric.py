@@ -19,9 +19,10 @@ e - 1 with coefficients over det sigma, so by induction from 1/|det sigma|
 its denominator divides L^(1 + e), and e <= dim - 1.
 
 Divisor classes are finite maps from a ray index, an ``F<i>`` name or an
-alias to a coefficient; this module alone resolves the keys.  Degrees,
-effective coordinates and the intersection form also take coefficients
-in any Q-algebra (e.g. polynomials in the chamber parameter).  Curve
+alias to a coefficient; this module alone resolves the keys.  Degrees
+and effective coordinates take rational coefficients; only the
+intersection form also takes coefficients in any Q-algebra (e.g.
+polynomials in the chamber parameter).  Curve
 classes are stored through their pairing vector against the boundary
 divisors.
 """

@@ -35,10 +35,10 @@ integer rows G over one denominator g (``_linalg._integer_form``), and
 caches per support block G_S the pair (R, r) of ``_linalg.inverse``: R
 integer and r > 0 with G_S R = r I.  From these
 ``_parts`` gives N and P over den*r and P's pairing vector over den*r*g
-as integer sums, for the pointwise kernel ``_decompose``, the scan and
-the Fraction/Poly entry point ``_support_solve`` alike.  A ``Chamber2D``
-keeps these triples, and the verifier reads them; Polys are built for
-the walls and the volume, and for P, N and the pairings only when read.
+as integer sums, for the pointwise kernel ``_decompose`` and the scan
+alike.  A ``Chamber2D`` keeps these triples, and the verifier reads
+them; Polys are built for the walls and the volume, and for P, N and
+the pairings only when read.
 ``_vol_threshold`` reads the volume's six integer numerators
 (``_volume``) directly: the volume at the sample, the slope of the root
 line and the proof that P^2 vanishes on it are integer sums.
@@ -265,15 +265,6 @@ def _parts(lat: SurfaceLattice, vec: list, support: list[str]):
         x, y, z = p[i]
         p[i] = (x - a, y - b, z - c)
     return p, n, [_pair(row, p) for row in lat._int_rows], r
-
-
-def _support_solve(lat: SurfaceLattice, d: dict, support: list[str]) -> dict:
-    """The coefficients N on ``support`` with (d - N) . t = 0 for every
-    support curve t, as Polys; ``d`` may have Fraction or affine Poly
-    coefficients.  The Fraction/Poly face of ``_parts``."""
-    vec, den = _triples(lat, {k: Poly.const(c) for k, c in d.items()})
-    _, n, _, r = _parts(lat, vec, support)
-    return {s: _poly(t, den * r) for s, t in n.items()}
 
 
 def _decompose(lat: SurfaceLattice, vec: list, den: int):
@@ -667,17 +658,18 @@ class ThreefoldChamber(_Record, frozen=True):
     negative: dict[str, Poly]
 
 
-def _ray_vectors(model: ToricModel, families, label: str):
-    """The named families as integer vectors {ray: (a, b)}, each coefficient
-    (a + b*u) / den over one common den > 0, and den."""
-    polys = [(w, model.normalize_divisor(_affine_family(f, f"{label}: {w}")))
-             for w, f in families]
-    if any((0, 1) in c.num for _, f in polys for c in f.values()):
-        raise MalformedInput(f"{label}: a coefficient depends on v")
-    den = math.lcm(*(c.den for _, f in polys for c in f.values()))
+def _ray_vectors(model: ToricModel, families: dict):
+    """The families {label: family} as integer vectors {ray: (a, b)}, each
+    coefficient (a + b*u) / den over one common den > 0, and den."""
+    polys = [model.normalize_divisor(_affine_family(f, what))
+             for what, f in families.items()]
+    for what, f in zip(families, polys):
+        if any((0, 1) in c.num for c in f.values()):
+            raise MalformedInput(f"{what}: a coefficient depends on v")
+    den = math.lcm(*(c.den for f in polys for c in f.values()))
     return [{k: (c.num.get((0, 0), 0) * (den // c.den),
                  c.num.get((1, 0), 0) * (den // c.den)) for k, c in f.items()}
-            for _, f in polys], den
+            for f in polys], den
 
 
 def threefold_chamber_volume(models: dict[str, ToricModel],
@@ -705,9 +697,10 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
         model = models.get(ch.model)
         if model is None:
             raise DecompositionMismatch(f"unknown model {ch.model!r}")
-        (pos, neg, fam), den = _ray_vectors(model, (
-            ("positive part", ch.positive), ("negative part", ch.negative),
-            ("decomposed family", total)), label)
+        (pos, neg, fam), den = _ray_vectors(model, {
+            f"{label}: positive part": ch.positive,
+            f"{label}: negative part": ch.negative,
+            f"{label}: decomposed family": total})
         if any(sum(g * (pos.get(i, (0, 0))[t] + neg.get(i, (0, 0))[t]
                         - fam.get(i, (0, 0))[t]) for i, g in enumerate(row))
                for row in model.grading for t in (0, 1)):
@@ -741,15 +734,12 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
 
 def pseudoeffective_threshold(model: ToricModel,
                               family: dict[str, Poly]) -> Fraction:
-    """Largest u with the family still effective, from exact affine
-    coordinates in the effective-generator basis."""
-    family = _affine_family(family, "family")
-    bound = None
-    for coord in model.effective_coordinates(family):
-        c0, c1, _ = _affine(Poly.const(coord))
-        if c1 < 0:
-            b = Fraction(-c0, c1)
-            bound = b if bound is None else min(bound, b)
-    if bound is None:
+    """Largest u with the family (a + b*u) / den still effective: the least
+    -c0/c1 over the effective coordinates c0 of a and c1 of b with c1 < 0."""
+    (fam,), _ = _ray_vectors(model, {"family": family})
+    c0s = model.effective_coordinates({k: a for k, (a, _) in fam.items()})
+    c1s = model.effective_coordinates({k: b for k, (_, b) in fam.items()})
+    bounds = [-c0 / c1 for c0, c1 in zip(c0s, c1s) if c1 < 0]
+    if not bounds:
         raise Unbounded("no degree coordinate decreases in u")
-    return bound
+    return min(bounds)

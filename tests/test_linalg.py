@@ -9,7 +9,6 @@ from fractions import Fraction as Q
 import pytest
 
 from kstab import _linalg
-from kstab.exactcore import Poly
 
 
 def inverse_over(rows):
@@ -32,8 +31,6 @@ def test_zero_leading_entry_swaps_rows():
     assert m == [[3, 1], [0, 6]]
     assert _linalg.det(rows) == -6
     assert _linalg.solve(rows, [4, 5]) == [1, 2]
-    u = Poly.var("u")
-    assert _linalg.solve(rows, [2 * u, u + 3]) == [1, u]
     assert inverse_over(rows) == [[Q(-1, 6), Q(1, 3)], [Q(1, 2), 0]]
 
 
@@ -65,6 +62,27 @@ def test_negative_determinant():
                                   [Q(1, 3), Q(1, 3), -1]]
 
 
+def test_wide_rank_deficient_block_with_determinant_six():
+    # Row 3 is row 1 + row 2; the pivot block on columns 0 and 2 is
+    # [[2, 4], [4, 5]], of determinant -6, so X = 6 x is integer.
+    rows = [[2, 1, 4, 0], [4, 2, 5, 3], [6, 3, 9, 3]]
+    m = [row + [b] for row, b in zip(rows, [1, 1, 2])]
+    assert _linalg._solve(m, 4) == ([[-1], [0], [2], [0]], 6)
+    # Free variables x1 and x3 are zero.
+    assert _linalg.solve(rows, [1, 1, 2]) == [Q(-1, 6), 0, Q(1, 3), 0]
+    assert _linalg.solve(rows, [1, 1, 3]) is None
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[1, 0], [0, 1]], [1]),
+    ([[1, 0], [0, 1]], [1, 2, 3]),
+    ([[1, 2, 3]], []),
+], ids=["short", "long", "empty"])
+def test_solve_rhs_of_the_wrong_length(rows, rhs):
+    with pytest.raises(ValueError, match="one right-hand side entry per row"):
+        _linalg.solve(rows, rhs)
+
+
 def test_fraction_matrix():
     rows = [[Q(1, 2), Q(1, 3)], [Q(1, 4), 1]]
     assert _linalg._integer_form(rows) == ([[6, 4], [3, 12]], 12)
@@ -72,6 +90,19 @@ def test_fraction_matrix():
     assert _linalg.det(rows) == Q(5, 12)
     assert _linalg.solve(rows, [1, 1]) == [Q(8, 5), Q(3, 5)]
     assert inverse_over(rows) == [[Q(12, 5), Q(-4, 5)], [Q(-3, 5), Q(6, 5)]]
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 2], [3, 1]],
+    [[2, 0, 1], [1, 3, 2], [1, 1, 0]],
+    [[Q(1, 2), Q(1, 3)], [Q(1, 4), 1]],
+], ids=["swap", "negative-determinant", "fraction"])
+def test_solve_of_a_unit_vector_is_a_column_of_the_inverse(rows):
+    inv = inverse_over(rows)
+    n = len(rows)
+    for j in range(n):
+        e = [int(i == j) for i in range(n)]
+        assert _linalg.solve(rows, e) == [inv[i][j] for i in range(n)]
 
 
 @pytest.mark.parametrize("rows, form", [

@@ -15,7 +15,6 @@ sp = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from kstab import _linalg  # noqa: E402
-from kstab.exactcore import Poly  # noqa: E402
 
 entries = st.one_of(st.just(Q(0)),
                     st.builds(Q, st.integers(-6, 6), st.integers(1, 4)))
@@ -81,28 +80,6 @@ def test_solve(rows, data):
         assert len(x) == ncols
         assert all(isinstance(c, Q) for c in x)
         assert apply(rows, x) == rhs
-
-
-@SETTINGS
-@given(matrices(), st.data())
-def test_solve_with_poly_rhs(rows, data):
-    u, v = Poly.var("u"), Poly.var("v")
-    x0 = [data.draw(entries) * u + data.draw(entries) * v + data.draw(entries)
-          for _ in rows[0]]
-    rhs = [sum((a * p for a, p in zip(row, x0)), Poly()) for row in rows]
-    x = _linalg.solve(rows, rhs)
-    assert x is not None
-    assert [sum((a * p for a, p in zip(row, x)), Poly()) for row in rows] \
-        == rhs
-    if _linalg.rank(rows) < len(rows):
-        # y.A = 0 for a left-kernel vector y; moving b off y.b = 0 makes
-        # the system inconsistent.
-        y = to_sympy(rows).T.nullspace()[0]
-        i = next(i for i in range(len(y)) if y[i] != 0)
-        bad = list(rhs)
-        bad[i] = bad[i] + u
-        assert _linalg.solve(rows, bad) is None
-
 
 
 @SETTINGS

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kstab import _linalg, cli, runner, toric, zariski
+from kstab import _linalg, cli, invariants, runner, toric, zariski
 
 
 def test_suite_green():
@@ -394,6 +394,20 @@ def test_text_report_shape():
     assert "discrepancy-noted" in text
     empty = runner.emit_report(runner.StabilityReport(seed=1, results=[]))
     assert "0 cases" in empty
+
+
+def test_series_match_checks_the_bound_before_the_series(monkeypatch):
+    calls = []
+    prefix = invariants.hilbert_prefix
+
+    def recorded_prefix(n):
+        calls.append(n)
+        return prefix(n)
+
+    monkeypatch.setattr(invariants, "hilbert_prefix", recorded_prefix)
+    with pytest.raises(invariants.BoundExceeded):
+        runner.compute("invariant", {"check": "series_match", "upto": 13})
+    assert calls == []
 
 
 class TestCli:

@@ -18,8 +18,8 @@ from kstab.zariski import (Chamber2D, DiscontinuousVolume,
                            NegativeDefiniteSupportWarning, NonAffineFamily,
                            SurfaceLattice, ThreefoldChamber, Unbounded,
                            WallDegeneracy, ZariskiError,
-                           _SplitRequest, _support_solve, _verify_chambers,
-                           _vol_threshold,
+                           _SplitRequest, _parts, _support_inverse,
+                           _triples, _verify_chambers, _vol_threshold,
                            parametric_surface_zariski,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
@@ -440,6 +440,13 @@ class TestThreshold:
         with pytest.raises(SingularBasis, match="outside the generator span"):
             pseudoeffective_threshold(m, {"F4": AFF(1, -1)})
 
+    def test_family_coefficient_in_v_is_refused(self):
+        fx = volume_fixture("a1-volume")
+        with pytest.raises(MalformedInput,
+                           match="family: a coefficient depends on v"):
+            pseudoeffective_threshold(model("Y0-A1"),
+                                      {**fx.family, "F1": fx.family["F1"] + V})
+
 
 def test_volume_jump_between_chambers_is_an_error():
     # No Mori generators, so both chambers are nef; vol O(a, b, c) = 6abc
@@ -718,16 +725,21 @@ def test_cached_support_solve_matches_linalg_solve():
                          for s in support] for t in support]
                 if _linalg.det(rows) == 0:
                     continue
-                d = {c: Poly.affine(rng.randint(-3, 3), rng.randint(-2, 2),
-                                    rng.randint(-2, 2))
-                     for c in lat.curves}
-                rhs = [lat.pairing(d, t) for t in support]
-                expected = dict(zip(support, _linalg.solve(rows, rhs)))
+                coeffs = {c: (rng.randint(-3, 3), rng.randint(-2, 2),
+                              rng.randint(-2, 2)) for c in lat.curves}
+                d = {c: Poly.affine(*t) for c, t in coeffs.items()}
+                # One Fraction solve per coefficient of a + b*u + c*v.
+                columns = [_linalg.solve(rows, [
+                    lat.pairing({c: t[e] for c, t in coeffs.items()}, s)
+                    for s in support]) for e in range(3)]
+                expected = dict(zip(support, zip(*columns)))
+                vec, den = _triples(lat, d)
                 # The first call fills the cache, the second reads it.
                 for _ in range(2):
-                    got = _support_solve(lat, d, support)
-                    assert {s: Poly.const(c) for s, c in got.items()} == \
-                        {s: Poly.const(c) for s, c in expected.items()}
+                    _, n, _, r = _parts(lat, vec, support)
+                    got = {s: tuple(Q(x, den * r) for x in t)
+                           for s, t in n.items()}
+                    assert got == expected
 
 
 def test_singular_support_raises_every_time(monkeypatch):
@@ -742,6 +754,6 @@ def test_singular_support_raises_every_time(monkeypatch):
     monkeypatch.setattr(_linalg, "inverse", counted_inverse)
     for _ in range(2):
         with pytest.raises(NoConvergence):
-            _support_solve(lat, {"a": Q(1), "b": Q(2)}, ["a"])
+            _support_inverse(lat, ["a"])
     assert len(inverses) == 2
     assert ("a",) not in lat._inverses
