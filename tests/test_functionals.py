@@ -272,3 +272,59 @@ def test_s_flag_surface_is_its_report_value(name):
     report = s_flag_surface_report(case)
     assert s_flag_surface(case) == report.value
     assert sum(c for _, c in report.contributions) == report.value
+
+
+# Every flag functional of every bundled fixture: S(W; flag) per fixture,
+# then S(W; Q) and F_Q per marked point.  a2-flag-C1 Q13 runs the sigma
+# correction; the golden suite file names fewer than half of these.
+FLAG_VALUES = [
+    ("a1-flag-C-ordinary", None, "29/26", None),
+    ("a1-flag-C-ordinary", "Qf", "10/13", "11/26"),
+    ("a1-flag-C-ordinary", "QB", "9/26", "0"),
+    ("a1-flag-C-ordinary", "Qgen", "9/26", "0"),
+    ("a1-flag-C-weighted", None, "49/26", None),
+    ("a1-flag-C-weighted", "Qf", "10/13", "31/52"),
+    ("a1-flag-C-weighted", "QB", "9/52", "0"),
+    ("a1-flag-C-weighted", "Qo", "9/52", "0"),
+    ("a1-flag-C-weighted", "Qgen", "9/52", "0"),
+    ("a1-flag-e", None, "20/13", None),
+    ("a1-flag-e", "O", "10/13", "0"),
+    ("a2-flag-C1", None, "10/13", None),
+    ("a2-flag-C1", "Q13", "10/39", "1/12"),
+    ("a2-flag-C1", "QB", "9/52", "0"),
+    ("a2-flag-C1", "Q12", "9/52", "0"),
+    ("a2-flag-C1", "Qgen", "9/52", "0"),
+    ("a2-flag-C3", None, "10/39", None),
+    ("a2-flag-C3", "QB", "9/26", "0"),
+    ("a2-flag-C3", "Qgen", "9/26", "0"),
+    ("a2-flag-pencil", None, "9/26", None),
+    ("a2-flag-pencil", "QB", "10/39", "0"),
+    ("a2-flag-pencil", "Qgen", "10/39", "0"),
+    ("base-tangential", None, "49/26", None),
+    ("base-tangential", "Qf", "10/13", "31/52"),
+    ("base-tangential", "QB", "9/52", "0"),
+    ("base-tangential", "Qgen", "9/52", "0"),
+    ("base-transversal", None, "29/26", None),
+    ("base-transversal", "Qf", "10/13", "11/26"),
+    ("base-transversal", "QB", "9/26", "0"),
+    ("base-transversal", "Qgen", "9/26", "0"),
+    ("mm39-flag-s", None, "5/13", None),
+]
+
+
+def test_flag_values_cover_every_fixture_and_point():
+    rows = {(name, pt) for name, pt, _, _ in FLAG_VALUES}
+    assert {name for name, _ in rows} == set(FLAG_FIXTURES)
+    assert rows == {(name, p.name if p else None) for name in FLAG_FIXTURES
+                    for p in (None, *flag_case(name).points)}
+    assert sum(1 if pt is None else 2 for _, pt, _, _ in FLAG_VALUES) == 53
+
+
+@pytest.mark.parametrize("name,point,s_value,f_value", FLAG_VALUES)
+def test_flag_functional_values(name, point, s_value, f_value):
+    case = flag_case(name)
+    if point is None:
+        assert s_flag_surface(case) == Q(s_value)
+    else:
+        assert s_flag_point(case, point) == Q(s_value)
+        assert f_q_term(case, point) == Q(f_value)
