@@ -1,22 +1,21 @@
-"""Exact arithmetic substrate: rationals, two-parameter polynomials, and
-piecewise polynomials in ``u`` with their integrals.
+"""Exact arithmetic substrate: rationals, polynomials in one parameter
+``u``, piecewise polynomials in ``u`` and their integrals.
 
 Every number in this package is exact: an int or a
-:class:`fractions.Fraction`; floating point is never used.  Polynomials
-are sparse maps from exponent pairs ``(i, j)`` -- powers of the outer
-parameter ``u`` and the inner parameter ``v`` -- to integer numerators,
-over one common denominator, as in FLINT's ``fmpq_poly``.
+:class:`fractions.Fraction`; floating point is never used.  A polynomial
+is a dense tuple of integer numerators, lowest degree first, over one
+common denominator, as in FLINT's ``fmpq_poly``.  Forms in the two
+chamber parameters (u, v) are not Polys: ``zariski`` keeps them as
+integer triples, and ``double_integral`` takes an integrand by its
+coefficients in v, each a polynomial in u.
 
-Every Poly is in normal form: no numerator is zero, the denominator is a
-positive int, the gcd of the denominator and all numerators is 1, and the
-zero polynomial is the empty map over 1.  Structural equality is then
-exact polynomial equality.  The public ``Poly(...)`` constructor
-establishes the normal form from arbitrary rational input; the ring
-operations work on the integers and reduce their result by one gcd, and
-``eval`` returns the exact value at a point as one Fraction.
-
-``_dense`` is the one reader of "a polynomial in u": a term in v raises
-MalformedInput naming the entry point that needed one.
+Every Poly is in normal form: the last numerator is not zero, the
+denominator is a positive int, the gcd of the denominator and all
+numerators is 1, and the zero polynomial is the empty tuple over 1.
+Structural equality is then exact polynomial equality.  ``const`` and
+``from_coeffs`` establish the normal form from arbitrary rational input;
+the ring operations work on the integers and reduce their result by one
+gcd, and ``eval`` returns the exact value at a point as one Fraction.
 
 ``minimum`` is the one exact sign oracle: every claim that a polynomial
 in u keeps its sign on an interval, here and in ``zariski``, is read
@@ -32,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from types import MappingProxyType
 
 from . import KstabError, _Record
 
@@ -55,10 +53,9 @@ class InconsistentSamples(ExactCoreError):
 
 class MalformedInput(ExactCoreError):
     """Input of the wrong shape: a reversed interval, a coefficient list
-    that is not a list, a term in v where a polynomial in u is needed, a
-    variable other than u and v, a negative power, a polynomial whose
-    minimum cannot be certified exactly, a point outside a piecewise
-    domain, or unusable interpolation samples."""
+    that is not a list, a variable other than u, a negative power, a
+    polynomial whose minimum cannot be certified exactly, a point outside
+    a piecewise domain, or unusable interpolation samples."""
 
 
 class NotARational(ExactCoreError):
@@ -131,47 +128,36 @@ def sqrt_rat(q: int | Fraction) -> Fraction | None:
 
 
 class Poly:
-    """A polynomial in the parameters ``u`` and ``v`` with rational
-    coefficients.
+    """A polynomial in the parameter ``u`` with rational coefficients.
 
-    The coefficient of ``u**i * v**j`` is ``num[(i, j)] / den``, in the
-    normal form: every numerator is a nonzero int, ``den`` is a positive
-    int, gcd(den, all numerators) = 1, and the zero polynomial is
-    ``({}, 1)``.  Equality is structural.  Instances behave as immutable
-    values: all operators return new polynomials and ``num`` is never
-    mutated.
+    The coefficient of ``u**k`` is ``num[k] / den``, in the normal form:
+    ``num`` is a tuple of ints, lowest degree first, whose last entry is
+    not zero; ``den`` is a positive int; gcd(den, all numerators) = 1;
+    and the zero polynomial is ``((), 1)``.  Equality is structural.
+    Instances behave as immutable values: all operators return new
+    polynomials.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        clean = {}
-        for (i, j), c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[(int(i), int(j))] = c
-        # Over the lcm of reduced denominators the gcd is already 1.
-        self.den = math.lcm(*(c.denominator for c in clean.values()))
-        self.num = {e: c.numerator * (self.den // c.denominator)
-                    for e, c in clean.items()}
+    def __init__(self):
+        """The zero polynomial; ``const`` and ``from_coeffs`` build the
+        others."""
+        self.num, self.den = (), 1
 
     @classmethod
-    def _of(cls, num: dict[tuple[int, int], int], den: int) -> "Poly":
-        """The Poly ``num / den``, from nonzero ints and ``den`` > 0."""
-        g = math.gcd(den, *num.values())
+    def _of(cls, num: list[int], den: int) -> "Poly":
+        """The Poly ``sum num[k] u**k / den`` from a fresh list of ints,
+        which it trims, and ``den`` > 0."""
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num)
         if g != 1:
-            num = {e: c // g for e, c in num.items()}
+            num = [c // g for c in num]
             den //= g
         p = object.__new__(cls)
-        p.num, p.den = num, den
+        p.num, p.den = tuple(num), den
         return p
-
-    @property
-    def terms(self) -> MappingProxyType:
-        """Read-only map ``{(i, j): Fraction}`` of the coefficients, built
-        on each access."""
-        return MappingProxyType(
-            {e: Fraction(c, self.den) for e, c in self.num.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -181,18 +167,14 @@ class Poly:
         if isinstance(c, Poly):
             return c
         c = rat(c)
-        return cls._of({(0, 0): c.numerator} if c else {}, c.denominator)
+        return cls._of([c.numerator], c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        if name not in ("u", "v"):
-            raise MalformedInput(f"unknown variable {name!r}; expected u or v")
-        return cls._of({(1, 0) if name == "u" else (0, 1): 1}, 1)
-
-    @classmethod
-    def affine(cls, c0, cu=0, cv=0) -> "Poly":
-        """The affine form ``c0 + cu*u + cv*v``."""
-        return cls({(0, 0): rat(c0), (1, 0): rat(cu), (0, 1): rat(cv)})
+        if name != "u":
+            raise MalformedInput(
+                f"unknown variable {name!r}; a Poly is a polynomial in u")
+        return cls._of([0, 1], 1)
 
     @classmethod
     def from_coeffs(cls, coeffs: list | tuple) -> "Poly":
@@ -205,8 +187,7 @@ class Poly:
                 f"coefficients must be a list, got {coeffs!r}")
         parts = [_rat_parts(c) for c in coeffs]
         den = math.lcm(*(d for _, d in parts))
-        return cls._of({(k, 0): n * (den // d)
-                        for k, (n, d) in enumerate(parts) if n}, den)
+        return cls._of([n * (den // d) for n, d in parts], den)
 
     # -- ring operations ----------------------------------------------
 
@@ -227,19 +208,19 @@ class Poly:
             return o
         g = math.gcd(self.den, o.den)
         fs, fo = o.den // g, self.den // g
-        out = {e: c * fs for e, c in self.num.items()}
-        for e, c in o.num.items():
-            s = out.get(e, 0) + c * fo
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return Poly._of(out, self.den * fs)
+        den = self.den * fs
+        x, y = self.num, o.num
+        if len(x) < len(y):
+            x, y, fs, fo = y, x, fo, fs
+        out = [c * fs for c in x]
+        for k, c in enumerate(y):
+            out[k] += c * fo
+        return Poly._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of({e: -c for e, c in self.num.items()}, self.den)
+        return Poly._of([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -258,21 +239,13 @@ class Poly:
         # through the ABC machinery and costs seven times as much.
         if not isinstance(other, Poly):
             if isinstance(other, (int, Fraction)):
-                if not other:
-                    return Poly._of({}, 1)
                 k = other.numerator
-                return Poly._of({e: c * k for e, c in self.num.items()},
+                return Poly._of([c * k for c in self.num],
                                 self.den * other.denominator)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.num.items():
-            for (i2, j2), c2 in other.num.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly._of({e: c for e, c in out.items() if c},
-                        self.den * other.den)
+        return Poly._of(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -297,65 +270,55 @@ class Poly:
         return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        if self.num.keys() <= {(0, 0)}:
+        if len(self.num) <= 1:
             # A constant compares equal to, so hashes like, its Fraction.
-            return hash(Fraction(self.num.get((0, 0), 0), self.den))
-        return hash((frozenset(self.num.items()), self.den))
+            return hash(Fraction(sum(self.num), self.den))
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)
 
     # -- queries ------------------------------------------------------
 
-    def coefficient(self, i: int, j: int = 0) -> Fraction:
-        return Fraction(self.num.get((i, j), 0), self.den)
+    def coefficient(self, k: int) -> Fraction:
+        """The coefficient of ``u**k``."""
+        return Fraction(self.num[k] if k < len(self.num) else 0, self.den)
 
     def coeffs(self) -> list[Fraction]:
-        """Dense coefficient list of a polynomial in u alone."""
-        return [Fraction(c, self.den) for c in _dense(self, "coeffs")]
+        """Dense coefficient list, lowest degree first; [0] for zero."""
+        return [Fraction(c, self.den) for c in self.num or (0,)]
 
-    def eval(self, u, v=0) -> Fraction:
-        """The exact value at ``(u, v)``, v = 0 by default.  At u = a/b
-        and v = p/q, u**i * v**j is summed as the integer a**i * b**(ni - i)
-        * p**j * q**(nj - j) over den * b**ni * q**nj, ni and nj the
-        degrees in u and v; an int argument is read without a Fraction."""
+    def eval(self, u) -> Fraction:
+        """The exact value at ``u``.  At u = a/b the sum of c_k a^k
+        b^(n-k), n the degree, is taken in integers by Horner's rule and
+        divided once by den * b^n; an int argument is read without a
+        Fraction."""
         if type(u) is not int:
             u = rat(u)
-        if type(v) is not int:
-            v = rat(v)
-        a, b, p, q = u.numerator, u.denominator, v.numerator, v.denominator
-        ni = nj = 0
-        for i, j in self.num:
-            ni, nj = max(ni, i), max(nj, j)
-        total = 0
-        for (i, j), c in self.num.items():
-            total += c * a ** i * b ** (ni - i) * p ** j * q ** (nj - j)
-        return Fraction(total, self.den * b ** ni * q ** nj)
+        a, b = u.numerator, u.denominator
+        total, bk = 0, 1
+        for c in reversed(self.num):
+            total = total * a + c * bk
+            bk *= b
+        # bk is b^(n+1) now, so total * b / (den * bk) is the value.
+        return Fraction(total * b, self.den * bk)
 
     def __repr__(self):
         if not self.num:
             return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = "".join(
-                f"{n}^{e}" if e > 1 else (n if e == 1 else "")
-                for n, e in (("u", i), ("v", j))
-            )
-            parts.append(f"{rat_str(c)}{'*' + mono if mono else ''}")
-        return " + ".join(parts)
+        return " + ".join(
+            rat_str(Fraction(c, self.den))
+            + ("" if k == 0 else "*u" if k == 1 else f"*u^{k}")
+            for k, c in enumerate(self.num) if c)
 
 
-def _dense(p: Poly, what: str) -> list[int]:
-    """The integer numerators of a polynomial in u, lowest degree first;
-    a term in v raises MalformedInput naming ``what``, the entry point
-    that needs a polynomial in u."""
-    num = p.num
-    out = [0] * (max(num)[0] + 1 if num else 1)
-    for (k, j), c in num.items():
-        if j:
-            raise MalformedInput(
-                f"{what} needs a polynomial in u; {p!r} is not univariate")
-        out[k] = c
+def _convolve(x, y) -> list[int]:
+    """The product of two dense integer polynomials, as a fresh list."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
     return out
 
 
@@ -387,14 +350,13 @@ def definite_integral(p: Poly, rng: Interval) -> Fraction:
     a/b and c/d, it is sum c_k (m / (k+1)) (c^(k+1) d^(n-k-1) b^n -
     a^(k+1) b^(n-k-1) d^n) over den * m * b^n * d^n: one Fraction.
     """
-    dense = _dense(p, "definite_integral")
-    n = len(dense)
+    n = len(p.num)
     m = math.lcm(*range(1, n + 1))
     a, b = rng.lo.numerator, rng.lo.denominator
     c, d = rng.hi.numerator, rng.hi.denominator
     bn, dn = b ** n, d ** n
     total = 0
-    for k, x in enumerate(dense, 1):
+    for k, x in enumerate(p.num, 1):
         if x:
             total += x * (m // k) * (c ** k * d ** (n - k) * bn
                                      - a ** k * b ** (n - k) * dn)
@@ -419,10 +381,7 @@ class PiecewisePolynomial:
     def __init__(self, pieces: list[tuple[Interval, Poly] | Piece]):
         norm: list[Piece] = []
         for p in pieces:
-            if not isinstance(p, Piece):
-                p = Piece(*p)
-            _dense(p.poly, "PiecewisePolynomial")
-            norm.append(p)
+            norm.append(p if isinstance(p, Piece) else Piece(*p))
         norm.sort(key=lambda p: (p.interval.lo, p.interval.hi))
         for a, b in zip(norm, norm[1:]):
             if b.interval.lo < a.interval.hi:
@@ -460,9 +419,6 @@ def piecewise_integral(f: PiecewisePolynomial) -> Fraction:
     return total
 
 
-_U_QUADRATIC = frozenset({(0, 0), (1, 0), (2, 0)})
-
-
 def minimum(p: Poly, interval: Interval) -> Fraction:
     """Exact minimum over ``interval`` of a polynomial in u of degree <= 2.
 
@@ -474,13 +430,11 @@ def minimum(p: Poly, interval: Interval) -> Fraction:
     u = a/b, c0*b^2 + c1*a*b + c2*a^2 over den * b^2, and at the vertex
     (4*c0*c2 - c1^2) / (4*c2*den).  Any other input raises MalformedInput.
     """
-    num = p.num
-    if not num.keys() <= _U_QUADRATIC:
-        degree = len(_dense(p, "minimum")) - 1
+    if len(p.num) > 3:
         raise MalformedInput(
-            f"polynomial of degree {degree} > 2: its minimum on "
+            f"polynomial of degree {len(p.num) - 1} > 2: its minimum on "
             f"{interval} cannot be certified exactly")
-    c0, c1, c2 = num.get((0, 0), 0), num.get((1, 0), 0), num.get((2, 0), 0)
+    c0, c1, c2 = p.num + (0,) * (3 - len(p.num))
     a0, b0 = interval.lo.numerator, interval.lo.denominator
     a1, b1 = interval.hi.numerator, interval.hi.denominator
     # The vertex -c1 / (2*c2) lies inside when a0/b0 < it < a1/b1.
@@ -493,19 +447,11 @@ def minimum(p: Poly, interval: Interval) -> Fraction:
     return Fraction(hi, p.den * b1 * b1)
 
 
-def _convolve(x: list[int], y: list[int]) -> list[int]:
-    """The product of two dense integer polynomials."""
-    out = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                out[i + j] += a * b
-    return out
-
-
-def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
+def double_integral(f, inner_lo: Poly, inner_hi: Poly,
                     outer: Interval) -> Fraction:
-    """Exact iterated integral, inner variable ``v`` first.
+    """Exact iterated integral of f = sum_j f[j] v^j, inner variable ``v``
+    first; ``f`` lists the coefficients of v^0, v^1, ... as polynomials
+    in ``u``.
 
     ``inner_lo`` and ``inner_hi`` are polynomials in ``u`` bounding the
     inner variable.  The bounds must satisfy lo <= hi on the outer
@@ -513,41 +459,38 @@ def double_integral(f: Poly, inner_lo: Poly, inner_hi: Poly,
     cross raise InvertedBounds.  The width may therefore have degree at
     most 2 in ``u``; the bounds themselves may have any degree.
 
-    The inner integral of f = sum c_ij u^i v^j / den between L / ld and
-    H / hd is the closed sum of c_ij u^i (m / (j+1)) (H^(j+1) hd^(n-j-1)
-    ld^n - L^(j+1) ld^(n-j-1) hd^n) over den * m * (hd*ld)^n, with
-    n = deg_v f + 1 and m = lcm(1..n): integer convolutions of the
-    bounds' numerators.  ``definite_integral`` integrates it once in u.
+    Over the common denominator den of the f[j], the inner integral
+    between L / ld and H / hd is the closed sum of f[j] (m / (j+1))
+    (H^(j+1) hd^(n-j-1) ld^n - L^(j+1) ld^(n-j-1) hd^n) over
+    m * (hd*ld)^n, with n = len(f) and m = lcm(1..n): integer
+    convolutions of the bounds' numerators.  ``definite_integral``
+    integrates it once in u.
     """
-    hi, hd = _dense(inner_hi, "double_integral"), inner_hi.den
-    lo, ld = _dense(inner_lo, "double_integral"), inner_lo.den
+    hi, hd = inner_hi.num, inner_hi.den
+    lo, ld = inner_lo.num, inner_lo.den
     if minimum(inner_hi - inner_lo, outer) < 0:
         raise InvertedBounds(f"inner bounds cross on {outer}")
-    du = dv = 0
-    for i, j in f.num:
-        du, dv = max(du, i), max(dv, j)
-    n = dv + 1
+    n = len(f)
     m = math.lcm(*range(1, n + 1))
-    # span[j] / (m * (hd*ld)^n) is the integral of v^j between the bounds.
-    span, hp, lp = [], [1], [1]
-    for j in range(n):
+    den = math.lcm(*(c.den for c in f))
+    inner, hp, lp = [], [1], [1]
+    for j, c in enumerate(f):
+        # The integral of v^j between the bounds, over m * (hd*ld)^n.
         hp, lp = _convolve(hp, hi), _convolve(lp, lo)
         w = m // (j + 1)
         hs = w * hd ** (n - j - 1) * ld ** n
         ls = w * ld ** (n - j - 1) * hd ** n
-        diff = [0] * max(len(hp), len(lp))
+        span = [0] * max(len(hp), len(lp))
         for k, x in enumerate(hp):
-            diff[k] += hs * x
+            span[k] += hs * x
         for k, y in enumerate(lp):
-            diff[k] -= ls * y
-        span.append(diff)
-    inner = [0] * (du + len(span[-1]))
-    for (i, j), c in f.num.items():
-        for k, x in enumerate(span[j]):
-            inner[i + k] += c * x
-    return definite_integral(
-        Poly._of({(k, 0): x for k, x in enumerate(inner) if x},
-                 f.den * m * (hd * ld) ** n), outer)
+            span[k] -= ls * y
+        term = _convolve([x * (den // c.den) for x in c.num], span)
+        inner += [0] * (len(term) - len(inner))
+        for k, x in enumerate(term):
+            inner[k] += x
+    return definite_integral(Poly._of(inner, den * m * (hd * ld) ** n),
+                             outer)
 
 
 def interpolate(points: list[tuple], degree: int) -> Poly:

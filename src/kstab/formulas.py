@@ -37,6 +37,8 @@ class FamilyParams(_Record, frozen=True):
     def __post_init__(self):
         for name in ("a", "d", "mu", "delta_v"):
             object.__setattr__(self, name, rat(getattr(self, name)))
+        if type(self.n) is not int:
+            raise FormulaError(f"dimension n must be an int, got {self.n!r}")
         if self.n < 2:
             raise FormulaError("dimension must be at least 2")
         if self.a < 1:
@@ -122,6 +124,8 @@ def double_cover_check(n: int, r: int) -> GammaVerdict:
     Requires n > r > n/2 > 1; evaluates the three bounds exactly with
     a = n/r, d = r^(n-1), mu = 1/r and delta of projective space = 1.
     """
+    if type(n) is not int or type(r) is not int:
+        raise HypothesisViolated(f"(n, r) = ({n!r}, {r!r}) are not ints")
     if not (n > r and 2 * r > n and n > 2):
         raise HypothesisViolated(f"(n, r) = ({n}, {r}) fails n > r > n/2 > 1")
     p = FamilyParams(n=n, a=Fraction(n, r), d=Fraction(r) ** (n - 1),

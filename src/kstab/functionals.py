@@ -6,19 +6,27 @@ A :class:`FlagCase` packages one nested computation: the ambient volume
 ``A^n``, the per-chamber restriction of the decomposed family to the flag
 surface, the order of the outer negative part along the flag, and local
 multiplicity data for the marked points.  The inner chamber structure is
-always rediscovered by the parametric Zariski engine; printed tables are
+always rediscovered by the parametric Zariski engine, scanning the
+restricted family minus v times the flag curve; printed tables are
 treated as advisory input only.
+
+The flag integrands P^2, (P.C)^2 and (P.C)(2 ord_Q + P.C) are read from
+the inner chambers' integers: the volume's six, the flag curve's pairing
+triple and ord_Q's triple from ``_point_order``.  ``zariski._quadratic``
+multiplies triples, and ``_integral`` hands a quadratic form to
+``double_integral`` by its coefficients in v.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import KstabError, _Record
 from .exactcore import Interval, PiecewisePolynomial, Poly, double_integral, \
     definite_integral, rat, rat_str
-from .zariski import (Chamber2D, SurfaceLattice, _affine_family,
-                      parametric_surface_zariski)
+from .zariski import (Chamber2D, SurfaceLattice, _affine_family, _in_v,
+                      _quadratic, parametric_surface_zariski)
 
 
 class FunctionalError(KstabError):
@@ -86,11 +94,8 @@ class FlagCase(_Record):
                 # The local orders built from it are checked at corners.
                 _affine_family(ch.outer_negative,
                                f"{self.label}: outer negative part")
-                fam = dict(ch.family)
-                fam[self.flag] = fam.get(self.flag, Poly()) - Poly.var("v")
-                out.append(
-                    (ch, parametric_surface_zariski(self.lattice, fam,
-                                                    ch.interval)))
+                out.append((ch, parametric_surface_zariski(
+                    self.lattice, ch.family, {self.flag: -1}, ch.interval)))
             self._inner = out
         return self._inner
 
@@ -119,6 +124,12 @@ def beta_divisor(a_log: Fraction, vol: PiecewisePolynomial,
     return rat(a_log) - s_from_volume(vol, a_top)
 
 
+def _integral(sub: Chamber2D, k: tuple, den: int) -> Fraction:
+    """The integral over ``sub`` of the quadratic form with the six
+    integers ``k`` over ``den``."""
+    return double_integral(_in_v(k, den), sub.v_lo, sub.v_hi, sub.u_interval)
+
+
 def _flag_surface_terms(case: FlagCase):
     """S(W; flag)'s terms with their chambers: an outer chamber's flag
     order term, if any, then each inner chamber's integrated volume."""
@@ -129,8 +140,8 @@ def _flag_surface_terms(case: FlagCase):
             sq = Poly.const(case.lattice.dot(ch.family, ch.family))
             yield ch, scale * definite_integral(sq * d, ch.interval)
         for sub in inner:
-            yield sub, scale * double_integral(sub.volume, sub.v_lo, sub.v_hi,
-                                               sub.u_interval)
+            yield sub, scale * _integral(
+                sub, sub.volume, sub.gram_den * sub.scale * sub.scale)
 
 
 def s_flag_surface(case: FlagCase) -> Fraction:
@@ -148,22 +159,29 @@ def s_flag_surface_report(case: FlagCase) -> StabilityValue:
 
 
 def _point_order(case: FlagCase, point: FlagPoint, ch: FlagChamber,
-                 sub: Chamber2D) -> Poly:
-    """ord_Q of the full negative part restricted to the flag curve.
+                 sub: Chamber2D) -> tuple[tuple[int, int, int], int]:
+    """ord_Q of the full negative part restricted to the flag curve, as
+    the integer triple (a, b, c) of (a + b*u + c*v) / den, and den.
 
     Combines the residual outer negative part, the inner negative part,
     and the correction for the pulled-back flag class (sigma), weighted by
     the local intersection multiplicities at the point.
     """
-    total, sigma_mult = Poly(), Fraction(0)
-    residual = {k: q for k, q in ch.outer_negative.items() if k != case.flag}
+    form, sigma_mult = [Fraction(0)] * 3, Fraction(0)
     for curve, mult in point.mults.items():
-        coeff = residual.get(curve, Poly()) + sub.negative.get(curve, Poly())
-        total = total + mult * coeff
+        if curve != case.flag:
+            for k, x in enumerate(
+                    ch.outer_negative.get(curve, Poly()).coeffs()):
+                form[k] += mult * x
+        for k, x in enumerate(sub.n.get(curve, ())):
+            form[k] += mult * x / sub.scale
         sigma_mult += mult * case.sigma.get(curve, Fraction(0))
     if sigma_mult:
-        total = total - sigma_mult * (Poly.var("v") + case.flag_order(ch))
-    return total
+        for k, x in enumerate(case.flag_order(ch).coeffs()):
+            form[k] -= sigma_mult * x
+        form[2] -= sigma_mult
+    den = math.lcm(*(x.denominator for x in form))
+    return tuple(x.numerator * (den // x.denominator) for x in form), den
 
 
 def _point_integral(case: FlagCase, point_name: str, square: bool) -> Fraction:
@@ -172,19 +190,23 @@ def _point_integral(case: FlagCase, point_name: str, square: bool) -> Fraction:
     ord_Q is affine: ``Chamber2D.nonnegative`` proves its sign first."""
     point = case.point(point_name)
     scale = Fraction(case.dim) / rat(case.ample_power)
+    flag = case.lattice.index(case.flag)
     total = Fraction(0)
     for ch, inner in case.inner():
         for sub in inner:
-            pdotc = sub.pairings[case.flag]
-            order = _point_order(case, point, ch, sub)
-            if order and not sub.nonnegative(order):
+            pdotc, pden = sub.pv[flag], sub.scale * sub.gram_den
+            order, oden = _point_order(case, point, ch, sub)
+            if any(order) and not sub.nonnegative(order):
                 raise FunctionalError(
                     f"{case.label}: negative local order at {point_name} "
                     f"for u in {sub.u_interval}")
-            if order or square:
-                weight = 2 * order + pdotc if square else 2 * order
-                total += scale * double_integral(pdotc * weight, sub.v_lo,
-                                                 sub.v_hi, sub.u_interval)
+            if any(order) or square:
+                # The weight 2 ord_Q, plus P.C if square, over den.
+                den = math.lcm(oden, pden)
+                weight = [2 * x * (den // oden) + square * y * (den // pden)
+                          for x, y in zip(order, pdotc)]
+                total += scale * _integral(
+                    sub, _quadratic([pdotc], [weight]), pden * den)
     return total
 
 

@@ -46,7 +46,8 @@ class OneParamSubgroup(_Record, frozen=True):
     r1: int
 
     def __post_init__(self):
-        if not (self.r1 >= self.r0 >= 0 and self.r1 > 0):
+        if not (type(self.r0) is type(self.r1) is int
+                and self.r1 >= self.r0 >= 0 and self.r1 > 0):
             raise GitError("need integers r1 >= r0 >= 0 with r1 > 0")
 
     def weight(self, i: int, j: int) -> int:

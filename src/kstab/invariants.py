@@ -336,5 +336,5 @@ def independence_rank(c: Coeffs | dict) -> int:
                 samples.append((t, _peano(shifted, d)))
             for k in range(3):
                 poly = interpolate([(t, v[k]) for t, v in samples], 4)
-                rows[k].append(poly.coefficient(1, 0))
+                rows[k].append(poly.coefficient(1))
     return _linalg.rank(rows)

@@ -433,15 +433,19 @@ def _compute_git(inputs: _Fields):
 
 def _compute_invariant(inputs: _Fields, seed: int):
     check = inputs["check"]
-    if check == "dims":
-        return invariants.invariant_dimensions(inputs.integer("upto"))
-    if check == "hilbert":
-        return invariants.hilbert_prefix(inputs.integer("upto"))
-    if check == "series_match":
+    if check in ("dims", "hilbert", "series_match"):
+        # Every check of the series stops where the dimensions do, and
+        # an upto above the bound is refused before anything is built.
         upto = inputs.integer("upto")
-        # Dimensions first: they refuse an upto above the bound.
+        if upto > invariants.ENUMERATION_BOUND:
+            raise invariants.BoundExceeded(
+                "weight counting is capped at degree "
+                f"{invariants.ENUMERATION_BOUND}")
+        if check == "hilbert":
+            return invariants.hilbert_prefix(upto)
         dims = invariants.invariant_dimensions(upto)
-        return dims == invariants.hilbert_prefix(upto)
+        return dims if check == "dims" else \
+            dims == invariants.hilbert_prefix(upto)
     if check == "peano":
         return list(invariants.peano_invariants(inputs["coeffs"]))
     if check == "invariance":

@@ -353,8 +353,7 @@ class ToricModel:
             for a, b in coeffs:
                 poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
             num = [x + y for x, y in zip(num, poly)]
-        return Poly._of({(k, 0): x for k, x in enumerate(num) if x},
-                        den ** self.dim * self._scale)
+        return Poly._of(num, den ** self.dim * self._scale)
 
     # -- curves and cones -------------------------------------------------
 

@@ -5,7 +5,8 @@ Three layers:
 * ``surface_zariski`` -- the classical iterative decomposition of a single
   divisor on a surface given by a named curve basis and its Gram matrix.
 * ``parametric_surface_zariski`` -- chamber discovery for a divisor family
-  affine in the outer parameter ``u`` and the inner parameter ``v``.  The
+  D(u) + v * direction, D affine in the outer parameter ``u`` and the
+  direction a fixed divisor that the inner parameter ``v`` scales.  The
   scan runs at an exact rational sample of ``u`` from v = 0 to the
   pseudoeffective threshold, where the volume of P vanishes; it re-solves
   each chamber symbolically and splits the ``u``-interval where walls cross.
@@ -14,34 +15,36 @@ Three layers:
   negative part, returning the exact piecewise-cubic volume function.
 
 Affinity is an invariant, checked once where a family enters the engine:
-``_affine_family`` lifts every coefficient to a Poly and raises
-``NonAffineFamily`` for a term u^i v^j with i + j > 1.  Solving the
-support system is linear, so positive parts, negative parts and pairings
-stay affine, every wall is a line v = a + b*u, and the volume P^2 has
-total degree 2.  A chamber {u0 <= u <= u1, v_lo(u) <= v <= v_hi(u)} is
-then a convex polygon, and by the corner lemma a sign check at its four
-corners is a proof.  So every sign claim on a chamber goes through
+``_affine_family`` lifts every coefficient to a Poly in u and raises
+``NonAffineFamily`` for a term in u^2 or higher.  Solving the support
+system is linear, so positive parts, negative parts and pairings stay
+affine in (u, v), every wall is a line v = a + b*u, and the volume P^2
+has total degree 2.  A chamber {u0 <= u <= u1, v_lo(u) <= v <= v_hi(u)}
+is then a convex polygon, and by the corner lemma a sign check at its
+four corners is a proof.  So every sign claim on a chamber goes through
 ``Chamber2D.nonnegative``, and every sign claim on an interval (a volume
 before the next wall, a threefold negative part) through the exact sign
 oracle ``exactcore.minimum``.
 
-Both surface layers run on integers.  An affine form is an integer triple
-(a, b, c), read as (a + b*u + c*v) / den over some den > 0, so at a point
-(x, y) / d its sign is that of a*d + b*x + c*y, and its zero line does
-not depend on den.  ``_triples`` reads a divisor once as triples over one
-common den.  ``SurfaceLattice`` keeps one Fraction Gram table, which
-``pairing`` and ``dot`` sum over densely; the solve reads it as sparse
-integer rows G over one denominator g (``_linalg._integer_form``), and
-caches per support block G_S the pair (R, r) of ``_linalg.inverse``: R
-integer and r > 0 with G_S R = r I.  From these
-``_parts`` gives N and P over den*r and P's pairing vector over den*r*g
-as integer sums, for the pointwise kernel ``_decompose`` and the scan
-alike.  A ``Chamber2D`` keeps these triples, and the verifier reads
-them; Polys are built for the walls and the volume, and for P, N and
-the pairings only when read.
-``_vol_threshold`` reads the volume's six integer numerators
-(``_volume``) directly: the volume at the sample, the slope of the root
-line and the proof that P^2 vanishes on it are integer sums.
+Both surface layers run on integers, and this module alone knows how a
+form in (u, v) is stored.  An affine form is an integer triple (a, b, c),
+read as (a + b*u + c*v) / den over some den > 0, so at a point (x, y) / d
+its sign is that of a*d + b*x + c*y, and its zero line does not depend on
+den.  A quadratic form, a volume or a flag integrand, is the six integers
+of ``_quadratic``, a sum of products of triples, and ``_in_v`` gives its
+coefficients in v as Polys in u.  ``_triples`` reads a family once as
+triples over one common den.  ``SurfaceLattice`` keeps one Fraction Gram
+table, which ``pairing`` and ``dot`` sum over densely; the solve reads it
+as sparse integer rows G over one denominator g
+(``_linalg._integer_form``), and caches per support block G_S the pair
+(R, r) of ``_linalg.inverse``: R integer and r > 0 with G_S R = r I.  From
+these ``_parts`` gives N and P over den*r and P's pairing vector over
+den*r*g as integer sums, for the pointwise kernel ``_decompose`` and the
+scan alike.  A ``Chamber2D`` keeps these triples and its volume's six
+integers; the verifier and ``functionals`` read them, and only the walls
+are Polys, in u.  ``_vol_threshold`` reads the volume's six integers
+directly: the volume at the sample, the slope of the root line and the
+proof that P^2 vanishes on it are integer sums.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
@@ -58,8 +61,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import KstabError, _Record, _linalg
-from .exactcore import (Interval, MalformedInput, PiecewisePolynomial, Poly,
-                        minimum, rat, rat_str, sqrt_rat)
+from .exactcore import (Interval, PiecewisePolynomial, Poly, minimum, rat,
+                        rat_str, sqrt_rat)
 from .toric import ToricModel
 
 
@@ -96,7 +99,7 @@ class DiscontinuousVolume(ZariskiError):
 
 
 class NonAffineFamily(ZariskiError):
-    """A family coefficient with a term of total degree > 1 in (u, v)."""
+    """A family coefficient with a term in u^2 or higher."""
 
 
 class MalformedLattice(ZariskiError):
@@ -181,36 +184,33 @@ def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
 
 
 _ZERO = (0, 0, 0)
-_EXPONENTS = ((0, 0), (1, 0), (0, 1))
-_AFFINE_TERMS = frozenset(_EXPONENTS)
-_QUADRATIC = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-_QUADRATIC_TERMS = frozenset(_QUADRATIC)
 
 
-def _affine(g: Poly) -> tuple[int, int, int]:
-    """The integers (a, b, c) with g = (a + b*u + c*v) / g.den, g.den > 0;
-    any other term raises NonAffineFamily, so no form is misread."""
-    num = g.num
-    if not num.keys() <= _AFFINE_TERMS:
-        raise NonAffineFamily(f"{g!r} is not affine in (u, v)")
-    return num.get((0, 0), 0), num.get((1, 0), 0), num.get((0, 1), 0)
+def _affine(q: Poly) -> tuple[int, int]:
+    """The integers (a, b) with q = (a + b*u) / q.den, q.den > 0; a term
+    in u^2 or higher raises NonAffineFamily, so no form is misread."""
+    if len(q.num) > 2:
+        raise NonAffineFamily(f"{q!r} is not affine in u")
+    return (q.num + (0, 0))[:2]
 
 
-def _poly(t: tuple[int, int, int], den: int) -> Poly:
-    """The Poly (a + b*u + c*v) / den of the triple t = (a, b, c)."""
-    return Poly._of({e: x for e, x in zip(_EXPONENTS, t) if x}, den)
-
-
-def _triples(lat: SurfaceLattice, d: dict[str, Poly]):
-    """``d``'s affine coefficients as integer triples over one common
-    den > 0, listed in lattice order, and den; an unknown curve raises
-    ZariskiError."""
-    den = math.lcm(*(q.den for q in d.values()))
+def _triples(lat: SurfaceLattice, d: dict[str, Poly],
+             direction: dict[str, Fraction]):
+    """The forms d(u) + v * direction, d affine in u, as integer triples
+    over one common den > 0, listed in lattice order, and den; an unknown
+    curve raises ZariskiError."""
+    direction = {k: rat(c) for k, c in direction.items()}
+    den = math.lcm(*(q.den for q in d.values()),
+                   *(c.denominator for c in direction.values()))
     vec = [_ZERO] * len(lat.curves)
     for k, q in d.items():
         m = den // q.den
-        a, b, c = _affine(q)
-        vec[lat.index(k)] = (a * m, b * m, c * m)
+        a, b = _affine(q)
+        vec[lat.index(k)] = (a * m, b * m, 0)
+    for k, c in direction.items():
+        i = lat.index(k)
+        a, b, _ = vec[i]
+        vec[i] = (a, b, c.numerator * (den // c.denominator))
     return vec, den
 
 
@@ -295,7 +295,8 @@ def _decompose(lat: SurfaceLattice, vec: list, den: int):
 
 def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
     """Zariski decomposition d = P + N on a surface, by ``_decompose``."""
-    vec, den = _triples(lat, {k: Poly.const(rat(v)) for k, v in d.items()})
+    vec, den = _triples(lat, {k: Poly.const(rat(v)) for k, v in d.items()},
+                        {})
     p, n, r = _decompose(lat, vec, den)
     p = {c: Fraction(t[0], den * r) for c, t in zip(lat.curves, p) if t[0]}
     return p, {s: Fraction(x, den * r) for s, x in n.items()}
@@ -303,28 +304,27 @@ def surface_zariski(lat: SurfaceLattice, d: dict) -> tuple[dict, dict]:
 
 def _affine_family(d: dict, what: str) -> dict[str, Poly]:
     """``d`` with every coefficient lifted to a Poly and checked affine in
-    (u, v); a term u^i v^j with i + j > 1 raises NonAffineFamily."""
+    u; a term in u^2 or higher raises NonAffineFamily."""
     out = {k: Poly.const(c) for k, c in d.items()}
     for k, p in out.items():
-        if not p.num.keys() <= _AFFINE_TERMS:
+        if len(p.num) > 2:
             raise NonAffineFamily(
-                f"{what}: coefficient {p!r} of {k} is not affine in (u, v)")
+                f"{what}: coefficient {p!r} of {k} is not affine in u")
     return out
 
 
 class Chamber2D(_Record):
     """One chamber of a parametric surface decomposition: the region
     ``u in u_interval``, ``v_lo(u) <= v <= v_hi(u)`` between affine walls,
-    its volume P^2, and the scan's integer triples: P over ``scale`` in
-    the lattice order ``curves``, N as {s: n_s} over ``scale`` keyed by
-    the support, and P's pairing vector ``pv`` over ``scale * gram_den``.
-    The corner checks read the triples; ``positive``, ``negative`` and
-    ``pairings`` are Poly views of them, built on first read and kept."""
+    and the scan's integers: P as triples over ``scale`` in the lattice
+    order ``curves``, N as {s: n_s} over ``scale`` keyed by the support,
+    P's pairing vector ``pv`` over ``scale * gram_den``, and the volume
+    P^2 as ``_quadratic``'s six integers over ``gram_den * scale**2``."""
 
     u_interval: Interval
     v_lo: Poly
     v_hi: Poly
-    volume: Poly = Poly()
+    volume: tuple = (0,) * 6
     curves: tuple[str, ...] = ()
     scale: int = 1
     gram_den: int = 1
@@ -336,35 +336,22 @@ class Chamber2D(_Record):
     def support(self) -> tuple[str, ...]:
         return tuple(self.n)
 
-    @cached_property
-    def positive(self) -> dict[str, Poly]:
-        return {c: _poly(t, self.scale)
-                for c, t in zip(self.curves, self.p) if any(t)}
-
-    @cached_property
-    def negative(self) -> dict[str, Poly]:
-        return {s: _poly(t, self.scale) for s, t in self.n.items() if any(t)}
-
-    @cached_property
-    def pairings(self) -> dict[str, Poly]:
-        return {c: _poly(t, self.scale * self.gram_den)
-                for c, t in zip(self.curves, self.pv)}
-
     def corners(self) -> list[tuple[Fraction, Fraction]]:
         """The corners (u, v): v_lo then v_hi at u0, then at u1."""
         return [(u, wall.eval(u))
                 for u in (self.u_interval.lo, self.u_interval.hi)
                 for wall in (self.v_lo, self.v_hi)]
 
-    def nonnegative(self, g: Poly) -> bool:
-        """Whether the affine form ``g`` is >= 0 on the whole chamber.
+    def nonnegative(self, t: tuple[int, int, int]) -> bool:
+        """Whether the form (a + b*u + c*v) / den of the integer triple
+        ``t`` = (a, b, c), any den > 0, is >= 0 on the whole chamber.
 
         Corner lemma: once v_lo <= v_hi at u0 and at u1, the chamber is
         the convex hull of its four corners, because its walls are lines.
         A function affine in (u, v) attains its minimum over a convex
         polygon at a corner.
         """
-        return _negative_corner(self._corner_points, *_affine(g)) is None
+        return _negative_corner(self._corner_points, *t) is None
 
     @cached_property
     def _corner_points(self) -> list:
@@ -376,7 +363,7 @@ class Chamber2D(_Record):
         return [((q * wd, p * wd, w0 * q + w1 * p), (w0, w1, wd))
                 for p, q in ((u.numerator, u.denominator)
                              for u in (self.u_interval.lo, self.u_interval.hi))
-                for (w0, w1, _), wd in walls]
+                for (w0, w1), wd in walls]
 
 
 def _negative_corner(points: list, a: int, b: int, c: int):
@@ -393,10 +380,10 @@ def _line(a: int, b: int, c: int) -> Poly:
     """The line v = -(a + b*u) / c on which the affine form
     (a + b*u + c*v) / den vanishes, whatever den > 0; c != 0."""
     sign = -1 if c > 0 else 1
-    return _poly((sign * a, sign * b, 0), abs(c))
+    return Poly._of([sign * a, sign * b], abs(c))
 
 
-def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
+def _vol_threshold(vol: tuple, ustar: Fraction, v_cur: Fraction,
                    limit: Fraction | None) -> tuple[Fraction, Poly] | None:
     """Smallest v >= v_cur with vol = 0, as (numeric, symbolic wall).
 
@@ -410,20 +397,14 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
     samples each half.  Any other root not affine in u raises
     IrrationalThreshold.
 
-    Everything is read from the six integers k_ij of vol = sum k_ij u^i
-    v^j / den, as ``_volume`` builds them.  At ustar = su/sq, c0, c1, c2
+    ``vol`` is the six integers k_ij of vol = sum k_ij u^i v^j / den, any
+    den > 0, in ``_quadratic``'s order.  At ustar = su/sq, c0, c1, c2
     are sq^2 den times vol's coefficients in v, so signs and roots are vol's;
     the partials at the root come from the k_ij too.  vol vanishes on a
     line (a + b*u + c*v) = 0 iff c^2 vol(u, -(a + b*u) / c) = 0, three
-    integer identities, one per power of u.  A term of degree > 2 in v,
-    or any other term of total degree > 2, raises MalformedInput.
+    integer identities, one per power of u.
     """
-    num = vol.num
-    if not num.keys() <= _QUADRATIC_TERMS:
-        what = ("degree > 2 in v" if any(j > 2 for _, j in num)
-                else "total degree > 2")
-        raise MalformedInput(f"volume {vol!r} has {what}")
-    k00, k10, k01, k20, k11, k02 = [num.get(e, 0) for e in _QUADRATIC]
+    k00, k10, k01, k20, k11, k02 = vol
     su, sq = ustar.numerator, ustar.denominator
     c0 = (k00 * sq + k10 * su) * sq + k20 * su * su
     c1 = (k01 * sq + k11 * su) * sq
@@ -451,7 +432,7 @@ def _vol_threshold(vol: Poly, ustar: Fraction, v_cur: Fraction,
         hi = limit
         if hi is None and c2 > 0:
             hi = max(v_cur, Fraction(-c1, 2 * c2))
-        if hi is None or minimum(Poly.from_coeffs([c0, c1, c2]),
+        if hi is None or minimum(Poly._of([c0, c1, c2], 1),
                                  Interval(v_cur, hi)) <= 0:
             raise IrrationalThreshold(
                 "volume vanishes at an irrational parameter")
@@ -491,27 +472,38 @@ def _constraints(curves, n: dict, pv) -> list:
     return [(c, n.get(c, t)) for c, t in zip(curves, pv)]
 
 
-def _volume(p: list, pv: list, den: int) -> Poly:
-    """P^2 = sum_i P_i (P . C_i) from the triples of P and of its pairing
-    vector, as the six integer coefficients of a quadratic over den."""
+def _quadratic(xs: list, ys: list) -> tuple:
+    """sum_i x_i y_i over triples x_i, y_i of affine forms, as the six
+    integers (k00, k10, k01, k20, k11, k02) of sum k_ij u^i v^j; P^2 is
+    sum_i P_i (P . C_i), the triples of P and of its pairing vector."""
     k00 = k10 = k01 = k20 = k11 = k02 = 0
-    for (a, b, c), (x, y, z) in zip(p, pv):
+    for (a, b, c), (x, y, z) in zip(xs, ys):
         k00 += a * x
         k10 += a * y + b * x
         k01 += a * z + c * x
         k20 += b * y
         k11 += b * z + c * y
         k02 += c * z
-    return Poly._of({e: k for e, k in zip(
-        _QUADRATIC, (k00, k10, k01, k20, k11, k02)) if k}, den)
+    return k00, k10, k01, k20, k11, k02
+
+
+def _in_v(k: tuple, den: int) -> tuple[Poly, Poly, Poly]:
+    """``_quadratic``'s six integers ``k`` over ``den`` as the form's
+    coefficients of v^0, v^1 and v^2, polynomials in u: the integrand of
+    ``exactcore.double_integral``."""
+    k00, k10, k01, k20, k11, k02 = k
+    return (Poly._of([k00, k10, k20], den), Poly._of([k01, k11], den),
+            Poly._of([k02], den))
 
 
 def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
+                               direction: dict[str, Fraction],
                                u_interval: Interval,
                                _depth: int = 0) -> list[Chamber2D]:
-    """Chamber decomposition of ``family(u, v)`` over ``u_interval``.
+    """Chamber decomposition of D(u) + v * direction over ``u_interval``.
 
-    ``family`` maps curve names to polynomials affine in (u, v).
+    ``family`` maps curve names to the coefficients of D(u), polynomials
+    affine in u, and ``direction`` maps curve names to rationals.
     Scanning starts at v = 0 and stops at the pseudoeffective threshold,
     i.e. where the volume of the positive part first vanishes; a family
     that stays big raises Unbounded.
@@ -522,7 +514,7 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
         raise NoConvergence("chamber recursion too deep")
     family = _affine_family(family, "family")
     try:
-        chambers = _scan(lat, family, u_interval)
+        chambers = _scan(lat, family, direction, u_interval)
         _verify_chambers(chambers)
         return chambers
     except _SplitRequest as req:
@@ -531,15 +523,16 @@ def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],
             raise WallDegeneracy(
                 f"cannot separate walls at u = {rat_str(at)}")
         left = parametric_surface_zariski(
-            lat, family, Interval(u_interval.lo, at), _depth + 1)
+            lat, family, direction, Interval(u_interval.lo, at), _depth + 1)
         right = parametric_surface_zariski(
-            lat, family, Interval(at, u_interval.hi), _depth + 1)
+            lat, family, direction, Interval(at, u_interval.hi), _depth + 1)
         return left + right
 
 
 def _scan(lat: SurfaceLattice, family: dict[str, Poly],
+          direction: dict[str, Fraction],
           u_interval: Interval) -> list[Chamber2D]:
-    vec, den = _triples(lat, family)
+    vec, den = _triples(lat, family, direction)
     curves, gram_den = lat.curves, lat._gram_den
     ustar = u_interval.midpoint()
     su, sq = ustar.numerator, ustar.denominator
@@ -569,7 +562,7 @@ def _scan(lat: SurfaceLattice, family: dict[str, Poly],
             elif val == 0 and c == 0 and b != 0 and curve not in support:
                 raise _SplitRequest(ustar)
         scale = den * r
-        vol = _volume(p, pv, gram_den * scale * scale)
+        vol = _quadratic(p, pv)
         next_wall = min((e[0] for e in events), default=None)
         threshold = _vol_threshold(vol, ustar, v_cur, next_wall)
         last = threshold is not None and (next_wall is None
@@ -663,13 +656,9 @@ def _ray_vectors(model: ToricModel, families: dict):
     coefficient (a + b*u) / den over one common den > 0, and den."""
     polys = [model.normalize_divisor(_affine_family(f, what))
              for what, f in families.items()]
-    for what, f in zip(families, polys):
-        if any((0, 1) in c.num for c in f.values()):
-            raise MalformedInput(f"{what}: a coefficient depends on v")
     den = math.lcm(*(c.den for f in polys for c in f.values()))
-    return [{k: (c.num.get((0, 0), 0) * (den // c.den),
-                 c.num.get((1, 0), 0) * (den // c.den)) for k, c in f.items()}
-            for f in polys], den
+    return [{k: tuple(x * (den // c.den) for x in _affine(c))
+             for k, c in f.items()} for f in polys], den
 
 
 def threefold_chamber_volume(models: dict[str, ToricModel],

@@ -15,6 +15,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import toric_surfaces
 from kstab import runner
 from kstab.exactcore import (Interval, PiecewisePolynomial, Poly,
                              definite_integral, double_integral,
@@ -264,7 +265,6 @@ def test_criterion_10_invariant_ring():
 
 def test_criterion_11_property_suites():
     rng = random.Random(20230413)
-    U, V = Poly.var("u"), Poly.var("v")
 
     def rand_poly():
         return Poly.from_coeffs(
@@ -272,6 +272,11 @@ def test_criterion_11_property_suites():
 
     def rand_rat():
         return Q(rng.randint(-6, 6), rng.randint(1, 6))
+
+    def in_v(terms):
+        """sum c u^i v^j of {(i, j): c} as its coefficients in v."""
+        return [Poly.from_coeffs([terms.get((i, j), 0) for i in range(3)])
+                for j in range(3)]
 
     for _ in range(500):
         p = rand_poly()
@@ -286,13 +291,14 @@ def test_criterion_11_property_suites():
         assert definite_integral(al * p + be * q, iv) == \
             al * definite_integral(p, iv) + be * definite_integral(q, iv)
     for _ in range(500):
-        f = Poly({(rng.randint(0, 2), rng.randint(0, 2)): rand_rat()
-                  for _ in range(4)})
+        f = {(rng.randint(0, 2), rng.randint(0, 2)): rand_rat()
+             for _ in range(4)}
         a, b = sorted((rand_rat(), rand_rat()))
         c, d = sorted((rand_rat(), rand_rat()))
-        lhs = double_integral(f, Poly.const(c), Poly.const(d), Interval(a, b))
-        swapped = Poly({(j, i): co for (i, j), co in f.terms.items()})
-        rhs = double_integral(swapped, Poly.const(a), Poly.const(b),
+        lhs = double_integral(in_v(f), Poly.const(c), Poly.const(d),
+                              Interval(a, b))
+        swapped = {(j, i): co for (i, j), co in f.items()}
+        rhs = double_integral(in_v(swapped), Poly.const(a), Poly.const(b),
                               Interval(c, d))
         assert lhs == rhs
 
@@ -312,18 +318,18 @@ def test_criterion_11_property_suites():
         for ch, subs in case.inner():
             for sub in subs:
                 u = sub.u_interval.midpoint()
-                v = (sub.v_lo.eval(u=u, v=0) + sub.v_hi.eval(u=u, v=0)) / 2
+                v = (sub.v_lo.eval(u) + sub.v_hi.eval(u)) / 2
                 d = {}
                 for k, poly in ch.family.items():
-                    d[k] = poly.eval(u=u, v=0)
+                    d[k] = poly.eval(u)
                 d[case.flag] = d.get(case.flag, Q(0)) - v
                 p1, n1 = surface_zariski(lat, d)
                 p2, n2 = surface_zariski(perm_lat, d)
                 assert p1 == p2 and n1 == n2
                 for c in n1:
                     assert lat.pairing(p1, c) == 0
-                sym_p = {k: poly.eval(u=u, v=v)
-                         for k, poly in sub.positive.items()}
+                sym_p = {k: toric_surfaces.value(t, u, v) for k, t in
+                         toric_surfaces.chamber_forms(sub).positive.items()}
                 assert {k: x for k, x in sym_p.items() if x} == \
                     {k: x for k, x in p1.items() if x}
 
@@ -332,6 +338,6 @@ def test_criterion_11_property_suites():
         vol = volume_fixture(name).volume()
         for a, b in zip(vol.pieces, vol.pieces[1:]):
             x = a.interval.hi
-            assert a.poly.eval(u=x, v=0) == b.poly.eval(u=x, v=0)
+            assert a.poly.eval(x) == b.poly.eval(x)
     _done(11, "500-sample integral properties, Zariski orthogonality/"
               "permutation invariance, and flop continuity all hold")

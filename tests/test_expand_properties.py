@@ -30,7 +30,8 @@ PATTERNS = {3: [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 2)],
 
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 coefficients = st.one_of(
-    rationals, st.builds(Poly.affine, rationals, rationals, rationals))
+    rationals,
+    st.lists(rationals, min_size=2, max_size=2).map(Poly.from_coeffs))
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -100,7 +101,7 @@ def test_equal_arguments_expand_once_per_multiset():
         calls += 1
         return mul(self, other)
 
-    p = {1: Poly.affine(2, 1), 4: Poly.affine(5, 1), 7: Poly.affine(8, 1)}
+    p = {k: Poly.from_coeffs([k + 1, 1]) for k in (1, 4, 7)}
     Poly.__mul__ = Poly.__rmul__ = counting_mul
     try:
         got = m.intersection_form(p, p, p)
@@ -122,7 +123,8 @@ def test_integer_cube_matches_the_intersection_form(name):
                            min_size=1),
            st.integers(1, 6))
     def check(vec, den):
-        p = {k: Poly.affine(Q(a, den), Q(b, den)) for k, (a, b) in vec.items()}
+        p = {k: Poly.from_coeffs([Q(a, den), Q(b, den)])
+             for k, (a, b) in vec.items()}
         assert m.affine_product(den, vec, vec, vec) == \
             Poly.const(m.intersection_form(p, p, p))
 

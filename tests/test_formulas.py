@@ -153,6 +153,17 @@ class TestGamma:
         with pytest.raises(HypothesisViolated):
             double_cover_check(3, 3)
 
+    @pytest.mark.parametrize("n", [5.0, True], ids=["float", "bool"])
+    def test_double_cover_n_must_be_an_int(self, n):
+        # A float n used to fail with an untyped TypeError.
+        with pytest.raises(HypothesisViolated, match="are not ints"):
+            double_cover_check(n, 3)
+
+    @pytest.mark.parametrize("r", [3.0, True], ids=["float", "bool"])
+    def test_double_cover_r_must_be_an_int(self, r):
+        with pytest.raises(HypothesisViolated, match="are not ints"):
+            double_cover_check(5, r)
+
 
 class TestSignatures:
     def test_fano_cases(self):
@@ -178,6 +189,12 @@ class TestParamValidation:
     def test_bad_dimension(self):
         with pytest.raises(FormulaError):
             FamilyParams(1, 2, 1)
+
+    @pytest.mark.parametrize("n", [3.0, True], ids=["float", "bool"])
+    def test_dimension_must_be_an_int(self, n):
+        # n = 3.0 used to give a float k_general, 0.7321428571428571.
+        with pytest.raises(FormulaError, match="must be an int"):
+            FamilyParams(n=n, a=2, d=1)
 
     def test_bad_slope(self):
         with pytest.raises(FormulaError):

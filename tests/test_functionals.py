@@ -15,8 +15,12 @@ from kstab.functionals import (DeltaBoundReport, FlagCase, FlagChamber,
 from kstab.runner import flag_case
 from kstab.zariski import SurfaceLattice
 
-AFF = Poly.affine
-U = Poly.var("u")
+
+def AFF(c0, cu=0):
+    """The Poly c0 + cu*u."""
+    return Poly.from_coeffs([c0, cu])
+
+
 FLAG_FIXTURES = ("a1-flag-C-ordinary", "a1-flag-C-weighted", "a1-flag-e",
                  "a2-flag-C1", "a2-flag-C3", "a2-flag-pencil",
                  "base-tangential", "base-transversal", "mm39-flag-s")

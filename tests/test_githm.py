@@ -53,6 +53,17 @@ class TestWeight:
         with pytest.raises(Exception):
             OneParamSubgroup(0, 0)
 
+    @pytest.mark.parametrize("r0", [0.5, False], ids=["float", "bool"])
+    def test_r0_must_be_an_int(self, r0):
+        # r0 = 0.5 used to give the float weight 3.0 on the full support.
+        with pytest.raises(GitError, match="need integers"):
+            OneParamSubgroup(r0, 1)
+
+    @pytest.mark.parametrize("r1", [1.5, True], ids=["float", "bool"])
+    def test_r1_must_be_an_int(self, r1):
+        with pytest.raises(GitError, match="need integers"):
+            OneParamSubgroup(0, r1)
+
     def test_monotone_in_support_200(self):
         rng = random.Random(61)
         for _ in range(200):

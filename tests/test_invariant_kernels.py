@@ -95,7 +95,7 @@ def test_dimensions_refuse_the_same_degrees(degree, error):
 
 
 def _sampled(degree, p, xs):
-    return degree, p, [(x, p.eval(u=x, v=0)) for x in xs]
+    return degree, p, [(x, p.eval(x)) for x in xs]
 
 
 @st.composite
@@ -120,8 +120,8 @@ def test_interpolate_overdetermined_samples(case, moved):
     assert interpolate(pts[::-1], degree) == p
     u = sp.Symbol("u")
     want = sp.interpolate([(_sym(x), _sym(y)) for x, y in pts], u)
-    assert sp.expand(want - sum(_sym(c) * u ** i for (i, _), c
-                                in p.terms.items())) == 0
+    assert sp.expand(want - sum(_sym(c) * u ** i for i, c
+                                in enumerate(p.coeffs()))) == 0
     # Moving any one sample, inside the first degree + 1 or past them,
     # leaves no polynomial of that degree through all of them.
     k = moved % len(pts)

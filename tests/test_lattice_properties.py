@@ -20,8 +20,7 @@ from kstab.zariski import SurfaceLattice  # noqa: E402
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 entries = st.one_of(st.just(Q(0)), rationals)
 coefficients = st.one_of(
-    rationals,
-    st.builds(Poly.affine, rationals, rationals, rationals))
+    rationals, st.lists(rationals, max_size=3).map(Poly.from_coeffs))
 
 SETTINGS = settings(max_examples=80, deadline=None)
 

@@ -410,6 +410,25 @@ def test_series_match_checks_the_bound_before_the_series(monkeypatch):
     assert calls == []
 
 
+def test_hilbert_check_stops_at_the_bound(monkeypatch):
+    # The series alone used to run past the bound the dimensions stop at:
+    # upto 13 gave 14 coefficients.
+    calls = []
+    prefix = invariants.hilbert_prefix
+
+    def recorded_prefix(n):
+        calls.append(n)
+        return prefix(n)
+
+    monkeypatch.setattr(invariants, "hilbert_prefix", recorded_prefix)
+    bound = invariants.ENUMERATION_BOUND
+    with pytest.raises(invariants.BoundExceeded, match=f"degree {bound}"):
+        runner.compute("invariant", {"check": "hilbert", "upto": bound + 1})
+    assert calls == []
+    series = runner.compute("invariant", {"check": "hilbert", "upto": bound})
+    assert len(series) == bound + 1 and calls == [bound]
+
+
 class TestCli:
     def test_suite_exit_code(self, capsys):
         assert cli.main(["suite", "--format", "json"]) == 0

@@ -1,17 +1,17 @@
 """Property tests of the integer kernels behind the Zariski scan.
 
-The scan reads every affine form through ``zariski._affine`` and decides
-signs on integer numerators.  Each kernel is checked here against the
-Fraction arithmetic it replaces, on random rational affine forms and on
-random chambers whose affine walls are in order at both ends of the
-u-interval:
+The scan keeps every affine form in (u, v) as an integer triple (a, b, c)
+of (a + b*u + c*v) / den and decides signs on these integers.  Each
+kernel is checked here against the Fraction arithmetic it replaces, on
+random integer triples and on random chambers whose affine walls are in
+order at both ends of the u-interval:
 
-* ``Chamber2D.nonnegative(g)`` equals the smallest of g's values at
+* ``Chamber2D.nonnegative(t)`` equals the smallest of t's values at
   ``Chamber2D.corners``, compared with 0;
-* ``_line(*_affine(g))`` equals g(u, 0) / -c, and g(u, wall(u)) vanishes
-  at two distinct u, so everywhere, g being affine;
-* a form with a u*v or u^2 term raises NonAffineFamily wherever it is read;
-* ``_vol_threshold`` refuses a volume of degree 3 in v.
+* ``_line(a, b, c)`` equals -(a + b*u) / c, and a + b*u + c*wall(u)
+  vanishes at two distinct u, so everywhere, the form being affine;
+* a polynomial in u with a u^2 term raises NonAffineFamily wherever a
+  family coefficient or a wall is read.
 """
 
 from fractions import Fraction as Q
@@ -22,15 +22,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from kstab.exactcore import Interval, MalformedInput, Poly  # noqa: E402
+from kstab.exactcore import Interval, Poly  # noqa: E402
 from kstab.zariski import (Chamber2D, NonAffineFamily,  # noqa: E402
-                           _affine, _line, _vol_threshold)
+                           _affine, _affine_family, _line)
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
-nonzero = rationals.filter(bool)
+integers = st.integers(-30, 30)
+nonzero = integers.filter(bool)
 nonnegative = st.builds(Q, st.integers(0, 9), st.integers(1, 6))
-affine_forms = st.builds(Poly.affine, rationals, rationals, rationals)
-u_lines = st.builds(Poly.affine, rationals, rationals)
+triples = st.tuples(integers, integers, integers)
+u_lines = st.lists(rationals, max_size=2).map(Poly.from_coeffs)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -43,47 +44,36 @@ def chambers(draw):
                                   unique=True)))
     lo = draw(u_lines)
     alpha, beta = draw(nonnegative), draw(nonnegative)
-    hi = lo + Poly.affine(beta * u1 - alpha * u0, alpha - beta)
+    hi = lo + Poly.from_coeffs([beta * u1 - alpha * u0, alpha - beta])
     return Chamber2D(Interval(u0, u1), lo, hi)
 
 
 @SETTINGS
-@given(chambers(), affine_forms)
+@given(chambers(), triples)
 @example(Chamber2D(Interval(0, 1), Poly(), Poly.var("u")),
-         Poly.var("u") - Poly.var("v"))  # zero on the upper wall
-def test_nonnegative_is_the_corner_minimum(ch, g):
-    want = min(g.eval(u=u, v=v) for u, v in ch.corners()) >= 0
-    assert ch.nonnegative(g) == want
+         (0, 1, -1))  # u - v, zero on the upper wall
+def test_nonnegative_is_the_corner_minimum(ch, t):
+    a, b, c = t
+    want = min(a + b * u + c * v for u, v in ch.corners()) >= 0
+    assert ch.nonnegative(t) == want
 
 
 @SETTINGS
-@given(rationals, rationals, nonzero)
+@given(integers, integers, nonzero)
 def test_symbolic_wall_is_the_root_line(a, b, c):
-    g = Poly.affine(a, b, c)
-    wall = _line(*_affine(g))
-    assert wall == Poly.affine(a, b) * (-1 / g.coefficient(0, 1))
+    wall = _line(a, b, c)
+    assert wall == Poly.from_coeffs([a, b]) * Q(-1, c)
     for u in (0, 1):
-        assert g.eval(u, wall.eval(u)) == 0
+        assert a + b * u + c * wall.eval(u) == 0
 
 
 @SETTINGS
-@given(affine_forms, nonzero, st.sampled_from([(1, 1), (2, 0), (0, 2)]),
-       chambers())
-def test_non_affine_forms_are_refused(g, k, term, ch):
-    bent = g + Poly({term: k})
+@given(u_lines, nonzero, chambers())
+def test_non_affine_forms_are_refused(g, k, ch):
+    bent = g + k * Poly.var("u") ** 2
     with pytest.raises(NonAffineFamily):
         _affine(bent)
+    with pytest.raises(NonAffineFamily, match="of D is not affine in u"):
+        _affine_family({"D": bent}, "family")
     with pytest.raises(NonAffineFamily):
-        ch.nonnegative(bent)
-    with pytest.raises(NonAffineFamily):
-        _line(*_affine(bent + Poly.var("v")))
-
-
-@SETTINGS
-@given(nonzero, st.lists(rationals, max_size=3), rationals, rationals)
-def test_threshold_refuses_a_cubic_volume(k, lower, ustar, v_cur):
-    v = Poly.var("v")
-    vol = k * v ** 3 + sum((c * v ** j for j, c in enumerate(lower)),
-                           Poly())
-    with pytest.raises(MalformedInput, match="degree > 2 in v"):
-        _vol_threshold(vol, ustar, v_cur, None)
+        Chamber2D(ch.u_interval, ch.v_lo, bent).nonnegative((0, 0, 0))

@@ -5,7 +5,7 @@ then 0-4 blowups, each inserting v_i + v_{i+1} between two adjacent rays.
 The family is sum a_i D_i - u D_k - v D_j with a_i in 1..6 and
 u in [0, 1].  At interior points of every chamber the scan returns:
 
-* its ``volume`` equals 2 Area(P_D), the moment polygon computed in
+* its volume equals 2 Area(P_D), the moment polygon computed in
   ``toric_surfaces`` by exact half-plane clipping, which shares no code
   with ``zariski``;
 * its P and N equal ``surface_zariski`` at the same point, and N equals
@@ -33,8 +33,8 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 @st.composite
 def toric_families(draw):
-    """``(rays, a)``: the rays of a toric surface and the family's
-    coefficients as affine Polys."""
+    """``(rays, a, j)``: the rays of a toric surface, the coefficients of
+    D(u) as affine Polys and the index j of the curve v takes off."""
     base = draw(st.sampled_from(["P2", 0, 1, 2, 3]))
     rays = ([(1, 0), (0, 1), (-1, -1)] if base == "P2"
             else [(1, 0), (0, 1), (-1, base), (0, -1)])
@@ -46,43 +46,50 @@ def toric_families(draw):
     a = [Poly.const(draw(st.integers(1, 6))) for _ in rays]
     k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     a[k] = a[k] - Poly.var("u")
-    a[j] = a[j] - Poly.var("v")
-    return rays, a
+    return rays, a, j
 
 
-def _scan(rays, a):
+def _scan(rays, a, j):
     lat = toric_surfaces.lattice(rays)
     names = toric_surfaces.curve_names(rays)
     return lat, parametric_surface_zariski(lat, dict(zip(names, a)),
-                                           Interval(0, 1))
+                                           {names[j]: -1}, Interval(0, 1))
+
+
+def _point(a, j, u: Q, v: Q) -> list:
+    """The coefficients of D(u) - v D_j."""
+    point = [x.eval(u) for x in a]
+    point[j] -= v
+    return point
 
 
 def _at(d: dict, u: Q, v: Q) -> dict:
-    return {k: x for k, x in ((k, c.eval(u=u, v=v)) for k, c in d.items())
-            if x}
+    return {k: x for k, x in ((k, toric_surfaces.value(t, u, v))
+                              for k, t in d.items()) if x}
 
 
 @SETTINGS
 @given(toric_families())
 def test_chamber_volume_is_twice_the_polygon_area(family):
-    rays, a = family
-    _, chambers = _scan(rays, a)
+    rays, a, j = family
+    _, chambers = _scan(rays, a, j)
     for ch in chambers:
+        volume = toric_surfaces.chamber_forms(ch).volume
         for u, v in toric_surfaces.interior_points(ch):
-            point = [x.eval(u=u, v=v) for x in a]
-            assert ch.volume.eval(u=u, v=v) == \
-                toric_surfaces.volume(rays, point)
+            assert toric_surfaces.value(volume, u, v) == \
+                toric_surfaces.volume(rays, _point(a, j, u, v))
 
 
 @SETTINGS
 @given(toric_families())
 def test_chamber_parts_match_the_pointwise_decomposition(family):
-    rays, a = family
-    lat, chambers = _scan(rays, a)
+    rays, a, j = family
+    lat, chambers = _scan(rays, a, j)
     for ch in chambers:
+        forms = toric_surfaces.chamber_forms(ch)
         for u, v in toric_surfaces.interior_points(ch):
-            point = [x.eval(u=u, v=v) for x in a]
+            point = _point(a, j, u, v)
             p, n = surface_zariski(lat, dict(zip(lat.curves, point)))
-            assert _at(ch.positive, u, v) == p
-            assert _at(ch.negative, u, v) == n
+            assert _at(forms.positive, u, v) == p
+            assert _at(forms.negative, u, v) == n
             assert n == toric_surfaces.negative_part(rays, point)

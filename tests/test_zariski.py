@@ -6,9 +6,8 @@ import pytest
 
 import toric_surfaces
 from kstab import _linalg
-from kstab.exactcore import Interval, Poly
+from kstab.exactcore import Interval, NotARational, Poly
 from kstab.functionals import FlagCase, FlagChamber
-from kstab.exactcore import MalformedInput
 from kstab.runner import (VolumeFixture, _fixture_root, flag_case, model,
                           volume_fixture)
 from kstab.toric import SingularBasis, ToricModel
@@ -24,9 +23,19 @@ from kstab.zariski import (Chamber2D, DiscontinuousVolume,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
 
-AFF = Poly.affine
 U = Poly.var("u")
-V = Poly.var("v")
+forms, times = toric_surfaces.chamber_forms, toric_surfaces.times
+
+
+def AFF(c0, cu=0):
+    """The Poly c0 + cu*u."""
+    return Poly.from_coeffs([c0, cu])
+
+
+def in_v(c0, c1=0, c2=0):
+    """The volume c0 + c1*v + c2*v^2, free of u, as the scan's integers."""
+    return (c0, 0, c1, 0, 0, c2)
+
 
 # P^1 x P^1 x P^1: F_{2a} and F_{2a+1} are the two fibres over axis a.
 CUBE = dict(
@@ -85,14 +94,14 @@ class TestParametricChambers:
     def test_unbounded(self):
         fam = {"e": Poly.const(1), "f": Poly.const(2)}
         with pytest.raises(Unbounded):
-            parametric_surface_zariski(HIRZEBRUCH, fam, Interval(0, 1))
+            parametric_surface_zariski(HIRZEBRUCH, fam, {}, Interval(0, 1))
 
     def test_base_case_transversal_walls(self):
         # Slope 3/2, degree 4, scale 1/2: the case list has walls at
         # v = 1, v = 2 - u and the threshold 3 - u over the first
         # vertical chamber, then v = (3 - u)/2 and 3 - u over the second.
-        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1, -1)}
-        chambers = parametric_surface_zariski(BASE_LATTICE, fam,
+        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1)}
+        chambers = parametric_surface_zariski(BASE_LATTICE, fam, {"E": -1},
                                               Interval(0, 1))
         walls = [(c.v_lo, c.v_hi) for c in chambers]
         assert [w[0] for w in walls] == [Poly(), Poly.const(1), AFF(2, -1)]
@@ -100,8 +109,8 @@ class TestParametricChambers:
         assert [c.support for c in chambers] == [(), ("f",), ("S", "f")]
 
         fam2 = {"S": AFF(Q(3, 2), Q(-1, 2)), "f": AFF(3, -1),
-                "E": AFF(3, -1, -1)}
-        chambers2 = parametric_surface_zariski(BASE_LATTICE, fam2,
+                "E": AFF(3, -1)}
+        chambers2 = parametric_surface_zariski(BASE_LATTICE, fam2, {"E": -1},
                                                Interval(1, 3))
         assert [(c.v_lo, c.v_hi) for c in chambers2] == \
             [(Poly(), AFF(Q(3, 2), Q(-1, 2))),
@@ -118,7 +127,7 @@ class TestParametricChambers:
         assert tops == [U, Poly.const(1), AFF(3, -1)]
         for _, subs in inner:
             for sub in subs:
-                assert sub.negative == {}
+                assert forms(sub).negative == {}
 
     def test_vertex_positivity(self):
         for name in ("a1-flag-C-ordinary", "a1-flag-C-weighted",
@@ -126,24 +135,22 @@ class TestParametricChambers:
             case = flag_case(name)
             for _, subs in case.inner():
                 for sub in subs:
-                    for u in (sub.u_interval.lo, sub.u_interval.hi):
-                        for wall in (sub.v_lo, sub.v_hi):
-                            v = wall.eval(u=u, v=0)
-                            for c in case.lattice.curves:
-                                val = case.lattice.pairing(sub.positive, c)
-                                if isinstance(val, Poly):
-                                    val = val.eval(u=u, v=v)
-                                assert val >= 0
-                            for c, coeff in sub.negative.items():
-                                assert coeff.eval(u=u, v=v) >= 0
+                    pos, neg = forms(sub).positive, forms(sub).negative
+                    for u, v in sub.corners():
+                        p = {k: toric_surfaces.value(t, u, v)
+                             for k, t in pos.items()}
+                        for c in case.lattice.curves:
+                            assert case.lattice.pairing(p, c) >= 0
+                        for t in neg.values():
+                            assert toric_surfaces.value(t, u, v) >= 0
 
     def test_parametric_orthogonality(self):
         case = flag_case("a2-flag-C1")
         for _, subs in case.inner():
             for sub in subs:
                 for c in sub.support:
-                    val = case.lattice.pairing(sub.positive, c)
-                    assert val == Poly() or val == 0
+                    assert _pairing(case.lattice, forms(sub).positive, c) \
+                        == (0, 0, 0)
 
 
 # H . H = 1 and A, B disjoint (-1)-curves: P . A and P . B are minus the
@@ -153,8 +160,15 @@ DISJOINT = SurfaceLattice(("H", "A", "B"),
                           [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
 
 
+def _pairing(lat, d: dict, name: str) -> tuple:
+    """The affine form d . name of a divisor with affine form coefficients."""
+    j = lat.index(name)
+    return tuple(sum((t[e] * lat.gram[lat.index(k)][j] for k, t in d.items()),
+                     Q(0)) for e in range(3))
+
+
 def _rows(chambers):
-    return [(c.u_interval, c.v_lo, c.v_hi, c.support, c.negative)
+    return [(c.u_interval, c.v_lo, c.v_hi, c.support, forms(c).negative)
             for c in chambers]
 
 
@@ -163,21 +177,24 @@ class TestScanBranches:
     one wall, and walls that cross inside the u-interval."""
 
     def test_curve_leaves_the_support(self):
-        fam = {"e": AFF(2, Q(1, 4), -1), "f": AFF(Q(1, 2), 0, 1)}
-        chambers = parametric_surface_zariski(HIRZEBRUCH, fam, Interval(0, 1))
+        fam = {"e": AFF(2, Q(1, 4)), "f": AFF(Q(1, 2))}
+        chambers = parametric_surface_zariski(
+            HIRZEBRUCH, fam, {"e": -1, "f": 1}, Interval(0, 1))
         leave = AFF(Q(3, 4), Q(1, 8))
         assert _rows(chambers) == [
             (Interval(0, 1), Poly(), leave, ("e",),
-             {"e": AFF(Q(3, 2), Q(1, 4), -2)}),
+             {"e": (Q(3, 2), Q(1, 4), -2)}),
             (Interval(0, 1), leave, AFF(2, Q(1, 4)), (), {})]
 
     def test_two_curves_enter_on_one_wall(self):
-        fam = {"H": AFF(3, 0, -1), "A": V - U, "B": V - U}
-        chambers = parametric_surface_zariski(DISJOINT, fam, Interval(0, 1))
+        # H = 3 - v, A = B = v - u.
+        fam = {"H": AFF(3), "A": -U, "B": -U}
+        chambers = parametric_surface_zariski(
+            DISJOINT, fam, {"H": -1, "A": 1, "B": 1}, Interval(0, 1))
         assert _rows(chambers) == [
             (Interval(0, 1), Poly(), U, (), {}),
             (Interval(0, 1), U, Poly.const(3), ("A", "B"),
-             {"A": V - U, "B": V - U})]
+             {"A": (0, -1, 1), "B": (0, -1, 1)})]
 
     @pytest.mark.parametrize("k, lo, hi, at", [
         (1, 0, 1, Q(1, 2)), (Q(3, 2), 0, Q(1, 2), Q(1, 3))],
@@ -187,10 +204,11 @@ class TestScanBranches:
         # At the sample, in the first case; away from it in the second,
         # where the wall order is checked on every chamber before any
         # sign, so the misordered chamber asks for the split first.
-        a, b = V - k * U, V - AFF(1, -k)
-        fam = {"H": AFF(3, 0, -1), "A": a, "B": b}
-        chambers = parametric_surface_zariski(DISJOINT, fam,
-                                              Interval(lo, hi))
+        # H = 3 - v, A = v - k u and B = v - (1 - k u).
+        a, b = (0, -k, 1), (-1, k, 1)
+        fam = {"H": AFF(3), "A": AFF(0, -k), "B": AFF(-1, k)}
+        chambers = parametric_surface_zariski(
+            DISJOINT, fam, {"H": -1, "A": 1, "B": 1}, Interval(lo, hi))
         left, right = Interval(lo, at), Interval(at, hi)
         both = {"A": a, "B": b}
         assert _rows(chambers) == [
@@ -209,14 +227,14 @@ class TestScanBranches:
 # v-term, and is -1/2 at the corner (1, 0); in (b) D2's coefficient in N,
 # (-1 + 3u) / 2, has no v-term and vanishes at u = 1/3, away from the
 # sample u = 3/8.  Each zero line meets the wall v_lo inside the interval,
-# and the scan now splits there.
+# and the scan now splits there.  In both, v is taken off D1.
 SPLIT_GAPS = {
     "a-zero-line-through-the-sample": (
         [(1, 0), (1, 1), (0, 1), (-1, 1), (0, -1)],
-        [AFF(2, -1), AFF(4, 0, -1), 3, 1, 5], Interval(0, 1), Q(1, 2)),
+        [AFF(2, -1), 4, 3, 1, 5], Interval(0, 1), Q(1, 2)),
     "b-vertical-zero-off-the-sample": (
         [(1, 0), (0, 1), (-1, 3), (-1, 2), (0, -1)],
-        [1, AFF(4, 0, -1), 6, AFF(4, -1), 2], Interval(Q(1, 4), Q(1, 2)),
+        [1, 4, 6, AFF(4, -1), 2], Interval(Q(1, 4), Q(1, 2)),
         Q(1, 3)),
 }
 
@@ -228,17 +246,21 @@ def test_constraint_negative_at_a_corner_splits_the_scan(rays, a, interval,
     lat = toric_surfaces.lattice(rays)
     a = [Poly.const(x) for x in a]
     chambers = parametric_surface_zariski(
-        lat, dict(zip(toric_surfaces.curve_names(rays), a)), interval)
+        lat, dict(zip(toric_surfaces.curve_names(rays), a)), {"D1": -1},
+        interval)
     assert len(chambers) == 5
     assert {ch.u_interval for ch in chambers} == {
         Interval(interval.lo, at), Interval(at, interval.hi)}
     for ch in chambers:
+        volume, negative = forms(ch).volume, forms(ch).negative
         for u, v in toric_surfaces.interior_points(ch):
-            point = [x.eval(u=u, v=v) for x in a]
-            assert ch.volume.eval(u=u, v=v) == \
+            point = [x.eval(u) for x in a]
+            point[1] -= v
+            assert toric_surfaces.value(volume, u, v) == \
                 toric_surfaces.volume(rays, point)
-            assert {s: c.eval(u=u, v=v) for s, c in ch.negative.items()
-                    if c.eval(u=u, v=v)} == \
+            n = {s: toric_surfaces.value(t, u, v)
+                 for s, t in negative.items()}
+            assert {s: x for s, x in n.items() if x} == \
                 toric_surfaces.negative_part(rays, point)
 
 
@@ -246,21 +268,23 @@ class TestTypedErrorsOfTheIntegerTables:
     """The scan reads a family into integer rows indexed by curve; a bad
     family must still raise the typed error it raised before."""
 
-    @pytest.mark.parametrize("coeff", [Poly.const(1), V],
-                             ids=["nonzero-at-the-sample", "zero-at-v-0"])
-    def test_unknown_curve_is_named(self, coeff):
-        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1, -1),
-               "C9": coeff}
+    @pytest.mark.parametrize("extra, direction", [
+        ({"C9": Poly.const(1)}, {"E": -1}), ({}, {"E": -1, "C9": 1})],
+        ids=["nonzero-at-the-sample", "zero-at-v-0"])
+    def test_unknown_curve_is_named(self, extra, direction):
+        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1), **extra}
         with pytest.raises(ZariskiError,
                            match="lattice has no curve named 'C9'"):
-            parametric_surface_zariski(BASE_LATTICE, fam, Interval(0, 1))
+            parametric_surface_zariski(BASE_LATTICE, fam, direction,
+                                       Interval(0, 1))
 
     @pytest.mark.parametrize("curve", BASE_LATTICE.curves)
     def test_uv_term_is_not_affine(self, curve):
-        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1, -1)}
-        fam[curve] = fam[curve] + U * V
-        with pytest.raises(NonAffineFamily, match=f"of {curve} is not"):
-            parametric_surface_zariski(BASE_LATTICE, fam, Interval(0, 1))
+        # A u*v term in a curve's coefficient is a direction in u.
+        fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1)}
+        with pytest.raises(NotARational, match=r"cannot interpret 1\*u as"):
+            parametric_surface_zariski(BASE_LATTICE, fam, {"E": -1, curve: U},
+                                       Interval(0, 1))
 
     def test_unknown_curve_in_a_dot_product(self):
         # Only the second divisor's curves were looked up: a KeyError.
@@ -302,7 +326,7 @@ class TestThreefoldVolume:
             vol = volume_fixture(name).volume()
             for a, b in zip(vol.pieces, vol.pieces[1:]):
                 x = a.interval.hi
-                assert a.poly.eval(u=x, v=0) == b.poly.eval(u=x, v=0)
+                assert a.poly.eval(x) == b.poly.eval(x)
 
     def test_monotone_nonincreasing(self):
         for name in ("a1-volume", "a2-volume"):
@@ -311,7 +335,7 @@ class TestThreefoldVolume:
             for p in vol.pieces:
                 iv = p.interval
                 for x in (iv.lo, iv.midpoint(), iv.hi):
-                    samples.append(p.poly.eval(u=x, v=0))
+                    samples.append(p.poly.eval(x))
             assert all(a >= b for a, b in zip(samples, samples[1:]))
 
     def test_nef_violation_detected(self):
@@ -414,12 +438,6 @@ class TestVolumeIsAProof:
         with pytest.raises(DecompositionMismatch, match="no chambers"):
             threefold_chamber_volume(fx.models, [], fx.family)
 
-    def test_family_coefficient_in_v_is_refused(self):
-        fx = volume_fixture("a1-volume")
-        with pytest.raises(MalformedInput, match="depends on v"):
-            threefold_chamber_volume(fx.models, fx.chambers,
-                                     {**fx.family, "F1": AFF(3, 0, 1)})
-
 
 class TestThreshold:
     def test_nodal(self):
@@ -439,13 +457,6 @@ class TestThreshold:
         m = ToricModel("P1^3", **CUBE, effective_generators=("F0", "F2"))
         with pytest.raises(SingularBasis, match="outside the generator span"):
             pseudoeffective_threshold(m, {"F4": AFF(1, -1)})
-
-    def test_family_coefficient_in_v_is_refused(self):
-        fx = volume_fixture("a1-volume")
-        with pytest.raises(MalformedInput,
-                           match="family: a coefficient depends on v"):
-            pseudoeffective_threshold(model("Y0-A1"),
-                                      {**fx.family, "F1": fx.family["F1"] + V})
 
 
 def test_volume_jump_between_chambers_is_an_error():
@@ -494,27 +505,27 @@ def test_volume_vanishes_at_threshold():
         vol = volume_fixture(name).volume()
         last = vol.pieces[-1]
         assert last.interval.hi == threshold
-        assert last.poly.eval(u=threshold, v=0) == 0
+        assert last.poly.eval(threshold) == 0
         for p in vol.pieces:
             for x in (p.interval.lo, p.interval.midpoint(), p.interval.hi):
-                assert p.poly.eval(u=x, v=0) >= 0
+                assert p.poly.eval(x) >= 0
 
 
 def test_concave_volume_has_irrational_threshold():
     # 2 - v^2 vanishes at v = sqrt(2); without a limit the scan must not
     # take the concave volume for an unbounded one.
     with pytest.raises(IrrationalThreshold):
-        _vol_threshold(2 - V ** 2, Q(0), Q(0), None)
+        _vol_threshold(in_v(2, 0, -1), Q(0), Q(0), None)
 
 
 @pytest.mark.parametrize("vol, limit, vanishes", [
-    (2 - V ** 2, Q(1), False),
-    (2 - V ** 2, Q(2), True),
-    (V ** 2 - 4 * V + 2, Q(1, 2), False),
-    (V ** 2 - 4 * V + 2, Q(1), True),
-    (V ** 2 - 4 * V + 2, None, True),
-    (V ** 2 + 4 * V + 2, None, False),
-    (V ** 2 - 2 * V + 2, Q(5), False),
+    (in_v(2, 0, -1), Q(1), False),  # 2 - v^2
+    (in_v(2, 0, -1), Q(2), True),
+    (in_v(2, -4, 1), Q(1, 2), False),  # v^2 - 4v + 2
+    (in_v(2, -4, 1), Q(1), True),
+    (in_v(2, -4, 1), None, True),
+    (in_v(2, 4, 1), None, False),  # v^2 + 4v + 2
+    (in_v(2, -2, 1), Q(5), False),  # v^2 - 2v + 2
 ], ids=["concave-before-root", "concave-past-root", "convex-before-root",
         "convex-past-root", "convex-dips-unbounded", "convex-roots-behind",
         "no-real-root"])
@@ -528,15 +539,8 @@ def test_irrational_threshold_against_the_limit(vol, limit, vanishes):
         assert _vol_threshold(vol, Q(0), Q(0), limit) is None
 
 
-@pytest.mark.parametrize("vol", [U ** 3 + V, U * U * V - V],
-                         ids=["u-cubed", "u-squared-v"])
-def test_threshold_refuses_a_volume_of_total_degree_3(vol):
-    with pytest.raises(MalformedInput, match="total degree > 2"):
-        _vol_threshold(vol, Q(1, 2), Q(0), None)
-
-
 # Volume with the root lines v = u and v = 1 - u, crossing at u = 1/2.
-CROSSING = (V - U) * (V - AFF(1, -1))
+CROSSING = times((0, -1, 1), (-1, 1, 1))
 
 
 class TestThresholdWall:
@@ -544,10 +548,13 @@ class TestThresholdWall:
     accepted only when the volume vanishes on it identically."""
 
     @pytest.mark.parametrize("vol, v_cur, root, wall", [
-        ((1 + U) * (AFF(2, -1) - V), Q(0), Q(3, 2), AFF(2, -1)),
-        ((V - AFF(1, 1)) * (V - AFF(3, -1)), Q(0), Q(3, 2), AFF(1, 1)),
-        (-(V - AFF(1, 1)) * (V - AFF(3, -1)), Q(2), Q(5, 2), AFF(3, -1)),
-        (2 * (V - AFF(1, 1)) ** 2, Q(0), Q(3, 2), AFF(1, 1)),
+        # (1 + u) (2 - u - v)
+        (times((1, 1, 0), (2, -1, -1)), Q(0), Q(3, 2), AFF(2, -1)),
+        # (v - 1 - u) (v - 3 + u), then its negative
+        (times((-1, -1, 1), (-3, 1, 1)), Q(0), Q(3, 2), AFF(1, 1)),
+        (times((1, 1, -1), (-3, 1, 1)), Q(2), Q(5, 2), AFF(3, -1)),
+        # 2 (v - 1 - u)^2
+        (times((-2, -2, 2), (-1, -1, 1)), Q(0), Q(3, 2), AFF(1, 1)),
     ], ids=["linear-u-dependent-slope", "two-roots-lower",
             "two-roots-above-v-cur", "double-root"])
     def test_affine_wall(self, vol, v_cur, root, wall):
@@ -557,7 +564,7 @@ class TestThresholdWall:
         # v^2 - u vanishes at v = -1/2 when u = 1/4, on the curve
         # v = -sqrt(u), which is no line.
         with pytest.raises(IrrationalThreshold):
-            _vol_threshold(V ** 2 - U, Q(1, 4), Q(-1), None)
+            _vol_threshold((0, -1, 0, 0, 0, 1), Q(1, 4), Q(-1), None)
 
     def test_root_lines_crossing_at_the_sample(self):
         # The roots u and 1 - u meet at u = 1/2; the threshold min(u, 1-u)
@@ -575,7 +582,7 @@ class TestThresholdWall:
         # (v - 1)^2 - 2(u - 1/2)^2 has a double root at the sample u = 1/2
         # but root lines 1 +- sqrt(2)(u - 1/2): the split is asked for,
         # and both halves' samples (depth 1) meet irrational roots.
-        vol = (V - 1) ** 2 - 2 * (U - Q(1, 2)) ** 2
+        vol = (1, 4, -4, -4, 0, 2)  # twice that
         with pytest.raises(_SplitRequest):
             _vol_threshold(vol, Q(1, 2), Q(0), None)
         for ustar in (Q(1, 4), Q(3, 4)):
@@ -587,19 +594,25 @@ class TestThresholdWall:
         # samples u = 1/2, splits there, and finds the threshold walls
         # v = u and v = 1 - u on the two halves.
         lat = SurfaceLattice(("a", "b"), [[0, 1], [1, 0]])
-        fam = {"a": AFF(0, 1, -1), "b": AFF(Q(1, 2), Q(-1, 2), Q(-1, 2))}
-        chambers = parametric_surface_zariski(lat, fam, Interval(0, 1))
+        fam = {"a": U, "b": AFF(Q(1, 2), Q(-1, 2))}
+        chambers = parametric_surface_zariski(
+            lat, fam, {"a": -1, "b": Q(-1, 2)}, Interval(0, 1))
         assert [(c.u_interval, c.v_lo, c.v_hi) for c in chambers] == [
             (Interval(0, Q(1, 2)), Poly(), U),
             (Interval(Q(1, 2), 1), Poly(), AFF(1, -1))]
-        assert all(c.volume == CROSSING for c in chambers)
+        assert all(forms(c).volume == CROSSING for c in chambers)
 
 
-@pytest.mark.parametrize("entry", [U * U, U * V], ids=["u-squared", "uv"])
-def test_parametric_family_must_be_affine(entry):
-    fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1, -1) + entry}
-    with pytest.raises(NonAffineFamily, match="of E is not affine"):
-        parametric_surface_zariski(BASE_LATTICE, fam, Interval(0, 1))
+@pytest.mark.parametrize("entry, direction, error, match", [
+    (U * U, -1, NonAffineFamily, "of E is not affine"),
+    # A u*v term is a direction in u: E = 3 - u - v + u v.
+    (Poly(), U - 1, NotARational, "cannot interpret"),
+], ids=["u-squared", "uv"])
+def test_parametric_family_must_be_affine(entry, direction, error, match):
+    fam = {"S": Poly.const(1), "f": AFF(3, -1), "E": AFF(3, -1) + entry}
+    with pytest.raises(error, match=match):
+        parametric_surface_zariski(BASE_LATTICE, fam, {"E": direction},
+                                   Interval(0, 1))
 
 
 def test_threefold_positive_part_must_be_affine():
@@ -634,8 +647,8 @@ def test_dot_and_pairing_match_naive_sums():
     def coeff():
         if rng.random() < 0.5:
             return Q(rng.randint(-4, 4), rng.randint(1, 3))
-        return AFF(Q(rng.randint(-4, 4), rng.randint(1, 3)),
-                   rng.randint(-2, 2), rng.randint(-2, 2))
+        return Poly.from_coeffs([Q(rng.randint(-4, 4), rng.randint(1, 3)),
+                                 rng.randint(-2, 2), rng.randint(-2, 2)])
 
     for _ in range(100):
         d1 = {k: coeff() for k in lat.curves if rng.random() < 0.7}
@@ -662,9 +675,15 @@ def test_chambers_carry_pairings_and_volume(name):
     subs = [sub for _, inner in case.inner() for sub in inner]
     assert subs
     for sub in subs:
-        assert sub.pairings == {c: lat.pairing(sub.positive, c)
-                                for c in lat.curves}
-        assert sub.volume == lat.dot(sub.positive, sub.positive)
+        pos = forms(sub).positive
+        assert forms(sub).pairings == {c: _pairing(lat, pos, c)
+                                       for c in lat.curves}
+        volume = [Q(0)] * 6
+        for (k1, t1), (k2, t2) in itertools.product(pos.items(), repeat=2):
+            g = lat.gram[lat.index(k1)][lat.index(k2)]
+            volume = [x + g * y
+                      for x, y in zip(volume, times(t1, t2))]
+        assert forms(sub).volume == tuple(volume)
 
 
 def _with_pairing(ch, curve, t):
@@ -727,13 +746,14 @@ def test_cached_support_solve_matches_linalg_solve():
                     continue
                 coeffs = {c: (rng.randint(-3, 3), rng.randint(-2, 2),
                               rng.randint(-2, 2)) for c in lat.curves}
-                d = {c: Poly.affine(*t) for c, t in coeffs.items()}
+                family = {c: AFF(a, b) for c, (a, b, _) in coeffs.items()}
+                direction = {c: t[2] for c, t in coeffs.items()}
                 # One Fraction solve per coefficient of a + b*u + c*v.
                 columns = [_linalg.solve(rows, [
                     lat.pairing({c: t[e] for c, t in coeffs.items()}, s)
                     for s in support]) for e in range(3)]
                 expected = dict(zip(support, zip(*columns)))
-                vec, den = _triples(lat, d)
+                vec, den = _triples(lat, family, direction)
                 # The first call fills the cache, the second reads it.
                 for _ in range(2):
                     _, n, _, r = _parts(lat, vec, support)

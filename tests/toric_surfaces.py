@@ -11,9 +11,18 @@ N_i = a_i + min over P_D of <m, v_i> (Fulton, Sec. 5.3).
 The polygon is cut from a box by exact half-plane clipping, and its area
 is the shoelace sum; nothing here imports ``kstab.zariski`` beyond the
 lattice record that carries the Gram matrix.
+
+``chamber_forms`` is the one reader of a ``Chamber2D`` for tests.  A
+chamber keeps its forms in (u, v) as integers over its scales; here an
+affine form is the Fraction triple (a, b, c) of a + b*u + c*v, and a
+quadratic form the six Fractions of 1, u, v, u^2, u*v, v^2.  ``value``
+evaluates either, ``times`` multiplies two affine forms, and
+``numerators`` clears a form's denominators.
 """
 
+import math
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from kstab.zariski import SurfaceLattice
 
@@ -104,7 +113,46 @@ def interior_points(chamber):
     lo, hi = chamber.u_interval.lo, chamber.u_interval.hi
     for s in (Q(1, 3), Q(2, 3)):
         u = lo + s * (hi - lo)
-        v_lo = chamber.v_lo.eval(u=u, v=0)
-        v_hi = chamber.v_hi.eval(u=u, v=0)
+        v_lo, v_hi = chamber.v_lo.eval(u), chamber.v_hi.eval(u)
         for t in (Q(1, 4), Q(3, 4)):
             yield u, v_lo + t * (v_hi - v_lo)
+
+
+class ChamberForms(NamedTuple):
+    positive: dict  # {curve: triple} for each curve with P_curve != 0
+    negative: dict  # {curve: triple} for each curve with N_curve != 0
+    pairings: dict  # {curve: triple of P . curve} for every curve
+    volume: tuple  # the six coefficients of P^2
+
+
+def chamber_forms(chamber) -> ChamberForms:
+    """A chamber's P, N, P's pairings and volume as Fraction forms."""
+    def form(t, den):
+        return tuple(Q(x, den) for x in t)
+
+    scale, pden = chamber.scale, chamber.scale * chamber.gram_den
+    return ChamberForms(
+        {c: form(t, scale) for c, t in zip(chamber.curves, chamber.p)
+         if any(t)},
+        {s: form(t, scale) for s, t in chamber.n.items() if any(t)},
+        {c: form(t, pden) for c, t in zip(chamber.curves, chamber.pv)},
+        form(chamber.volume, pden * scale))
+
+
+def value(form, u, v) -> Q:
+    """The value at (u, v) of an affine or a quadratic form."""
+    return sum((c * m for c, m in zip(form, (1, u, v, u * u, u * v, v * v))),
+               Q(0))
+
+
+def times(s, t) -> tuple:
+    """The quadratic form s * t of two affine forms."""
+    (a, b, c), (x, y, z) = s, t
+    return (a * x, a * y + b * x, a * z + c * x, b * y, b * z + c * y, c * z)
+
+
+def numerators(form) -> tuple:
+    """A form's integers over its coefficients' least common denominator:
+    the same signs, roots and zero lines, as the scan reads them."""
+    den = math.lcm(*(Q(c).denominator for c in form))
+    return tuple(int(c * den) for c in form)
