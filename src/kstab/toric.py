@@ -24,7 +24,14 @@ and effective coordinates take rational coefficients; only the
 intersection form also takes coefficients in any Q-algebra (e.g.
 polynomials in the chamber parameter).  Curve
 classes are stored through their pairing vector against the boundary
-divisors.
+divisors; a curve must name the two rays of a 2-cone, and every curve,
+generator, alias and cone is checked when the model is built.
+
+The threefold verifier works on the integer table directly: for P with
+coefficients (a + b*u) / den, ``facet_products`` gives w_k = P^2 . F_k as
+integer quadratics in u over den^2 L^3, one table read per pair of P's
+support and ray k, and ``nef_check`` reads the sign of each Mori
+generator's pairing from the monomials of that curve and P's support.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import math
 from fractions import Fraction
 
 from . import KstabError, _linalg
-from .exactcore import Poly, rat
+from .exactcore import rat
 
 Divisor = dict[int, Fraction]
 
@@ -157,6 +164,8 @@ class ToricModel:
             raise ToricError("only surface and threefold fans are supported")
         if any(len(v) != self.dim for v in self.rays):
             raise ToricError("rays of mixed dimension")
+        for k, i in self.aliases.items():
+            self._check_index(i, f"aliases: {k!r}: ")
         self.max_cones = tuple(frozenset(_ints(c, "a maximal cone"))
                                for c in max_cones)
         # Per maximal cone: det and each ray's adjugate column.
@@ -164,6 +173,8 @@ class ToricModel:
         for cone in self.max_cones:
             if len(cone) != self.dim:
                 raise ToricError(f"maximal cone {set(cone)} has wrong size")
+            for i in cone:
+                self._check_index(i, "max_cones: ")
             basis = sorted(cone)
             d, cols = _adjugate([self.rays[i] for i in basis])
             if d == 0:
@@ -181,14 +192,35 @@ class ToricModel:
         self.curve_specs = {k: _ints(v, f"curve {k!r}")
                             for k, v in _object(curves, "curves").items()}
         for k, v in self.curve_specs.items():
-            if len(v) != 2:
-                raise ToricError(f"curve {k!r} must name two rays, got {v!r}")
+            self._check_curve(k, v)
         self.mori_generators = _names(mori_generators, "mori_generators")
+        for n in self.mori_generators:
+            if n not in self.curve_specs:
+                raise ToricError(
+                    f"mori_generators: {self.name} defines no curve {n!r}")
         self.effective_generators = _names(effective_generators,
                                            "effective_generators")
+        for n in self.effective_generators:
+            try:
+                self.divisor_index(n)
+            except ToricError as e:
+                raise type(e)(f"effective_generators: {e}") from None
         self._prod_cache: dict[tuple[int, ...], int] = {}
         self._rep_cache: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
         self._curve_cache: dict[str, tuple[int, ...]] = {}
+
+    def _check_curve(self, name: str, v: tuple[int, ...]):
+        """A curve names two rays of one 2-cone of a threefold fan, so that
+        F_i . F_j is a 1-stratum."""
+        if len(v) != 2:
+            raise ToricError(f"curves: {name!r} must name two rays, got {v!r}")
+        for i in v:
+            self._check_index(i, f"curves: {name!r}: ")
+        if self.dim != 3 or v[0] == v[1] or \
+                not any(set(v) <= c for c in self.max_cones):
+            raise ToricError(
+                f"curves: {name!r} = F{v[0]} . F{v[1]} is not a 1-stratum"
+                f" of {self.name}")
 
     def _check_grading(self):
         """The grading's kernel must be exactly the span of the relations
@@ -230,9 +262,10 @@ class ToricModel:
             out[i] = out[i] + c if i in out else c
         return out
 
-    def _check_index(self, i: int):
+    def _check_index(self, i: int, what: str = ""):
         if not 0 <= i < len(self.rays):
-            raise IndexOutOfRange(f"ray index {i} out of range for {self.name}")
+            raise IndexOutOfRange(
+                f"{what}ray index {i} out of range for {self.name}")
 
     def degree(self, d: Divisor) -> tuple[Fraction, ...]:
         """Degree vector of a divisor under the grading."""
@@ -344,16 +377,31 @@ class ToricModel:
                 yield (term * math.prod(map(_orderings, combo)),
                        [c for part in combo for _, c in part])
 
-    def affine_product(self, den: int, *divisors) -> Poly:
-        """The intersection number, a Poly in u summed in ``int``, of ``dim``
-        divisors whose coefficients are pairs (a, b) for (a + b*u) / den."""
-        num = [0] * (self.dim + 1)
-        for term, coeffs in self._terms(divisors):
-            poly = [term]
-            for a, b in coeffs:
-                poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
-            num = [x + y for x, y in zip(num, poly)]
-        return Poly._of(num, den ** self.dim * self._scale)
+    def facet_products(self, den: int, pos: dict[int, tuple[int, int]],
+                       rays) -> tuple[dict[int, list[int]], int]:
+        """w_k = P^2 . F_k for each ray k of ``rays`` on a threefold fan, P
+        the divisor {ray: (a, b)} with coefficients (a + b*u) / den.  Each
+        w_k is the three integer coefficients of a quadratic in u over the
+        returned scale den^2 L^3, summed once over the pairs i <= j of the
+        support of P, weighted 1 or 2."""
+        if self.dim != 3:
+            raise ToricError("facet products need a threefold fan")
+        items = sorted(pos.items())
+        pairs = []
+        for x, (i, (a, b)) in enumerate(items):
+            for j, (c, d) in items[x:]:
+                m = 1 if i == j else 2
+                pairs.append((i, j, m * a * c, m * (a * d + b * c), m * b * d))
+        w = {}
+        for k in rays:
+            q = [0, 0, 0]
+            for i, j, c0, c1, c2 in pairs:
+                if t := self._monomial(tuple(sorted((i, j, k)))):
+                    q[0] += c0 * t
+                    q[1] += c1 * t
+                    q[2] += c2 * t
+            w[k] = q
+        return w, den * den * self._scale
 
     # -- curves and cones -------------------------------------------------
 
@@ -379,11 +427,17 @@ class ToricModel:
                    ) * Fraction(1, self._scale)
 
     def nef_check(self, d: Divisor) -> tuple[bool, list[str]]:
-        """Pair against the Mori generators; list the violated ones."""
-        violated = [
-            n for n in self.mori_generators
-            if self.pair_curve_divisor(n, d) < 0
-        ]
+        """Pair against the Mori generators; list the violated ones.  Only
+        the sign of each pairing is read, from L^dim F_i . F_j . d summed
+        over the support of d in the coefficients' own type: for ``int``
+        coefficients, no Fraction is built."""
+        d = self.normalize_divisor(d)
+        violated = []
+        for n in self.mori_generators:
+            i, j = self.curve_specs[n]
+            if sum(c * self._monomial(tuple(sorted((i, j, k))))
+                   for k, c in d.items()) < 0:
+                violated.append(n)
         return (not violated, violated)
 
     def effective_check(self, d: Divisor) -> bool:

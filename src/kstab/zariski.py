@@ -671,7 +671,9 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
     family in the degree lattice; N has a nonnegative ``minimum``; P is
     nef at both ends, read as q * den * P(p/q) (P is affine in u); the
     cubics agree at the walls; and P^2 . F_k is identically 0 for each
-    ray k in the support of N.  For P nef and big, P^2 . F_k is twice the
+    ray k in the support of N.  One integer vector w_k = P^2 . F_k
+    (``facet_products``) gives both vol = P^3 = sum_k P_k w_k and the
+    support check.  For P nef and big, P^2 . F_k is twice the
     normalized area of the face of the polytope P_P with normal v_k
     (Fulton, Introduction to Toric Varieties, Sec. 5.3).  So no such face
     is a facet, P_P is cut out by the rays where P is the family, and
@@ -706,13 +708,18 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
             if not ok:
                 raise NefViolation(
                     f"{label}: P({rat_str(u)}) negative on {violated}")
-        vol, x = model.affine_product(den, pos, pos, pos), ch.interval.lo
+        w, scale = model.facet_products(den, pos, pos.keys() | neg.keys())
+        num = [0] * 4
+        for k, (a, b) in pos.items():
+            for t, c in enumerate(w[k]):
+                num[t] += a * c
+                num[t + 1] += b * c
+        vol, x = Poly._of(num, den * scale), ch.interval.lo
         if pieces and pieces[-1][1].eval(x) != vol.eval(x):
             raise DiscontinuousVolume(
                 f"volume discontinuity at u = {rat_str(x)}: "
                 f"{rat_str(pieces[-1][1].eval(x))} vs {rat_str(vol.eval(x))}")
-        if any((a or b) and model.affine_product(den, pos, pos, {k: (den, 0)})
-               for k, (a, b) in neg.items()):
+        if any((a or b) and any(w[k]) for k, (a, b) in neg.items()):
             raise DecompositionMismatch(
                 f"{label}: P^2 . F_k is not 0 on the support of N")
         pieces.append((ch.interval, vol))

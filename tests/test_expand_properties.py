@@ -6,6 +6,11 @@ every bundled model it must agree with the plain expansion over every
 ordered choice of terms, written out below, for Fraction and affine Poly
 coefficients, for every pattern of repeated arguments, and for equal
 arguments passed as distinct dict objects or keyed by name.
+
+On every bundled threefold model, the threefold verifier's integer facet
+products w_k = P^2 . F_k and their volume sum_k P_k w_k must equal the
+intersection form, and ``nef_check``'s integer signs must list exactly
+the Mori generators with a negative ``pair_curve_divisor``.
 """
 
 import itertools
@@ -32,6 +37,8 @@ rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 coefficients = st.one_of(
     rationals,
     st.lists(rationals, min_size=2, max_size=2).map(Poly.from_coeffs))
+
+THREEFOLDS = [n for n in MODELS if model(n).dim == 3]
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -111,21 +118,44 @@ def test_equal_arguments_expand_once_per_multiset():
     assert calls <= 3 * 10
 
 
-@pytest.mark.parametrize("name", [n for n in MODELS if model(n).dim == 3])
+@pytest.mark.parametrize("name", THREEFOLDS)
 def test_integer_cube_matches_the_intersection_form(name):
-    # The threefold verifier's cube of an affine P, summed in int over one
-    # denominator, against the Poly-valued intersection form.
+    # The threefold verifier's cube of an affine P, sum_k P_k w_k from its
+    # integer facet products w_k = P^2 . F_k over one scale, against the
+    # Poly-valued intersection form; and each w_k, ray by ray.
     m = model(name)
+    rays = range(len(m.rays))
 
     @SETTINGS
-    @given(st.dictionaries(st.sampled_from(range(len(m.rays))),
+    @given(st.dictionaries(st.sampled_from(rays),
                            st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
                            min_size=1),
            st.integers(1, 6))
     def check(vec, den):
         p = {k: Poly.from_coeffs([Q(a, den), Q(b, den)])
              for k, (a, b) in vec.items()}
-        assert m.affine_product(den, vec, vec, vec) == \
-            Poly.const(m.intersection_form(p, p, p))
+        w, scale = m.facet_products(den, vec, rays)
+        cube = Poly.const(0)
+        for k in rays:
+            wk = Poly.from_coeffs([Q(c, scale) for c in w[k]])
+            assert wk == Poly.const(m.intersection_form(p, p, {k: 1}))
+            if k in p:
+                cube = cube + p[k] * wk
+        assert cube == Poly.const(m.intersection_form(p, p, p))
+
+    check()
+
+
+@pytest.mark.parametrize("name", THREEFOLDS)
+def test_nef_check_reads_the_sign_of_each_curve_pairing(name):
+    m = model(name)
+
+    @SETTINGS
+    @given(st.dictionaries(st.sampled_from(range(len(m.rays))),
+                           st.one_of(st.integers(-9, 9), rationals)))
+    def check(d):
+        violated = [n for n in m.mori_generators
+                    if m.pair_curve_divisor(n, d) < 0]
+        assert m.nef_check(d) == (not violated, violated)
 
     check()

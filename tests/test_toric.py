@@ -260,3 +260,26 @@ class TestErrors:
         data = {**load_fixture("models", name), field: value}
         with pytest.raises(ToricError, match=field):
             parse_model(data)
+
+    @pytest.mark.parametrize("name, field, value, error", [
+        ("Y0-A1", "curves", {"C12": [1, 99]}, IndexOutOfRange),
+        ("Y0-A1", "curves", {"C12": [1, 1]}, ToricError),
+        ("Y0-A1", "curves", {"C12": [0, 3]}, ToricError),
+        ("F0tilde-A2", "curves", {"C12": [0, 1]}, ToricError),
+        ("Y0-A1", "mori_generators", ["C12", "C99"], ToricError),
+        ("Y0-A1", "effective_generators", ["F0", "F99"], IndexOutOfRange),
+        ("Y0-A1", "effective_generators", ["F0", "E1"], ToricError),
+        ("F0tilde-A2", "aliases", {"C1": 99}, IndexOutOfRange),
+        ("Y0-A1", "max_cones", [[0, 1, 99]], IndexOutOfRange),
+    ])
+    def test_model_references_are_checked_on_build(self, name, field, value,
+                                                   error):
+        # A curve out of range, on a repeated ray or on two rays of no
+        # common cone, or on a surface, is no 1-stratum; a generator, alias
+        # or cone naming nothing fails when the model is built, not at its
+        # first use.  An object value is merged into the fixture's.
+        data = dict(load_fixture("models", name))
+        data[field] = ({**data[field], **value} if isinstance(value, dict)
+                       else value)
+        with pytest.raises(error, match=field):
+            parse_model(data)
