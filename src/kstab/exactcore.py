@@ -29,7 +29,6 @@ Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1).
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 
 from . import KstabError, _Record
@@ -43,6 +42,11 @@ class OverlappingPieces(ExactCoreError):
     """Two pieces of a piecewise polynomial have intersecting interiors."""
 
 
+class DiscontinuousVolume(ExactCoreError):
+    """Adjacent pieces of a piecewise polynomial leave a gap or disagree
+    at their shared endpoint."""
+
+
 class InvertedBounds(ExactCoreError):
     """Inner integration bounds cross inside the outer interval."""
 
@@ -53,22 +57,13 @@ class InconsistentSamples(ExactCoreError):
 
 class MalformedInput(ExactCoreError):
     """Input of the wrong shape: a reversed interval, a coefficient list
-    that is not a list, a variable other than u, a negative power, a
-    polynomial whose minimum cannot be certified exactly, a point outside
-    a piecewise domain, or unusable interpolation samples."""
+    that is not a list, a polynomial whose minimum cannot be certified
+    exactly, a point outside a piecewise domain, or unusable
+    interpolation samples."""
 
 
 class NotARational(ExactCoreError):
     """A value is neither an int, a Fraction nor a parsable rational string."""
-
-
-class ContinuityWarning(UserWarning):
-    """Adjacent pieces disagree at a shared endpoint.
-
-    A discontinuity is reported, not fatal, so a mismatching piece table
-    surfaces rather than integrating silently.  No bundled input raises
-    it: ``kstab suite`` runs clean under ``python -W error``.
-    """
 
 
 def _rat_parts(value) -> tuple[int, int]:
@@ -170,13 +165,6 @@ class Poly:
         return cls._of([c.numerator], c.denominator)
 
     @classmethod
-    def var(cls, name: str) -> "Poly":
-        if name != "u":
-            raise MalformedInput(
-                f"unknown variable {name!r}; a Poly is a polynomial in u")
-        return cls._of([0, 1], 1)
-
-    @classmethod
     def from_coeffs(cls, coeffs: list | tuple) -> "Poly":
         """Build ``sum(rat(coeffs[k]) * u**k)`` from a coefficient list or
         tuple; anything else (a string of digits, say) is MalformedInput.
@@ -248,18 +236,6 @@ class Poly:
         return Poly._of(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise MalformedInput("negative powers are not polynomials")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, str):  # a str hashes apart, so never equal
@@ -369,13 +345,14 @@ class Piece(_Record, frozen=True):
 
 
 class PiecewisePolynomial:
-    """A piecewise polynomial in u with pairwise disjoint interiors.
+    """A continuous piecewise polynomial in u on one interval.
 
-    Pieces are sorted by lower endpoint on construction.  Continuity at
-    shared endpoints is checked and reported as a ContinuityWarning, never
-    assumed, so a supplied table with a typo is caught rather than
-    integrated silently.  A caller for which a jump is an error turns the
-    warning into one.
+    Pieces are sorted by lower endpoint on construction, and each must
+    start where the previous one ends: an overlap raises
+    OverlappingPieces, and a gap or a jump at a shared endpoint raises
+    DiscontinuousVolume, so a supplied table with a typo is refused
+    rather than integrated.  This is the one tiling and continuity check
+    of every volume function in the package.
     """
 
     def __init__(self, pieces: list[tuple[Interval, Poly] | Piece]):
@@ -384,17 +361,18 @@ class PiecewisePolynomial:
             norm.append(p if isinstance(p, Piece) else Piece(*p))
         norm.sort(key=lambda p: (p.interval.lo, p.interval.hi))
         for a, b in zip(norm, norm[1:]):
-            if b.interval.lo < a.interval.hi:
+            x = a.interval.hi
+            if b.interval.lo < x:
                 raise OverlappingPieces(
                     f"pieces {a.interval} and {b.interval} overlap")
-            if a.interval.hi == b.interval.lo:
-                x = a.interval.hi
-                left, right = a.poly.eval(x), b.poly.eval(x)
-                if left != right:
-                    warnings.warn(
-                        f"discontinuity at u = {rat_str(x)}: "
-                        f"{rat_str(left)} vs {rat_str(right)}",
-                        ContinuityWarning, stacklevel=2)
+            if b.interval.lo > x:
+                raise DiscontinuousVolume(
+                    f"pieces {a.interval} and {b.interval} leave a gap")
+            left, right = a.poly.eval(x), b.poly.eval(x)
+            if left != right:
+                raise DiscontinuousVolume(
+                    f"discontinuity at u = {rat_str(x)}: "
+                    f"{rat_str(left)} vs {rat_str(right)}")
         self.pieces = norm
 
     def eval(self, x) -> Fraction:

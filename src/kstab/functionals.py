@@ -1,6 +1,7 @@
 """Stability functionals: S-invariants, beta invariants, nested flag
 functionals with their local correction terms, and min-aggregated delta
-lower bounds.
+lower bounds.  ``check_volume`` is the one end check of a volume: every
+volume the runner reads, a verified fixture or an inline table, passes it.
 
 A :class:`FlagCase` packages one nested computation: the ambient volume
 ``A^n``, the per-chamber restriction of the decomposed family to the flag
@@ -39,6 +40,11 @@ class MissingMultiplicity(FunctionalError):
 
 class ZeroS(FunctionalError):
     """A delta-bound entry has vanishing expected order S."""
+
+
+class NotAVolume(FunctionalError):
+    """A piecewise polynomial that does not fall from the ample cube at
+    u = 0 to 0 at its end."""
 
 
 class StabilityValue(_Record, frozen=True):
@@ -98,6 +104,25 @@ class FlagCase(_Record):
                     self.lattice, ch.family, {self.flag: -1}, ch.interval)))
             self._inner = out
         return self._inner
+
+
+def check_volume(vol: PiecewisePolynomial, a_top: Fraction) -> None:
+    """Raise NotAVolume, naming the failing end, unless ``vol`` has a
+    piece, starts at u = 0 with the value ``a_top`` and is 0 at its end.
+    ``PiecewisePolynomial`` has already proved it continuous on one
+    interval, so these ends are all that is left to check."""
+    if not vol.pieces:
+        raise NotAVolume("a volume needs at least one piece")
+    first, last = vol.pieces[0], vol.pieces[-1]
+    lo, hi = first.interval.lo, last.interval.hi
+    if lo:
+        raise NotAVolume(f"vol starts at u = {rat_str(lo)}, not at u = 0")
+    if (start := first.poly.eval(0)) != a_top:
+        raise NotAVolume(f"vol(0) = {rat_str(start)} is not the ample cube "
+                         f"{rat_str(a_top)}")
+    if end := last.poly.eval(hi):
+        raise NotAVolume(f"vol({rat_str(hi)}) = {rat_str(end)} is not 0 at "
+                         "the end")
 
 
 def s_from_volume(vol: PiecewisePolynomial, a_top: Fraction) -> Fraction:

@@ -241,12 +241,7 @@ class VolumeFixture(_Record):
         """P^3 on the verified chambers, from the ample cube at u = 0 to 0."""
         vol = zariski.threefold_chamber_volume(
             self.models, self.chambers, self.family)
-        ends = (vol.pieces[0].interval.lo, vol.pieces[-1].interval.hi)
-        if (ends[0], *map(vol.eval, ends)) != (0, self.ample_cube, 0):
-            raise zariski.DecompositionMismatch(
-                f"{self.label}: vol is not the ample cube at u = 0, 0 at the"
-                " end: " + ", ".join(f"{rat_str(vol.eval(x))} at u = "
-                                     f"{rat_str(x)}" for x in ends))
+        functionals.check_volume(vol, self.ample_cube)
         return vol
 
 
@@ -336,9 +331,9 @@ def _compute_volume(inputs: _Fields):
         raise SchemaError("a volume threshold needs a volume fixture, "
                           "not inline pieces")
     else:
-        vol = inputs.pieces("pieces")
-        a = rat(inputs["ample_cube"])
+        vol, a = inputs.pieces("pieces"), rat(inputs["ample_cube"])
         alog = rat(inputs.get("log_discrepancy", 1))
+        functionals.check_volume(vol, a)
     if quantity == "pieces":
         return vol
     if quantity == "s_value":
@@ -354,9 +349,10 @@ def _compute_volume(inputs: _Fields):
 
 
 def _compute_beta(inputs: _Fields):
-    vol = inputs.pieces("pieces")
-    return functionals.beta_divisor(
-        rat(inputs["log_discrepancy"]), vol, rat(inputs["ample_cube"]))
+    alog, vol = rat(inputs["log_discrepancy"]), inputs.pieces("pieces")
+    a = rat(inputs["ample_cube"])
+    functionals.check_volume(vol, a)
+    return functionals.beta_divisor(alog, vol, a)
 
 
 def _compute_flag_point(inputs: _Fields):

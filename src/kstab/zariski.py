@@ -94,10 +94,6 @@ class DecompositionMismatch(ZariskiError):
     pass
 
 
-class DiscontinuousVolume(ZariskiError):
-    pass
-
-
 class NonAffineFamily(ZariskiError):
     """A family coefficient with a term in u^2 or higher."""
 
@@ -336,12 +332,6 @@ class Chamber2D(_Record):
     def support(self) -> tuple[str, ...]:
         return tuple(self.n)
 
-    def corners(self) -> list[tuple[Fraction, Fraction]]:
-        """The corners (u, v): v_lo then v_hi at u0, then at u1."""
-        return [(u, wall.eval(u))
-                for u in (self.u_interval.lo, self.u_interval.hi)
-                for wall in (self.v_lo, self.v_hi)]
-
     def nonnegative(self, t: tuple[int, int, int]) -> bool:
         """Whether the form (a + b*u + c*v) / den of the integer triple
         ``t`` = (a, b, c), any den > 0, is >= 0 on the whole chamber.
@@ -355,10 +345,10 @@ class Chamber2D(_Record):
 
     @cached_property
     def _corner_points(self) -> list:
-        """The corners, in ``corners`` order, as integer points (x, y, z),
-        x > 0, with (u, v) = (y/x, z/x), each with its wall (w0, w1, wd):
-        at u = p/q on the wall (w0 + w1*u) / wd the corner is
-        (q*wd, p*wd, w0*q + w1*p)."""
+        """The corners (u, v), v_lo then v_hi at u0, then at u1, as integer
+        points (x, y, z), x > 0, with (u, v) = (y/x, z/x), each with its
+        wall (w0, w1, wd): at u = p/q on the wall (w0 + w1*u) / wd the
+        corner is (q*wd, p*wd, w0*q + w1*p)."""
         walls = [(_affine(w), w.den) for w in (self.v_lo, self.v_hi)]
         return [((q * wd, p * wd, w0 * q + w1 * p), (w0, w1, wd))
                 for p, q in ((u.numerator, u.denominator)
@@ -666,25 +656,24 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
                              total: dict[str, Poly]) -> PiecewisePolynomial:
     """Verify a supplied chamber decomposition and return vol(u) = P(u)^3.
 
-    The sorted chambers must tile one interval.  Per chamber five
-    conditions are proved in ``int`` (``_ray_vectors``): P + N is the
-    family in the degree lattice; N has a nonnegative ``minimum``; P is
-    nef at both ends, read as q * den * P(p/q) (P is affine in u); the
-    cubics agree at the walls; and P^2 . F_k is identically 0 for each
-    ray k in the support of N.  One integer vector w_k = P^2 . F_k
-    (``facet_products``) gives both vol = P^3 = sum_k P_k w_k and the
-    support check.  For P nef and big, P^2 . F_k is twice the
-    normalized area of the face of the polytope P_P with normal v_k
-    (Fulton, Introduction to Toric Varieties, Sec. 5.3).  So no such face
-    is a facet, P_P is cut out by the rays where P is the family, and
-    vol = 6 vol(P_P) = P^3.
+    Per chamber four conditions are proved in ``int`` (``_ray_vectors``):
+    P + N is the family in the degree lattice; N has a nonnegative
+    ``minimum``; P is nef at both ends, read as q * den * P(p/q) (P is
+    affine in u); and P^2 . F_k is identically 0 for each ray k in the
+    support of N.  That the chambers tile one interval and their cubics
+    agree at the walls is ``PiecewisePolynomial``'s own check, which
+    fails only when chambers on different models disagree: on one model,
+    P^3 is the volume, and a volume is continuous.  One integer vector
+    w_k = P^2 . F_k (``facet_products``) gives both vol = P^3 =
+    sum_k P_k w_k and the support check.  For P nef and big, P^2 . F_k
+    is twice the normalized area of the face of the polytope P_P with
+    normal v_k (Fulton, Introduction to Toric Varieties, Sec. 5.3).  So
+    no such face is a facet, P_P is cut out by the rays where P is the
+    family, and vol = 6 vol(P_P) = P^3.
     """
     pieces: list[tuple[Interval, Poly]] = []
-    for ch in sorted(chambers, key=lambda c: (c.interval.lo, c.interval.hi)):
+    for ch in chambers:
         label = f"chamber {ch.interval} on {ch.model}"
-        if pieces and ch.interval.lo != pieces[-1][0].hi:
-            raise DecompositionMismatch(
-                f"chambers leave a gap or overlap: {pieces[-1][0]}, {label}")
         model = models.get(ch.model)
         if model is None:
             raise DecompositionMismatch(f"unknown model {ch.model!r}")
@@ -709,20 +698,15 @@ def threefold_chamber_volume(models: dict[str, ToricModel],
                 raise NefViolation(
                     f"{label}: P({rat_str(u)}) negative on {violated}")
         w, scale = model.facet_products(den, pos, pos.keys() | neg.keys())
+        if any((a or b) and any(w[k]) for k, (a, b) in neg.items()):
+            raise DecompositionMismatch(
+                f"{label}: P^2 . F_k is not 0 on the support of N")
         num = [0] * 4
         for k, (a, b) in pos.items():
             for t, c in enumerate(w[k]):
                 num[t] += a * c
                 num[t + 1] += b * c
-        vol, x = Poly._of(num, den * scale), ch.interval.lo
-        if pieces and pieces[-1][1].eval(x) != vol.eval(x):
-            raise DiscontinuousVolume(
-                f"volume discontinuity at u = {rat_str(x)}: "
-                f"{rat_str(pieces[-1][1].eval(x))} vs {rat_str(vol.eval(x))}")
-        if any((a or b) and any(w[k]) for k, (a, b) in neg.items()):
-            raise DecompositionMismatch(
-                f"{label}: P^2 . F_k is not 0 on the support of N")
-        pieces.append((ch.interval, vol))
+        pieces.append((ch.interval, Poly._of(num, den * scale)))
     if not pieces:
         raise DecompositionMismatch("no chambers to verify")
     return PiecewisePolynomial(pieces)

@@ -26,11 +26,10 @@ sp = pytest.importorskip("sympy")
 from hypothesis import (example, given, settings,  # noqa: E402
                         strategies as st)
 
-from kstab.exactcore import (ContinuityWarning,  # noqa: E402
-                             InconsistentSamples, Interval, MalformedInput,
-                             PiecewisePolynomial, Poly, definite_integral,
-                             double_integral, interpolate, minimum,
-                             piecewise_integral)
+from kstab.exactcore import (InconsistentSamples,  # noqa: E402
+                             Interval, MalformedInput, PiecewisePolynomial,
+                             Poly, definite_integral, double_integral,
+                             interpolate, minimum, piecewise_integral)
 
 SU, SV = sp.symbols("u v")
 
@@ -88,11 +87,15 @@ def test_definite_integral(p, iv):
 @SETTINGS
 @given(st.lists(rationals, min_size=2, max_size=5, unique=True),
        st.lists(u_polys, min_size=4, max_size=4))
-@pytest.mark.filterwarnings("ignore", category=ContinuityWarning)
 def test_piecewise_integral(breaks, polys):
     breaks.sort()
-    pieces = [(Interval(lo, hi), p)
-              for lo, hi, p in zip(breaks, breaks[1:], polys)]
+    pieces = []
+    for lo, hi, p in zip(breaks, breaks[1:], polys):
+        # Each piece is shifted by a constant to meet the previous one at
+        # the join, as a piecewise polynomial must.
+        if pieces:
+            p = p + (pieces[-1][1].eval(lo) - p.eval(lo))
+        pieces.append((Interval(lo, hi), p))
     # The pieces tile [breaks[0], breaks[-1]], so the integral over it is
     # the sum of the integrals of the pieces.
     want = sum((qq_integral(to_qq(p), iv) for iv, p in pieces), Q(0))

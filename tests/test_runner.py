@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from kstab import _linalg, cli, invariants, runner, toric, zariski
+from kstab import _linalg, cli, functionals, invariants, runner, toric, zariski
+from kstab.exactcore import DiscontinuousVolume
 
 
 def test_suite_green():
@@ -368,6 +369,50 @@ def test_lattice_with_two_extra_classes():
     for a, row in zip(lat.curves, lat.gram):
         for b, entry in zip(lat.curves, row):
             assert entry == base.dot(classes[a], classes[b]), (a, b)
+
+
+def _shift_first_coefficient(piece):
+    piece["coeffs"][0] = str(Fraction(piece["coeffs"][0]) + 1)
+
+
+# Inline pieces that are no volume: the edit of a bundled case's inputs,
+# the error and words of its message.
+_NOT_VOLUMES = {
+    "empty": (lambda inputs: inputs.update(pieces=[]),
+              functionals.NotAVolume, "at least one piece"),
+    "ample-cube": (lambda inputs: inputs.update(
+        ample_cube=str(Fraction(inputs["ample_cube"]) + 1)),
+        functionals.NotAVolume, "is not the ample cube"),
+    "gap": (lambda inputs: inputs["pieces"][1].update(
+        interval=["5/4", inputs["pieces"][1]["interval"][1]]),
+        DiscontinuousVolume, "leave a gap"),
+    "jump": (lambda inputs: _shift_first_coefficient(inputs["pieces"][1]),
+             DiscontinuousVolume, "discontinuity at u = 1: "),
+}
+
+
+@pytest.mark.parametrize("name", ["volume--mm39-sym-s-value",
+                                  "beta--mm42-exceptional"])
+@pytest.mark.parametrize("broken", sorted(_NOT_VOLUMES))
+def test_inline_pieces_must_be_a_volume(name, broken, tmp_path, capsys):
+    # Inline pieces meet the rules of a verified volume: one interval, no
+    # jump, the ample cube at u = 0 and 0 at the end.  A table that breaks
+    # one fails its row with a typed error naming the condition.
+    case = json.loads((runner._fixture_root() / "cases"
+                       / f"{name}.json").read_text())
+    edit, error, words = _NOT_VOLUMES[broken]
+    edit(case["inputs"])
+    with pytest.raises(error, match=re.escape(words)):
+        runner.compute(case["kind"], case["inputs"])
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(case))
+    assert cli.main(["run", str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    (row,) = json.loads(out)["cases"]
+    assert row["status"] == "fail"
+    assert row["detail"].startswith(f"{error.__name__}: ")
+    assert words in row["detail"]
+    assert err == ""
 
 
 def test_reversed_interval_fails_its_row(tmp_path, capsys):

@@ -7,7 +7,7 @@ random integer triples and on random chambers whose affine walls are in
 order at both ends of the u-interval:
 
 * ``Chamber2D.nonnegative(t)`` equals the smallest of t's values at
-  ``Chamber2D.corners``, compared with 0;
+  the chamber's corners (``toric_surfaces.corners``), compared with 0;
 * ``_line(a, b, c)`` equals -(a + b*u) / c, and a + b*u + c*wall(u)
   vanishes at two distinct u, so everywhere, the form being affine;
 * a polynomial in u with a u^2 term raises NonAffineFamily wherever a
@@ -22,6 +22,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import toric_surfaces  # noqa: E402
 from kstab.exactcore import Interval, Poly  # noqa: E402
 from kstab.zariski import (Chamber2D, NonAffineFamily,  # noqa: E402
                            _affine, _affine_family, _line)
@@ -32,6 +33,7 @@ nonzero = integers.filter(bool)
 nonnegative = st.builds(Q, st.integers(0, 9), st.integers(1, 6))
 triples = st.tuples(integers, integers, integers)
 u_lines = st.lists(rationals, max_size=2).map(Poly.from_coeffs)
+U = Poly.from_coeffs([0, 1])
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -50,11 +52,11 @@ def chambers(draw):
 
 @SETTINGS
 @given(chambers(), triples)
-@example(Chamber2D(Interval(0, 1), Poly(), Poly.var("u")),
+@example(Chamber2D(Interval(0, 1), Poly(), U),
          (0, 1, -1))  # u - v, zero on the upper wall
 def test_nonnegative_is_the_corner_minimum(ch, t):
     a, b, c = t
-    want = min(a + b * u + c * v for u, v in ch.corners()) >= 0
+    want = min(a + b * u + c * v for u, v in toric_surfaces.corners(ch)) >= 0
     assert ch.nonnegative(t) == want
 
 
@@ -70,7 +72,7 @@ def test_symbolic_wall_is_the_root_line(a, b, c):
 @SETTINGS
 @given(u_lines, nonzero, chambers())
 def test_non_affine_forms_are_refused(g, k, ch):
-    bent = g + k * Poly.var("u") ** 2
+    bent = g + k * U * U
     with pytest.raises(NonAffineFamily):
         _affine(bent)
     with pytest.raises(NonAffineFamily, match="of D is not affine in u"):

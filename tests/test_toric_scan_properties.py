@@ -45,7 +45,7 @@ def toric_families(draw):
     n = len(rays)
     a = [Poly.const(draw(st.integers(1, 6))) for _ in rays]
     k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    a[k] = a[k] - Poly.var("u")
+    a[k] = a[k] - Poly.from_coeffs([0, 1])
     return rays, a, j
 
 

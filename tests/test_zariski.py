@@ -7,13 +7,13 @@ import pytest
 
 import toric_surfaces
 from kstab import _linalg
-from kstab.exactcore import Interval, NotARational, Poly
-from kstab.functionals import FlagCase, FlagChamber
+from kstab.exactcore import DiscontinuousVolume, Interval, NotARational, Poly
+from kstab.functionals import FlagCase, FlagChamber, NotAVolume
 from kstab.runner import (VolumeFixture, _fixture_root, flag_case, model,
                           volume_fixture)
 from kstab.toric import SingularBasis, ToricModel
-from kstab.zariski import (Chamber2D, DiscontinuousVolume,
-                           DecompositionMismatch, IrrationalThreshold,
+from kstab.zariski import (Chamber2D, DecompositionMismatch,
+                           IrrationalThreshold,
                            MalformedLattice, NefViolation, NoConvergence,
                            NegativeDefiniteSupportWarning, NonAffineFamily,
                            SurfaceLattice, ThreefoldChamber, Unbounded,
@@ -24,7 +24,7 @@ from kstab.zariski import (Chamber2D, DiscontinuousVolume,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
 
-U = Poly.var("u")
+U = Poly.from_coeffs([0, 1])
 forms, times = toric_surfaces.chamber_forms, toric_surfaces.times
 
 
@@ -137,7 +137,7 @@ class TestParametricChambers:
             for _, subs in case.inner():
                 for sub in subs:
                     pos, neg = forms(sub).positive, forms(sub).negative
-                    for u, v in sub.corners():
+                    for u, v in toric_surfaces.corners(sub):
                         p = {k: toric_surfaces.value(t, u, v)
                              for k, t in pos.items()}
                         for c in case.lattice.curves:
@@ -409,21 +409,21 @@ class TestVolumeIsAProof:
 
     def test_chambers_must_leave_no_gap(self):
         # Without [3, 5] the parent verified S = 269/78, not 127/26.
-        with pytest.raises(DecompositionMismatch, match="gap"):
+        with pytest.raises(DiscontinuousVolume, match="gap"):
             self._edited("a2-volume", drop=Interval(3, 5)).volume()
 
     def test_volume_must_start_at_zero(self):
         # Without [0, 3] the parent verified S = 205/104.
-        with pytest.raises(DecompositionMismatch, match="at u = 0"):
+        with pytest.raises(NotAVolume, match="at u = 0"):
             self._edited("a2-volume", drop=Interval(0, 3)).volume()
 
     def test_volume_must_start_at_the_ample_cube(self):
-        with pytest.raises(DecompositionMismatch, match="ample cube"):
+        with pytest.raises(NotAVolume, match="ample cube"):
             self._edited("a1-volume", ample_cube=Q(12)).volume()
 
     def test_volume_must_vanish_at_the_end(self):
         # Without [6, 9] the volume stops at vol(6) = 3 > 0.
-        with pytest.raises(DecompositionMismatch, match="0 at the end"):
+        with pytest.raises(NotAVolume, match="0 at the end"):
             self._edited("a2-volume", drop=Interval(6, 9)).volume()
 
     def test_bundled_fixtures_tile_from_the_ample_cube_to_zero(self):
@@ -462,19 +462,23 @@ class TestThreshold:
 
 
 def test_volume_jump_between_chambers_is_an_error():
-    # No Mori generators, so both chambers are nef; vol O(a, b, c) = 6abc
-    # falls from 6 to 3 at u = 1.
-    m = ToricModel("P1^3", **CUBE)
+    # Each chamber passes every check on its own model, but the models are
+    # not one threefold: with no Mori generators both are nef, and F0 + F2
+    # + F4 has volume 6 on P1^3 and 3 * 1 * 2^2 = 12 on P1 x P2.
     one = {"F0": Poly.const(1), "F2": Poly.const(1), "F4": Poly.const(1)}
-    chambers = [
-        ThreefoldChamber(Interval(0, 1), "P1^3", one, {}),
-        ThreefoldChamber(Interval(1, 2), "P1^3",
-                         dict(one, F4=Poly.const(Q(1, 2))),
-                         {"F5": Poly.const(Q(1, 2))}),
-    ]
-    with pytest.raises(DiscontinuousVolume,
-                       match="at u = 1: 6 vs 3"):
-        threefold_chamber_volume({"P1^3": m}, chambers, one)
+    models = {
+        "P1^3": ToricModel("P1^3", **CUBE),
+        "P1xP2": ToricModel(
+            "P1xP2",
+            rays=[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)],
+            max_cones=[(i, *c) for i in (0, 1)
+                       for c in itertools.combinations((2, 3, 4), 2)],
+            grading=[[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]),
+    }
+    chambers = [ThreefoldChamber(Interval(0, 1), "P1^3", one, {}),
+                ThreefoldChamber(Interval(1, 2), "P1xP2", one, {})]
+    with pytest.raises(DiscontinuousVolume, match="at u = 1: 6 vs 12"):
+        threefold_chamber_volume(models, chambers, one)
 
 
 def test_negative_definiteness_detector():

@@ -107,6 +107,13 @@ def negative_part(rays, a) -> dict[str, Q]:
     return out
 
 
+def corners(chamber) -> list[tuple[Q, Q]]:
+    """A chamber's corners (u, v): v_lo then v_hi at u0, then at u1."""
+    return [(u, wall.eval(u))
+            for u in (chamber.u_interval.lo, chamber.u_interval.hi)
+            for wall in (chamber.v_lo, chamber.v_hi)]
+
+
 def interior_points(chamber):
     """Four points inside a chamber: u at 1/3 and 2/3 of its interval, v
     at 1/4 and 3/4 of the way between its walls there."""
