@@ -58,8 +58,7 @@ class InconsistentSamples(ExactCoreError):
 class MalformedInput(ExactCoreError):
     """Input of the wrong shape: a reversed interval, a coefficient list
     that is not a list, a polynomial whose minimum cannot be certified
-    exactly, a point outside a piecewise domain, or unusable
-    interpolation samples."""
+    exactly, or unusable interpolation samples."""
 
 
 class NotARational(ExactCoreError):
@@ -130,7 +129,8 @@ class Poly:
     not zero; ``den`` is a positive int; gcd(den, all numerators) = 1;
     and the zero polynomial is ``((), 1)``.  Equality is structural.
     Instances behave as immutable values: all operators return new
-    polynomials.
+    polynomials.  Operands are Polys, ints and Fractions; only ``const``
+    and ``from_coeffs`` read a string.
     """
 
     __slots__ = ("num", "den")
@@ -182,7 +182,7 @@ class Poly:
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             return Poly.const(other)
         return None
 
@@ -230,16 +230,12 @@ class Poly:
                 k = other.numerator
                 return Poly._of([c * k for c in self.num],
                                 self.den * other.denominator)
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         return Poly._of(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, str):  # a str hashes apart, so never equal
-            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -312,9 +308,6 @@ class Interval(_Record, frozen=True):
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x) -> bool:
-        return self.lo <= rat(x) <= self.hi
-
     def __repr__(self):
         return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
 
@@ -374,13 +367,6 @@ class PiecewisePolynomial:
                     f"discontinuity at u = {rat_str(x)}: "
                     f"{rat_str(left)} vs {rat_str(right)}")
         self.pieces = norm
-
-    def eval(self, x) -> Fraction:
-        x = rat(x)
-        for p in self.pieces:
-            if p.interval.contains(x):
-                return p.poly.eval(x)
-        raise MalformedInput(f"{rat_str(x)} outside the piecewise domain")
 
     def __iter__(self):
         return iter(self.pieces)

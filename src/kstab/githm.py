@@ -38,8 +38,6 @@ def support(pairs) -> Support:
         raise GitError(f"support {pairs!r} is not a list of entries") from None
 
 
-FULL_SUPPORT: Support = support((i, j) for i in range(3) for j in range(3))
-
 
 class OneParamSubgroup(_Record, frozen=True):
     r0: int

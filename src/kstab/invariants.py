@@ -127,31 +127,10 @@ def hilbert_prefix(n: int) -> list[int]:
     return out
 
 
-def _matrix(c: Coeffs):
-    """The matrix M of the invariants; :func:`_peano` builds 2d M."""
-    def a(i, j):
-        return c.get((i, j), Fraction(0))
-
-    half = Fraction(1, 2)
-    return [
-        [half * a(1, 1), -a(1, 0), -a(0, 1), 2 * a(0, 0)],
-        [a(1, 2), -half * a(1, 1), -2 * a(0, 2), a(0, 1)],
-        [a(2, 1), -2 * a(2, 0), -half * a(1, 1), a(1, 0)],
-        [2 * a(2, 2), -a(2, 1), -a(1, 2), half * a(1, 1)],
-    ]
-
-
 def _coeff_matrix(c: Coeffs) -> tuple[list[list[int]], int]:
     """The coefficients a_ij as an integer 3x3 matrix over a denominator."""
     return _integer_form([[c.get((i, j), 0) for j in range(3)]
                           for i in range(3)])
-
-
-def char_poly(m) -> list[Fraction]:
-    """Coefficients [c1, ..., cn] of det(T I - M) = T^n + c1 T^(n-1) + ...,
-    as c_k(N) / D^k from the integer matrix N = D M (:func:`_newton`)."""
-    im, den = _integer_form(m)
-    return [Fraction(c, den ** k) for k, c in enumerate(_newton(im), 1)]
 
 
 def _newton(im: list[list[int]]) -> list[int]:
@@ -186,7 +165,7 @@ def _newton(im: list[list[int]]) -> list[int]:
 
 def _peano(a: list[list[int]], d: int) -> tuple[Fraction, Fraction, Fraction]:
     """(J2, J3, J4) of the form with coefficients a_ij / d, from the
-    integer matrix N = 2d M (see :func:`_matrix`): J_k = c_k(N) / (2d)^k."""
+    integer matrix N = 2d M, M the trace-free matrix of the invariants: J_k = c_k(N) / (2d)^k."""
     n = [[a[1][1], -2 * a[1][0], -2 * a[0][1], 4 * a[0][0]],
          [2 * a[1][2], -a[1][1], -4 * a[0][2], 2 * a[0][1]],
          [2 * a[2][1], -4 * a[2][0], -a[1][1], 2 * a[1][0]],
@@ -243,28 +222,6 @@ def _act(g: GroupElement, a: list[list[int]], d: int):
           for i in range(3)]
     return [[sum(s1[i][k] * cs[i][l] for i in range(3)) for l in range(3)]
             for k in range(3)], d * (e1 * e2) ** 2
-
-
-def act(g: GroupElement, c: Coeffs | dict) -> Coeffs:
-    """Coefficients of f((x, y) . g1, (u, v) . g2): the matrix
-    S(g1)^T C S(g2), with C = (a_ij) and S the :func:`_sym2` matrices."""
-    b, q = _act(g, *_coeff_matrix(coeffs(c)))
-    return {(k, l): Fraction(v, q) for k, row in enumerate(b)
-            for l, v in enumerate(row) if v}
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][t] * b[t][j] for t in range(2)) for j in range(2))
-            for i in range(2))
-
-    return GroupElement(mul(g.g1, h.g1), mul(g.g2, h.g2))
-
-
-def verify_invariance(c: Coeffs | dict, g: GroupElement) -> bool:
-    """Exact equality of the invariants before and after the action."""
-    return _invariant_under(g, *_coeff_matrix(coeffs(c)))
 
 
 def _invariant_under(g: GroupElement, a: list[list[int]], d: int) -> bool:

@@ -322,7 +322,12 @@ def _validate(case: _Fields):
 
 
 def _compute_volume(inputs: _Fields):
+    # The name is checked before a fixture is loaded or a volume is
+    # checked, so an unknown one is a SchemaError, never a failed row.
     quantity = inputs.get("quantity", "s_value")
+    if quantity not in ("pieces", "s_value", "integral", "ratio",
+                        "threshold"):
+        raise SchemaError(f"unknown volume quantity {quantity!r}")
     if "volume" in inputs:
         fx = volume_fixture(inputs["volume"])
         vol = fx.volume()
@@ -342,10 +347,8 @@ def _compute_volume(inputs: _Fields):
         return piecewise_integral(vol)
     if quantity == "ratio":
         return alog / functionals.s_from_volume(vol, a)
-    if quantity == "threshold":
-        m = fx.models[fx.chambers[0].model]
-        return zariski.pseudoeffective_threshold(m, fx.family)
-    raise SchemaError(f"unknown volume quantity {quantity!r}")
+    m = fx.models[fx.chambers[0].model]
+    return zariski.pseudoeffective_threshold(m, fx.family)
 
 
 def _compute_beta(inputs: _Fields):
@@ -356,14 +359,14 @@ def _compute_beta(inputs: _Fields):
 
 
 def _compute_flag_point(inputs: _Fields):
+    quantity = inputs.get("quantity", "s_point")
+    if quantity not in ("s_point", "f_q"):
+        raise SchemaError(f"unknown flag_point quantity {quantity!r}")
     case = flag_case(inputs.string("flag_case"))
     point = inputs.string("point")
-    quantity = inputs.get("quantity", "s_point")
     if quantity == "s_point":
         return functionals.s_flag_point(case, point)
-    if quantity == "f_q":
-        return functionals.f_q_term(case, point)
-    raise SchemaError(f"unknown flag_point quantity {quantity!r}")
+    return functionals.f_q_term(case, point)
 
 
 # Formulas of one FamilyParams argument, evaluated by their own names.
@@ -458,8 +461,10 @@ def _compute_invariant(inputs: _Fields, seed: int):
 
 
 def _compute_toric(inputs: _Fields):
-    m = model(inputs.string("model"))
     table = inputs["table"]
+    if table not in ("triple", "pair", "curves"):
+        raise SchemaError(f"unknown toric table {table!r}")
+    m = model(inputs.string("model"))
     if table in ("triple", "pair"):
         size, names = ((3, m.effective_generators) if table == "triple"
                        else (2, m.aliases))
@@ -470,10 +475,8 @@ def _compute_toric(inputs: _Fields):
             divs = [{n: 1} for n in combo]
             out[".".join(combo)] = m.intersection_product(*divs)
         return out
-    if table == "curves":
-        return {c: {d: m.pair_curve_divisor(c, {d: 1})
-                    for d in m.effective_generators} for c in m.curve_specs}
-    raise SchemaError(f"unknown toric table {table!r}")
+    return {c: {d: m.pair_curve_divisor(c, {d: 1})
+                for d in m.effective_generators} for c in m.curve_specs}
 
 
 # kind -> handler(inputs, seed) returning the computed value.

@@ -133,15 +133,6 @@ def _adjugate(rows):
     return _dot(rows[0], cols[0]), cols
 
 
-def _orderings(part) -> int:
-    """k!/prod(count!): the orderings of a sorted multiset of k terms."""
-    n, run = math.factorial(len(part)), 1
-    for (a, _), (b, _) in zip(part, part[1:]):
-        run = run + 1 if a == b else 1
-        n //= run
-    return n
-
-
 class ToricModel:
     """One birational model: rays, maximal cones, grading, cone data.
 
@@ -350,32 +341,20 @@ class ToricModel:
                  for b in classes] for a in classes]
 
     def _expand(self, divisors):
-        """The multilinear expansion of a product of ``dim`` divisors: each
-        nonzero boundary monomial times its coefficients, summed over the
-        integer table and divided by L^dim once."""
-        return sum(math.prod(coeffs, start=term) for term, coeffs
-                   in self._terms(divisors)) * Fraction(1, self._scale)
-
-    def _terms(self, divisors):
-        """The nonzero terms of a product of ``dim`` divisors: (orderings
-        times the integer monomial, the coefficients).  Arguments equal after
-        normalization form one group; a group of k runs over the multisets
-        of k of its terms, each weighted by its k!/prod(count!) orderings,
-        and the product runs over the groups."""
+        """The multilinear expansion of a product of ``dim`` divisors: for
+        each choice of one term per argument, the integer monomial of its
+        sorted rays times its coefficients, summed over the table and
+        divided by L^dim once."""
         if len(divisors) != self.dim:
             raise ToricError(
                 f"{self.name} needs {self.dim} divisors, got {len(divisors)}")
-        args = [self.normalize_divisor(d) for d in divisors]
-        groups = [d for i, d in enumerate(args) if d not in args[:i]]
+        total = 0
         for combo in itertools.product(*(
-                itertools.combinations_with_replacement(
-                    sorted(d.items()), args.count(d))
-                for d in groups)):
-            term = self._monomial(
-                tuple(sorted([i for part in combo for i, _ in part])))
+                self.normalize_divisor(d).items() for d in divisors)):
+            term = self._monomial(tuple(sorted(i for i, _ in combo)))
             if term:
-                yield (term * math.prod(map(_orderings, combo)),
-                       [c for part in combo for _, c in part])
+                total += math.prod((c for _, c in combo), start=term)
+        return total * Fraction(1, self._scale)
 
     def facet_products(self, den: int, pos: dict[int, tuple[int, int]],
                        rays) -> tuple[dict[int, list[int]], int]:

@@ -26,11 +26,11 @@ four corners is a proof.  So every sign claim on a chamber goes through
 before the next wall, a threefold negative part) through the exact sign
 oracle ``exactcore.minimum``.
 
-Both surface layers run on integers, and this module alone knows how a
-form in (u, v) is stored.  An affine form is an integer triple (a, b, c),
-read as (a + b*u + c*v) / den over some den > 0, so at a point (x, y) / d
-its sign is that of a*d + b*x + c*y, and its zero line does not depend on
-den.  A quadratic form, a volume or a flag integrand, is the six integers
+Both surface layers run on integers, and this module and its one other
+reader, ``functionals``, know how a form in (u, v) is stored.  An affine
+form is an integer triple (a, b, c), read as (a + b*u + c*v) / den over
+some den > 0, so at a point (x, y) / d its sign is that of
+a*d + b*x + c*y, and its zero line does not depend on den.  A quadratic form, a volume or a flag integrand, is the six integers
 of ``_quadratic``, a sum of products of triples, and ``_in_v`` gives its
 coefficients in v as Polys in u.  ``_triples`` reads a family once as
 triples over one common den.  ``SurfaceLattice`` keeps one Fraction Gram

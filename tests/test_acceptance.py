@@ -16,6 +16,7 @@ from fractions import Fraction as Q
 import pytest
 
 import toric_surfaces
+from invariant_oracles import FULL_SUPPORT
 from kstab import runner
 from kstab.exactcore import (Interval, PiecewisePolynomial, Poly,
                              definite_integral, double_integral,
@@ -25,8 +26,8 @@ from kstab.formulas import (FamilyParams, HypothesisViolated, k3, k_general,
                             double_cover_check)
 from kstab.functionals import (beta_divisor, delta_bound_report, f_q_term,
                                s_flag_point, s_flag_surface, s_from_volume)
-from kstab.githm import (FULL_SUPPORT, OneParamSubgroup, find_destabilizer,
-                         hm_weight, support)
+from kstab.githm import (OneParamSubgroup, find_destabilizer, hm_weight,
+                         support)
 from kstab.invariants import (hilbert_prefix, independence_rank,
                               invariance_trials, invariant_dimension)
 from kstab.runner import flag_case, model, volume_fixture

@@ -11,7 +11,8 @@ sp = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kstab.invariants import GroupElement, act  # noqa: E402
+from invariant_oracles import act  # noqa: E402
+from kstab.invariants import GroupElement  # noqa: E402
 
 rationals = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
 x, y, u, v = sp.symbols("x y u v")

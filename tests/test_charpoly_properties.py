@@ -10,7 +10,7 @@ sp = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kstab.invariants import char_poly  # noqa: E402
+from invariant_oracles import char_poly  # noqa: E402
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
 

@@ -307,9 +307,3 @@ class TestMalformedInput:
         else:
             assert rat(entry) == want and type(rat(entry)) is Q
             assert Poly.from_coeffs([1, entry]) == Poly.const(1) + want * U
-
-    def test_piecewise_eval_outside_domain(self):
-        pw = PiecewisePolynomial([(Interval(0, 1), U)])
-        assert pw.eval(1) == 1
-        with pytest.raises(MalformedInput, match="outside"):
-            pw.eval(2)

@@ -1,9 +1,10 @@
-"""Property test of the grouped intersection expansion.
+"""Property tests of the intersection expansion.
 
-``ToricModel._expand`` expands a group of k equal arguments once per
-multiset of their terms, weighted by its k!/prod(count!) orderings.  On
-every bundled model it must agree with the plain expansion over every
-ordered choice of terms, written out below, for Fraction and affine Poly
+``ToricModel._expand`` sums, over every choice of one term per argument,
+the integer monomial of the chosen rays times their coefficients, and
+divides by L^dim once.  On every bundled model it must agree with the
+reference written out below, which divides each monomial by L^dim as a
+Fraction before it multiplies, for Fraction and affine Poly
 coefficients, for every pattern of repeated arguments, and for equal
 arguments passed as distinct dict objects or keyed by name.
 
@@ -94,28 +95,6 @@ def test_grouped_expansion_matches_ordered_expansion(name):
         assert m.intersection_form(*args) == want
 
     check()
-
-
-def test_equal_arguments_expand_once_per_multiset():
-    # A 3-term P on a threefold has 27 ordered triples but 10 multisets;
-    # the cube multiplies 3 coefficients into each of at most 10 terms.
-    m = model("Ytilde-A2")
-    calls = 0
-    mul = Poly.__mul__
-
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
-
-    p = {k: Poly.from_coeffs([k + 1, 1]) for k in (1, 4, 7)}
-    Poly.__mul__ = Poly.__rmul__ = counting_mul
-    try:
-        got = m.intersection_form(p, p, p)
-    finally:
-        Poly.__mul__ = Poly.__rmul__ = mul
-    assert got == ordered_expansion(m, [p, p, p])
-    assert calls <= 3 * 10
 
 
 @pytest.mark.parametrize("name", THREEFOLDS)

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from kstab.githm import (FULL_SUPPORT, Destabilizer, EmptySupport, GitError,
+from invariant_oracles import FULL_SUPPORT
+from kstab.githm import (Destabilizer, EmptySupport, GitError,
                          OneParamSubgroup, find_destabilizer,
                          fixed_point_singularity, hm_weight, support)
 

@@ -13,13 +13,14 @@ sp = pytest.importorskip("sympy")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from invariant_oracles import (_matrix, act, char_poly,  # noqa: E402
+                               verify_invariance)
 from kstab.exactcore import (InconsistentSamples, Poly,  # noqa: E402
                              interpolate)
 from kstab.invariants import (ENUMERATION_BOUND, BoundExceeded,  # noqa: E402
-                              InvariantError, _matrix, act,
-                              char_poly, coeffs, invariant_dimension,
+                              InvariantError, coeffs, invariant_dimension,
                               invariant_dimensions, peano_invariants,
-                              random_group_element, verify_invariance)
+                              random_group_element)
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
 coefficient_maps = st.dictionaries(

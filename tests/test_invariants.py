@@ -6,13 +6,14 @@ from math import comb
 import pytest
 
 from kstab import _linalg
+from invariant_oracles import (_matrix, act, char_poly, compose,
+                               verify_invariance)
 from kstab.invariants import (_WEIGHTS, BoundExceeded, GroupElement,
-                              InvariantError, _weight_table, act, char_poly,
-                              coeffs, compose, hilbert_prefix,
-                              independence_rank, invariance_trials,
-                              invariant_dimension, peano_invariants,
-                              random_coeffs, random_group_element,
-                              swap_transpose, verify_invariance)
+                              InvariantError, _weight_table, coeffs,
+                              hilbert_prefix, independence_rank,
+                              invariance_trials, invariant_dimension,
+                              peano_invariants, random_coeffs,
+                              random_group_element, swap_transpose)
 
 GENERIC = coeffs({"00": "1", "01": "2", "02": "1/2", "10": "-1",
                   "11": "3/2", "12": "5", "20": "-2", "21": "7/3",
@@ -78,7 +79,6 @@ class TestPeano:
         # Independent route: interpolate det(tI - M) from exact 4x4
         # determinants at five sample points.
         from kstab.exactcore import interpolate
-        from kstab.invariants import _matrix
 
         for c in ({"00": 1, "22": 1}, GENERIC, {"11": 1}):
             m = _matrix(coeffs({k: Q(v) if not isinstance(v, str) else v
@@ -162,7 +162,6 @@ class TestIndependence:
 
 class TestCharPoly:
     def test_trace_free(self):
-        from kstab.invariants import _matrix
         c1 = char_poly(_matrix(GENERIC))[0]
         assert c1 == 0
 

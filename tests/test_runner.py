@@ -415,6 +415,30 @@ def test_inline_pieces_must_be_a_volume(name, broken, tmp_path, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("kind, inputs, words", [
+    ("volume", {"pieces": [], "ample_cube": "1", "quantity": "bogus"},
+     "unknown volume quantity 'bogus'"),
+    ("flag_point", {"flag_case": "nope", "point": "x", "quantity": "bogus"},
+     "unknown flag_point quantity 'bogus'"),
+    ("toric", {"model": "nope", "table": "bogus"},
+     "unknown toric table 'bogus'"),
+])
+def test_unknown_name_is_checked_before_any_work(kind, inputs, words,
+                                                 tmp_path, capsys):
+    # The inputs name no volume, flag case or model that could be built,
+    # so only a name check made first gives a SchemaError: exit 2 from
+    # `kstab run`, not a failed row.
+    with pytest.raises(runner.SchemaError, match=re.escape(words)):
+        runner.compute(kind, inputs)
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind,
+                                "label": "adhoc/unknown", "inputs": inputs,
+                                "expected": "1", "citation": "unused"}))
+    assert cli.main(["run", str(path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and words in err
+
+
 def test_reversed_interval_fails_its_row(tmp_path, capsys):
     case = {
         "schema_version": 1,

@@ -433,7 +433,8 @@ class TestVolumeIsAProof:
             vol = fx.volume()
             assert (vol.pieces[0].interval.lo, vol.pieces[-1].interval.hi) \
                 == (0, end)
-            assert (vol.eval(0), vol.eval(end)) == (fx.ample_cube, 0)
+            first, last = vol.pieces[0].poly, vol.pieces[-1].poly
+            assert (first.eval(0), last.eval(end)) == (fx.ample_cube, 0)
 
     def test_no_chambers_is_an_error(self):
         fx = volume_fixture("a1-volume")
