@@ -87,14 +87,12 @@ def _rat_parts(value) -> tuple[int, int]:
             pass
     elif isinstance(value, Fraction):
         return value.numerator, value.denominator
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return int(value), 1
     raise NotARational(f"cannot interpret {value!r} as a rational")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Parse a rational from an int (not a bool), a Fraction, or a
-    ``"p/q"`` string, as ``_rat_parts`` reads it."""
+    """Parse a rational from an exact int (not a bool or other subclass),
+    a Fraction, or a ``"p/q"`` string, as ``_rat_parts`` reads it."""
     if isinstance(value, Fraction):
         return value
     n, d = _rat_parts(value)
@@ -129,8 +127,10 @@ class Poly:
     not zero; ``den`` is a positive int; gcd(den, all numerators) = 1;
     and the zero polynomial is ``((), 1)``.  Equality is structural.
     Instances behave as immutable values: all operators return new
-    polynomials.  Operands are Polys, ints and Fractions; only ``const``
-    and ``from_coeffs`` read a string.
+    polynomials.  Every operator takes the same operands: Polys, exact
+    ints (not bools) and Fractions, as ``rat`` reads them; ``==`` is False
+    for any other and the rest raise TypeError.  Only ``const`` and
+    ``from_coeffs`` read a string.
     """
 
     __slots__ = ("num", "den")
@@ -180,9 +180,10 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> "Poly | None":
+        """``other`` as a Poly if it is an operand (as in ``__mul__``)."""
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return Poly.const(other)
         return None
 
@@ -226,7 +227,7 @@ class Poly:
         # A Poly operand first: a failing isinstance(x, Fraction) goes
         # through the ABC machinery and costs seven times as much.
         if not isinstance(other, Poly):
-            if isinstance(other, (int, Fraction)):
+            if type(other) is int or isinstance(other, Fraction):
                 k = other.numerator
                 return Poly._of([c * k for c in self.num],
                                 self.den * other.denominator)
@@ -370,9 +371,6 @@ class PiecewisePolynomial:
 
     def __iter__(self):
         return iter(self.pieces)
-
-    def __len__(self):
-        return len(self.pieces)
 
 
 def piecewise_integral(f: PiecewisePolynomial) -> Fraction:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import KstabError, _Record
 from .exactcore import Interval, PiecewisePolynomial, Poly, double_integral, \
-    definite_integral, rat, rat_str
+    definite_integral, piecewise_integral, rat, rat_str
 from .zariski import (Chamber2D, SurfaceLattice, _affine_family, _in_v,
                       _quadratic, parametric_surface_zariski)
 
@@ -126,21 +126,11 @@ def check_volume(vol: PiecewisePolynomial, a_top: Fraction) -> None:
 
 
 def s_from_volume(vol: PiecewisePolynomial, a_top: Fraction) -> Fraction:
-    """Expected vanishing order: the normalized integral of the volume."""
-    return s_from_volume_report(vol, a_top).value
-
-
-def s_from_volume_report(vol: PiecewisePolynomial,
-                         a_top: Fraction) -> StabilityValue:
+    """Expected vanishing order: ``piecewise_integral(vol)`` / a_top."""
     a_top = rat(a_top)
     if a_top <= 0:
         raise FunctionalError("ample volume must be positive")
-    rows = []
-    for piece in vol:
-        contrib = definite_integral(piece.poly, piece.interval) / a_top
-        rows.append((f"u in {piece.interval}", contrib))
-    total = sum((c for _, c in rows), Fraction(0))
-    return StabilityValue("S_divisor", total, tuple(rows))
+    return piecewise_integral(vol) / a_top
 
 
 def beta_divisor(a_log: Fraction, vol: PiecewisePolynomial,

@@ -31,7 +31,7 @@ The threefold verifier works on the integer table directly: for P with
 coefficients (a + b*u) / den, ``facet_products`` gives w_k = P^2 . F_k as
 integer quadratics in u over den^2 L^3, one table read per pair of P's
 support and ray k, and ``nef_check`` reads the sign of each Mori
-generator's pairing from the monomials of that curve and P's support.
+generator's pairing from that curve's cached row and P's support.
 """
 
 from __future__ import annotations
@@ -268,18 +268,12 @@ class ToricModel:
     # -- intersection numbers --------------------------------------------
 
     def triple_intersection_distinct(self, i: int, j: int, k: int) -> Fraction:
-        """F_i . F_j . F_k for pairwise distinct rays on a threefold fan.
-
-        Zero when the rays span no maximal cone, else the reciprocal of the
-        absolute determinant of the three ray vectors (the cone multiplicity).
-        """
-        if self.dim != 3:
-            raise ToricError("triple products need a threefold fan")
-        for t in (i, j, k):
-            self._check_index(t)
+        """F_i . F_j . F_k for pairwise distinct rays on a threefold fan,
+        by ``intersection_product``: zero when the rays span no maximal
+        cone, else the reciprocal of the cone multiplicity."""
         if len({i, j, k}) != 3:
             raise ToricError("indices must be pairwise distinct")
-        return Fraction(self._monomial(tuple(sorted((i, j, k)))), self._scale)
+        return self.intersection_product({i: 1}, {j: 1}, {k: 1})
 
     def _relation_rep(self, i: int, cone: frozenset[int]) -> dict[int, int]:
         """The numerators -<w_i, v_k> over det of F_i ~ -sum_{k not in cone}
@@ -407,16 +401,13 @@ class ToricModel:
 
     def nef_check(self, d: Divisor) -> tuple[bool, list[str]]:
         """Pair against the Mori generators; list the violated ones.  Only
-        the sign of each pairing is read, from L^dim F_i . F_j . d summed
-        over the support of d in the coefficients' own type: for ``int``
-        coefficients, no Fraction is built."""
+        the sign of each pairing is read, from the cached ``_curve_row``
+        (L^dim times the curve's pairing vector) summed over the support
+        of d in the coefficients' own type: for ``int`` coefficients, no
+        Fraction is built."""
         d = self.normalize_divisor(d)
-        violated = []
-        for n in self.mori_generators:
-            i, j = self.curve_specs[n]
-            if sum(c * self._monomial(tuple(sorted((i, j, k))))
-                   for k, c in d.items()) < 0:
-                violated.append(n)
+        violated = [n for n in self.mori_generators if sum(
+            c * self._curve_row(n)[k] for k, c in d.items()) < 0]
         return (not violated, violated)
 
     def effective_check(self, d: Divisor) -> bool:

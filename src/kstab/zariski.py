@@ -71,7 +71,7 @@ class ZariskiError(KstabError):
 
 
 class NoConvergence(ZariskiError):
-    """The iterative decomposition failed to stabilise."""
+    """A decomposition or a chamber scan that cannot be carried through."""
 
 
 class WallDegeneracy(ZariskiError):
@@ -266,17 +266,16 @@ def _parts(lat: SurfaceLattice, vec: list, support: list[str]):
 def _decompose(lat: SurfaceLattice, vec: list, den: int):
     """``(p, n, r)``: P's triples and N's nonzero numerators {s: n_s}
     over den * r for vec / den, vec constant triples (a, 0, 0).  Curves
-    pairing negatively with P join the support until none does."""
+    pairing negatively with P join the support until none does; each
+    round adds one, so at most len(curves) + 1 rounds run."""
     support: list[str] = []
-    for _ in range(len(lat.curves) + 2):
+    while True:
         p, n, pv, r = _parts(lat, vec, support)
         negatives = [c for c, t in zip(lat.curves, pv)
                      if c not in support and t[0] < 0]
         if not negatives:
             break
         support.extend(negatives)
-    else:
-        raise NoConvergence("support did not stabilise")
     if any(t[0] < 0 for t in n.values()):
         coeffs = {s: Fraction(t[0], den * r) for s, t in n.items()}
         raise NoConvergence(

@@ -1,3 +1,5 @@
+import enum
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -12,6 +14,11 @@ from kstab.exactcore import (DiscontinuousVolume, InconsistentSamples,
 
 U = Poly.from_coeffs([0, 1])
 ONE = Poly.const(1)
+
+
+class Small(enum.IntEnum):
+    """An int subclass other than bool."""
+    TWO = 2
 
 
 def rand_poly(rng, deg=4):
@@ -53,6 +60,21 @@ class TestPoly:
         # equates a Poly with a str that hashes differently.
         assert U != text and Poly.const(1) != text
         assert text not in [U, Poly.const(1)]
+
+    @pytest.mark.parametrize("value", [
+        True, False, pytest.param(Small.TWO, id="IntEnum")])
+    def test_only_an_exact_int_is_an_int_operand(self, value):
+        # Every operator reads an operand as rat does, which refuses a
+        # bool or another int subclass: + and * alike raise TypeError,
+        # and == answers False.
+        p = Poly.from_coeffs([1, 2])
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, value)
+            with pytest.raises(TypeError):
+                op(value, p)
+        assert not p == value and p != value
+        assert not Poly.const(int(value)) == value
 
     def test_zero_terms_dropped(self):
         p = U - U
@@ -287,7 +309,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("entry", [
         "+2", " 3 ", "0.5", "1e2", "1_0", "-0", "-3/6", "007/014", "1/-2",
-        "1/0", "1/00", "3/", "/3", "-", "", True, None, 2.5, Q(3, 4), 12])
+        "1/0", "1/00", "3/", "/3", "-", "", True, None, 2.5, Q(3, 4), 12,
+        pytest.param(Small.TWO, id="IntEnum")])
     def test_coefficient_entries_read_as_rat_reads_them(self, entry):
         # The oracle is Fraction's own parser on a string and the value
         # itself for an int or a Fraction, not rat's direct reading of

@@ -10,8 +10,7 @@ from kstab.functionals import (DeltaBoundReport, FlagCase, FlagChamber,
                                MissingMultiplicity, ZeroS,
                                beta_divisor, delta_bound_report, f_q_term,
                                s_flag_point, s_flag_surface,
-                               s_flag_surface_report, s_from_volume,
-                               s_from_volume_report)
+                               s_flag_surface_report, s_from_volume)
 from kstab.runner import flag_case
 from kstab.zariski import SurfaceLattice
 
@@ -47,9 +46,7 @@ class TestSFromVolume:
             (Interval(1, 2), Poly.from_coeffs([12, 3, -3])),
             (Interval(2, 3), Poly.from_coeffs([0, 27, -18, 3])),
         ])
-        report = s_from_volume_report(vol, 13)
-        assert report.value == Q(49, 26)
-        assert sum(c for _, c in report.contributions) == report.value
+        assert s_from_volume(vol, 13) == Q(49, 26)
 
     def test_scaling_invariance(self):
         rng = random.Random(31)

@@ -422,6 +422,9 @@ def test_inline_pieces_must_be_a_volume(name, broken, tmp_path, capsys):
      "unknown flag_point quantity 'bogus'"),
     ("toric", {"model": "nope", "table": "bogus"},
      "unknown toric table 'bogus'"),
+    ("formula", {"name": "bogus"}, "unknown formula 'bogus'"),
+    ("git", {"op": "bogus"}, "unknown git op 'bogus'"),
+    ("invariant", {"check": "bogus"}, "unknown invariant check 'bogus'"),
 ])
 def test_unknown_name_is_checked_before_any_work(kind, inputs, words,
                                                  tmp_path, capsys):
@@ -455,6 +458,41 @@ def test_reversed_interval_fails_its_row(tmp_path, capsys):
     (row,) = json.loads(capsys.readouterr().out)["cases"]
     assert row["status"] == "fail"
     assert row["detail"].startswith("MalformedInput: ")
+
+
+def test_wrong_value_fails_its_row(tmp_path, capsys):
+    # A value other than the expected one is a fail row, shown with both
+    # values, and `kstab run` exits 1.
+    case = {"schema_version": 1, "kind": "formula", "label": "adhoc/wrong",
+            "inputs": {"name": "res_n", "params": {
+                "n": 3, "a": "3/2", "d": "4", "mu": "1/2"}},
+            "expected": "0", "citation": "unused"}
+    assert runner.run_case(case).status == "fail"
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(case))
+    assert cli.main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert 'adhoc/wrong  FAIL  "9/52"  (expected "0")\n' in out
+    assert err == ""
+
+
+def test_text_report_shows_the_error_of_a_failed_row(tmp_path, capsys):
+    case = {"schema_version": 1, "kind": "volume", "label": "adhoc/empty",
+            "inputs": {"pieces": [], "ample_cube": "1"},
+            "expected": "1", "citation": "unused"}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(case))
+    assert cli.main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "  !NotAVolume: a volume needs at least one piece\n" in out
+    assert err == ""
+
+
+def test_run_on_a_missing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert cli.main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: no such file: {path}\n"
 
 
 def test_text_report_shape():

@@ -146,6 +146,12 @@ class TestCurvesAndCones:
         assert m.pair_curve_divisor("C12", {1: 1}) == -1
         assert m.pair_curve_divisor("C12", {}) == 0
 
+    def test_curve_is_its_pairing_vector(self):
+        m = model("Y0-A1")
+        assert m.curve("C12") == (1, -1, -1, 0, 0, 1)
+        assert all(type(x) is Q for x in m.curve("C12"))
+        assert m.pair_curve_divisor("C12", {1: 1}) == m.curve("C12")[1]
+
     def test_cuspidal_middle_pairing(self):
         m = model("Y1-A2")
         assert m.pair_curve_divisor("C05", {0: 1}) == Q(-1, 6)

@@ -367,6 +367,13 @@ class TestThreefoldVolume:
                 "chamber [2, 3] on Y1-A1: P(3) negative on ['C15']")):
             threefold_chamber_volume(fx.models, tweaked, fx.family)
 
+    def test_unknown_model(self):
+        fx = volume_fixture("a1-volume")
+        bad = [ThreefoldChamber(Interval(0, 1), "nope", fx.family, {})]
+        with pytest.raises(DecompositionMismatch,
+                           match="unknown model 'nope'"):
+            threefold_chamber_volume(fx.models, bad, fx.family)
+
     def test_negative_part_negative_on_the_interval(self):
         # The last chamber stretched to [1, 3]: P + N is unchanged, but
         # N = u - 2 on F5 is -1 at u = 1.
@@ -544,6 +551,30 @@ def test_irrational_threshold_against_the_limit(vol, limit, vanishes):
             _vol_threshold(vol, Q(0), Q(0), limit)
     else:
         assert _vol_threshold(vol, Q(0), Q(0), limit) is None
+
+
+@pytest.mark.parametrize("vol, v_cur, want", [
+    (in_v(0), Q(0), (0, 0)),  # vanishes everywhere
+    (in_v(5), Q(0), None),  # never vanishes
+    (in_v(1, -2, 1), Q(1), (1, 1)),  # (1 - v)^2: falls to 0 at v_cur
+], ids=["zero", "positive-constant", "double-root-at-v-cur"])
+def test_threshold_of_a_volume_free_of_u(vol, v_cur, want):
+    assert _vol_threshold(vol, Q(1, 2), v_cur, None) == want
+
+
+@pytest.mark.parametrize("vol, v_cur, match", [
+    (in_v(-1, 0, 1), Q(1), "volume vanishes then grows"),  # v^2 - 1
+    (in_v(-1, 1), Q(0), "negative volume inside a chamber"),  # v - 1
+], ids=["grows-past-its-root", "negative-at-v-cur"])
+def test_threshold_refuses_a_volume_that_is_no_volume(vol, v_cur, match):
+    with pytest.raises(NoConvergence, match=match):
+        _vol_threshold(vol, Q(1, 2), v_cur, None)
+
+
+def test_chamber_recursion_has_a_depth_limit():
+    with pytest.raises(NoConvergence, match="chamber recursion too deep"):
+        parametric_surface_zariski(HIRZEBRUCH, {"e": AFF(1), "f": AFF(2)},
+                                   {"e": -1}, Interval(0, 1), _depth=13)
 
 
 # Volume with the root lines v = u and v = 1 - u, crossing at u = 1/2.
