@@ -26,8 +26,9 @@ from fractions import Fraction
 from . import KstabError, _Record
 from .exactcore import Interval, PiecewisePolynomial, Poly, double_integral, \
     definite_integral, piecewise_integral, rat, rat_str
-from .zariski import (Chamber2D, SurfaceLattice, _affine_family, _in_v,
-                      _quadratic, parametric_surface_zariski)
+from .zariski import (Chamber2D, SurfaceLattice, _affine_family,
+                      _family_square, _in_v, _quadratic,
+                      parametric_surface_zariski)
 
 
 class FunctionalError(KstabError):
@@ -152,7 +153,7 @@ def _flag_surface_terms(case: FlagCase):
     for ch, inner in case.inner():
         d = case.flag_order(ch)
         if d:
-            sq = Poly.const(case.lattice.dot(ch.family, ch.family))
+            sq = _family_square(case.lattice, ch.family)
             yield ch, scale * definite_integral(sq * d, ch.interval)
         for sub in inner:
             yield sub, scale * _integral(

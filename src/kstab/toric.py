@@ -22,16 +22,17 @@ Divisor classes are finite maps from a ray index, an ``F<i>`` name or an
 alias to a coefficient; this module alone resolves the keys.  Degrees
 and effective coordinates take rational coefficients; only the
 intersection form also takes coefficients in any Q-algebra (e.g.
-polynomials in the chamber parameter).  Curve
-classes are stored through their pairing vector against the boundary
-divisors; a curve must name the two rays of a 2-cone, and every curve,
-generator, alias and cone is checked when the model is built.
+polynomials in the chamber parameter).  A curve class is stored as the
+two rays of its 1-stratum F_i . F_j, which must lie in one 2-cone; every
+curve, generator, alias and cone is checked when the model is built.
 
-The threefold verifier works on the integer table directly: for P with
-coefficients (a + b*u) / den, ``facet_products`` gives w_k = P^2 . F_k as
-integer quadratics in u over den^2 L^3, one table read per pair of P's
-support and ray k, and ``nef_check`` reads the sign of each Mori
-generator's pairing from that curve's cached row and P's support.
+One integer pairing, ``_pairing``, reads L^dim F_rays . d from the table
+over d's support alone, for ``curve``, ``pair_curve_divisor``,
+``nef_check`` and ``gram``.  The threefold verifier works on the integer
+table directly: for P with coefficients (a + b*u) / den,
+``facet_products`` gives w_k = P^2 . F_k as integer quadratics in u over
+den^2 L^3, one table read per pair of P's support and ray k, and
+``nef_check`` reads the sign of P's pairing with each Mori generator.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class ToricModel:
     """One birational model: rays, maximal cones, grading, cone data.
 
     ``curves`` names the 1-dimensional toric strata F_i . F_j used as Mori
-    generators; their pairing vectors are derived from the intersection
-    tensor, not supplied by hand.
+    generators; their pairings are read from the integer monomial table,
+    not supplied by hand.
     """
 
     def __init__(self, name: str, rays, max_cones, grading,
@@ -147,6 +148,9 @@ class ToricModel:
                  effective_generators: tuple[str, ...] = (),
                  aliases: dict[str, int] | None = None):
         self.name = name
+        rays = _array(rays, "rays", nonempty=True)
+        max_cones = _array(max_cones, "max_cones")
+        grading = _array(grading, "grading")
         self.aliases = {k: _int(i, f"alias {k!r}")
                         for k, i in _object(aliases, "aliases").items()}
         self.rays = tuple(_ints(v, "a ray") for v in rays)
@@ -198,7 +202,6 @@ class ToricModel:
                 raise type(e)(f"effective_generators: {e}") from None
         self._prod_cache: dict[tuple[int, ...], int] = {}
         self._rep_cache: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
-        self._curve_cache: dict[str, tuple[int, ...]] = {}
 
     def _check_curve(self, name: str, v: tuple[int, ...]):
         """A curve names two rays of one 2-cone of a threefold fan, so that
@@ -322,17 +325,20 @@ class ToricModel:
     intersection_form = intersection_product
 
     def gram(self, classes: list[dict]) -> list[list[Fraction]]:
-        """``intersection_product`` of each pair of classes on a surface fan,
-        read once per pair of rays from the integer table, over L^2."""
+        """``intersection_product`` of each pair of classes a, b on a
+        surface fan: x * ``_pairing((i,), b)`` summed over a, over L^2."""
         if self.dim != 2:
             raise ToricError(f"{self.name} needs {self.dim} divisors, got 2")
         classes = [self.normalize_divisor(d) for d in classes]
-        rays = set().union(*classes)
-        table = {(i, j): self._monomial((min(i, j), max(i, j)))
-                 for i in rays for j in rays}
-        return [[sum(x * y * table[i, j] for i, x in a.items()
-                     for j, y in b.items()) * Fraction(1, self._scale)
-                 for b in classes] for a in classes]
+        return [[sum(x * self._pairing((i,), b) for i, x in a.items())
+                 * Fraction(1, self._scale) for b in classes]
+                for a in classes]
+
+    def _pairing(self, rays: tuple[int, ...], d: dict):
+        """L^dim times F_rays . d, for dim - 1 rays and a normalized d,
+        summed over d's support in the coefficients' own type."""
+        return sum(c * self._monomial(tuple(sorted((*rays, k))))
+                   for k, c in d.items())
 
     def _expand(self, divisors):
         """The multilinear expansion of a product of ``dim`` divisors: for
@@ -380,34 +386,28 @@ class ToricModel:
 
     def curve(self, name: str) -> tuple[Fraction, ...]:
         """The pairing vector (F_i . F_j . F_k for each ray k) of the named
-        1-stratum F_i . F_j; ``_curve_row`` is it times L^dim."""
-        return tuple(Fraction(x, self._scale) for x in self._curve_row(name))
+        1-stratum F_i . F_j, one ``_curve_pairing`` per ray."""
+        return tuple(Fraction(self._curve_pairing(name, {k: 1}), self._scale)
+                     for k in range(len(self.rays)))
 
-    def _curve_row(self, name: str) -> tuple[int, ...]:
-        if name not in self._curve_cache:
-            if name not in self.curve_specs:
-                raise ToricError(
-                    f"model {self.name} defines no curve {name!r}")
-            i, j = self.curve_specs[name]
-            self._curve_cache[name] = tuple(
-                self._monomial(tuple(sorted((i, j, k))))
-                for k in range(len(self.rays)))
-        return self._curve_cache[name]
+    def _curve_pairing(self, name: str, d: dict):
+        """``_pairing`` of a curve's two rays with d, the name checked first."""
+        if name not in self.curve_specs:
+            raise ToricError(f"model {self.name} defines no curve {name!r}")
+        return self._pairing(self.curve_specs[name],
+                             self.normalize_divisor(d))
 
     def pair_curve_divisor(self, curve: str, d: Divisor) -> Fraction:
-        row = self._curve_row(curve)
-        return sum(c * row[i] for i, c in self.normalize_divisor(d).items()
-                   ) * Fraction(1, self._scale)
+        return self._curve_pairing(curve, d) * Fraction(1, self._scale)
 
     def nef_check(self, d: Divisor) -> tuple[bool, list[str]]:
         """Pair against the Mori generators; list the violated ones.  Only
-        the sign of each pairing is read, from the cached ``_curve_row``
-        (L^dim times the curve's pairing vector) summed over the support
-        of d in the coefficients' own type: for ``int`` coefficients, no
-        Fraction is built."""
+        the sign of each pairing is read, from ``_pairing`` over the
+        support of d in the coefficients' own type: for ``int``
+        coefficients, no Fraction is built."""
         d = self.normalize_divisor(d)
-        violated = [n for n in self.mori_generators if sum(
-            c * self._curve_row(n)[k] for k, c in d.items()) < 0]
+        violated = [n for n in self.mori_generators
+                    if self._pairing(self.curve_specs[n], d) < 0]
         return (not violated, violated)
 
     def effective_check(self, d: Divisor) -> bool:
@@ -433,9 +433,9 @@ def parse_model(data: dict) -> ToricModel:
     """Build a ToricModel from its fixture dictionary."""
     return ToricModel(
         name=data["name"],
-        rays=_array(data["rays"], "rays", nonempty=True),
-        max_cones=_array(data["max_cones"], "max_cones"),
-        grading=_array(data["grading"], "grading"),
+        rays=data["rays"],
+        max_cones=data["max_cones"],
+        grading=data["grading"],
         curves=data.get("curves"),
         mori_generators=data.get("mori_generators", ()),
         effective_generators=data.get("effective_generators", ()),

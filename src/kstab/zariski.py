@@ -30,21 +30,23 @@ Both surface layers run on integers, and this module and its one other
 reader, ``functionals``, know how a form in (u, v) is stored.  An affine
 form is an integer triple (a, b, c), read as (a + b*u + c*v) / den over
 some den > 0, so at a point (x, y) / d its sign is that of
-a*d + b*x + c*y, and its zero line does not depend on den.  A quadratic form, a volume or a flag integrand, is the six integers
-of ``_quadratic``, a sum of products of triples, and ``_in_v`` gives its
+a*d + b*x + c*y, and its zero line does not depend on den.  A quadratic
+form, a volume or a flag integrand, is the six integers of
+``_quadratic``, a sum of products of triples, and ``_in_v`` gives its
 coefficients in v as Polys in u.  ``_triples`` reads a family once as
-triples over one common den.  ``SurfaceLattice`` keeps one Fraction Gram
-table, which ``pairing`` and ``dot`` sum over densely; the solve reads it
-as sparse integer rows G over one denominator g
-(``_linalg._integer_form``), and caches per support block G_S the pair
-(R, r) of ``_linalg.inverse``: R integer and r > 0 with G_S R = r I.  From
-these ``_parts`` gives N and P over den*r and P's pairing vector over
-den*r*g as integer sums, for the pointwise kernel ``_decompose`` and the
-scan alike.  A ``Chamber2D`` keeps these triples and its volume's six
-integers; the verifier and ``functionals`` read them, and only the walls
-are Polys, in u.  ``_vol_threshold`` reads the volume's six integers
-directly: the volume at the sample, the slope of the root line and the
-proof that P^2 vanishes on it are integer sums.
+triples over one common den.  ``SurfaceLattice`` reads its Gram matrix
+once as sparse integer rows G over one denominator g
+(``_linalg._integer_form``), and every pairing goes through them: the
+solve caches per support block G_S the pair (R, r) of
+``_linalg.inverse``, R integer and r > 0 with G_S R = r I, and
+``_is_negative_definite`` reads G_S's leading minors.  From these
+``_parts`` gives N and P over den*r and P's pairing vector over den*r*g
+as integer sums, for ``_decompose``, the scan and ``_family_square``.
+A ``Chamber2D`` keeps these triples and its volume's six integers; the
+verifier and ``functionals`` read them, and only the walls are Polys, in
+u.  ``_vol_threshold`` reads the volume's six integers directly: the
+volume at the sample, the slope of the root line and the proof that P^2
+vanishes on it are integer sums.
 
 Each lattice curve carries one affine constraint (``_constraints``): its
 coefficient in N if it is in the support, its pairing with P if not.  The
@@ -116,12 +118,12 @@ class _SplitRequest(Exception):
 class SurfaceLattice(_Record, frozen=True):
     """A surface intersection lattice: named curves plus their Gram matrix.
 
-    ``gram`` is the one Fraction table, which ``pairing`` and ``dot``
-    sum over densely.  Construction also builds a name -> index map and,
-    for the integer solve, per curve the sparse row of the nonzero
-    integers of g * Gram, g the least common denominator.  ``_inverses``
-    caches, per support, ``_support_inverse``'s (R, r) of that integer
-    support block; it lives and dies with the instance.
+    Construction checks ``gram`` and builds a name -> index map and, per
+    curve, the sparse row of the nonzero integers of g * Gram, g the least
+    common denominator; every pairing in the engine reads these rows, and
+    ``gram`` is not read again.  ``_inverses`` caches, per support,
+    ``_support_inverse``'s (R, r) of that integer support block; it lives
+    and dies with the instance.
     """
 
     curves: tuple[str, ...]
@@ -152,31 +154,13 @@ class SurfaceLattice(_Record, frozen=True):
         except KeyError:
             raise ZariskiError(f"lattice has no curve named {name!r}")
 
-    def pairing(self, d: dict, name: str):
-        """Intersection of a divisor (coefficient map) with a basis curve,
-        the sum of c * (k . name) over ``d``.
-
-        Coefficients may be Fractions or parameter polynomials.
-        """
-        j = self.index(name)
-        return sum((c * self.gram[self.index(k)][j] for k, c in d.items()),
-                   Fraction(0))
-
-    def dot(self, d1: dict, d2: dict):
-        """Intersection of two divisors: sum of c1 * (d2 . k1) over d1."""
-        for k in d2:
-            self.index(k)  # an unknown curve raises, even with d1 empty
-        return sum((c * self.pairing(d2, k) for k, c in d1.items()),
-                   Fraction(0))
-
 
 def _is_negative_definite(lat: SurfaceLattice, support: list[str]) -> bool:
-    idx = [lat.index(s) for s in support]
-    for k in range(1, len(idx) + 1):
-        sub = [[lat.gram[i][j] for j in idx[:k]] for i in idx[:k]]
-        if (-1) ** k * _linalg.det(sub) <= 0:
-            return False
-    return True
+    """Whether the support block's leading minors alternate -, +, ...,
+    read on g * G_S, whose k-th minor is G_S's times g^k > 0."""
+    block = _block(lat, support)
+    return all((-1) ** k * _linalg.det([row[:k] for row in block[:k]]) > 0
+               for k in range(1, len(block) + 1))
 
 
 _ZERO = (0, 0, 0)
@@ -221,6 +205,13 @@ def _pair(row, vec) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _block(lat: SurfaceLattice, support: list[str]) -> list[list[int]]:
+    """The integer Gram block g * G_S on ``support``, from ``_int_rows``."""
+    idx = [lat.index(s) for s in support]
+    rows = [dict(lat._int_rows[i]) for i in idx]
+    return [[row.get(j, 0) for j in idx] for row in rows]
+
+
 def _support_inverse(lat: SurfaceLattice, support: list[str]):
     """``(R, r)`` from ``_linalg.inverse`` of the integer Gram block G_S
     on ``support``: R integer and r > 0 with G_S R = r I, cached on
@@ -232,9 +223,7 @@ def _support_inverse(lat: SurfaceLattice, support: list[str]):
     key = tuple(support)
     inv = lat._inverses.get(key)
     if inv is None:
-        idx = [lat.index(s) for s in support]
-        rows = [dict(lat._int_rows[i]) for i in idx]
-        inv = _linalg.inverse([[row.get(j, 0) for j in idx] for row in rows])
+        inv = _linalg.inverse(_block(lat, support))
         if inv is None:
             raise NoConvergence(f"singular Gram submatrix for {support}")
         lat._inverses[key] = inv
@@ -483,6 +472,14 @@ def _in_v(k: tuple, den: int) -> tuple[Poly, Poly, Poly]:
     k00, k10, k01, k20, k11, k02 = k
     return (Poly._of([k00, k10, k20], den), Poly._of([k01, k11], den),
             Poly._of([k02], den))
+
+
+def _family_square(lat: SurfaceLattice, family: dict) -> Poly:
+    """D(u)^2 as a Poly in u, D affine in u: ``_quadratic`` of D's triples
+    and its pairing vector, ``_parts`` with no support, over den^2 g."""
+    vec, den = _triples(lat, _affine_family(family, "family"), {})
+    return _in_v(_quadratic(vec, _parts(lat, vec, [])[2]),
+                 den * den * lat._gram_den)[0]
 
 
 def parametric_surface_zariski(lat: SurfaceLattice, family: dict[str, Poly],

@@ -33,6 +33,7 @@ from kstab.invariants import (hilbert_prefix, independence_rank,
 from kstab.runner import flag_case, model, volume_fixture
 from kstab.toric import polytope_barycenter
 from kstab.zariski import surface_zariski
+from lattice_oracles import pairing
 
 
 def _done(k, message):
@@ -328,7 +329,7 @@ def test_criterion_11_property_suites():
                 p2, n2 = surface_zariski(perm_lat, d)
                 assert p1 == p2 and n1 == n2
                 for c in n1:
-                    assert lat.pairing(p1, c) == 0
+                    assert pairing(lat, p1, c) == 0
                 sym_p = {k: toric_surfaces.value(t, u, v) for k, t in
                          toric_surfaces.chamber_forms(sub).positive.items()}
                 assert {k: x for k, x in sym_p.items() if x} == \

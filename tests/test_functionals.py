@@ -59,6 +59,10 @@ class TestSFromVolume:
                 (Interval(0, 2), Poly.from_coeffs([4 * t, 0, -t]))])
             assert s_from_volume(scaled, 4 * t) == base
 
+    def test_zero_ample_volume(self):
+        with pytest.raises(FunctionalError, match="must be positive"):
+            s_from_volume(box_volume(7), 0)
+
 
 class TestBeta:
     def test_doubled_degeneration_values(self):
@@ -261,6 +265,9 @@ class TestDeltaBounds:
 
     def test_single_entry(self):
         assert delta_bound_report([(1, 1)]).value == 1
+
+    def test_ratio_of_exactly_one_does_not_exceed_one(self):
+        assert not delta_bound_report([(1, 1)]).exceeds_one
 
     def test_zero_s(self):
         with pytest.raises(ZeroS):

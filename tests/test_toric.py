@@ -173,6 +173,13 @@ class TestCurvesAndCones:
         assert not m.effective_check({0: -1, 1: 3, 5: 1})
         assert m.effective_check({0: 1})
 
+    def test_unknown_curve_is_named_before_the_divisor_is_read(self):
+        m = model("Y0-A1")
+        with pytest.raises(ToricError, match="defines no curve 'C99'"):
+            m.curve("C99")
+        with pytest.raises(ToricError, match="defines no curve 'C99'"):
+            m.pair_curve_divisor("C99", {"E9": 1})
+
 
 class TestBarycenter:
     def test_torus_invariant_degeneration(self):
@@ -289,3 +296,22 @@ class TestErrors:
                        else value)
         with pytest.raises(error, match=field):
             parse_model(data)
+
+    @pytest.mark.parametrize("rays, max_cones, grading, field", [
+        ([], [], [], "rays"),
+        (5, [], [], "rays"),
+        ([[1, 0], [0, 1]], 5, [], "max_cones"),
+        ([[1, 0], [0, 1]], [], 5, "grading"),
+    ], ids=["empty-rays", "int-rays", "int-max-cones", "int-grading"])
+    def test_directly_built_model_checks_its_arrays(self, rays, max_cones,
+                                                    grading, field):
+        # The constructor, not only parse_model, checks the three arrays,
+        # so a directly built model gets a typed error naming the field.
+        with pytest.raises(ToricError, match=f"{field} must be a"):
+            ToricModel("x", rays, max_cones, grading)
+
+    def test_divisor_index_one_past_the_last_ray(self):
+        m = model("Y0-A1")
+        assert m.divisor_index(f"F{len(m.rays) - 1}") == len(m.rays) - 1
+        with pytest.raises(IndexOutOfRange, match=f"ray index {len(m.rays)}"):
+            m.divisor_index(f"F{len(m.rays)}")

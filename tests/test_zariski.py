@@ -18,11 +18,13 @@ from kstab.zariski import (Chamber2D, DecompositionMismatch,
                            NegativeDefiniteSupportWarning, NonAffineFamily,
                            SurfaceLattice, ThreefoldChamber, Unbounded,
                            WallDegeneracy, ZariskiError,
-                           _SplitRequest, _parts, _support_inverse,
+                           _SplitRequest, _family_square, _parts,
+                           _support_inverse,
                            _triples, _verify_chambers, _vol_threshold,
                            parametric_surface_zariski,
                            pseudoeffective_threshold, surface_zariski,
                            threefold_chamber_volume)
+from lattice_oracles import dot, pairing
 
 U = Poly.from_coeffs([0, 1])
 forms, times = toric_surfaces.chamber_forms, toric_surfaces.times
@@ -60,7 +62,7 @@ class TestSurfaceZariski:
         p, n = surface_zariski(HIRZEBRUCH, {"e": 2, "f": 1})
         assert n == {"e": 1}
         assert p == {"e": 1, "f": 1}
-        assert HIRZEBRUCH.dot(p, p) == 1
+        assert dot(HIRZEBRUCH, p, p) == 1
 
     def test_base_case_point(self):
         # dmu = 2 vertical-surface lattice at (u, v) = (0, 3/2).
@@ -75,9 +77,9 @@ class TestSurfaceZariski:
                  "E": Q(rng.randint(0, 5))}
             p, n = surface_zariski(BASE_LATTICE, d)
             for c in n:
-                assert BASE_LATTICE.pairing(p, c) == 0
+                assert pairing(BASE_LATTICE, p, c) == 0
             for c in BASE_LATTICE.curves:
-                assert BASE_LATTICE.pairing(p, c) >= 0
+                assert pairing(BASE_LATTICE, p, c) >= 0
 
     def test_permutation_uniqueness(self):
         perm = SurfaceLattice(("E", "S", "f"),
@@ -141,7 +143,7 @@ class TestParametricChambers:
                         p = {k: toric_surfaces.value(t, u, v)
                              for k, t in pos.items()}
                         for c in case.lattice.curves:
-                            assert case.lattice.pairing(p, c) >= 0
+                            assert pairing(case.lattice, p, c) >= 0
                         for t in neg.values():
                             assert toric_surfaces.value(t, u, v) >= 0
 
@@ -291,13 +293,13 @@ class TestTypedErrorsOfTheIntegerTables:
         # Only the second divisor's curves were looked up: a KeyError.
         with pytest.raises(ZariskiError,
                            match="lattice has no curve named 'C9'"):
-            BASE_LATTICE.dot({"S": 1, "C9": 2}, {"S": 1})
+            dot(BASE_LATTICE, {"S": 1, "C9": 2}, {"S": 1})
 
     @pytest.mark.parametrize("d1", [{}, {"S": 1}], ids=["empty", "S"])
     def test_unknown_curve_on_the_right_of_a_dot_product(self, d1):
         with pytest.raises(ZariskiError,
                            match="lattice has no curve named 'C9'"):
-            BASE_LATTICE.dot(d1, {"S": 1, "C9": 2})
+            dot(BASE_LATTICE, d1, {"S": 1, "C9": 2})
 
     def test_unknown_curve_in_a_pointwise_divisor(self):
         with pytest.raises(ZariskiError,
@@ -498,6 +500,28 @@ def test_negative_definiteness_detector():
     assert _is_negative_definite(good, ["a", "b"])
 
 
+def test_zero_leading_minor_is_not_negative_definite():
+    from kstab.zariski import _is_negative_definite
+    lat = SurfaceLattice(("a", "b"), [[0, 1], [1, -1]])
+    assert not _is_negative_definite(lat, ["a"])
+    assert not _is_negative_definite(lat, ["a", "b"])
+    # The minors are read on the integer block over the Gram denominator 6;
+    # their signs are those of the Fraction block.
+    thirds = SurfaceLattice(("a", "b"), [[Q(-1, 2), Q(1, 3)],
+                                         [Q(1, 3), Q(-1, 2)]])
+    assert _is_negative_definite(thirds, ["a", "b"])
+    halves = SurfaceLattice(("a", "b"), [[Q(-1, 2), 1], [1, Q(-1, 3)]])
+    assert not _is_negative_definite(halves, ["a", "b"])
+
+
+def test_zero_coefficient_of_the_negative_part_is_accepted():
+    # C1 . C2 < 0 makes both curves negative on C1 in the first round; the
+    # joint solve gives N = C1 + 0 * C2, and a zero coefficient is no
+    # negative one.
+    lat = SurfaceLattice(("C1", "C2"), [[-1, -1], [-1, -2]])
+    assert surface_zariski(lat, {"C1": 1}) == ({}, {"C1": 1})
+
+
 def test_support_that_is_not_negative_definite_warns():
     lat = SurfaceLattice(("a", "b"), [[1, -2], [-2, 3]])
     with pytest.warns(NegativeDefiniteSupportWarning,
@@ -694,10 +718,10 @@ def test_dot_and_pairing_match_naive_sums():
         naive = sum((c1 * c2 * lat.gram[lat.index(k1)][lat.index(k2)]
                      for k1, c1 in d1.items() for k2, c2 in d2.items()),
                     Poly())
-        assert lat.dot(d1, d2) == naive
+        assert dot(lat, d1, d2) == naive
         for name in lat.curves:
             j = lat.index(name)
-            assert lat.pairing(d1, name) == sum(
+            assert pairing(lat, d1, name) == sum(
                 (c * lat.gram[lat.index(k)][j] for k, c in d1.items()),
                 Poly())
 
@@ -722,6 +746,22 @@ def test_chambers_carry_pairings_and_volume(name):
             volume = [x + g * y
                       for x, y in zip(volume, times(t1, t2))]
         assert forms(sub).volume == tuple(volume)
+
+
+@pytest.mark.parametrize("name", FLAG_FIXTURES)
+def test_family_square_is_the_dense_dot(name):
+    # The flag order term's D(u)^2 from the integer kernel is the dense
+    # oracle's on every outer chamber's family, and on random affine
+    # families over the same lattice.
+    lat = flag_case(name).lattice
+    families = [ch.family for ch in flag_case(name).chambers]
+    rng = random.Random(name)
+    families += [{c: AFF(Q(rng.randint(-5, 5), rng.randint(1, 4)),
+                         Q(rng.randint(-5, 5), rng.randint(1, 4)))
+                  for c in lat.curves if rng.random() < 0.7}
+                 for _ in range(10)]
+    for family in families:
+        assert _family_square(lat, family) == dot(lat, family, family)
 
 
 def _with_pairing(ch, curve, t):
@@ -788,7 +828,7 @@ def test_cached_support_solve_matches_linalg_solve():
                 direction = {c: t[2] for c, t in coeffs.items()}
                 # One Fraction solve per coefficient of a + b*u + c*v.
                 columns = [_linalg.solve(rows, [
-                    lat.pairing({c: t[e] for c, t in coeffs.items()}, s)
+                    pairing(lat, {c: t[e] for c, t in coeffs.items()}, s)
                     for s in support]) for e in range(3)]
                 expected = dict(zip(support, zip(*columns)))
                 vec, den = _triples(lat, family, direction)
