@@ -107,18 +107,6 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def sqrt_rat(q: int | Fraction) -> Fraction | None:
-    """Exact square root of an int or a Fraction, or None if it is not a
-    square."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 class Poly:
     """A polynomial in the parameter ``u`` with rational coefficients.
 

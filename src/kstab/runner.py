@@ -246,15 +246,16 @@ class VolumeFixture(_Record):
 
 
 def volume_fixture(name: str) -> VolumeFixture:
+    """A volume fixture; its models are the ones its chambers name."""
     fx = load_fixture("volumes", name)
+    chambers = [zariski.ThreefoldChamber(
+        ch.interval("interval"), ch.string("model"), ch.family("positive"),
+        ch.family("negative", {})) for ch in fx.each("chambers")]
     return VolumeFixture(
         label=fx["label"],
-        models={m: model(m) for m in
-                fx.array("models", str, "an array of strings")},
+        models={ch.model: model(ch.model) for ch in chambers},
         family=fx.family("family"),
-        chambers=[zariski.ThreefoldChamber(
-            ch.interval("interval"), ch.string("model"), ch.family("positive"),
-            ch.family("negative", {})) for ch in fx.each("chambers")],
+        chambers=chambers,
         ample_cube=rat(fx["ample_cube"]),
         flag_log_discrepancy=rat(fx["flag_log_discrepancy"]),
     )

@@ -24,7 +24,11 @@ and effective coordinates take rational coefficients; only the
 intersection form also takes coefficients in any Q-algebra (e.g.
 polynomials in the chamber parameter).  A curve class is stored as the
 two rays of its 1-stratum F_i . F_j, which must lie in one 2-cone; every
-curve, generator, alias and cone is checked when the model is built.
+curve, generator, alias, cone and grading row is checked when the model
+is built.  The named curves are the Mori generators: each is a wall curve
+V(tau), hence effective, and the walls generate NE(X) (Cox-Little-
+Schenck, Toric Varieties, Sec. 6.3), so a model that names one wall on
+each extremal ray makes ``nef_check`` a proof.
 
 One integer pairing, ``_pairing``, reads L^dim F_rays . d from the table
 over d's support alone, for ``curve``, ``pair_curve_divisor``,
@@ -32,7 +36,7 @@ over d's support alone, for ``curve``, ``pair_curve_divisor``,
 table directly: for P with coefficients (a + b*u) / den,
 ``facet_products`` gives w_k = P^2 . F_k as integer quadratics in u over
 den^2 L^3, one table read per pair of P's support and ray k, and
-``nef_check`` reads the sign of P's pairing with each Mori generator.
+``nef_check`` reads the sign of P's pairing with each named curve.
 """
 
 from __future__ import annotations
@@ -137,14 +141,14 @@ def _adjugate(rows):
 class ToricModel:
     """One birational model: rays, maximal cones, grading, cone data.
 
-    ``curves`` names the 1-dimensional toric strata F_i . F_j used as Mori
-    generators; their pairings are read from the integer monomial table,
-    not supplied by hand.
+    ``curves`` names the 1-dimensional toric strata F_i . F_j that
+    generate the Mori cone; their pairings are read from the integer
+    monomial table, not supplied by hand.  Each grading row has one entry
+    per ray.
     """
 
     def __init__(self, name: str, rays, max_cones, grading,
                  curves: dict[str, tuple[int, int]] | None = None,
-                 mori_generators: tuple[str, ...] = (),
                  effective_generators: tuple[str, ...] = (),
                  aliases: dict[str, int] | None = None):
         self.name = name
@@ -177,22 +181,17 @@ class ToricModel:
             self._cone_adj[cone] = (d, dict(zip(basis, cols)))
         self._scale = math.lcm(*(abs(d) for d, _ in
                                  self._cone_adj.values())) ** self.dim
-        grading = [_ints(row, "a grading row") for row in grading]
-        if any(len(row) < len(self.rays) for row in grading):
-            raise ToricError("grading narrower than the ray count")
-        # Columns beyond the ray count (extra fixture coordinates) are
-        # irrelevant for intersection numbers and dropped here.
-        self.grading = tuple(tuple(row[:len(self.rays)]) for row in grading)
+        self.grading = tuple(_ints(row, "a grading row") for row in grading)
+        for row in self.grading:
+            if len(row) != len(self.rays):
+                raise ToricError(
+                    f"grading row {list(row)} of {self.name} has {len(row)}"
+                    f" entries, expected one per ray ({len(self.rays)})")
         self._check_grading()
         self.curve_specs = {k: _ints(v, f"curve {k!r}")
                             for k, v in _object(curves, "curves").items()}
         for k, v in self.curve_specs.items():
             self._check_curve(k, v)
-        self.mori_generators = _names(mori_generators, "mori_generators")
-        for n in self.mori_generators:
-            if n not in self.curve_specs:
-                raise ToricError(
-                    f"mori_generators: {self.name} defines no curve {n!r}")
         self.effective_generators = _names(effective_generators,
                                            "effective_generators")
         for n in self.effective_generators:
@@ -401,13 +400,17 @@ class ToricModel:
         return self._curve_pairing(curve, d) * Fraction(1, self._scale)
 
     def nef_check(self, d: Divisor) -> tuple[bool, list[str]]:
-        """Pair against the Mori generators; list the violated ones.  Only
-        the sign of each pairing is read, from ``_pairing`` over the
+        """Pair with every named curve, in ``curve_specs`` order; list the
+        violated ones.  The named curves are the Mori generators, so a
+        model that names none has no nef proof and raises ToricError.
+        Only the sign of each pairing is read, from ``_pairing`` over the
         support of d in the coefficients' own type: for ``int``
         coefficients, no Fraction is built."""
+        if not self.curve_specs:
+            raise ToricError(f"{self.name} names no curves to test nef on")
         d = self.normalize_divisor(d)
-        violated = [n for n in self.mori_generators
-                    if self._pairing(self.curve_specs[n], d) < 0]
+        violated = [n for n, rays in self.curve_specs.items()
+                    if self._pairing(rays, d) < 0]
         return (not violated, violated)
 
     def effective_check(self, d: Divisor) -> bool:
@@ -437,7 +440,6 @@ def parse_model(data: dict) -> ToricModel:
         max_cones=data["max_cones"],
         grading=data["grading"],
         curves=data.get("curves"),
-        mori_generators=data.get("mori_generators", ()),
         effective_generators=data.get("effective_generators", ()),
         aliases=data.get("aliases"),
     )

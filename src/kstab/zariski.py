@@ -64,7 +64,7 @@ from functools import cached_property
 
 from . import KstabError, _Record, _linalg
 from .exactcore import (Interval, PiecewisePolynomial, Poly, minimum, rat,
-                        rat_str, sqrt_rat)
+                        rat_str)
 from .toric import ToricModel
 
 
@@ -401,8 +401,9 @@ def _vol_threshold(vol: tuple, ustar: Fraction, v_cur: Fraction,
     if value < 0:
         raise NoConvergence("negative volume inside a chamber")
 
-    s = sqrt_rat(c1 * c1 - 4 * c2 * c0)
-    if s is None:
+    disc = c1 * c1 - 4 * c2 * c0
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc:
         # No rational root, so the volume is quadratic.  Positive at v_cur,
         # it must stay positive up to the limit.  With no limit, a concave
         # volume falls without bound, and a convex one is smallest at
@@ -415,7 +416,6 @@ def _vol_threshold(vol: tuple, ustar: Fraction, v_cur: Fraction,
             raise IrrationalThreshold(
                 "volume vanishes at an irrational parameter")
         return None
-    s = s.numerator
     roots = [x for x in ([Fraction(-c0, c1)] if c2 == 0 else
                          [Fraction(-c1 + s, 2 * c2),
                           Fraction(-c1 - s, 2 * c2)])

@@ -10,7 +10,7 @@ from kstab.exactcore import (DiscontinuousVolume, InconsistentSamples,
                              NotARational, OverlappingPieces,
                              PiecewisePolynomial, Poly, definite_integral,
                              double_integral, interpolate, piecewise_integral,
-                             rat, rat_str, sqrt_rat)
+                             rat, rat_str)
 
 U = Poly.from_coeffs([0, 1])
 ONE = Poly.const(1)
@@ -41,11 +41,6 @@ class TestRationals:
     def test_bool_is_not_a_rational(self, value):
         with pytest.raises(NotARational):
             rat(value)
-
-    def test_sqrt(self):
-        assert sqrt_rat(Q(9, 4)) == Q(3, 2)
-        assert sqrt_rat(Q(2)) is None
-        assert sqrt_rat(Q(-1)) is None
 
 
 class TestPoly:

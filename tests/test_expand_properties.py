@@ -11,7 +11,8 @@ arguments passed as distinct dict objects or keyed by name.
 On every bundled threefold model, the threefold verifier's integer facet
 products w_k = P^2 . F_k and their volume sum_k P_k w_k must equal the
 intersection form, and ``nef_check``'s integer signs must list exactly
-the Mori generators with a negative ``pair_curve_divisor``.
+the named curves, the Mori generators, with a negative
+``pair_curve_divisor``.
 """
 
 import itertools
@@ -133,7 +134,7 @@ def test_nef_check_reads_the_sign_of_each_curve_pairing(name):
     @given(st.dictionaries(st.sampled_from(range(len(m.rays))),
                            st.one_of(st.integers(-9, 9), rationals)))
     def check(d):
-        violated = [n for n in m.mori_generators
+        violated = [n for n in m.curve_specs
                     if m.pair_curve_divisor(n, d) < 0]
         assert m.nef_check(d) == (not violated, violated)
 

@@ -254,8 +254,6 @@ def test_toric_generators_default_to_the_effective_generators():
 
 
 @pytest.mark.parametrize("fixture, edit, message", [
-    ("volumes/a1-volume", lambda fx: fx.update(models="Y0-A1"),
-     "volumes/broken.models must be an array of strings, got 'Y0-A1'"),
     ("volumes/a1-volume", lambda fx: fx["chambers"][0].update(model=["Y0-A1"]),
      "volumes/broken.chambers[0].model must be a string, got ['Y0-A1']"),
     ("flags/a2-flag-C1", lambda fx: fx.update(flag=["C1"]),
@@ -264,7 +262,7 @@ def test_toric_generators_default_to_the_effective_generators():
      "flags/broken.points[0].name must be a string, got 7"),
     (None, lambda inputs: inputs.update(vertices=5),
      "inputs.vertices must be an array of points, got 5"),
-], ids=["volume-models-string", "chamber-model-list", "flag-list",
+], ids=["chamber-model-list", "flag-list",
         "point-name-int", "vertices-int"])
 def test_names_and_arrays_are_read_by_shape(fixture, edit, message,
                                             tmp_path, monkeypatch):

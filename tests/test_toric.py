@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -167,6 +168,38 @@ class TestCurvesAndCones:
         assert not ok and violated == ["C12"]
         assert m.nef_check({})[0]
 
+    def test_nef_check_needs_named_curves(self):
+        # With no named curve there is nothing to pair with, so no divisor
+        # is proved nef, not even 0.
+        y0 = model("Y0-A1")
+        bare = ToricModel("bare", y0.rays, y0.max_cones, y0.grading)
+        for m in (bare, model("F0tilde-A2")):
+            with pytest.raises(ToricError, match="names no curves"):
+                m.nef_check({})
+
+    @pytest.mark.parametrize("name", [n for n in ALL_MODELS
+                                      if model(n).dim == 3])
+    def test_named_curves_generate_every_wall(self, name):
+        # nef_check is a proof only if the named curves generate NE(X),
+        # which the wall curves V(tau), one per 2-face tau of a maximal
+        # cone, generate (Cox-Little-Schenck, Toric Varieties, Sec. 6.3).
+        # The named curves are independent, so each wall's row has one
+        # expression in theirs, and it must be nonnegative.
+        m = model(name)
+        ks = [{k: 1} for k in range(len(m.rays))]
+
+        def row(i, j):
+            return [m.intersection_product({i: 1}, {j: 1}, k) for k in ks]
+
+        cols = [row(*m.curve_specs[n]) for n in m.curve_specs]
+        a = [list(r) for r in zip(*cols)]
+        assert _linalg.rank(a) == len(cols)
+        walls = {frozenset(f) for c in m.max_cones
+                 for f in itertools.combinations(c, 2)}
+        for i, j in map(sorted, walls):
+            x = _linalg.solve(a, row(i, j))
+            assert x is not None and min(x) >= 0, (name, i, j, x)
+
     def test_effective_boundary(self):
         m = model("Y0-A1")
         assert m.effective_check({0: 0, 1: 3, 5: 1})
@@ -257,8 +290,8 @@ class TestErrors:
             parse_model(data)
 
     @pytest.mark.parametrize("name, field, value", [
-        ("Y0-A1", "mori_generators", "C12"),
-        ("Y0-A1", "mori_generators", ["C12", 15]),
+        ("Y0-A1", "curves", "C12"),
+        ("Y0-A1", "effective_generators", ["F0", 15]),
         ("Y0-A1", "effective_generators", "F0"),
         ("Y0-A1", "curves", [[1, 2]]),
         ("F0tilde-A2", "aliases", ["x"]),
@@ -269,7 +302,8 @@ class TestErrors:
     ])
     def test_model_fields_are_read_by_shape(self, name, field, value):
         # A string is not read character by character as generator names,
-        # and curves and aliases must be objects.
+        # a generator list holds only strings, and curves and aliases must
+        # be objects.
         data = {**load_fixture("models", name), field: value}
         with pytest.raises(ToricError, match=field):
             parse_model(data)
@@ -279,7 +313,7 @@ class TestErrors:
         ("Y0-A1", "curves", {"C12": [1, 1]}, ToricError),
         ("Y0-A1", "curves", {"C12": [0, 3]}, ToricError),
         ("F0tilde-A2", "curves", {"C12": [0, 1]}, ToricError),
-        ("Y0-A1", "mori_generators", ["C12", "C99"], ToricError),
+        ("Y0-A1", "curves", {"C12": [-1, 2]}, IndexOutOfRange),
         ("Y0-A1", "effective_generators", ["F0", "F99"], IndexOutOfRange),
         ("Y0-A1", "effective_generators", ["F0", "E1"], ToricError),
         ("F0tilde-A2", "aliases", {"C1": 99}, IndexOutOfRange),
@@ -287,10 +321,11 @@ class TestErrors:
     ])
     def test_model_references_are_checked_on_build(self, name, field, value,
                                                    error):
-        # A curve out of range, on a repeated ray or on two rays of no
-        # common cone, or on a surface, is no 1-stratum; a generator, alias
-        # or cone naming nothing fails when the model is built, not at its
-        # first use.  An object value is merged into the fixture's.
+        # A curve out of range on either side, on a repeated ray or on two
+        # rays of no common cone, or on a surface, is no 1-stratum; a
+        # generator, alias or cone naming nothing fails when the model is
+        # built, not at its first use.  An object value is merged into the
+        # fixture's.
         data = dict(load_fixture("models", name))
         data[field] = ({**data[field], **value} if isinstance(value, dict)
                        else value)
@@ -309,6 +344,17 @@ class TestErrors:
         # so a directly built model gets a typed error naming the field.
         with pytest.raises(ToricError, match=f"{field} must be a"):
             ToricModel("x", rays, max_cones, grading)
+
+    @pytest.mark.parametrize("width", [7, 5], ids=["wider", "narrower"])
+    def test_grading_row_has_one_entry_per_ray(self, width):
+        # A row wider than the ray count is not cut to it, nor a narrower
+        # one refused without its name.
+        y0 = model("Y0-A1")
+        row = [*y0.grading[1], 0][:width]
+        with pytest.raises(ToricError, match=re.escape(
+                f"grading row {row} of Y0-A1 has {width} entries")):
+            ToricModel("Y0-A1", y0.rays, y0.max_cones,
+                       [y0.grading[0], row, y0.grading[2]])
 
     def test_divisor_index_one_past_the_last_ray(self):
         m = model("Y0-A1")

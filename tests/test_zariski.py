@@ -348,6 +348,18 @@ class TestThreefoldVolume:
         with pytest.raises(NefViolation):
             threefold_chamber_volume(fx.models, bad, fx.family)
 
+    def test_nef_violation_on_the_resolution_is_named(self):
+        # The first chamber of the resolution, stretched from [0, 3] to
+        # [0, 4]: P(4) is negative on the wall F1 . F8, one of the named
+        # Mori generators of Ytilde-A2.
+        fx = volume_fixture("a2-volume-resolution")
+        first = fx.chambers[0]
+        stretched = ThreefoldChamber(Interval(0, 4), first.model,
+                                     first.positive, first.negative)
+        with pytest.raises(NefViolation, match=re.escape(
+                "chamber [0, 4] on Ytilde-A2: P(4) negative on ['C18']")):
+            threefold_chamber_volume(fx.models, [stretched], fx.family)
+
     def test_decomposition_mismatch_detected(self):
         fx = volume_fixture("a1-volume")
         bad = [ThreefoldChamber(Interval(0, 1), "Y0-A1",
@@ -473,17 +485,21 @@ class TestThreshold:
 
 def test_volume_jump_between_chambers_is_an_error():
     # Each chamber passes every check on its own model, but the models are
-    # not one threefold: with no Mori generators both are nef, and F0 + F2
-    # + F4 has volume 6 on P1^3 and 3 * 1 * 2^2 = 12 on P1 x P2.
+    # not one threefold: F0 + F2 + F4 is nef on both, pairing to 1, 1, 1 on
+    # the three walls of P1^3 and to 2, 1 on the two of P1 x P2, and it has
+    # volume 6 on P1^3 and 3 * 1 * 2^2 = 12 on P1 x P2.
     one = {"F0": Poly.const(1), "F2": Poly.const(1), "F4": Poly.const(1)}
     models = {
-        "P1^3": ToricModel("P1^3", **CUBE),
+        "P1^3": ToricModel("P1^3", **CUBE,
+                           curves={"C02": (0, 2), "C04": (0, 4),
+                                   "C24": (2, 4)}),
         "P1xP2": ToricModel(
             "P1xP2",
             rays=[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)],
             max_cones=[(i, *c) for i in (0, 1)
                        for c in itertools.combinations((2, 3, 4), 2)],
-            grading=[[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]),
+            grading=[[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]],
+            curves={"C02": (0, 2), "C23": (2, 3)}),
     }
     chambers = [ThreefoldChamber(Interval(0, 1), "P1^3", one, {}),
                 ThreefoldChamber(Interval(1, 2), "P1xP2", one, {})]
@@ -536,6 +552,28 @@ def test_walls_in_the_wrong_order_everywhere_are_a_degeneracy():
     with pytest.raises(WallDegeneracy,
                        match=r"wrong order on the whole of \[0, 1\]"):
         _verify_chambers([ch])
+
+
+@pytest.mark.parametrize("v_lo, v_hi", [
+    (Poly(), U),  # width u
+    (U, AFF(1)),  # width 1 - u
+], ids=["touch-at-u0", "touch-at-u1"])
+def test_walls_touching_at_one_end_are_in_order(v_lo, v_hi):
+    # Width 0 at one end and positive at the other: the chamber is a
+    # triangle, no crossing to split at.
+    assert _verify_chambers([Chamber2D(Interval(0, 1), v_lo, v_hi)]) is None
+
+
+@pytest.mark.parametrize("v_lo, v_hi", [
+    (U, Poly()),  # width -u
+    (AFF(1), U),  # width u - 1
+], ids=["touch-at-u0", "touch-at-u1"])
+def test_walls_touching_at_one_end_in_the_wrong_order(v_lo, v_hi):
+    # Width 0 at one end and negative at the other: the walls never cross
+    # inside the interval, so there is nowhere to split.
+    with pytest.raises(WallDegeneracy,
+                       match=r"wrong order on the whole of \[0, 1\]"):
+        _verify_chambers([Chamber2D(Interval(0, 1), v_lo, v_hi)])
 
 
 def test_volume_vanishes_at_threshold():
@@ -596,9 +634,12 @@ def test_threshold_refuses_a_volume_that_is_no_volume(vol, v_cur, match):
 
 
 def test_chamber_recursion_has_a_depth_limit():
+    args = (HIRZEBRUCH, {"e": AFF(1), "f": AFF(2)}, {"e": -1}, Interval(0, 1))
     with pytest.raises(NoConvergence, match="chamber recursion too deep"):
-        parametric_surface_zariski(HIRZEBRUCH, {"e": AFF(1), "f": AFF(2)},
-                                   {"e": -1}, Interval(0, 1), _depth=13)
+        parametric_surface_zariski(*args, _depth=13)
+    # Depth 12 is the last one allowed; this scan needs no split.
+    assert parametric_surface_zariski(*args, _depth=12) == \
+        parametric_surface_zariski(*args)
 
 
 # Volume with the root lines v = u and v = 1 - u, crossing at u = 1/2.
