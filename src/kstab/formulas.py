@@ -87,9 +87,10 @@ def k_general(p: FamilyParams) -> Fraction:
 
 
 def k3(a, d, mu) -> Fraction:
-    """The threefold bound in its expanded form; equals k_general at n=3."""
-    a, d, mu = rat(a), rat(d), rat(mu)
-    g = d * mu
+    """The threefold bound in its expanded form: k_general at n=3, on the
+    same domain."""
+    p = FamilyParams(3, a, d, mu)
+    a, g = p.a, p.d * p.mu
     num = 8 * g * a ** 3 + 6 * (1 - 2 * g) * a ** 2 + 8 * (g - 1) * a - 2 * g + 3
     den = 8 * (3 * a ** 2 - 3 * a + 1)
     return num / den

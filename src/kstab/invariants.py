@@ -6,11 +6,12 @@ over the nine weights counts the monomials of each degree and weight.
 The closed-form Hilbert series 1/((1-t^2)(1-t^3)(1-t^4)) provides an
 independent oracle.  The three generating invariants J2, J3, J4 are the
 coefficients of the characteristic polynomial det(T I - M) of an explicit
-trace-free 4x4 matrix in the a_ij, obtained from the power traces
-tr(M^k) by Newton's identities.  The hot paths run on integers: a form
-is an integer matrix A over a denominator d, the group acts on A, and
-J2, J3, J4 come from the integer matrix 2d M.  Only public functions
-call :func:`coeffs`.
+trace-free 4x4 matrix in the a_ij.  As tr M = 0, Newton's identities
+give J2 = -p2/2, J3 = -p3/3 and J4 = (p2^2 - 2 p4)/8 from the power
+traces p_k = tr(M^k), all read off M and M^2.  The hot paths run on
+integers: a form is an integer matrix A over a denominator d, the group
+acts on A, and J2, J3, J4 come from the integer matrix 2d M.  Only
+public functions call :func:`coeffs`.
 """
 
 from __future__ import annotations
@@ -133,46 +134,23 @@ def _coeff_matrix(c: Coeffs) -> tuple[list[list[int]], int]:
                           for i in range(3)])
 
 
-def _newton(im: list[list[int]]) -> list[int]:
-    """The characteristic coefficients of an integer matrix.
-
-    Computed exactly from the power traces p_k = tr(N^k) by Newton's
-    identities, k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); the
-    coefficients are integers, so the division by k is exact.  Only
-    the powers up to h = ceil(n/2) are formed; p_k for k > h is
-    tr(N^h N^(k-h)) = sum_ij (N^h)_ij (N^(k-h))_ji, so an n = 4 matrix
-    costs one matrix product.
-    """
-    n = len(im)
-    h = (n + 1) // 2
-    powers = [im]
-    for _ in range(h - 1):
-        last = powers[-1]
-        powers.append([[sum(last[i][t] * im[t][j] for t in range(n))
-                        for j in range(n)] for i in range(n)])
-    traces = [sum(p[i][i] for i in range(n)) for p in powers]
-    for k in range(h + 1, n + 1):
-        a, b = powers[h - 1], powers[k - h - 1]
-        traces.append(sum(a[i][j] * b[j][i]
-                          for i in range(n) for j in range(n)))
-    out: list[int] = []
-    for k in range(1, n + 1):
-        total = traces[k - 1] + sum(out[t] * traces[k - t - 2]
-                                    for t in range(k - 1))
-        out.append(-total // k)
-    return out
-
-
 def _peano(a: list[list[int]], d: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(J2, J3, J4) of the form with coefficients a_ij / d, from the
-    integer matrix N = 2d M, M the trace-free matrix of the invariants: J_k = c_k(N) / (2d)^k."""
+    """(J2, J3, J4) of the form a_ij / d: J_k = c_k / (2d)^k for the
+    characteristic coefficients c_k of the integer matrix N = 2d M, by the
+    module's three identities with p2 = tr N^2, p3 = sum_ij (N^2)_ij N_ji
+    and p4 = sum_ij (N^2)_ij (N^2)_ji: one 4x4 product, N^2."""
     n = [[a[1][1], -2 * a[1][0], -2 * a[0][1], 4 * a[0][0]],
          [2 * a[1][2], -a[1][1], -4 * a[0][2], 2 * a[0][1]],
          [2 * a[2][1], -4 * a[2][0], -a[1][1], 2 * a[1][0]],
          [4 * a[2][2], -2 * a[2][1], -2 * a[1][2], a[1][1]]]
-    _, c2, c3, c4 = _newton(n)  # c1 = -tr(N) = 0
+    cols = list(zip(*n))
+    n2 = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in n]
+    p2 = sum(n2[i][i] for i in range(4))
+    p3 = sum(x * y for row, col in zip(n2, cols) for x, y in zip(row, col))
+    p4 = sum(x * y for row, col in zip(n2, zip(*n2)) for x, y in zip(row, col))
     s = 2 * d
-    return Fraction(c2, s * s), Fraction(c3, s ** 3), Fraction(c4, s ** 4)
+    return (Fraction(-p2, 2 * s ** 2), Fraction(-p3, 3 * s ** 3),
+            Fraction(p2 * p2 - 2 * p4, 8 * s ** 4))
 
 
 def peano_invariants(c: Coeffs | dict) -> tuple[Fraction, Fraction, Fraction]:

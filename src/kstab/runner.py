@@ -191,16 +191,17 @@ def build_lattice(data: dict) -> zariski.SurfaceLattice:
             data.array("gram", list, "an array of arrays"))
     m = model(data["from_model"])
     names = {n: m.divisor_index(d) for n, d in data.fields("curves").items()}
-    # Each extra class is the toric divisor of its combination of curves.
-    divs = {n: {d: 1} for n, d in names.items()}
+    # Each extra class is the toric divisor of its combination of curves,
+    # under a new name: SurfaceLattice refuses a repeated one.
+    divs = [{d: 1} for d in names.values()]
     extra = data.fields("extra_classes", {})
     for k in extra:
-        div = divs[k] = {}
+        divs.append(div := {})
         for n, c in extra.rationals(k).items():
             if n not in names:
                 raise zariski.ZariskiError(f"lattice has no curve named {n!r}")
             div[names[n]] = div.get(names[n], 0) + c
-    return zariski.SurfaceLattice(tuple(divs), m.gram(list(divs.values())))
+    return zariski.SurfaceLattice((*names, *extra), m.gram(divs))
 
 
 _FLAG_CACHE: dict[str, functionals.FlagCase] = {}

@@ -23,9 +23,10 @@ alias to a coefficient; this module alone resolves the keys.  Degrees
 and effective coordinates take rational coefficients; only the
 intersection form also takes coefficients in any Q-algebra (e.g.
 polynomials in the chamber parameter).  A curve class is stored as the
-two rays of its 1-stratum F_i . F_j, which must lie in one 2-cone; every
-curve, generator, alias, cone and grading row is checked when the model
-is built.  The named curves are the Mori generators: each is a wall curve
+two rays of its 1-stratum F_i . F_j, which must span a wall.  The fan
+must be complete, each wall in two maximal cones and each ray in one;
+it and every curve, generator, alias and grading row are checked on
+build.  The named curves are the Mori generators: each is a wall curve
 V(tau), hence effective, and the walls generate NE(X) (Cox-Little-
 Schenck, Toric Varieties, Sec. 6.3), so a model that names one wall on
 each extremal ray makes ``nef_check`` a proof.
@@ -167,18 +168,30 @@ class ToricModel:
             self._check_index(i, f"aliases: {k!r}: ")
         self.max_cones = tuple(frozenset(_ints(c, "a maximal cone"))
                                for c in max_cones)
-        # Per maximal cone: det and each ray's adjugate column.
+        # Per maximal cone: det and each ray's adjugate column.  Per wall,
+        # the sorted rays of a (dim-1)-face: the number of its cones.
         self._cone_adj: dict[frozenset[int], tuple[int, dict[int, tuple]]] = {}
+        self._walls: dict[tuple[int, ...], int] = {}
         for cone in self.max_cones:
             if len(cone) != self.dim:
                 raise ToricError(f"maximal cone {set(cone)} has wrong size")
             for i in cone:
                 self._check_index(i, "max_cones: ")
             basis = sorted(cone)
+            for wall in itertools.combinations(basis, self.dim - 1):
+                self._walls[wall] = self._walls.get(wall, 0) + 1
             d, cols = _adjugate([self.rays[i] for i in basis])
             if d == 0:
                 raise ToricError(f"cone rays {set(cone)} are dependent")
             self._cone_adj[cone] = (d, dict(zip(basis, cols)))
+        for wall, count in self._walls.items():
+            if count != 2:
+                raise ToricError(
+                    f"fan of {self.name} is not complete: wall {list(wall)}"
+                    f" lies in {count}, not 2, maximal cones")
+        if lost := set(range(len(self.rays))).difference(*self.max_cones):
+            raise ToricError(f"fan of {self.name} is not complete: ray"
+                             f" {min(lost)} lies in no maximal cone")
         self._scale = math.lcm(*(abs(d) for d, _ in
                                  self._cone_adj.values())) ** self.dim
         self.grading = tuple(_ints(row, "a grading row") for row in grading)
@@ -203,14 +216,13 @@ class ToricModel:
         self._rep_cache: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
 
     def _check_curve(self, name: str, v: tuple[int, ...]):
-        """A curve names two rays of one 2-cone of a threefold fan, so that
-        F_i . F_j is a 1-stratum."""
+        """A curve names the two rays of a wall of a threefold fan, so that
+        F_i . F_j is a 1-stratum; the wall table says which pairs are."""
         if len(v) != 2:
             raise ToricError(f"curves: {name!r} must name two rays, got {v!r}")
         for i in v:
             self._check_index(i, f"curves: {name!r}: ")
-        if self.dim != 3 or v[0] == v[1] or \
-                not any(set(v) <= c for c in self.max_cones):
+        if self.dim != 3 or tuple(sorted(v)) not in self._walls:
             raise ToricError(
                 f"curves: {name!r} = F{v[0]} . F{v[1]} is not a 1-stratum"
                 f" of {self.name}")

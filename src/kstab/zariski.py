@@ -118,12 +118,12 @@ class _SplitRequest(Exception):
 class SurfaceLattice(_Record, frozen=True):
     """A surface intersection lattice: named curves plus their Gram matrix.
 
-    Construction checks ``gram`` and builds a name -> index map and, per
-    curve, the sparse row of the nonzero integers of g * Gram, g the least
-    common denominator; every pairing in the engine reads these rows, and
-    ``gram`` is not read again.  ``_inverses`` caches, per support,
-    ``_support_inverse``'s (R, r) of that integer support block; it lives
-    and dies with the instance.
+    Construction checks ``gram``, refuses a repeated curve name and builds
+    a name -> index map and, per curve, the sparse row of the nonzero
+    integers of g * Gram, g the least common denominator; every pairing in
+    the engine reads these rows, and ``gram`` is not read again.
+    ``_inverses`` caches, per support, ``_support_inverse``'s (R, r) of
+    that integer support block; it lives and dies with the instance.
     """
 
     curves: tuple[str, ...]
@@ -139,10 +139,13 @@ class SurfaceLattice(_Record, frozen=True):
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise MalformedLattice("Gram matrix is not symmetric")
+        index = {c: i for i, c in enumerate(self.curves)}
+        if len(index) != n:
+            dup = next(c for i, c in enumerate(self.curves) if index[c] != i)
+            raise MalformedLattice(f"curve name {dup!r} is repeated")
         rows, gden = _linalg._integer_form(g)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_index",
-                           {c: i for i, c in enumerate(self.curves)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_gram_den", gden)
         object.__setattr__(self, "_int_rows", tuple(
             tuple((j, x) for j, x in enumerate(row) if x) for row in rows))

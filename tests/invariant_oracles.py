@@ -3,21 +3,24 @@ tests.
 
 ``kstab.invariants`` runs on integers: a form is an integer matrix over
 one denominator, the group acts on it through ``_act``, and J2, J3, J4
-come from ``_newton`` on the integer matrix 2d M.  The oracles here give
-the same objects as Fractions, so tests can check the kernels against
-the defining formulas: ``act`` is the action on a coefficient map,
-``compose`` the group product, ``verify_invariance`` one invariance
-check, ``char_poly`` the characteristic polynomial of a rational matrix
-and ``_matrix`` the trace-free matrix M itself.  ``FULL_SUPPORT`` is the
-support of a form with all nine coefficients.
+come from the power traces of the integer matrix 2d M by Newton's
+identities (``_peano``).  The oracles here give the same objects as
+Fractions, so tests can check the kernels against the defining formulas:
+``act`` is the action on a coefficient map, ``compose`` the group
+product, ``verify_invariance`` one invariance check, ``char_poly`` the
+characteristic polynomial of a rational matrix, interpolated from
+determinants and sharing no code with ``_peano``, and ``_matrix`` the
+trace-free matrix M itself.  ``FULL_SUPPORT`` is the support of a form
+with all nine coefficients.
 """
 
 from fractions import Fraction
 
-from kstab._linalg import _integer_form
+from kstab._linalg import det
+from kstab.exactcore import interpolate
 from kstab.githm import Support, support
 from kstab.invariants import (Coeffs, GroupElement, _act, _coeff_matrix,
-                              _invariant_under, _newton, coeffs)
+                              _invariant_under, coeffs)
 
 FULL_SUPPORT: Support = support((i, j) for i in range(3) for j in range(3))
 
@@ -38,9 +41,12 @@ def _matrix(c: Coeffs):
 
 def char_poly(m) -> list[Fraction]:
     """Coefficients [c1, ..., cn] of det(T I - M) = T^n + c1 T^(n-1) + ...,
-    as c_k(N) / D^k from the integer matrix N = D M (``_newton``)."""
-    im, den = _integer_form(m)
-    return [Fraction(c, den ** k) for k, c in enumerate(_newton(im), 1)]
+    interpolated through the determinants at T = 0, ..., n."""
+    n = len(m)
+    samples = [(t, det([[t * (i == j) - x for j, x in enumerate(row)]
+                        for i, row in enumerate(m)])) for t in range(n + 1)]
+    poly = interpolate(samples, n)
+    return [poly.coefficient(n - k) for k in range(1, n + 1)]
 
 
 def act(g: GroupElement, c: Coeffs | dict) -> Coeffs:

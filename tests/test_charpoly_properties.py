@@ -1,5 +1,6 @@
-"""Property test of the Newton-identity characteristic polynomial
-against sympy, on random rational square matrices of sizes 1 to 5."""
+"""Property test of the determinant oracle ``char_poly``, interpolated
+from det(T I - M) at T = 0, ..., n, against sympy's characteristic
+polynomial, on random rational square matrices of sizes 1 to 5."""
 
 from fractions import Fraction as Q
 

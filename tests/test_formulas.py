@@ -199,3 +199,11 @@ class TestParamValidation:
     def test_bad_slope(self):
         with pytest.raises(FormulaError):
             FamilyParams(3, Q(1, 2), 1)
+
+    @pytest.mark.parametrize("a, d, mu", [(1, 1, 0), (1, 0, 1),
+                                          (Q(1, 2), 1, 1)],
+                             ids=["mu-zero", "d-zero", "slope-below-one"])
+    def test_k3_has_the_domain_of_k_general(self, a, d, mu):
+        # k3(1, 1, 0) used to read 1/8, outside k_general's domain.
+        with pytest.raises(FormulaError):
+            k3(a, d, mu)

@@ -309,6 +309,14 @@ def test_extra_class_over_an_unknown_curve():
                               "extra_classes": {"T": {"C1": "1", "C9": "1"}}})
 
 
+def test_extra_class_takes_a_new_name():
+    # An extra class named like a curve does not replace that curve.
+    with pytest.raises(zariski.MalformedLattice, match="'C3' is repeated"):
+        runner.build_lattice({"from_model": "F0tilde-A2",
+                              "curves": {"C1": "C1", "C3": "C3"},
+                              "extra_classes": {"C3": {"C1": "1"}}})
+
+
 @pytest.mark.parametrize("value", [True, 1.5, ["C1"], None])
 def test_lattice_curve_value_is_a_divisor_name(value):
     # A bool is not read as F1, nor another value passed on untyped.
@@ -559,6 +567,11 @@ class TestCli:
         assert cli.main(["formulas", "eval", "k3", "--params",
                          '{"a": "3/2", "d": "4", "mu": "1/2"}']) == 0
         assert json.loads(capsys.readouterr().out) == "49/52"
+
+    def test_formulas_eval_out_of_domain(self, capsys):
+        assert cli.main(["formulas", "eval", "k3", "--params",
+                         '{"a": 1, "d": 1, "mu": 0}']) == 2
+        assert "mu must be positive" in capsys.readouterr().err
 
     def test_git_weight(self, capsys):
         assert cli.main(["git", "weight", "--support", "02,12,21,22",

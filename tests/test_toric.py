@@ -10,10 +10,13 @@ from kstab.runner import load_fixture, model
 from kstab.toric import (DegeneratePolytope, GradingMismatch, IndexOutOfRange,
                          ToricError, ToricModel, parse_model,
                          polytope_barycenter)
+from test_zariski import CUBE
 
 VERTICES_42 = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
                (1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0),
                (0, 0, -1), (-1, 0, -1), (-1, -1, -1), (0, -1, -1)]
+
+P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
 
 ALL_MODELS = ("F0tilde-A2", "Y0-A1", "Y0-A2", "Y1-A1", "Y1-A2", "Y2-A2",
               "Ytilde-A2")
@@ -355,6 +358,26 @@ class TestErrors:
                 f"grading row {row} of Y0-A1 has {width} entries")):
             ToricModel("Y0-A1", y0.rays, y0.max_cones,
                        [y0.grading[0], row, y0.grading[2]])
+
+    @pytest.mark.parametrize("name, rays, max_cones, grading, where", [
+        ("P2", P2_RAYS, [[0, 1], [1, 2]], [[1, 1, 1]],
+         "wall [0] lies in 1, not 2, maximal cones"),
+        ("P1^3", CUBE["rays"], CUBE["max_cones"][:-1], CUBE["grading"],
+         "wall [3, 5] lies in 1, not 2, maximal cones"),
+        ("P2", P2_RAYS, [[0, 1], [1, 2], [2, 0], [1, 0]], [[1, 1, 1]],
+         "wall [0] lies in 3, not 2, maximal cones"),
+        ("P2", [*P2_RAYS, [1, 1]], [[0, 1], [1, 2], [2, 0]],
+         [[1, 1, 1, 0], [0, 0, 1, 1]], "ray 3 lies in no maximal cone"),
+    ], ids=["P2-minus-a-cone", "cube-minus-a-cone", "cone-listed-twice",
+            "ray-in-no-cone"])
+    def test_fan_must_be_complete(self, name, rays, max_cones, grading,
+                                  where):
+        # An incomplete fan would build and give wrong numbers: P2 without
+        # the cone {2, 0} reads F0^2 = 0.  Every wall lies in exactly two
+        # maximal cones and every ray in one, or the build names the fault.
+        with pytest.raises(ToricError, match=re.escape(
+                f"fan of {name} is not complete: {where}")):
+            ToricModel(name, rays, max_cones, grading)
 
     def test_divisor_index_one_past_the_last_ray(self):
         m = model("Y0-A1")

@@ -705,6 +705,17 @@ class TestThresholdWall:
             (Interval(Q(1, 2), 1), Poly(), AFF(1, -1))]
         assert all(forms(c).volume == CROSSING for c in chambers)
 
+    def test_split_at_the_end_of_a_zero_width_interval(self):
+        # At u = 1/2 alone the two root lines still cross, and the split
+        # point is both ends of the interval: the guard names the point,
+        # where a split would recurse to the depth limit.
+        lat = SurfaceLattice(("a", "b"), [[0, 1], [1, 0]])
+        fam = {"a": U, "b": AFF(Q(1, 2), Q(-1, 2))}
+        with pytest.raises(WallDegeneracy,
+                           match="cannot separate walls at u = 1/2"):
+            parametric_surface_zariski(
+                lat, fam, {"a": -1, "b": Q(-1, 2)}, Interval(Q(1, 2), Q(1, 2)))
+
 
 @pytest.mark.parametrize("entry, direction, error, match", [
     (U * U, -1, NonAffineFamily, "of E is not affine"),
@@ -849,6 +860,13 @@ def test_constraint_negative_at_a_corner_asks_for_a_split():
 def test_malformed_gram_is_a_zariski_error(gram):
     with pytest.raises(MalformedLattice):
         SurfaceLattice(("a", "b"), gram)
+
+
+def test_repeated_curve_name_is_a_malformed_lattice():
+    # index("e") would read the second row, so a Zariski decomposition of
+    # 2e would decompose the fibre class.
+    with pytest.raises(MalformedLattice, match="'e' is repeated"):
+        SurfaceLattice(("e", "e"), [[-1, 1], [1, 0]])
 
 
 def test_cached_support_solve_matches_linalg_solve():
