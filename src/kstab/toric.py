@@ -217,12 +217,12 @@ class ToricModel:
 
     def _check_curve(self, name: str, v: tuple[int, ...]):
         """A curve names the two rays of a wall of a threefold fan, so that
-        F_i . F_j is a 1-stratum; the wall table says which pairs are."""
+        F_i . F_j is a 1-stratum; only a threefold's walls are pairs."""
         if len(v) != 2:
             raise ToricError(f"curves: {name!r} must name two rays, got {v!r}")
         for i in v:
             self._check_index(i, f"curves: {name!r}: ")
-        if self.dim != 3 or tuple(sorted(v)) not in self._walls:
+        if tuple(sorted(v)) not in self._walls:
             raise ToricError(
                 f"curves: {name!r} = F{v[0]} . F{v[1]} is not a 1-stratum"
                 f" of {self.name}")

@@ -41,11 +41,13 @@ def _matrix(c: Coeffs):
 
 def char_poly(m) -> list[Fraction]:
     """Coefficients [c1, ..., cn] of det(T I - M) = T^n + c1 T^(n-1) + ...,
-    interpolated through the determinants at T = 0, ..., n."""
+    interpolated through the determinants at T = 0, ..., n; the
+    interpolant must be monic, or the determinants are wrong."""
     n = len(m)
     samples = [(t, det([[t * (i == j) - x for j, x in enumerate(row)]
                         for i, row in enumerate(m)])) for t in range(n + 1)]
     poly = interpolate(samples, n)
+    assert poly.coefficient(n) == 1, f"det(T I - M) is not monic: {poly}"
     return [poly.coefficient(n - k) for k in range(1, n + 1)]
 
 

@@ -76,7 +76,8 @@ class TestPeano:
 
     def test_corners_against_determinant_oracle(self):
         # Independent route: char_poly interpolates det(tI - M) from exact
-        # 4x4 determinants at five sample points.  Three hand-picked forms,
+        # 4x4 determinants at five sample points and checks that the
+        # interpolant is monic.  Three hand-picked forms,
         # the nine unit forms e_ij and 20 seeded random forms; no sympy or
         # hypothesis, so the core-only job runs it.
         rng = random.Random(38)

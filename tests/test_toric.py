@@ -10,7 +10,7 @@ from kstab.runner import load_fixture, model
 from kstab.toric import (DegeneratePolytope, GradingMismatch, IndexOutOfRange,
                          ToricError, ToricModel, parse_model,
                          polytope_barycenter)
-from test_zariski import CUBE
+from toric_surfaces import CUBE
 
 VERTICES_42 = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
                (1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0),

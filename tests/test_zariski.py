@@ -28,6 +28,7 @@ from lattice_oracles import dot, pairing
 
 U = Poly.from_coeffs([0, 1])
 forms, times = toric_surfaces.chamber_forms, toric_surfaces.times
+CUBE = toric_surfaces.CUBE
 
 
 def AFF(c0, cu=0):
@@ -39,13 +40,6 @@ def in_v(c0, c1=0, c2=0):
     """The volume c0 + c1*v + c2*v^2, free of u, as the scan's integers."""
     return (c0, 0, c1, 0, 0, c2)
 
-
-# P^1 x P^1 x P^1: F_{2a} and F_{2a+1} are the two fibres over axis a.
-CUBE = dict(
-    rays=[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
-          (0, 0, -1)],
-    max_cones=list(itertools.product((0, 1), (2, 3), (4, 5))),
-    grading=[[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
 
 HIRZEBRUCH = SurfaceLattice(("e", "f"), [[-1, 1], [1, 0]])
 BASE_LATTICE = SurfaceLattice(

@@ -18,8 +18,12 @@ affine form is the Fraction triple (a, b, c) of a + b*u + c*v, and a
 quadratic form the six Fractions of 1, u, v, u^2, u*v, v^2.  ``value``
 evaluates either, ``times`` multiplies two affine forms, and
 ``numerators`` clears a form's denominators.
+
+``CUBE`` is one threefold beside the surfaces: the fan of P^1 x P^1 x P^1
+as ``ToricModel`` keyword arguments, for the threefold tests.
 """
 
+import itertools
 import math
 from fractions import Fraction as Q
 from typing import NamedTuple
@@ -27,6 +31,13 @@ from typing import NamedTuple
 from kstab.zariski import SurfaceLattice
 
 BOX = 10 ** 4
+
+# P^1 x P^1 x P^1: F_{2a} and F_{2a+1} are the two fibres over axis a.
+CUBE = dict(
+    rays=[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+          (0, 0, -1)],
+    max_cones=list(itertools.product((0, 1), (2, 3), (4, 5))),
+    grading=[[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
 
 
 def curve_names(rays) -> tuple[str, ...]:
